@@ -60,7 +60,7 @@ def run_demo():
         operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
         constraint_form="encoded", encoder=encoder,
     )
-    sol_enc = encoding.recover_encoded(problem_enc)
+    sol_enc = recovery.recover(problem_enc)
     rel_enc = np.linalg.norm(sol_enc.estimate - X) / np.linalg.norm(X)
     print(f"sketched to {L_enc} numbers (~{coded.rate_bits} bits vs "
           f"{m} quantized samples): relative error = {rel_enc:.4e}")

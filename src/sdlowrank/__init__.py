@@ -36,11 +36,8 @@ from sdlowrank.noise_shaping import (
 )
 from sdlowrank.sensing import (
     MeasurementOperator,
-    RestrictedOperator,
     RipEstimate,
-    adjoint_apply,
     apply,
-    apply_restricted,
     composed_operator,
     draw_operator,
     empirical_rip,
@@ -60,7 +57,6 @@ from sdlowrank.encoding import (
     EncoderMatrix,
     draw_encoder,
     encode,
-    recover_encoded,
 )
 
 __version__ = "0.1.0"
@@ -84,12 +80,9 @@ __all__ = [
     "compute_basis",
     "project_shaped",
     "MeasurementOperator",
-    "RestrictedOperator",
     "RipEstimate",
     "draw_operator",
     "apply",
-    "adjoint_apply",
-    "apply_restricted",
     "composed_operator",
     "empirical_rip",
     "gaussian_rank_k",
@@ -104,6 +97,5 @@ __all__ = [
     "EncodedMeasurements",
     "draw_encoder",
     "encode",
-    "recover_encoded",
     "__version__",
 ]

@@ -1,20 +1,22 @@
 """Command-line front end.
 
-Single-instance commands (quantize, recover) reproduce trial 0 of the
-oversampling sweep at the first configured (r, lambda), so their output
-can be cross-checked against sweep CSV rows run with the same seed.
+Single-instance commands (quantize, recover, rip-check) run the harness
+stages on trial 0 of the oversampling sweep at the first configured
+(r, lambda), so their output can be cross-checked against sweep CSV rows
+run with the same seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 from sdlowrank import harness
 from sdlowrank import noise_shaping
-from sdlowrank import recovery
 from sdlowrank import sensing
 from sdlowrank import sigma_delta
 
@@ -26,10 +28,6 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
     parser.add_argument("--out", metavar="DIR", help="override output_path")
     parser.add_argument("--workers", type=int, metavar="N", help="parallel trial workers")
-    parser.add_argument(
-        "--paper-scale", action="store_true",
-        help="use full-size defaults instead of desk-scale (long running)",
-    )
 
 
 def _load_config(args, **defaults):
@@ -42,56 +40,24 @@ def _load_config(args, **defaults):
         overrides["workers"] = args.workers
     if args.config:
         return harness.load_config(args.config, **overrides)
-    merged = dict(defaults)
-    merged.update(overrides)
-    if args.paper_scale:
-        return harness.paper_config(**merged)
-    return harness.desk_config(**merged)
-
-
-def _first_instance_task(config):
-    r = config.orders[0]
-    lam = config.oversampling_grid[0]
-    m = int(round(lam * config.ell))
-    return harness._TrialTask(
-        experiment=harness._EXP_OVERSAMPLING,
-        config=config,
-        r=r,
-        m=m,
-        lam=lam,
-        trial_index=0,
-        operator_seed=harness._derive_seed(
-            config.master_seed, harness._EXP_OVERSAMPLING, harness._ROLE_OPERATOR, 0
-        ),
-        matrix_seed=harness._derive_seed(
-            config.master_seed, harness._EXP_OVERSAMPLING, harness._ROLE_MATRIX, 0
-        ),
-    )
+    return harness.desk_config(**{**defaults, **overrides})
 
 
 def cmd_quantize(args):
     config = _load_config(args)
-    task = _first_instance_task(config)
-    op = sensing.draw_operator(
-        task.m, config.n1, config.n2, config.distribution, task.operator_seed
-    )
-    X = harness.make_low_rank(config.n1, config.n2, config.rank, task.matrix_seed)
-    X, note = harness._apply_scaling(X, op, config.mu)
-    y = sensing.apply(op, X)
-    L = config.levels_for(task.r, float(np.max(np.abs(y))))
-    alphabet = sigma_delta.build_alphabet(L, config.beta)
-    scheme = sigma_delta.default_scheme(task.r, alphabet)
-    run = sigma_delta.quantize(y, scheme)
+    task = harness.first_trial(config)
+    _, X, scale, y = harness.trial_instance(task)
+    scheme, run = harness.trial_quantize(task, y)
+    alphabet = scheme.alphabet
     print(f"order r={task.r} m={task.m} lambda={task.lam:g}")
-    print(f"input scale {note.scale:.6g}, max |y| = {np.max(np.abs(y)):.6g}")
-    print(f"alphabet: 2L={2 * L} levels, step beta={config.beta:g}, "
-          f"max level {alphabet.max_level:.6g}")
+    print(f"input scale {scale:.6g}, max |y| = {np.max(np.abs(y)):.6g}")
+    print(f"alphabet: 2L={2 * alphabet.num_levels_half} levels, "
+          f"step beta={config.beta:g}, max level {alphabet.max_level:.6g}")
     print(f"max |u| = {np.max(np.abs(run.state)):.6g} "
           f"(certified bound {scheme.stability_constant:g})")
     print(f"overflow: {run.overflow}")
     print(f"state recursion residual: {sigma_delta.state_residual(run, task.r):.3e}")
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "quantize_instance.npz")
         np.savez(path, y=y, q=run.output, u=run.state, X=X)
@@ -101,8 +67,7 @@ def cmd_quantize(args):
 
 def cmd_recover(args):
     config = _load_config(args)
-    task = _first_instance_task(config)
-    record = harness._run_trial(task)
+    record = harness._run_trial(harness.first_trial(config))
     print(f"order r={record.r} m={record.m} lambda={record.lam:g} "
           f"form={config.constraint_form}")
     print(f"relative error {record.err_relative:.6e} "
@@ -143,14 +108,12 @@ def cmd_rate_distortion(args):
 
 def cmd_rip_check(args):
     config = _load_config(args)
-    lam = config.oversampling_grid[0]
-    m = int(round(lam * config.ell))
-    seed = harness._derive_seed(
-        config.master_seed, harness._EXP_OVERSAMPLING, harness._ROLE_OPERATOR, 0
+    task = harness.first_trial(config)
+    op = sensing.draw_operator(
+        task.m, config.n1, config.n2, config.distribution, task.operator_seed
     )
-    op = sensing.draw_operator(m, config.n1, config.n2, config.distribution, seed)
     est = sensing.empirical_rip(op, config.rank, args.trials, seed=config.master_seed)
-    print(f"operator {m} x ({config.n1} x {config.n2}), rank {config.rank}, "
+    print(f"operator {task.m} x ({config.n1} x {config.n2}), rank {config.rank}, "
           f"{args.trials} trials")
     print(f"delta_hat = {est.delta_hat:.4f} "
           f"(extremes {est.extremes[0]:.4f}, {est.extremes[1]:.4f})")
@@ -193,8 +156,7 @@ def cmd_selftest(args):
             trials=1, constraint_form="full_inverse_power",
             output_path="/tmp/sdlowrank-selftest",
         )
-        task = _first_instance_task(config)
-        record = harness._run_trial(task)
+        record = harness._run_trial(harness.first_trial(config))
         assert record.converged, "solver did not converge"
         assert record.err_relative < 1.0
 
@@ -204,7 +166,6 @@ def cmd_selftest(args):
             err_frobenius=0.5, err_relative=0.1, objective=3.0,
             sigma_k_tail=0.0, eps=0.0,
         )
-        import tempfile, os
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
             harness.write_records_csv([rec], path)

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sdlowrank import noise_shaping
-from sdlowrank import recovery
 
 __all__ = [
     "EncoderMatrix",
     "EncodedMeasurements",
     "draw_encoder",
     "encode",
-    "recover_encoded",
     "rate_bits_nominal",
     "rate_bits_plotted",
 ]
@@ -116,10 +114,3 @@ def encode(q, r, encoder, alphabet_max):
         alphabet_max=float(alphabet_max),
         order=int(r),
     )
-
-
-def recover_encoded(problem, params=None, start=None):
-    """Recover from sketched measurements; delegates to recovery.recover."""
-    if problem.constraint_form != "encoded":
-        raise ValueError("recover_encoded requires constraint_form == 'encoded'")
-    return recovery.recover(problem, params=params, start=start)

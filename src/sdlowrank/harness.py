@@ -1,18 +1,19 @@
 """Seeded experiment sweeps: quantize, recover, record, fit slopes.
 
-Every sweep follows the same shape: derive per-trial seeds from the
-master seed, run independent trials (optionally across worker
-processes), sort the results deterministically, and write one CSV plus
-a text summary with fitted slopes.  Reordering or parallelizing trial
-execution never changes the output bytes.
+One engine runs every sweep from a small per-experiment spec: derive
+per-trial seeds from the master seed, run independent trials (optionally
+across worker processes), sort the results deterministically, and write
+one CSV plus a text summary with fitted slopes.  Reordering or
+parallelizing trial execution never changes the output bytes.  A trial
+is a sequence of stages (trial_instance, trial_quantize, then decoding)
+that the command line reuses for single instances.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,13 +31,14 @@ __all__ = [
     "load_config",
     "save_config",
     "desk_config",
-    "paper_config",
     "make_low_rank",
     "measurement_scaling",
     "run_oversampling_sweep",
     "run_noise_sweep",
     "run_rate_distortion",
-    "select_order",
+    "first_trial",
+    "trial_instance",
+    "trial_quantize",
     "fit_slope",
     "write_records_csv",
     "read_records_csv",
@@ -53,9 +55,6 @@ _ROLE_OPERATOR = 101
 _ROLE_MATRIX = 102
 _ROLE_NOISE = 103
 _ROLE_ENCODER = 104
-
-# slope targets the rate-distortion summary compares against
-RATE_SLOPE_REFERENCE = {2: -1.8e-3, 3: -2.0e-3}
 
 _FAILURE_ABORT_FRACTION = 0.2
 
@@ -179,14 +178,6 @@ class ScalingNote:
 # ---------------------------------------------------------------------------
 # config file round trip (flat key=value text)
 
-_LIST_FIELDS = {"oversampling_grid", "orders", "epsilon_grid"}
-_INT_FIELDS = {
-    "n1", "n2", "rank", "ell", "trials", "encoder_dim", "workers",
-    "svd_size_budget", "solver_max_iterations",
-}
-_FLOAT_FIELDS = {"beta", "mu", "solver_tolerance", "solver_penalty"}
-
-
 def _parse_levels(text):
     if text == "auto":
         return "auto"
@@ -197,6 +188,20 @@ def _parse_levels(text):
             out[int(key)] = int(val)
         return out
     return int(text)
+
+
+def _parse_value(key, text):
+    """Parse a config value as the type of the field's default."""
+    if key == "levels":
+        return _parse_levels(text)
+    if key == "gamma":
+        return "auto" if text == "auto" else float(text)
+    if key == "cache_dir":
+        return text or None
+    default = getattr(ExperimentConfig, key)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split(",") if x.strip())
+    return type(default)(text)
 
 
 def load_config(path, **overrides):
@@ -217,26 +222,7 @@ def load_config(path, **overrides):
     for key, val in values.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _LIST_FIELDS:
-            items = [x for x in val.split(",") if x.strip()]
-            if key == "orders":
-                parsed[key] = tuple(int(x) for x in items)
-            else:
-                parsed[key] = tuple(float(x) for x in items)
-        elif key in _INT_FIELDS:
-            parsed[key] = int(val)
-        elif key in _FLOAT_FIELDS:
-            parsed[key] = float(val)
-        elif key == "master_seed":
-            parsed[key] = int(val)
-        elif key == "levels":
-            parsed[key] = _parse_levels(val)
-        elif key == "gamma":
-            parsed[key] = "auto" if val == "auto" else float(val)
-        elif key == "cache_dir":
-            parsed[key] = val or None
-        else:
-            parsed[key] = val
+        parsed[key] = _parse_value(key, val)
     parsed.update(overrides)
     return ExperimentConfig(**parsed)
 
@@ -247,11 +233,8 @@ def save_config(config, path):
         val = getattr(config, f.name)
         if val is None:
             continue
-        if f.name in _LIST_FIELDS:
-            if f.name == "orders":
-                text = ",".join(str(int(x)) for x in val)
-            else:
-                text = ",".join(_format_number(float(x)) for x in val)
+        if isinstance(val, tuple):
+            text = ",".join(_format_cell(x) for x in val)
         elif f.name == "levels" and isinstance(val, dict):
             text = ",".join(f"{k}:{v}" for k, v in sorted(val.items()))
         else:
@@ -263,23 +246,6 @@ def save_config(config, path):
 
 def desk_config(**overrides):
     return ExperimentConfig(**overrides)
-
-
-def paper_config(**overrides):
-    """Full-size parameters; the m x m basis SVD makes this a long run."""
-    base = dict(
-        n1=20,
-        n2=20,
-        rank=5,
-        ell=400,
-        oversampling_grid=tuple(float(x) for x in range(5, 61, 5)),
-        orders=(1, 2, 3),
-        trials=20,
-        encoder_dim=400,
-        svd_size_budget=24000,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +276,8 @@ def measurement_scaling(X, op, mu=0.9):
     return X * scale, ScalingNote(scale=scale, measured_max=ymax)
 
 
-def _apply_scaling(X, op, mu):
-    """Scaling step used by trials: identity when mu is not positive."""
-    if mu and mu > 0:
-        return measurement_scaling(X, op, mu)
-    y = sensing.apply(op, X)
-    ymax = float(np.max(np.abs(y))) if y.size else 0.0
-    return X, ScalingNote(scale=1.0, measured_max=ymax, message="scaling disabled")
-
-
 def _derive_seed(*entropy):
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
-
-
-def select_order(lam, C1):
-    """Quantizer order suggested for oversampling lam under growth C1."""
-    if lam <= 0 or C1 <= 0:
-        raise ValueError("lam and C1 must be positive")
-    inner = math.floor(lam / (2.0 * C1 * math.e))
-    if inner < 1:
-        return 1
-    return max(1, math.isqrt(inner))
 
 
 def fit_slope(points, mode):
@@ -364,12 +311,6 @@ def fit_slope(points, mode):
 # ---------------------------------------------------------------------------
 # CSV round trip
 
-def _format_number(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _format_cell(value):
     if value is None:
         return ""
@@ -380,16 +321,16 @@ def _format_cell(value):
     return str(value)
 
 
-def _record_columns():
-    names = [f.name for f in fields(TrialRecord)]
-    return ["lambda" if n == "lam" else n for n in names]
+def _column(name):
+    """CSV column of a TrialRecord field."""
+    return "lambda" if name == "lam" else name
 
 
 def write_records_csv(records, path):
     """Write records sorted and formatted deterministically."""
-    ordered = sorted(records, key=lambda t: (t.r, t.m, t.eps, t.trial_index))
+    ordered = sorted(records, key=_trial_key)
     names = [f.name for f in fields(TrialRecord)]
-    lines = [CSV_FORMAT_LINE, ",".join(_record_columns())]
+    lines = [CSV_FORMAT_LINE, ",".join(_column(n) for n in names)]
     for rec in ordered:
         lines.append(",".join(_format_cell(getattr(rec, n)) for n in names))
     directory = os.path.dirname(path)
@@ -434,7 +375,6 @@ def read_records_csv(path):
 class _TrialTask:
     """Everything one worker needs, scalars only, fully seeded."""
 
-    experiment: int
     config: ExperimentConfig
     r: int
     m: int
@@ -448,48 +388,70 @@ class _TrialTask:
     encoder_dim: object = None
 
 
-def _basis_cache_dir(config):
-    if config.cache_dir is not None:
-        return config.cache_dir
-    return os.path.join(config.output_path, "basis_cache")
+def _trial_key(item):
+    """Sort key of a task or record; the CSV row order."""
+    return (item.r, item.m, item.eps, item.trial_index)
 
 
 def _trial_basis(config, m, r):
+    cache_dir = config.cache_dir
+    if cache_dir is None:
+        cache_dir = os.path.join(config.output_path, "basis_cache")
     return noise_shaping.compute_basis(
-        m,
-        r,
-        truncation=min(config.ell, m),
-        cache_dir=_basis_cache_dir(config),
+        m, r, truncation=min(config.ell, m), cache_dir=cache_dir,
         size_budget=config.svd_size_budget,
     )
+
+
+def trial_instance(task):
+    """Draw, scale and measure one trial's truth, then add its noise.
+
+    Returns (operator, truth, scale, measurements).  mu > 0 scales the
+    truth so the clean measurements peak at mu; the measurements carry
+    the task's bounded noise when eps > 0.
+    """
+    config = task.config
+    op = sensing.draw_operator(
+        task.m, config.n1, config.n2, config.distribution, task.operator_seed
+    )
+    X = make_low_rank(config.n1, config.n2, config.rank, task.matrix_seed)
+    scale = 1.0
+    if config.mu > 0:
+        X, note = measurement_scaling(X, op, config.mu)
+        scale = note.scale
+    y = sensing.apply(op, X)
+    if task.eps > 0 and task.noise_seed is not None:
+        noise = np.random.default_rng(task.noise_seed).uniform(0.0, 1.0, task.m)
+        y = y + noise * (task.eps / np.max(noise))
+    return op, X, scale, y
+
+
+def trial_quantize(task, y):
+    """Quantize y at the task's order with the config's beta, levels and gamma.
+
+    Returns (scheme, run).  gamma = beta / 2 is the exact half-step
+    scheme; any other gamma is the parametric one with that bound.
+    """
+    config = task.config
+    L = config.levels_for(task.r, float(np.max(np.abs(y))))
+    alphabet = sigma_delta.build_alphabet(L, config.beta)
+    gamma = config.gamma_value()
+    if gamma == config.beta / 2:
+        scheme = sigma_delta.default_scheme(task.r, alphabet)
+    else:
+        scheme = sigma_delta.SigmaDeltaScheme(
+            order=task.r, alphabet=alphabet, stability_constant=gamma,
+            stability_model="parametric",
+        )
+    return scheme, sigma_delta.quantize(y, scheme)
 
 
 def _run_trial(task):
     config = task.config
     m, r = task.m, task.r
-    op = sensing.draw_operator(
-        m, config.n1, config.n2, config.distribution, task.operator_seed
-    )
-    X = make_low_rank(config.n1, config.n2, config.rank, task.matrix_seed)
-    X, note = _apply_scaling(X, op, config.mu)
-    y = sensing.apply(op, X)
-    noise = np.zeros(m)
-    if task.eps > 0 and task.noise_seed is not None:
-        rng = np.random.default_rng(task.noise_seed)
-        noise = rng.uniform(0.0, 1.0, m)
-        noise *= task.eps / np.max(noise)
-    y_in = y + noise
-    L = config.levels_for(r, float(np.max(np.abs(y_in))))
-    alphabet = sigma_delta.build_alphabet(L, config.beta)
+    op, X, scale, y = trial_instance(task)
+    scheme, run = trial_quantize(task, y)
     gamma = config.gamma_value()
-    if gamma == config.beta / 2:
-        scheme = sigma_delta.default_scheme(r, alphabet)
-    else:
-        scheme = sigma_delta.SigmaDeltaScheme(
-            order=r, alphabet=alphabet, stability_constant=gamma,
-            stability_model="parametric",
-        )
-    run = sigma_delta.quantize(y_in, scheme)
 
     basis = None
     encoder = None
@@ -498,7 +460,7 @@ def _run_trial(task):
         basis = _trial_basis(config, m, r)
     if config.constraint_form == "encoded":
         encoder = encoding.draw_encoder(task.encoder_dim, m, task.encoder_seed)
-        coded = encoding.encode(run.output, r, encoder, alphabet.max_level)
+        coded = encoding.encode(run.output, r, encoder, scheme.alphabet.max_level)
         rate_bits = coded.rate_bits
         rate_bits_fig = encoding.rate_bits_plotted(task.encoder_dim, r, m)
         # the true pair must satisfy the sketched constraint; this is a
@@ -523,46 +485,35 @@ def _run_trial(task):
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))
     return TrialRecord(
-        r=r,
-        m=m,
-        ell=config.ell,
-        lam=task.lam,
-        trial_index=task.trial_index,
-        seed=task.matrix_seed,
-        err_frobenius=err,
+        r=r, m=m, ell=config.ell, lam=task.lam, trial_index=task.trial_index,
+        seed=task.matrix_seed, err_frobenius=err,
         err_relative=err / truth_norm if truth_norm else 0.0,
         objective=solution.objective,
-        sigma_k_tail=recovery.best_rank_k_error(X, config.rank),
-        eps=task.eps,
-        rate_bits=rate_bits,
-        rate_bits_fig=rate_bits_fig,
-        overflow=run.overflow,
-        iterations=solution.iterations,
-        converged=solution.converged,
-        scale=note.scale,
-        encoder_dim=task.encoder_dim,
-        encoder_seed=task.encoder_seed,
+        sigma_k_tail=recovery.best_rank_k_error(X, config.rank), eps=task.eps,
+        rate_bits=rate_bits, rate_bits_fig=rate_bits_fig, overflow=run.overflow,
+        iterations=solution.iterations, converged=solution.converged, scale=scale,
+        encoder_dim=task.encoder_dim, encoder_seed=task.encoder_seed,
     )
 
 
+def _attempt(task):
+    """(record, None) for a trial that ran, (task, message) for one that raised."""
+    try:
+        return _run_trial(task), None
+    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+        return task, f"{type(exc).__name__}: {exc}"
+
+
 def _execute(tasks, workers):
-    results = []
-    failures = []
+    """Run every task; results and failures come back in CSV row order."""
     if workers <= 1:
-        for task in tasks:
-            try:
-                results.append(_run_trial(task))
-            except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-                failures.append((task, f"{type(exc).__name__}: {exc}"))
+        outcomes = [_attempt(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_trial, t): t for t in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                task = futures[fut]
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((task, f"{type(exc).__name__}: {exc}"))
+            outcomes = list(pool.map(_attempt, tasks))
+    results = sorted((rec for rec, msg in outcomes if msg is None), key=_trial_key)
+    failures = sorted(((task, msg) for task, msg in outcomes if msg is not None),
+                      key=lambda failure: _trial_key(failure[0]))
     if len(failures) > _FAILURE_ABORT_FRACTION * len(tasks):
         detail = "; ".join(msg for _, msg in failures[:5])
         raise RuntimeError(
@@ -571,36 +522,100 @@ def _execute(tasks, workers):
     return results, failures
 
 
-def _warm_basis_cache(config, pairs):
-    if config.constraint_form != "projected":
-        return
-    for m, r in sorted(set(pairs)):
-        _trial_basis(config, m, r)
+# ---------------------------------------------------------------------------
+# the sweep engine
+
+@dataclass(frozen=True)
+class _SweepSpec:
+    """What distinguishes one experiment's sweep from another's.
+
+    points are the (lam, m, eps) grid points, swept for every order.
+    shared_operator draws one operator for all points (fixed mode) instead
+    of one per point; paired_truth reuses each trial's truth matrix at
+    every point.  Means of err_relative are grouped by the TrialRecord
+    field group_by and fitted over the groups with a positive value.
+    """
+
+    experiment: int
+    name: str
+    points: tuple
+    shared_operator: bool
+    paired_truth: bool
+    group_by: str
+    fit_mode: str
+    x_label: str
 
 
-def _finish_sweep(config, name, records, failures, slopes, summary_lines, plot_text):
-    os.makedirs(config.output_path, exist_ok=True)
-    csv_path = os.path.join(config.output_path, f"{name}.csv")
-    write_records_csv(records, csv_path)
-    summary_path = os.path.join(config.output_path, f"{name}_summary.txt")
-    header = (
-        f"config: master_seed={config.master_seed} form={config.constraint_form}"
-        f" n={config.n1}x{config.n2} rank={config.rank} ell={config.ell}"
-        f" beta={config.beta:g} mu={config.mu:g} trials={config.trials}"
+def _oversampling_spec(config):
+    return _SweepSpec(
+        _EXP_OVERSAMPLING, "oversampling",
+        tuple((lam, int(round(lam * config.ell)), 0.0)
+              for lam in config.oversampling_grid),
+        shared_operator=False, paired_truth=True,
+        group_by="lam", fit_mode="loglog", x_label="oversampling factor",
     )
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([header] + list(summary_lines)) + "\n")
-    plot_path = os.path.join(config.output_path, f"plot_{name}.py")
-    with open(plot_path, "w", encoding="utf-8") as fh:
-        fh.write(plot_text)
-    return SweepResult(
-        records=records,
-        csv_path=csv_path,
-        summary_path=summary_path,
-        plot_path=plot_path,
-        slopes=slopes,
-        failures=failures,
+
+
+def _noise_spec(config):
+    lam = config.oversampling_grid[0]
+    m = int(round(lam * config.ell))
+    return _SweepSpec(
+        _EXP_NOISE, "noise", tuple((lam, m, eps) for eps in config.epsilon_grid),
+        shared_operator=True, paired_truth=True,
+        group_by="eps", fit_mode="semilog", x_label="noise level",
     )
+
+
+def _rate_spec(config):
+    if config.encoder_dim < 1:
+        raise ValueError("encoder_dim must be set for rate-distortion runs")
+    return _SweepSpec(
+        _EXP_RATE, "rate_distortion",
+        tuple((lam, int(round(lam * config.encoder_dim)), 0.0)
+              for lam in config.oversampling_grid),
+        shared_operator=False, paired_truth=False,
+        group_by="rate_bits", fit_mode="semilog", x_label="rate (bits)",
+    )
+
+
+def _sweep_tasks(config, spec):
+    """Yield the sweep's tasks by order, grid point and trial.
+
+    Each seed derives from the master seed, the experiment, its role and
+    the indices it depends on, so no task's seeds depend on the others.
+    """
+
+    def seed(role, *key):
+        return _derive_seed(config.master_seed, spec.experiment, role, *key)
+
+    fresh = config.operator_mode == "fresh"
+    encoded = config.constraint_form == "encoded"
+    for r in config.orders:
+        for i, (lam, m, eps) in enumerate(spec.points):
+            for trial in range(config.trials):
+                if spec.shared_operator:
+                    op_key = (0, i, trial) if fresh else (0,)
+                else:
+                    op_key = (i, trial) if fresh else (i,)
+                yield _TrialTask(
+                    config=config, r=r, m=m, lam=lam, trial_index=trial,
+                    operator_seed=seed(_ROLE_OPERATOR, *op_key),
+                    matrix_seed=(seed(_ROLE_MATRIX, trial) if spec.paired_truth
+                                 else seed(_ROLE_MATRIX, i, trial)),
+                    eps=eps,
+                    noise_seed=seed(_ROLE_NOISE, i, trial) if eps > 0 else None,
+                    encoder_seed=seed(_ROLE_ENCODER, i) if encoded else None,
+                    encoder_dim=config.encoder_dim if encoded else None,
+                )
+
+
+def first_trial(config):
+    """The oversampling sweep's first task: first order, first lambda, trial 0.
+
+    Single-instance commands run this task, so their output matches the
+    sweep's CSV row for it.
+    """
+    return next(_sweep_tasks(config, _oversampling_spec(config)))
 
 
 def _mean_errors(records, key):
@@ -611,113 +626,69 @@ def _mean_errors(records, key):
     return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
 
 
-def run_oversampling_sweep(config):
-    """Error versus oversampling factor for each quantizer order."""
-    tasks = []
-    for r in config.orders:
-        for li, lam in enumerate(config.oversampling_grid):
-            m = int(round(lam * config.ell))
-            op_seed_base = (config.master_seed, _EXP_OVERSAMPLING, _ROLE_OPERATOR, li)
-            for trial in range(config.trials):
-                op_seed = (
-                    _derive_seed(*op_seed_base)
-                    if config.operator_mode == "fixed"
-                    else _derive_seed(*op_seed_base, trial)
-                )
-                tasks.append(
-                    _TrialTask(
-                        experiment=_EXP_OVERSAMPLING,
-                        config=config,
-                        r=r,
-                        m=m,
-                        lam=lam,
-                        trial_index=trial,
-                        operator_seed=op_seed,
-                        # same truth matrices at every grid point so the
-                        # lambda comparison is paired
-                        matrix_seed=_derive_seed(
-                            config.master_seed, _EXP_OVERSAMPLING, _ROLE_MATRIX, trial
-                        ),
-                    )
-                )
-    _warm_basis_cache(
-        config,
-        [(t.m, t.r) for t in tasks],
-    )
+def _run_sweep(config, spec):
+    """Run one experiment's trials and write its CSV, summary and plot."""
+    tasks = list(_sweep_tasks(config, spec))
+    if config.constraint_form == "projected":
+        for m, r in sorted({(t.m, t.r) for t in tasks}):
+            _trial_basis(config, m, r)
     results, failures = _execute(tasks, config.workers)
+
+    column = _column(spec.group_by)
     slopes = {}
-    summary = [f"oversampling sweep: {len(results)} trials, {len(failures)} failures"]
+    summary = [
+        f"config: master_seed={config.master_seed} form={config.constraint_form}"
+        f" n={config.n1}x{config.n2} rank={config.rank} ell={config.ell}"
+        f" beta={config.beta:g} mu={config.mu:g} trials={config.trials}",
+        f"{spec.name.replace('_', '-')} sweep: {len(results)} trials,"
+        f" {len(failures)} failures",
+    ]
     for r in config.orders:
-        means = _mean_errors([t for t in results if t.r == r], key=lambda t: t.lam)
-        if len(means) >= 2:
-            slope, intercept, r2 = fit_slope(means.items(), "loglog")
+        means = _mean_errors(
+            [t for t in results if t.r == r], key=lambda t: getattr(t, spec.group_by)
+        )
+        fitted = [(x, err) for x, err in means.items() if x > 0]
+        if len(fitted) >= 2:
+            slope, intercept, r2 = fit_slope(fitted, spec.fit_mode)
             slopes[r] = slope
             summary.append(
-                f"r={r}: loglog slope {slope:.4f} intercept {intercept:.4f} R2 {r2:.4f}"
+                f"r={r}: {spec.fit_mode} slope vs {column} {slope:.6g}"
+                f" intercept {intercept:.6g} R2 {r2:.4f} over {len(fitted)} points"
             )
-            for lam, err in means.items():
-                summary.append(f"  lambda={lam:g}: mean relative error {err:.6e}")
-    for task, msg in failures:
-        summary.append(f"FAILED r={task.r} lambda={task.lam:g} trial={task.trial_index}: {msg}")
-    return _finish_sweep(
-        config, "oversampling", results, failures, slopes, summary,
-        _plot_script("oversampling.csv", "loglog", "lambda", "oversampling factor"),
+        summary += [f"  {column}={x:g}: mean relative error {err:.6e}"
+                    for x, err in means.items()]
+    summary += [
+        f"FAILED r={t.r} m={t.m} eps={t.eps:g} trial={t.trial_index}: {msg}"
+        for t, msg in failures
+    ]
+
+    csv_path = write_records_csv(
+        results, os.path.join(config.output_path, f"{spec.name}.csv")
     )
+    summary_path = os.path.join(config.output_path, f"{spec.name}_summary.txt")
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(summary) + "\n")
+    plot_path = os.path.join(config.output_path, f"plot_{spec.name}.py")
+    with open(plot_path, "w", encoding="utf-8") as fh:
+        fh.write(_plot_script(f"{spec.name}.csv", spec.fit_mode, column, spec.x_label))
+    return SweepResult(
+        records=results,
+        csv_path=csv_path,
+        summary_path=summary_path,
+        plot_path=plot_path,
+        slopes=slopes,
+        failures=failures,
+    )
+
+
+def run_oversampling_sweep(config):
+    """Error versus oversampling factor for each quantizer order."""
+    return _run_sweep(config, _oversampling_spec(config))
 
 
 def run_noise_sweep(config):
-    """Error versus the measurement-noise level at fixed oversampling."""
-    lam = config.oversampling_grid[0]
-    m = int(round(lam * config.ell))
-    tasks = []
-    for r in config.orders:
-        for ei, eps in enumerate(config.epsilon_grid):
-            for trial in range(config.trials):
-                op_seed_base = (config.master_seed, _EXP_NOISE, _ROLE_OPERATOR, 0)
-                op_seed = (
-                    _derive_seed(*op_seed_base)
-                    if config.operator_mode == "fixed"
-                    else _derive_seed(*op_seed_base, ei, trial)
-                )
-                tasks.append(
-                    _TrialTask(
-                        experiment=_EXP_NOISE,
-                        config=config,
-                        r=r,
-                        m=m,
-                        lam=lam,
-                        trial_index=trial,
-                        operator_seed=op_seed,
-                        # matrix fixed across the eps grid within a trial so
-                        # the level comparison is paired
-                        matrix_seed=_derive_seed(
-                            config.master_seed, _EXP_NOISE, _ROLE_MATRIX, trial
-                        ),
-                        eps=eps,
-                        noise_seed=_derive_seed(
-                            config.master_seed, _EXP_NOISE, _ROLE_NOISE, ei, trial
-                        ),
-                    )
-                )
-    _warm_basis_cache(config, [(t.m, t.r) for t in tasks])
-    results, failures = _execute(tasks, config.workers)
-    slopes = {}
-    summary = [f"noise sweep: {len(results)} trials, {len(failures)} failures, m={m}"]
-    for r in config.orders:
-        means = _mean_errors([t for t in results if t.r == r], key=lambda t: t.eps)
-        for eps, err in means.items():
-            summary.append(f"r={r} eps={eps:g}: mean relative error {err:.6e}")
-        positive = [(e, v) for e, v in means.items() if e > 0]
-        if len(positive) >= 2:
-            slope, intercept, r2 = fit_slope(positive, "semilog")
-            slopes[r] = slope
-            summary.append(f"r={r}: semilog slope vs eps {slope:.4f} R2 {r2:.4f}")
-    for task, msg in failures:
-        summary.append(f"FAILED r={task.r} eps={task.eps:g} trial={task.trial_index}: {msg}")
-    return _finish_sweep(
-        config, "noise", results, failures, slopes, summary,
-        _plot_script("noise.csv", "linear", "eps", "noise level"),
-    )
+    """Error versus the measurement-noise level at the first oversampling factor."""
+    return _run_sweep(config, _noise_spec(config))
 
 
 def run_rate_distortion(config):
@@ -726,63 +697,7 @@ def run_rate_distortion(config):
     The oversampling grid is read against the encoder dimension here:
     m = lambda * encoder_dim for each grid value.
     """
-    if config.encoder_dim < 1:
-        raise ValueError("encoder_dim must be set for rate-distortion runs")
-    config = replace(config, constraint_form="encoded")
-    tasks = []
-    for r in config.orders:
-        for li, lam in enumerate(config.oversampling_grid):
-            m = int(round(lam * config.encoder_dim))
-            for trial in range(config.trials):
-                op_seed_base = (config.master_seed, _EXP_RATE, _ROLE_OPERATOR, li)
-                op_seed = (
-                    _derive_seed(*op_seed_base)
-                    if config.operator_mode == "fixed"
-                    else _derive_seed(*op_seed_base, trial)
-                )
-                tasks.append(
-                    _TrialTask(
-                        experiment=_EXP_RATE,
-                        config=config,
-                        r=r,
-                        m=m,
-                        lam=lam,
-                        trial_index=trial,
-                        operator_seed=op_seed,
-                        matrix_seed=_derive_seed(
-                            config.master_seed, _EXP_RATE, _ROLE_MATRIX, li, trial
-                        ),
-                        encoder_seed=_derive_seed(
-                            config.master_seed, _EXP_RATE, _ROLE_ENCODER, li
-                        ),
-                        encoder_dim=config.encoder_dim,
-                    )
-                )
-    results, failures = _execute(tasks, config.workers)
-    slopes = {}
-    summary = [f"rate-distortion sweep: {len(results)} trials, {len(failures)} failures"]
-    for r in config.orders:
-        recs = [t for t in results if t.r == r]
-        means = _mean_errors(recs, key=lambda t: t.rate_bits)
-        if len(means) >= 2:
-            slope, intercept, r2 = fit_slope(means.items(), "semilog")
-            slopes[r] = slope
-            summary.append(
-                f"r={r}: semilog slope per bit {slope:.3e} "
-                f"(base-10: {slope / math.log(10):.3e}) R2 {r2:.4f}"
-            )
-            if r in RATE_SLOPE_REFERENCE:
-                summary.append(
-                    f"r={r}: reference slope for comparison {RATE_SLOPE_REFERENCE[r]:.1e}"
-                )
-            for bits, err in means.items():
-                summary.append(f"  rate_bits={bits}: mean relative error {err:.6e}")
-    for task, msg in failures:
-        summary.append(f"FAILED r={task.r} lambda={task.lam:g} trial={task.trial_index}: {msg}")
-    return _finish_sweep(
-        config, "rate_distortion", results, failures, slopes, summary,
-        _plot_script("rate_distortion.csv", "semilog", "rate_bits", "rate (bits)"),
-    )
+    return _run_sweep(replace(config, constraint_form="encoded"), _rate_spec(config))
 
 
 def _plot_script(csv_name, kind, x_col, x_label):

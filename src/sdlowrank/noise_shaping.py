@@ -72,18 +72,6 @@ class NoiseShapingBasis:
         """The singular value at the truncation index."""
         return float(self.singular_values[self.truncation - 1])
 
-    def with_truncation(self, truncation):
-        if not (1 <= truncation <= self.size):
-            raise ValueError("truncation must lie in [1, size]")
-        return NoiseShapingBasis(
-            size=self.size,
-            order=self.order,
-            left_vectors=self.left_vectors,
-            singular_values=self.singular_values,
-            right_vectors=self.right_vectors,
-            truncation=int(truncation),
-        )
-
 
 def apply_difference(v, op):
     """Apply D^r to v with r backward-difference passes, O(r m) time."""

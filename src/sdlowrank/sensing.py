@@ -7,35 +7,25 @@ in Fortran order throughout the package.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "MeasurementOperator",
-    "RestrictedOperator",
     "ComposedOperator",
     "RipEstimate",
     "draw_operator",
     "apply",
-    "adjoint_apply",
-    "apply_restricted",
     "composed_operator",
     "empirical_rip",
     "gaussian_rank_k",
-    "save_operator",
-    "load_operator",
 ]
 
 DISTRIBUTIONS = ("gaussian", "rademacher")
 
 # refuse operators whose dense storage would dwarf desk memory
 MAX_OPERATOR_ENTRIES = 200_000_000
-
-_OPERATOR_FORMAT_VERSION = 1
-_FRAME_ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,27 +41,6 @@ class MeasurementOperator:
     distribution: str
     seed: int
     data: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class RestrictedOperator:
-    """The vector operator x -> M(U diag(x) V^T) for orthonormal frames."""
-
-    base: MeasurementOperator
-    left_frame: np.ndarray = field(repr=False)
-    right_frame: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        U, V = self.left_frame, self.right_frame
-        if U.shape[1] != V.shape[1]:
-            raise ValueError("frames must share the same number of columns")
-        n1, n2 = self.base.shape
-        if U.shape[0] != n1 or V.shape[0] != n2:
-            raise ValueError("frame row counts must match the operator shape")
-        for name, F in (("left", U), ("right", V)):
-            gram = F.T @ F
-            if np.max(np.abs(gram - np.eye(F.shape[1]))) > _FRAME_ORTHO_TOL:
-                raise ValueError(f"{name} frame columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -126,31 +95,11 @@ def apply(op, X):
     return op.data @ X.reshape(-1, order="F")
 
 
-def adjoint_apply(op, v):
-    """Adjoint of apply: sum_i v_i A_i as an n1 x n2 matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.data.shape[0],):
-        raise ValueError(f"expected length {op.data.shape[0]}, got {v.shape}")
-    n1, n2 = op.shape
-    return (op.data.T @ v).reshape((n1, n2), order="F")
-
-
-def apply_restricted(rop, x):
-    """Evaluate the restriction on a coefficient vector x."""
-    x = np.asarray(x, dtype=float)
-    p = rop.left_frame.shape[1]
-    if x.shape != (p,):
-        raise ValueError(f"expected length {p}, got {x.shape}")
-    X = (rop.left_frame * x) @ rop.right_frame.T
-    return apply(rop.base, X)
-
-
 def composed_operator(op, basis, ell):
     """Compose the operator with the scaled singular projection.
 
     Returns the map X -> (1/sqrt(ell)) P_ell V^T M(X) with a dense
-    ell x (n1 n2) representation, so apply and adjoint_apply work on it
-    unchanged.
+    ell x (n1 n2) representation, so apply works on it unchanged.
     """
     if basis.size != op.rows:
         raise ValueError("basis size must equal the operator row count")
@@ -190,39 +139,3 @@ def empirical_rip(op, k, trials, seed=0):
         hi = max(hi, ratio)
     delta_hat = max(1.0 - lo, hi - 1.0, 0.0)
     return RipEstimate(rank=int(k), trials=int(trials), delta_hat=delta_hat, extremes=(lo, hi))
-
-
-def save_operator(op, path):
-    """Serialize an operator to the package's .npz container format."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh,
-                format_version=np.array([_OPERATOR_FORMAT_VERSION]),
-                rows=np.array([op.rows]),
-                shape=np.array(op.shape),
-                distribution=np.array(op.distribution),
-                seed=np.array([op.seed], dtype=np.uint64),
-                data=op.data,
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def load_operator(path):
-    with np.load(path) as payload:
-        version = int(payload["format_version"][0])
-        if version != _OPERATOR_FORMAT_VERSION:
-            raise ValueError(f"unsupported operator container version {version}")
-        return MeasurementOperator(
-            rows=int(payload["rows"][0]),
-            shape=tuple(int(x) for x in payload["shape"]),
-            distribution=str(payload["distribution"]),
-            seed=int(payload["seed"][0]),
-            data=np.array(payload["data"]),
-        )

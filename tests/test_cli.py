@@ -9,16 +9,21 @@ from sdlowrank import cli
 from sdlowrank import harness
 
 
-@pytest.fixture
-def tiny_cfg_file(tmp_path):
-    cfg = harness.desk_config(
+def write_tiny_cfg(tmp_path, **overrides):
+    base = dict(
         n1=5, n2=5, rank=1, ell=16, oversampling_grid=(2.0, 4.0),
         orders=(1,), trials=2, master_seed=77,
         output_path=str(tmp_path / "out"),
     )
+    base.update(overrides)
     path = tmp_path / "tiny.cfg"
-    harness.save_config(cfg, path)
+    harness.save_config(harness.desk_config(**base), path)
     return str(path)
+
+
+@pytest.fixture
+def tiny_cfg_file(tmp_path):
+    return write_tiny_cfg(tmp_path)
 
 
 def test_selftest_passes(capsys):
@@ -40,6 +45,16 @@ def test_quantize_prints_and_saves(tiny_cfg_file, tmp_path, capsys):
     assert saved["y"].shape == saved["q"].shape == saved["u"].shape
 
 
+def test_quantize_uses_the_configured_gamma(tmp_path, capsys):
+    # gamma below beta / 2 makes this instance overflow in the sweep's trial
+    path = write_tiny_cfg(tmp_path, gamma=0.2)
+    assert cli.main(["quantize", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "(certified bound 0.2)" in out
+    assert "overflow: True" in out
+    assert harness._run_trial(harness.first_trial(harness.load_config(path))).overflow
+
+
 def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
     assert cli.main(["recover", "--config", tiny_cfg_file]) == 0
     out = capsys.readouterr().out
@@ -49,8 +64,7 @@ def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
 
 def test_recover_instance_matches_sweep_first_row(tiny_cfg_file, tmp_path):
     cfg = harness.load_config(tiny_cfg_file, output_path=str(tmp_path / "sw"))
-    task = cli._first_instance_task(cfg)
-    record = harness._run_trial(task)
+    record = harness._run_trial(harness.first_trial(cfg))
     sweep = harness.run_oversampling_sweep(cfg)
     first = [
         t for t in sweep.records
@@ -89,6 +103,26 @@ def test_rate_distortion_cli(tmp_path, capsys):
     code = cli.main(["rate-distortion", "--config", str(path)])
     assert code == 0
     assert os.path.exists(os.path.join(cfg.output_path, "rate_distortion.csv"))
+
+
+@pytest.mark.parametrize("command, csv_name", [
+    ("sweep-oversampling", "oversampling.csv"),
+    ("sweep-noise", "noise.csv"),
+])
+def test_sweeps_run_the_encoded_form(tmp_path, command, csv_name):
+    path = write_tiny_cfg(tmp_path, constraint_form="encoded", encoder_dim=16,
+                          epsilon_grid=(0.0, 0.5))
+    out_dir = tmp_path / "enc"
+    assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 0
+    records = harness.read_records_csv(out_dir / csv_name)
+    assert records and all(rec.encoder_dim == 16 for rec in records)
+    assert all(rec.rate_bits >= 1 for rec in records)
+
+
+def test_recover_runs_the_encoded_form(tmp_path, capsys):
+    path = write_tiny_cfg(tmp_path, constraint_form="encoded", encoder_dim=16)
+    assert cli.main(["recover", "--config", path]) == 0
+    assert "form=encoded" in capsys.readouterr().out
 
 
 def test_rip_check_cli(tiny_cfg_file, capsys):

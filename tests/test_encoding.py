@@ -131,16 +131,6 @@ def test_sketched_state_within_decoder_radius():
         assert np.linalg.norm(sketched) <= 3 * m * gamma
 
 
-def test_recover_encoded_requires_encoded_form():
-    op = sensing.draw_operator(16, 3, 3, seed=2)
-    problem = recovery.RecoveryProblem(
-        operator=op, quantized=np.zeros(16), order=1, gamma=0.25, step=0.5,
-        constraint_form="full_inverse_power",
-    )
-    with pytest.raises(ValueError):
-        encoding.recover_encoded(problem)
-
-
 def test_recover_encoded_smoke():
     rng = np.random.default_rng(31)
     n, m, r = 4, 64, 1
@@ -156,6 +146,6 @@ def test_recover_encoded_smoke():
         operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
         constraint_form="encoded", encoder=enc,
     )
-    sol = encoding.recover_encoded(problem)
+    sol = recovery.recover(problem)
     assert sol.converged
     assert recovery.check_feasibility(sol, problem).ok

@@ -122,18 +122,6 @@ def test_measurement_scaling_bounds_many_cases():
         assert np.max(np.abs(sensing.apply(op, Xs))) <= 0.9 * (1 + 1e-9)
 
 
-def test_select_order_examples():
-    C1 = 2.0
-    assert harness.select_order(2 * C1 * math.e, C1) == 1
-    assert harness.select_order(8 * C1 * math.e, C1) == 2
-    assert harness.select_order(50 * C1 * math.e, C1) == 5
-    assert harness.select_order(0.5, C1) == 1
-    with pytest.raises(ValueError):
-        harness.select_order(-1.0, C1)
-    with pytest.raises(ValueError):
-        harness.select_order(4.0, 0.0)
-
-
 def test_fit_slope_examples():
     slope, intercept, r2 = harness.fit_slope([(1, 1), (10, 0.1)], "loglog")
     assert slope == pytest.approx(-1.0, abs=1e-12)
@@ -279,3 +267,16 @@ def test_sweep_summary_mentions_slopes(tmp_path):
     text = Path(res.summary_path).read_text()
     assert "slope" in text.lower()
     assert f"master_seed={cfg.master_seed}" in text
+
+
+def test_failures_come_back_in_csv_order(tmp_path):
+    cfg = tiny_config(tmp_path, trials=10)
+    first = harness.first_trial(cfg)
+    # listed in descending trial order; m = 0 makes the operator draw raise
+    tasks = [dataclasses.replace(first, trial_index=i, m=0 if i in (2, 7) else first.m)
+             for i in reversed(range(10))]
+    for workers in (1, 2):
+        results, failures = harness._execute(tasks, workers)
+        assert [t.trial_index for t, _ in failures] == [2, 7]
+        assert all(msg.startswith("ValueError: ") for _, msg in failures)
+        assert [rec.trial_index for rec in results] == [0, 1, 3, 4, 5, 6, 8, 9]

@@ -132,11 +132,12 @@ def test_basis_invariants(cache_dir):
 
 def test_basis_truncation_change():
     basis = ns.compute_basis(30, 1, truncation=10)
-    other = basis.with_truncation(5)
+    other = ns.compute_basis(30, 1, truncation=5)
     assert other.truncation == 5
     assert other.sigma_truncation == basis.singular_values[4]
-    with pytest.raises(ValueError):
-        basis.with_truncation(31)
+    for bad in (0, 31):
+        with pytest.raises(ValueError):
+            ns.compute_basis(30, 1, truncation=bad)
 
 
 def test_basis_cache_roundtrip(cache_dir):

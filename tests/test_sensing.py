@@ -1,4 +1,4 @@
-"""Measurement-operator tests: determinism, adjoints, restriction, RIP."""
+"""Measurement-operator tests: determinism, composition, RIP."""
 
 import numpy as np
 import pytest
@@ -45,50 +45,6 @@ def test_apply_scalar_case():
     op = sensing.draw_operator(1, 1, 1, seed=9)
     c = op.data[0, 0]
     assert sensing.apply(op, np.array([[2.0]]))[0] == pytest.approx(2.0 * c)
-
-
-def test_adjoint_identity(rng):
-    op = sensing.draw_operator(15, 6, 4, seed=2)
-    for _ in range(100):
-        X = rng.standard_normal((6, 4))
-        v = rng.standard_normal(15)
-        lhs = float(sensing.apply(op, X) @ v)
-        rhs = float(np.sum(X * sensing.adjoint_apply(op, v)))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-
-def test_adjoint_single_row():
-    op = sensing.draw_operator(1, 3, 3, seed=4)
-    A1 = sensing.adjoint_apply(op, np.array([1.0]))
-    assert np.allclose(sensing.apply(op, A1)[0], np.sum(A1 * A1))
-
-
-def test_restricted_two_path(rng):
-    op = sensing.draw_operator(20, 5, 5, seed=7)
-    U, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    V, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    rop = sensing.RestrictedOperator(base=op, left_frame=U, right_frame=V)
-    for _ in range(10):
-        x = rng.standard_normal(3)
-        direct = sensing.apply_restricted(rop, x)
-        composed = sensing.apply(op, (U * x) @ V.T)
-        assert np.max(np.abs(direct - composed)) <= 1e-10 * max(1.0, np.max(np.abs(composed)))
-
-
-def test_restricted_identity_frames(rng):
-    op = sensing.draw_operator(10, 4, 4, seed=8)
-    eye = np.eye(4)
-    rop = sensing.RestrictedOperator(base=op, left_frame=eye, right_frame=eye)
-    x = rng.standard_normal(4)
-    assert np.allclose(sensing.apply_restricted(rop, x), sensing.apply(op, np.diag(x)))
-
-
-def test_restricted_rejects_nonorthonormal(rng):
-    op = sensing.draw_operator(10, 4, 4, seed=8)
-    bad = rng.standard_normal((4, 2))
-    good, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-    with pytest.raises(ValueError):
-        sensing.RestrictedOperator(base=op, left_frame=bad, right_frame=good)
 
 
 def test_composed_contraction(rng):
@@ -141,34 +97,6 @@ def test_empirical_rip_monotone_in_trials():
     d_small = sensing.empirical_rip(scaled, 2, 50, seed=3).delta_hat
     d_large = sensing.empirical_rip(scaled, 2, 200, seed=3).delta_hat
     assert d_large >= d_small
-
-
-def test_restriction_of_composed_matches(rng):
-    """Restriction and composition commute on random inputs."""
-    m, ell = 40, 12
-    op = sensing.draw_operator(m, 5, 5, seed=17)
-    basis = noise_shaping.compute_basis(m, 1, truncation=ell)
-    comp = sensing.composed_operator(op, basis, ell)
-    U, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-    V, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-    rop = sensing.RestrictedOperator(base=comp, left_frame=U, right_frame=V)
-    for _ in range(5):
-        x = rng.standard_normal(2)
-        direct = sensing.apply_restricted(rop, x)
-        via_matrix = sensing.apply(comp, (U * x) @ V.T)
-        assert np.max(np.abs(direct - via_matrix)) <= 1e-10
-
-
-def test_operator_save_load_roundtrip(tmp_path):
-    op = sensing.draw_operator(9, 3, 4, "rademacher", seed=33)
-    path = str(tmp_path / "op.npz")
-    sensing.save_operator(op, path)
-    back = sensing.load_operator(path)
-    assert back.rows == op.rows
-    assert tuple(back.shape) == tuple(op.shape)
-    assert back.distribution == op.distribution
-    assert back.seed == op.seed
-    assert np.array_equal(back.data, op.data)
 
 
 def test_operator_entry_budget():
