@@ -26,7 +26,6 @@ from sdlowrank.sigma_delta import (
     state_residual,
 )
 from sdlowrank.noise_shaping import (
-    DifferenceOperator,
     NoiseShapingBasis,
     apply_difference,
     apply_inverse_power,
@@ -72,7 +71,6 @@ __all__ = [
     "required_levels",
     "quantize",
     "state_residual",
-    "DifferenceOperator",
     "NoiseShapingBasis",
     "apply_difference",
     "apply_inverse_power",

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -112,9 +113,12 @@ def cmd_rip_check(args):
     op = sensing.draw_operator(
         task.m, config.n1, config.n2, config.distribution, task.operator_seed
     )
+    # rows scaled by 1/sqrt(m) give E ||M(X)||^2 = ||X||_F^2, so delta_hat
+    # measures the distance from an isometry
+    op = replace(op, data=op.data / np.sqrt(task.m))
     est = sensing.empirical_rip(op, config.rank, args.trials, seed=config.master_seed)
-    print(f"operator {task.m} x ({config.n1} x {config.n2}), rank {config.rank}, "
-          f"{args.trials} trials")
+    print(f"normalized operator (1/sqrt(m)) M, {task.m} x ({config.n1} x {config.n2}), "
+          f"rank {config.rank}, {args.trials} trials")
     print(f"delta_hat = {est.delta_hat:.4f} "
           f"(extremes {est.extremes[0]:.4f}, {est.extremes[1]:.4f})")
     return 0
@@ -145,9 +149,8 @@ def cmd_selftest(args):
                 assert sigma_delta.state_residual(run, r) <= 1e-9
 
     def shaping_roundtrip():
-        op = noise_shaping.DifferenceOperator(size=256, order=2)
         v = np.round(np.random.default_rng(3).uniform(-1, 1, 256) * 512) / 512
-        back = noise_shaping.apply_difference(noise_shaping.apply_inverse_power(v, op), op)
+        back = noise_shaping.apply_difference(noise_shaping.apply_inverse_power(v, 2), 2)
         assert np.max(np.abs(back - v)) <= 1e-10
 
     def small_recovery():

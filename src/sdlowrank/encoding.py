@@ -30,8 +30,8 @@ __all__ = [
 class EncoderMatrix:
     """Reproducible L_enc x m random sign matrix with a norm certificate.
 
-    norm_estimate comes from power iteration; norm_ok records whether it
-    stayed within the high-probability bound sqrt(L_enc) + 2 sqrt(m).
+    norm_estimate is the exact spectral norm; norm_ok records whether it
+    stays within the high-probability bound sqrt(L_enc) + 2 sqrt(m).
     """
 
     out_dim: int
@@ -56,28 +56,14 @@ class EncodedMeasurements:
     order: int = 1
 
 
-def _power_iteration_norm(data, seed, iters=60):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(data.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = data.T @ (data @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        est = np.sqrt(nw)
-    return float(est)
-
-
 def draw_encoder(L_enc, m, seed=0):
     """Draw a reproducible ±1 encoder and check its operator norm."""
     if not (1 <= L_enc <= m):
         raise ValueError("need 1 <= L_enc <= m")
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(L_enc, m)).astype(float) * 2.0 - 1.0
-    est = _power_iteration_norm(data, seed=seed)
+    # exact spectral norm: the top eigenvalue of the L_enc x L_enc Gram matrix
+    est = float(np.sqrt(np.linalg.eigvalsh(data @ data.T)[-1]))
     bound = np.sqrt(L_enc) + 2.0 * np.sqrt(m)
     return EncoderMatrix(
         out_dim=int(L_enc),
@@ -105,9 +91,7 @@ def encode(q, r, encoder, alphabet_max):
     q = np.asarray(q, dtype=float)
     if q.shape != (encoder.in_dim,):
         raise ValueError(f"expected length {encoder.in_dim}, got {q.shape}")
-    diff = noise_shaping.DifferenceOperator(size=encoder.in_dim, order=r)
-    shaped = noise_shaping.apply_inverse_power(q, diff)
-    payload = encoder.data @ shaped
+    payload = encoder.data @ noise_shaping.apply_inverse_power(q, r)
     return EncodedMeasurements(
         payload=payload,
         rate_bits=rate_bits_nominal(encoder.out_dim, r, alphabet_max, encoder.in_dim),

@@ -574,7 +574,8 @@ def _rate_spec(config):
         tuple((lam, int(round(lam * config.encoder_dim)), 0.0)
               for lam in config.oversampling_grid),
         shared_operator=False, paired_truth=False,
-        group_by="rate_bits", fit_mode="semilog", x_label="rate (bits)",
+        # rate_bits follows each trial's alphabet; rate_bits_fig has one value per (r, m)
+        group_by="rate_bits_fig", fit_mode="semilog", x_label="rate L_enc r ln m (bits)",
     )
 
 

@@ -2,9 +2,10 @@
 
 D is the m x m lower bidiagonal matrix with ones on the diagonal and
 minus ones below it.  Applying D^r is r backward-difference passes;
-applying D^{-r} is r cumulative-sum passes.  Neither direction ever
-materializes a matrix.  The stabilized decoder constraint needs the
-singular value decomposition D^{-r} = U S V^T, which is expensive at
+applying D^{-r} is r cumulative-sum passes.  apply_difference and
+apply_inverse_power are the package's only implementations of the two;
+every other module calls them.  The stabilized decoder constraint needs
+the singular value decomposition D^{-r} = U S V^T, which is expensive at
 large m, so computed bases are cached on disk.
 """
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DifferenceOperator",
     "NoiseShapingBasis",
     "apply_difference",
     "apply_inverse_power",
@@ -35,20 +35,6 @@ _CACHE_FORMAT_VERSION = 1
 
 _ENTRY_GUARD_M = 512
 _ENTRY_GUARD_R = 4
-
-
-@dataclass(frozen=True)
-class DifferenceOperator:
-    """Size and order of a difference operator D^r (never materialized)."""
-
-    size: int
-    order: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,29 +59,33 @@ class NoiseShapingBasis:
         return float(self.singular_values[self.truncation - 1])
 
 
-def apply_difference(v, op):
-    """Apply D^r to v with r backward-difference passes, O(r m) time."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != op.size:
-        raise ValueError(f"expected length {op.size}, got {v.shape[0]}")
-    out = v
-    for _ in range(op.order):
+def _check_order(r):
+    if r < 1:
+        raise ValueError("order r must be >= 1")
+
+
+def apply_difference(a, r):
+    """Apply D^r along axis 0 of a vector or matrix: r backward-difference
+    passes, O(r m) per column."""
+    _check_order(r)
+    out = np.asarray(a, dtype=float)
+    for _ in range(r):
         out = np.diff(out, prepend=0.0, axis=0)
     return out
 
 
-def apply_inverse_power(v, op):
-    """Apply D^{-r} to v with r cumulative-sum passes.
+def apply_inverse_power(a, r):
+    """Apply D^{-r} along axis 0 of a vector or matrix: one copy, then r
+    in-place cumulative-sum passes.
 
     Exact inverse of apply_difference up to floating-point roundoff; on
     dyadic-rational inputs of moderate size the round trip is exact.
+    D^{-r,T} is this map on reversed rows: D^{-r,T} x = rev(D^{-r} rev x).
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != op.size:
-        raise ValueError(f"expected length {op.size}, got {v.shape[0]}")
-    out = v
-    for _ in range(op.order):
-        out = np.cumsum(out, axis=0)
+    _check_order(r)
+    out = np.array(a, dtype=float)
+    for _ in range(r):
+        np.cumsum(out, axis=0, out=out)
     return out
 
 
@@ -117,13 +107,6 @@ def inverse_power_entries(m, r):
     for j in range(m):
         out[j:, j] = col[: m - j]
     return out
-
-
-def _materialize_inverse_power(m, r):
-    mat = np.eye(m)
-    for _ in range(r):
-        np.cumsum(mat, axis=0, out=mat)
-    return mat
 
 
 def _cache_path(cache_dir, m, r):
@@ -199,7 +182,7 @@ def compute_basis(m, r, truncation, cache_dir=None, size_budget=DEFAULT_SVD_SIZE
     if cached is not None:
         U, s, V = cached
     else:
-        dense = _materialize_inverse_power(m, r)
+        dense = apply_inverse_power(np.eye(m), r)
         try:
             U, s, Vh = np.linalg.svd(dense, full_matrices=False)
         except np.linalg.LinAlgError as exc:

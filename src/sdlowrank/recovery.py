@@ -51,21 +51,27 @@ _REFERENCE_MAX_UNKNOWNS = 100
 _REFERENCE_MAX_ROWS = 200
 
 
+# residual balancing of the penalty: every _ADAPT_INTERVAL iterations, at
+# most _ADAPT_CAP times, and only during the first _ADAPT_WINDOW fraction
+# of the run, so the splitting ends with a fixed penalty, as its
+# convergence argument requires
+_ADAPT_INTERVAL = 25
+_ADAPT_CAP = 40
+_ADAPT_WINDOW = 0.8
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Iteration controls for recover.
 
     penalty is the consensus coupling weight; it is adapted by residual
     balancing (halved or doubled when one residual exceeds the other
-    tenfold) during the first adapt_window fraction of the run.
+    tenfold) early in the run.
     """
 
     max_iterations: int = 5000
     tolerance: float = 1e-6
     penalty: float = 1.0
-    adapt_interval: int = 25
-    adapt_cap: int = 40
-    adapt_window: float = 0.8
 
 
 @dataclass
@@ -236,63 +242,50 @@ class _TubeProjector:
         return p + self.Vh.T @ (alpha - pbar)
 
 
-def _invpow_columns(mat, r):
-    out = np.array(mat, dtype=float)
-    for _ in range(r):
-        np.cumsum(out, axis=0, out=out)
-    return out
+def _shape(problem, M):
+    """The form's shaping map applied to the columns (or the vector) M:
+    D^{-r} M, sigma_ell V_ell^T M, or B D^{-r} M."""
+    form = problem.constraint_form
+    if form == "projected":
+        return noise_shaping.project_shaped(M, problem.basis)
+    shaped = noise_shaping.apply_inverse_power(M, problem.order)
+    if form == "encoded":
+        return problem.encoder.data @ shaped
+    return shaped
 
 
-def _left_invpow_rows(mat, r):
-    # B D^{-r} computed row-wise: D^{-r,T} v is a reversed cumulative sum
-    out = np.array(mat[:, ::-1], dtype=float)
-    for _ in range(r):
-        np.cumsum(out, axis=1, out=out)
-    return out[:, ::-1]
+def _noise_block(problem):
+    """The shaping map as a matrix T, the constraint's block acting on nu."""
+    form = problem.constraint_form
+    r = problem.order
+    if form == "projected":
+        basis = problem.basis
+        return basis.sigma_truncation * basis.right_vectors[:, :basis.truncation].T
+    if form == "encoded":
+        # B D^{-r} = (D^{-r,T} B^T)^T, and D^{-r,T} is D^{-r} on reversed rows
+        B = problem.encoder.data
+        return noise_shaping.apply_inverse_power(B[:, ::-1].T, r)[::-1].T
+    m = problem.operator.rows
+    if m > DENSE_FULL_FORM_LIMIT:
+        raise ValueError(
+            f"full_inverse_power with noise materializes an {m} x {m} "
+            f"block; beyond {DENSE_FULL_FORM_LIMIT} use the projected form"
+        )
+    return noise_shaping.apply_inverse_power(np.eye(m), r)
 
 
 def build_constraint(problem):
     """Materialize (J, c, radius) for the stacked ball constraint.
 
-    J acts on (vec Z, nu); the nu block is omitted when noise_bound is
-    zero.  The full inverse power form with noise requires a dense
-    m x m block and is refused beyond DENSE_FULL_FORM_LIMIT.
+    J = [G T] acts on (vec Z, nu) with G the shaped operator and c the
+    shaped quantized vector; the nu block T is omitted when noise_bound is
+    zero.  The full inverse power form with noise requires a dense m x m
+    block and is refused beyond DENSE_FULL_FORM_LIMIT.
     """
-    op = problem.operator
-    m = op.rows
-    r = problem.order
-    q = problem.quantized
-    with_nu = problem.noise_bound > 0
-    form = problem.constraint_form
-    if form == "full_inverse_power":
-        G = _invpow_columns(op.data, r)
-        c = _invpow_columns(q[:, None], r)[:, 0]
-        if with_nu:
-            if m > DENSE_FULL_FORM_LIMIT:
-                raise ValueError(
-                    f"full_inverse_power with noise materializes an {m} x {m} "
-                    f"block; beyond {DENSE_FULL_FORM_LIMIT} use the projected form"
-                )
-            T = _invpow_columns(np.eye(m), r)
-    elif form == "projected":
-        basis = problem.basis
-        ell = basis.truncation
-        Vt = basis.right_vectors[:, :ell].T
-        sig = basis.sigma_truncation
-        G = sig * (Vt @ op.data)
-        c = sig * (Vt @ q)
-        if with_nu:
-            T = sig * Vt
-    else:
-        B = problem.encoder.data
-        G = B @ _invpow_columns(op.data, r)
-        c = B @ _invpow_columns(q[:, None], r)[:, 0]
-        if with_nu:
-            T = _left_invpow_rows(B, r)
-    if with_nu:
-        J = np.concatenate([G, T], axis=1)
-    else:
-        J = G
+    J = _shape(problem, problem.operator.data)
+    c = _shape(problem, problem.quantized)
+    if problem.noise_bound > 0:
+        J = np.concatenate([J, _noise_block(problem)], axis=1)
     return J, c, problem.radius
 
 
@@ -379,9 +372,9 @@ def recover(problem, params=None, start=None):
             stopped = True
             break
         if (
-            it % params.adapt_interval == 0
-            and n_adapt < params.adapt_cap
-            and it < params.adapt_window * params.max_iterations
+            it % _ADAPT_INTERVAL == 0
+            and n_adapt < _ADAPT_CAP
+            and it < _ADAPT_WINDOW * params.max_iterations
         ):
             if pri > 10.0 * dual:
                 rho *= 2.0
@@ -414,20 +407,13 @@ def shaped_residual_vector(problem, Z, nu=None):
     """Constraint left-hand side rebuilt from the primitive operations.
 
     This is the independent evaluation path used by check_feasibility:
-    it goes through apply / cumulative sums / project_shaped rather than
-    the solver's materialized J.
+    it applies the operator to Z and shapes the residual vector, rather
+    than multiplying by the solver's materialized J.
     """
-    op = problem.operator
-    res = sensing.apply(op, Z) - problem.quantized
+    res = sensing.apply(problem.operator, Z) - problem.quantized
     if nu is not None and nu.size:
         res = res + nu
-    diff = noise_shaping.DifferenceOperator(size=op.rows, order=problem.order)
-    if problem.constraint_form == "projected":
-        return noise_shaping.project_shaped(res, problem.basis)
-    shaped = noise_shaping.apply_inverse_power(res, diff)
-    if problem.constraint_form == "encoded":
-        return problem.encoder.data @ shaped
-    return shaped
+    return _shape(problem, res)
 
 
 def check_feasibility(solution, problem):

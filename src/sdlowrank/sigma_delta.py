@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sdlowrank import noise_shaping
+
 __all__ = [
     "Alphabet",
     "SigmaDeltaScheme",
@@ -204,7 +206,4 @@ def state_residual(run, order):
     y, q, u = run.input, run.output, run.state
     if not (y.shape == q.shape == u.shape):
         raise ValueError("run fields have inconsistent shapes")
-    d = u
-    for _ in range(order):
-        d = np.diff(d, prepend=0.0)
-    return float(np.max(np.abs(y - q - d)))
+    return float(np.max(np.abs(y - q - noise_shaping.apply_difference(u, order))))

@@ -131,6 +131,14 @@ def test_rip_check_cli(tiny_cfg_file, capsys):
     assert "delta_hat" in out
 
 
+def test_rip_check_probes_the_normalized_operator(capsys):
+    # desk defaults; the raw operator gives a constant near m
+    assert cli.main(["rip-check", "--trials", "50"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("delta_hat = ")[1].split()[0]) < 1
+    assert "(1/sqrt(m)) M" in out
+
+
 def test_seed_flag_changes_the_instance(tiny_cfg_file, capsys):
     cli.main(["quantize", "--config", tiny_cfg_file, "--seed", "1"])
     first = capsys.readouterr().out

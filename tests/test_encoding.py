@@ -46,9 +46,15 @@ def test_norm_certificate_holds_across_draws():
         enc = encoding.draw_encoder(80, 640, seed=seed)
         assert enc.norm_ok
         assert enc.norm_estimate <= np.sqrt(80) + 2 * np.sqrt(640)
-        # power iteration can only undershoot the true norm, and the
-        # spectral norm is at least the largest row norm, sqrt(m)
+        # the spectral norm is at least the largest row norm, sqrt(m)
         assert enc.norm_estimate >= np.sqrt(640) * 0.99
+
+
+def test_norm_estimate_is_the_spectral_norm():
+    for L_enc, m, seed in ((80, 640, 0), (80, 640, 1), (16, 64, 2), (30, 30, 3)):
+        enc = encoding.draw_encoder(L_enc, m, seed=seed)
+        exact = np.linalg.norm(enc.data, 2)
+        assert abs(enc.norm_estimate - exact) <= 1e-10 * exact
 
 
 def test_rate_bits_nominal_frozen_example():

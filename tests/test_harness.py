@@ -261,6 +261,17 @@ def test_rate_sweep_rows_and_rate_fields(tmp_path):
     assert 2 in res.slopes
 
 
+def test_rate_summary_groups_by_grid_point(tmp_path):
+    # one mean per (r, m): the plotted rate, not the alphabet-dependent one
+    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, encoder_dim=16)
+    res = harness.run_rate_distortion(cfg)
+    text = Path(res.summary_path).read_text()
+    groups = [line for line in text.splitlines() if "mean relative error" in line]
+    assert len(groups) == len(cfg.orders) * len(cfg.oversampling_grid)
+    assert all(line.startswith("  rate_bits_fig=") for line in groups)
+    assert text.count("over 2 points") == len(cfg.orders)
+
+
 def test_sweep_summary_mentions_slopes(tmp_path):
     cfg = tiny_config(tmp_path)
     res = harness.run_oversampling_sweep(cfg)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sdlowrank import encoding
 from sdlowrank import noise_shaping
 from sdlowrank import recovery
 from sdlowrank import sensing
@@ -25,12 +26,14 @@ def pipeline_problem(n, m, r, k=1, form="full_inverse_power", seed=0, eps=0.0,
     L = sigma_delta.required_levels(float(np.max(np.abs(y_in))), beta, r)
     scheme = sigma_delta.default_scheme(r, sigma_delta.build_alphabet(L, beta))
     run = sigma_delta.quantize(y_in, scheme)
-    basis = None
+    basis = encoder = None
     if form == "projected":
         basis = noise_shaping.compute_basis(m, r, truncation=ell or max(m // 4, 1))
+    if form == "encoded":
+        encoder = encoding.draw_encoder(max(m // 4, 1), m, seed=seed + 3000)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
-        noise_bound=eps, constraint_form=form, basis=basis,
+        noise_bound=eps, constraint_form=form, basis=basis, encoder=encoder,
     )
     return problem, X, noise
 
@@ -71,6 +74,25 @@ def test_truth_is_feasible_for_all_forms():
             shaped = recovery.shaped_residual_vector(problem, X, noise)
             assert np.linalg.norm(shaped) <= problem.radius + 1e-9
             assert np.linalg.norm(noise) <= problem.noise_radius + 1e-12
+
+
+def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
+    # J = [S A, S] and c = S q, with the form's map S written out densely
+    m, r = 40, 3
+    inverse_power = noise_shaping.inverse_power_entries(m, r).astype(float)
+    for form in recovery.CONSTRAINT_FORMS:
+        problem, _, _ = pipeline_problem(4, m, r, form=form, seed=8, eps=0.5, ell=10)
+        S = inverse_power
+        if form == "projected":
+            basis = problem.basis
+            S = basis.sigma_truncation * basis.right_vectors[:, :basis.truncation].T
+        if form == "encoded":
+            S = problem.encoder.data @ inverse_power
+        J, c, _ = recovery.build_constraint(problem)
+        want = np.concatenate([S @ problem.operator.data, S], axis=1)
+        assert J.shape == want.shape
+        assert np.max(np.abs(J - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(c - S @ problem.quantized)) <= 1e-12 * np.max(np.abs(c))
 
 
 def test_objective_not_above_truth():
