@@ -35,7 +35,7 @@ def run_demo():
 
     basis = noise_shaping.compute_basis(m, r, truncation=ell)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
+        operator=op, quantized=run.output, order=r, gamma=beta / 2,
         constraint_form="projected", basis=basis,
     )
     start = time.time()
@@ -57,7 +57,7 @@ def run_demo():
     encoder = encoding.draw_encoder(L_enc, m, seed=3)
     coded = encoding.encode(run.output, r, encoder, alphabet.max_level)
     problem_enc = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
+        operator=op, quantized=run.output, order=r, gamma=beta / 2,
         constraint_form="encoded", encoder=encoder,
     )
     sol_enc = recovery.recover(problem_enc)

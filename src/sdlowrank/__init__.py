@@ -19,7 +19,6 @@ from sdlowrank.sigma_delta import (
     SigmaDeltaScheme,
     build_alphabet,
     default_scheme,
-    parametric_scheme,
     quantize,
     required_levels,
     scalar_quantize,
@@ -66,7 +65,6 @@ __all__ = [
     "QuantizationRun",
     "build_alphabet",
     "default_scheme",
-    "parametric_scheme",
     "scalar_quantize",
     "required_levels",
     "quantize",

@@ -31,7 +31,7 @@ def _common_flags(parser):
     parser.add_argument("--workers", type=int, metavar="N", help="parallel trial workers")
 
 
-def _load_config(args, **defaults):
+def _load_config(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -41,7 +41,7 @@ def _load_config(args, **defaults):
         overrides["workers"] = args.workers
     if args.config:
         return harness.load_config(args.config, **overrides)
-    return harness.desk_config(**{**defaults, **overrides})
+    return harness.desk_config(**overrides)
 
 
 def cmd_quantize(args):
@@ -79,8 +79,8 @@ def cmd_recover(args):
     return 0 if record.converged else 1
 
 
-def _run_sweep(args, runner, defaults):
-    config = _load_config(args, **defaults)
+def _run_sweep(args, runner):
+    config = _load_config(args)
     result = runner(config)
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.summary_path}")
@@ -93,26 +93,21 @@ def _run_sweep(args, runner, defaults):
 
 
 def cmd_sweep_oversampling(args):
-    return _run_sweep(args, harness.run_oversampling_sweep, {})
+    return _run_sweep(args, harness.run_oversampling_sweep)
 
 
 def cmd_sweep_noise(args):
-    # measurement-noise experiment runs first order only at m = 2 ell
-    defaults = {"orders": (1,), "oversampling_grid": (2.0,)}
-    return _run_sweep(args, harness.run_noise_sweep, defaults)
+    return _run_sweep(args, harness.run_noise_sweep)
 
 
 def cmd_rate_distortion(args):
-    defaults = {"orders": (2, 3), "constraint_form": "encoded"}
-    return _run_sweep(args, harness.run_rate_distortion, defaults)
+    return _run_sweep(args, harness.run_rate_distortion)
 
 
 def cmd_rip_check(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    op = sensing.draw_operator(
-        task.m, config.n1, config.n2, config.distribution, task.operator_seed
-    )
+    op = harness.trial_instance(task)[0]
     # rows scaled by 1/sqrt(m) give E ||M(X)||^2 = ||X||_F^2, so delta_hat
     # measures the distance from an isometry
     op = replace(op, data=op.data / np.sqrt(task.m))

@@ -429,20 +429,13 @@ def trial_instance(task):
 def trial_quantize(task, y):
     """Quantize y at the task's order with the config's beta, levels and gamma.
 
-    Returns (scheme, run).  gamma = beta / 2 is the exact half-step
-    scheme; any other gamma is the parametric one with that bound.
+    Returns (scheme, run); the scheme carries gamma, the state bound the
+    decoder's radius is built from.
     """
     config = task.config
     L = config.levels_for(task.r, float(np.max(np.abs(y))))
     alphabet = sigma_delta.build_alphabet(L, config.beta)
-    gamma = config.gamma_value()
-    if gamma == config.beta / 2:
-        scheme = sigma_delta.default_scheme(task.r, alphabet)
-    else:
-        scheme = sigma_delta.SigmaDeltaScheme(
-            order=task.r, alphabet=alphabet, stability_constant=gamma,
-            stability_model="parametric",
-        )
+    scheme = sigma_delta.SigmaDeltaScheme(task.r, alphabet, config.gamma_value())
     return scheme, sigma_delta.quantize(y, scheme)
 
 
@@ -451,7 +444,6 @@ def _run_trial(task):
     m, r = task.m, task.r
     op, X, scale, y = trial_instance(task)
     scheme, run = trial_quantize(task, y)
-    gamma = config.gamma_value()
 
     basis = None
     encoder = None
@@ -463,24 +455,24 @@ def _run_trial(task):
         coded = encoding.encode(run.output, r, encoder, scheme.alphabet.max_level)
         rate_bits = coded.rate_bits
         rate_bits_fig = encoding.rate_bits_plotted(task.encoder_dim, r, m)
-        # the true pair must satisfy the sketched constraint; this is a
-        # guaranteed consequence of stability and the encoder norm bound
-        truth_lhs = np.linalg.norm(encoder.data @ run.state)
-        if not run.overflow and encoder.norm_ok and truth_lhs > 3.0 * m * gamma:
-            raise RuntimeError(
-                f"truth violates the sketched constraint: {truth_lhs:.3e}"
-            )
     problem = recovery.RecoveryProblem(
         operator=op,
         quantized=run.output,
         order=r,
-        gamma=gamma,
-        step=config.beta,
+        gamma=scheme.stability_constant,
         noise_bound=task.eps,
         constraint_form=config.constraint_form,
         basis=basis,
         encoder=encoder,
     )
+    if encoder is not None:
+        # the true pair must satisfy the sketched constraint; this is a
+        # guaranteed consequence of stability and the encoder norm bound
+        truth_lhs = np.linalg.norm(encoder.data @ run.state)
+        if not run.overflow and encoder.norm_ok and truth_lhs > problem.radius:
+            raise RuntimeError(
+                f"truth violates the sketched constraint: {truth_lhs:.3e}"
+            )
     solution = recovery.recover(problem, config.solver_params())
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))

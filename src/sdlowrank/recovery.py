@@ -86,9 +86,7 @@ class RecoveryProblem:
     order : int
         The quantizer order r.
     gamma : float
-        Stability constant entering the constraint radius.
-    step : float
-        Alphabet step beta, carried for reporting only.
+        The quantizer's stability bound; radius derives from it.
     noise_bound : float
         eps >= 0; the noise ball has radius eps * sqrt(m).  Zero
         eliminates nu from the program entirely.
@@ -102,7 +100,6 @@ class RecoveryProblem:
     quantized: np.ndarray
     order: int
     gamma: float
-    step: float
     noise_bound: float = 0.0
     constraint_form: str = "projected"
     basis: object = None
@@ -136,7 +133,8 @@ class RecoveryProblem:
 
     @property
     def radius(self):
-        """Radius of the shaped-residual ball."""
+        """Radius of the shaped-residual ball: 3 m gamma for the encoded
+        form, gamma sqrt(m) otherwise."""
         m = self.operator.rows
         if self.constraint_form == "encoded":
             return 3.0 * m * self.gamma
@@ -184,22 +182,12 @@ class _TubeProjector:
         if R < 0:
             raise ValueError("constraint radius must be nonnegative")
         self.R = float(R)
-        self.J = J
-        self.c = c
         U, s, Vh = np.linalg.svd(J, full_matrices=False)
         self.s = s
         self.s2 = s * s
         self.Vh = Vh
         self.cbar = U.T @ c
         self.c_perp2 = max(float(c @ c - self.cbar @ self.cbar), 0.0)
-        # limit of the residual norm as theta -> inf; below R the tube
-        # is reachable, above it the constraint set is empty
-        zero = self.s <= (s[0] if s.size and s[0] > 0 else 1.0) * 1e-15
-        self.floor2 = float(np.sum(self.cbar[zero] ** 2)) + self.c_perp2
-        self.infeasible = self.floor2 > self.R ** 2
-
-    def residual_norm(self, x):
-        return float(np.linalg.norm(self.J @ x - self.c))
 
     def _phi2(self, d, theta):
         w = d / (1.0 + theta * self.s2)
@@ -329,8 +317,6 @@ def recover(problem, params=None, start=None):
     with_nu = problem.noise_bound > 0
     m_nu = m if with_nu else 0
     J, c, R1 = build_constraint(problem)
-    if R1 < 0:
-        raise ValueError("constraint radius must be nonnegative")
     R2 = problem.noise_radius
     proj_S = _TubeProjector(J, c, R1)
 
@@ -391,7 +377,7 @@ def recover(problem, params=None, start=None):
         estimate=Z,
         noise_estimate=nu,
         objective=nuclear_norm(Z),
-        residual_shaped=proj_S.residual_norm(x),
+        residual_shaped=float(np.linalg.norm(J @ x - c)),
         residual_noise=float(np.linalg.norm(nu)),
         iterations=it,
         converged=False,

@@ -58,32 +58,22 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class SigmaDeltaScheme:
-    """Order, alphabet and stability model of a greedy quantizer.
+    """Order, alphabet and state bound gamma of a greedy quantizer.
 
-    stability_model is either "exact_half_step" (the state bound is
-    beta / 2, valid when the alphabet is large enough for the input) or
-    "parametric" (a user-supplied bound of the form C^r r^r beta).
+    stability_constant is gamma, the bound on |u| that the decoder's
+    constraint radius is built from; quantize flags a run whose state
+    exceeds it.
     """
 
     order: int
     alphabet: Alphabet
     stability_constant: float
-    stability_model: str = "exact_half_step"
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.stability_constant <= 0:
             raise ValueError("stability_constant must be positive")
-        if self.stability_model not in ("exact_half_step", "parametric"):
-            raise ValueError(f"unknown stability_model {self.stability_model!r}")
-        if self.stability_model == "exact_half_step":
-            expected = self.alphabet.step / 2
-            if self.stability_constant != expected:
-                raise ValueError(
-                    "exact_half_step requires stability_constant == step/2 "
-                    f"(got {self.stability_constant}, expected {expected})"
-                )
 
 
 @dataclass(frozen=True)
@@ -107,25 +97,14 @@ def build_alphabet(num_levels_half, step):
     return Alphabet(num_levels_half=int(num_levels_half), step=float(step), values=values)
 
 
-def parametric_scheme(order, alphabet, growth_constant):
-    """Scheme whose stability bound uses the model C^r r^r beta."""
-    bound = (growth_constant ** order) * (order ** order) * alphabet.step
-    return SigmaDeltaScheme(
-        order=order,
-        alphabet=alphabet,
-        stability_constant=bound,
-        stability_model="parametric",
-    )
-
-
 def default_scheme(order, alphabet):
-    """Scheme with the exact half-step stability bound beta / 2."""
-    return SigmaDeltaScheme(
-        order=order,
-        alphabet=alphabet,
-        stability_constant=alphabet.step / 2,
-        stability_model="exact_half_step",
-    )
+    """Scheme with the half-step stability bound gamma = beta / 2.
+
+    beta / 2 holds for inputs inside the alphabet's range when the
+    alphabet is large enough (see required_levels); any other positive
+    gamma is a bound the caller certifies and passes to SigmaDeltaScheme.
+    """
+    return SigmaDeltaScheme(order, alphabet, alphabet.step / 2)
 
 
 def scalar_quantize(z, alphabet):

@@ -249,7 +249,7 @@ def _oracle_instance(form, r, n, m, eps, seed):
     if form == "encoded":
         encoder = encoding.draw_encoder(m // 2, m, seed=seed + 500)
     return recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=0.25, step=0.5,
+        operator=op, quantized=run.output, order=r, gamma=0.25,
         noise_bound=eps, constraint_form=form, basis=basis, encoder=encoder,
     )
 
@@ -307,7 +307,7 @@ def test_criterion_09_objective_never_exceeds_truth(
     X = sensing.gaussian_rank_k(np.random.default_rng(6), n, n, 1)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=sensing.apply(op, X), order=1,
-        gamma=1e-6 / np.sqrt(m), step=0.5, constraint_form="full_inverse_power",
+        gamma=1e-6 / np.sqrt(m), constraint_form="full_inverse_power",
     )
     sol = recovery.recover(problem)
     exact_rel = float(np.linalg.norm(sol.estimate - X) / np.linalg.norm(X))

@@ -125,6 +125,27 @@ def test_recover_runs_the_encoded_form(tmp_path, capsys):
     assert "form=encoded" in capsys.readouterr().out
 
 
+DESK_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "desk.cfg")
+
+
+@pytest.mark.parametrize("command, runner", [
+    ("sweep-oversampling", "run_oversampling_sweep"),
+    ("sweep-noise", "run_noise_sweep"),
+    ("rate-distortion", "run_rate_distortion"),
+])
+def test_no_config_is_the_desk_config(monkeypatch, command, runner):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return harness.SweepResult([], "x.csv", "x.txt", "x.py", {}, [])
+
+    monkeypatch.setattr(harness, runner, capture)
+    assert cli.main([command, "--out", "x"]) == 0
+    assert cli.main([command, "--config", DESK_CFG, "--out", "x"]) == 0
+    assert seen[0] == seen[1]
+
+
 def test_rip_check_cli(tiny_cfg_file, capsys):
     assert cli.main(["rip-check", "--config", tiny_cfg_file, "--trials", "20"]) == 0
     out = capsys.readouterr().out

@@ -149,7 +149,7 @@ def test_recover_encoded_smoke():
     run = sigma_delta.quantize(y, scheme)
     enc = encoding.draw_encoder(32, m, seed=23)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
+        operator=op, quantized=run.output, order=r, gamma=beta / 2,
         constraint_form="encoded", encoder=enc,
     )
     sol = recovery.recover(problem)

@@ -32,7 +32,7 @@ def pipeline_problem(n, m, r, k=1, form="full_inverse_power", seed=0, eps=0.0,
     if form == "encoded":
         encoder = encoding.draw_encoder(max(m // 4, 1), m, seed=seed + 3000)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2, step=beta,
+        operator=op, quantized=run.output, order=r, gamma=beta / 2,
         noise_bound=eps, constraint_form=form, basis=basis, encoder=encoder,
     )
     return problem, X, noise
@@ -41,7 +41,7 @@ def pipeline_problem(n, m, r, k=1, form="full_inverse_power", seed=0, eps=0.0,
 def test_zero_problem_returns_zero():
     op = sensing.draw_operator(20, 4, 4, seed=1)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=np.zeros(20), order=1, gamma=0.25, step=0.5,
+        operator=op, quantized=np.zeros(20), order=1, gamma=0.25,
         constraint_form="full_inverse_power",
     )
     sol = recovery.recover(problem)
@@ -58,7 +58,7 @@ def test_unquantized_rank_one_exact_recovery():
     X = sensing.gaussian_rank_k(np.random.default_rng(6), n, n, 1)
     q = sensing.apply(op, X)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=q, order=1, gamma=1e-6 / np.sqrt(m), step=0.5,
+        operator=op, quantized=q, order=1, gamma=1e-6 / np.sqrt(m),
         constraint_form="full_inverse_power",
     )
     sol = recovery.recover(problem)
@@ -115,7 +115,7 @@ def test_converged_solutions_pass_feasibility():
 def test_check_feasibility_flags_violation():
     op = sensing.draw_operator(10, 3, 3, seed=2)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=np.ones(10), order=1, gamma=1e-12, step=0.5,
+        operator=op, quantized=np.ones(10), order=1, gamma=1e-12,
         constraint_form="full_inverse_power",
     )
     sol = recovery.RecoverySolution(
@@ -153,19 +153,19 @@ def test_invalid_problems_rejected():
     op = sensing.draw_operator(10, 3, 3, seed=2)
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
-                                 gamma=-1.0, step=0.5,
+                                 gamma=-1.0,
                                  constraint_form="full_inverse_power")
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(9), order=1,
-                                 gamma=0.25, step=0.5,
+                                 gamma=0.25,
                                  constraint_form="full_inverse_power")
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
-                                 gamma=0.25, step=0.5, constraint_form="mystery")
+                                 gamma=0.25, constraint_form="mystery")
     with pytest.raises(ValueError):
         # projected form requires a basis
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
-                                 gamma=0.25, step=0.5, constraint_form="projected")
+                                 gamma=0.25, constraint_form="projected")
 
 
 def test_best_rank_k_error_oracle():
@@ -189,7 +189,7 @@ def test_reference_solve_agrees_and_is_idempotent():
 def test_reference_solve_zero_problem():
     op = sensing.draw_operator(12, 3, 3, seed=4)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=np.zeros(12), order=1, gamma=0.25, step=0.5,
+        operator=op, quantized=np.zeros(12), order=1, gamma=0.25,
         constraint_form="full_inverse_power",
     )
     ref = recovery.reference_solve(problem)
@@ -209,6 +209,28 @@ def test_noise_ball_active_case():
     assert sol.residual_noise <= problem.noise_radius * (1 + 1e-6) + 1e-6
     report = recovery.check_feasibility(sol, problem)
     assert report.ok
+
+
+# The projector reads the part of c outside the range of J as
+# c.c - cbar.cbar; once ||c|| >> R the rounding of that difference exceeds
+# R^2 and the projection lands on the wrong shell.  Strict, so the marker
+# fails as soon as the arithmetic is made stable.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="c_perp2 cancels when ||c|| >> R")
+@pytest.mark.parametrize("scale", [1e6, 1e9])
+def test_tube_projection_lands_on_the_shell_when_c_is_large(scale):
+    rng = np.random.default_rng(0)
+    J = rng.standard_normal((60, 30))
+    x0 = scale * rng.standard_normal(30)
+    U, s, Vh = np.linalg.svd(J)
+    # residual 0.95 u_1 - 0.5 u_60 at p: norm 1.07, and 0.5 of it is
+    # outside the range of J, so the projection's residual has norm 1
+    c = J @ x0 + 0.5 * U[:, -1]
+    e1 = np.zeros(30)
+    e1[0] = 0.95
+    p = x0 + Vh.T @ (e1 / s)
+    x = recovery._TubeProjector(J, c, 1.0)(p)
+    assert abs(np.linalg.norm(J @ x - c) - 1.0) <= 1e-3
 
 
 def test_against_convex_programming_oracle():

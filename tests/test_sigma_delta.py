@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdlowrank import sigma_delta as sdq
+
+# fixed examples, so the suite stays deterministic from run to run
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def test_alphabet_values_one_bit():
@@ -100,6 +104,27 @@ def test_stability_certified_range(rng):
             assert np.max(np.abs(run.state)) <= beta / 2
 
 
+# beta is dyadic (k / 16) so the levels (j + 1/2) beta and their gaps are
+# exact in float64; at other steps the stored gaps differ from beta by an
+# ulp and the exact comparison with beta / 2 can flag a state on the bound
+@PROPERTY
+@given(
+    r=st.integers(1, 4),
+    k=st.integers(1, 64),
+    mu=st.floats(0.0, 10.0),
+    m=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantizer_certified_range_dyadic_steps(r, k, mu, m, seed):
+    beta = k / 16
+    y = np.random.default_rng(seed).uniform(-mu, mu, m)
+    scheme = sdq.default_scheme(r, sdq.build_alphabet(sdq.required_levels(mu, beta, r), beta))
+    run = sdq.quantize(y, scheme)
+    assert np.max(np.abs(run.state)) <= beta / 2
+    assert not run.overflow
+    assert sdq.state_residual(run, r) <= 1e-9 * max(1.0, float(np.max(np.abs(y))))
+
+
 def test_overflow_flag_set_when_alphabet_too_small(rng):
     # one-bit alphabet with a second-order scheme on near-unit inputs
     scheme = sdq.default_scheme(2, sdq.build_alphabet(1, 0.5))
@@ -129,24 +154,13 @@ def test_state_residual_detects_corruption(rng):
     assert sdq.state_residual(bad, 2) > 0.1
 
 
-def test_parametric_scheme_growth():
-    a = sdq.build_alphabet(1, 0.5)
-    s1 = sdq.parametric_scheme(1, a, growth_constant=2.0)
-    s3 = sdq.parametric_scheme(3, a, growth_constant=2.0)
-    # C^r r^r beta: 2*1*0.5 = 1 and 8*27*0.5 = 108
-    assert s1.stability_constant == pytest.approx(1.0)
-    assert s3.stability_constant == pytest.approx(108.0)
-
-
 def test_scheme_validation():
     a = sdq.build_alphabet(1, 0.5)
     with pytest.raises(ValueError):
-        sdq.SigmaDeltaScheme(order=0, alphabet=a, stability_constant=0.25,
-                             stability_model="exact_half_step")
-    with pytest.raises(ValueError):
-        # exact_half_step must carry gamma = beta/2
-        sdq.SigmaDeltaScheme(order=1, alphabet=a, stability_constant=0.3,
-                             stability_model="exact_half_step")
+        sdq.SigmaDeltaScheme(order=0, alphabet=a, stability_constant=0.25)
+    for gamma in (0.0, -0.25):
+        with pytest.raises(ValueError):
+            sdq.SigmaDeltaScheme(order=1, alphabet=a, stability_constant=gamma)
 
 
 def test_required_levels_tracks_input_bound():
