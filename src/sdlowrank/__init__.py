@@ -5,7 +5,8 @@ The package is organized around a small pipeline:
 * :mod:`sdlowrank.sigma_delta` turns a measurement vector into quantized
   values plus a bounded state sequence.
 * :mod:`sdlowrank.noise_shaping` provides the difference operator, its
-  inverse powers, and the singular basis used by the stabilized decoder.
+  inverse powers, and the leading singular pairs of D^{-r} that the
+  stabilized decoder reads.
 * :mod:`sdlowrank.sensing` draws seeded sub-Gaussian measurement operators.
 * :mod:`sdlowrank.recovery` solves the constrained nuclear-norm program.
 * :mod:`sdlowrank.encoding` compresses quantized measurements with a
@@ -29,7 +30,6 @@ from sdlowrank.noise_shaping import (
     apply_difference,
     apply_inverse_power,
     compute_basis,
-    inverse_power_entries,
     project_shaped,
 )
 from sdlowrank.sensing import (
@@ -72,7 +72,6 @@ __all__ = [
     "NoiseShapingBasis",
     "apply_difference",
     "apply_inverse_power",
-    "inverse_power_entries",
     "compute_basis",
     "project_shaped",
     "MeasurementOperator",

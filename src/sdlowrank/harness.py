@@ -12,6 +12,7 @@ that the command line reuses for single instances.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -88,7 +89,6 @@ class ExperimentConfig:
     distribution: str = "gaussian"
     mu: float = 0.0
     operator_mode: str = "fixed"  # fixed per grid point, or fresh per trial
-    svd_size_budget: int = noise_shaping.DEFAULT_SVD_SIZE_BUDGET
     solver_max_iterations: int = 5000
     solver_tolerance: float = 1e-6
     solver_penalty: float = 1.0
@@ -398,8 +398,7 @@ def _trial_basis(config, m, r):
     if cache_dir is None:
         cache_dir = os.path.join(config.output_path, "basis_cache")
     return noise_shaping.compute_basis(
-        m, r, truncation=min(config.ell, m), cache_dir=cache_dir,
-        size_budget=config.svd_size_budget,
+        m, r, truncation=min(config.ell, m), cache_dir=cache_dir
     )
 
 
@@ -439,16 +438,20 @@ def trial_quantize(task, y):
     return scheme, sigma_delta.quantize(y, scheme)
 
 
-def _run_trial(task):
+def _run_trial(task, basis=None):
+    """Run one trial through decoding and return its TrialRecord.
+
+    basis is the projected form's noise-shaping basis at (task.m, task.r);
+    a trial run on its own builds it (or reads it from the cache).
+    """
     config = task.config
     m, r = task.m, task.r
     op, X, scale, y = trial_instance(task)
     scheme, run = trial_quantize(task, y)
 
-    basis = None
     encoder = None
     rate_bits = rate_bits_fig = None
-    if config.constraint_form == "projected":
+    if config.constraint_form == "projected" and basis is None:
         basis = _trial_basis(config, m, r)
     if config.constraint_form == "encoded":
         encoder = encoding.draw_encoder(task.encoder_dim, m, task.encoder_seed)
@@ -488,21 +491,47 @@ def _run_trial(task):
     )
 
 
-def _attempt(task):
+def _failure(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _attempt(task, basis=None):
     """(record, None) for a trial that ran, (task, message) for one that raised."""
     try:
-        return _run_trial(task), None
+        return _run_trial(task, basis), None
     except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-        return task, f"{type(exc).__name__}: {exc}"
+        return task, _failure(exc)
+
+
+def _run_group(group, pool, workers):
+    """Outcomes of one (r, m) group's trials, which share one basis.
+
+    The basis is built (or read from the cache) once for the group and
+    dropped when the group is done, so a process holds at most one.  If
+    it cannot be built, every trial of the group fails with that error.
+    """
+    first = group[0]
+    basis = None
+    if first.config.constraint_form == "projected":
+        try:
+            basis = _trial_basis(first.config, first.m, first.r)
+        except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+            return [(task, _failure(exc)) for task in group]
+    bases = itertools.repeat(basis, len(group))
+    if pool is None:
+        return list(map(_attempt, group, bases))
+    # one chunk per worker, so each worker unpickles the basis once
+    return list(pool.map(_attempt, group, bases, chunksize=-(-len(group) // workers)))
 
 
 def _execute(tasks, workers):
     """Run every task; results and failures come back in CSV row order."""
+    groups = [list(g) for _, g in itertools.groupby(tasks, key=lambda t: (t.r, t.m))]
     if workers <= 1:
-        outcomes = [_attempt(task) for task in tasks]
+        outcomes = [o for group in groups for o in _run_group(group, None, 1)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_attempt, tasks))
+            outcomes = [o for group in groups for o in _run_group(group, pool, workers)]
     results = sorted((rec for rec, msg in outcomes if msg is None), key=_trial_key)
     failures = sorted(((task, msg) for task, msg in outcomes if msg is not None),
                       key=lambda failure: _trial_key(failure[0]))
@@ -621,11 +650,7 @@ def _mean_errors(records, key):
 
 def _run_sweep(config, spec):
     """Run one experiment's trials and write its CSV, summary and plot."""
-    tasks = list(_sweep_tasks(config, spec))
-    if config.constraint_form == "projected":
-        for m, r in sorted({(t.m, t.r) for t in tasks}):
-            _trial_basis(config, m, r)
-    results, failures = _execute(tasks, config.workers)
+    results, failures = _execute(list(_sweep_tasks(config, spec)), config.workers)
 
     column = _column(spec.group_by)
     slopes = {}

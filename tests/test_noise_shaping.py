@@ -1,5 +1,8 @@
 """Difference-operator, inverse-power, and basis tests.
 
+Dense forms of D^{-r} and its full SVD live in tests/dense_oracle.py;
+the package computes only the leading ell singular pairs.
+
 The roundtrip corner tests use dyadic-grid probes: with entries on a
 2^-9 grid and |v| <= 1, every partial sum in the r-fold cumulative sums
 is an exact integer multiple of 2^-9 (worst-case magnitude stays below
@@ -17,18 +20,11 @@ from hypothesis.extra import numpy as hnp
 
 from sdlowrank import noise_shaping as ns
 
+from dense_oracle import dense_basis, difference_power, inverse_power_entries
+
 # fixed examples, so the suite stays deterministic from run to run
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 ORDERS = st.integers(1, 4)
-
-
-def explicit_difference_power(m, r):
-    """Dense integer D^r with entries (-1)^(i-j) C(r, i-j)."""
-    out = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(max(0, i - r), i + 1):
-            out[i, j] = (-1) ** (i - j) * math.comb(r, i - j)
-    return out
 
 
 def test_apply_difference_first_order():
@@ -40,13 +36,13 @@ def test_apply_difference_second_order():
 
 
 def test_inverse_power_first_columns():
-    assert np.array_equal(ns.inverse_power_entries(4, 1)[:, 0], [1, 1, 1, 1])
-    assert np.array_equal(ns.inverse_power_entries(4, 2)[:, 0], [1, 2, 3, 4])
-    assert np.array_equal(ns.inverse_power_entries(4, 3)[:, 0], [1, 3, 6, 10])
+    assert np.array_equal(inverse_power_entries(4, 1)[:, 0], [1, 1, 1, 1])
+    assert np.array_equal(inverse_power_entries(4, 2)[:, 0], [1, 2, 3, 4])
+    assert np.array_equal(inverse_power_entries(4, 3)[:, 0], [1, 3, 6, 10])
 
 
 def test_inverse_power_entry_formula():
-    mat = ns.inverse_power_entries(12, 3)
+    mat = inverse_power_entries(12, 3)
     for i in range(12):
         for j in range(12):
             want = math.comb(i - j + 2, 2) if i >= j else 0
@@ -56,14 +52,14 @@ def test_inverse_power_entry_formula():
 def test_inverse_power_times_difference_is_identity():
     for r in (1, 2, 3):
         for m in (1, 2, 5, 17, 50, 100):
-            prod = ns.inverse_power_entries(m, r) @ explicit_difference_power(m, r)
+            prod = inverse_power_entries(m, r) @ difference_power(m, r)
             assert np.array_equal(prod, np.eye(m, dtype=np.int64))
 
 
 def test_apply_inverse_power_matches_integer_oracle():
     m = 100
     for r in (1, 2, 3):
-        oracle = ns.inverse_power_entries(m, r).astype(float)
+        oracle = inverse_power_entries(m, r).astype(float)
         for j in (0, 1, 37, 99):
             e = np.zeros(m)
             e[j] = 1.0
@@ -96,7 +92,7 @@ def test_roundtrip_error_envelope_large(rng):
 
 
 def test_inverse_power_shifted_columns():
-    mat = ns.inverse_power_entries(6, 2)
+    mat = inverse_power_entries(6, 2)
     # column j is column 0 shifted down by j
     for j in range(1, 6):
         assert np.array_equal(mat[j:, j], mat[: 6 - j, 0])
@@ -104,30 +100,81 @@ def test_inverse_power_shifted_columns():
 
 
 def test_basis_reconstructs_inverse_power(cache_dir):
+    # U_ell S_ell V_ell^T is the oracle's rank-ell truncation; at ell = m it is D^{-r}
     m, r = 40, 2
-    basis = ns.compute_basis(m, r, truncation=20, cache_dir=cache_dir)
-    dense = ns.inverse_power_entries(m, r).astype(float)
-    rebuilt = basis.left_vectors @ np.diag(basis.singular_values) @ basis.right_vectors.T
+    U, s, V = dense_basis(m, r)
+    dense = inverse_power_entries(m, r).astype(float)
+    for ell in (20, m):
+        basis = ns.compute_basis(m, r, truncation=ell, cache_dir=cache_dir)
+        rebuilt = basis.left_vectors @ np.diag(basis.singular_values) @ basis.right_vectors.T
+        want = U[:, :ell] @ np.diag(s[:ell]) @ V[:, :ell].T
+        assert np.max(np.abs(rebuilt - want)) <= 1e-8 * np.max(dense)
     assert np.max(np.abs(rebuilt - dense)) <= 1e-8 * np.max(dense)
 
 
 def test_basis_singular_values_analytic_first_order():
-    """sigma_j(D^{-1}) = 1 / (2 sin((2j-1) pi / (2(2m+1))))."""
-    m = 160
-    basis = ns.compute_basis(m, 1, truncation=80)
-    j = np.arange(1, m + 1)
+    """sigma_j(D^{-1}) = 1 / (2 sin((2j-1) pi / (2(2m+1)))) for the leading ell."""
+    m, ell = 160, 80
+    basis = ns.compute_basis(m, 1, truncation=ell)
+    j = np.arange(1, ell + 1)
     pred = 1.0 / (2.0 * np.sin((2 * j - 1) * np.pi / (2 * (2 * m + 1))))
+    assert basis.singular_values.shape == (ell,)
     assert np.max(np.abs(basis.singular_values - pred) / pred) <= 1e-10
+    _, s, _ = dense_basis(m, 1)
+    assert np.max(np.abs(s[:ell] - pred) / pred) <= 1e-10
 
 
 def test_basis_invariants(cache_dir):
-    basis = ns.compute_basis(50, 3, truncation=25, cache_dir=cache_dir)
+    m, ell = 50, 25
+    basis = ns.compute_basis(m, 3, truncation=ell, cache_dir=cache_dir)
     s = basis.singular_values
+    assert (basis.size, basis.order, basis.truncation) == (m, 3, ell)
+    assert basis.right_vectors.shape == basis.left_vectors.shape == (m, ell)
     assert np.all(s > 0)
     assert np.all(np.diff(s) <= 0)
-    assert np.allclose(basis.left_vectors.T @ basis.left_vectors, np.eye(50), atol=1e-10)
-    assert np.allclose(basis.right_vectors.T @ basis.right_vectors, np.eye(50), atol=1e-10)
-    assert basis.sigma_truncation == s[24]
+    assert np.allclose(basis.left_vectors.T @ basis.left_vectors, np.eye(ell), atol=1e-10)
+    assert np.allclose(basis.right_vectors.T @ basis.right_vectors, np.eye(ell), atol=1e-10)
+    assert basis.sigma_truncation == s[ell - 1]
+
+
+@pytest.mark.parametrize("m", [160, 320, 640, 1280])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_basis_matches_dense_oracle(m, r):
+    """sigma_1..sigma_ell to 1e-8 relative, the span of V_ell to a largest
+    principal-angle sine of 1e-4, and the decoder's certificate
+    sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9, computed with dense D^r."""
+    ell = 80
+    basis = ns.compute_basis(m, r, truncation=ell)
+    _, s, V = dense_basis(m, r)
+    s, V = s[:ell], V[:, :ell]
+    assert np.max(np.abs(basis.singular_values - s) / s) <= 1e-8
+    W = basis.right_vectors
+    assert np.linalg.norm(W - V @ (V.T @ W), 2) <= 1e-4
+    certificate = basis.sigma_truncation * np.linalg.norm(difference_power(m, r).T @ W, 2)
+    assert certificate <= 1 + 1e-9
+
+
+@settings(PROPERTY, max_examples=30)
+@given(m_ell=st.integers(1, 160).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+       r=st.integers(1, 3))
+def test_basis_certified_at_any_size(m_ell, r):
+    # block sizes on both sides of p = m, down to m = 1 and ell = 1
+    m, ell = m_ell
+    basis = ns.compute_basis(m, r, truncation=ell)
+    _, s, _ = dense_basis(m, r)
+    assert np.max(np.abs(basis.singular_values - s[:ell]) / s[:ell]) <= 1e-8
+    W = basis.right_vectors
+    assert np.allclose(W.T @ W, np.eye(ell), atol=1e-10)
+    certificate = basis.sigma_truncation * np.linalg.norm(difference_power(m, r).T @ W, 2)
+    assert certificate <= 1 + 1e-9
+
+
+def test_basis_uncertified_raises_typed_error(monkeypatch):
+    # m = 320 > 2 ell needs power steps; with none allowed the certificate fails
+    monkeypatch.setattr(ns, "_MAX_STEPS", 0)
+    with pytest.raises(ns.BasisNotCertified):
+        ns.compute_basis(320, 2, truncation=80)
+    ns.compute_basis(160, 2, truncation=80)  # p = m: exact at step 0
 
 
 def test_basis_truncation_change():
@@ -143,25 +190,88 @@ def test_basis_truncation_change():
 def test_basis_cache_roundtrip(cache_dir):
     a = ns.compute_basis(32, 2, truncation=16, cache_dir=cache_dir)
     files = os.listdir(cache_dir)
-    assert "noise_shaping_basis_m32_r2.npz" in files
+    assert files == ["noise_shaping_basis_m32_r2_l16.npz"]
+    with np.load(os.path.join(cache_dir, files[0])) as data:
+        assert data["singular_values"].shape == (16,)
+        assert data["right_vectors"].shape == (32, 16)
+        assert "left_vectors" not in data
     b = ns.compute_basis(32, 2, truncation=16, cache_dir=cache_dir)
     assert np.array_equal(a.left_vectors, b.left_vectors)
     assert np.array_equal(a.singular_values, b.singular_values)
     assert np.array_equal(a.right_vectors, b.right_vectors)
 
 
+@pytest.mark.parametrize("m, r", [(32, 1), (40, 2), (200, 3)])
+def test_basis_cached_read_equals_fresh_build(cache_dir, m, r):
+    fresh = ns.compute_basis(m, r, truncation=16)
+    ns.compute_basis(m, r, truncation=16, cache_dir=cache_dir)
+    cached = ns.compute_basis(m, r, truncation=16, cache_dir=cache_dir)
+    assert np.array_equal(cached.singular_values, fresh.singular_values)
+    assert np.array_equal(cached.right_vectors, fresh.right_vectors)
+
+
+def test_basis_cache_keyed_by_truncation(cache_dir):
+    ns.compute_basis(40, 2, truncation=10, cache_dir=cache_dir)
+    basis = ns.compute_basis(40, 2, truncation=12, cache_dir=cache_dir)
+    assert basis.truncation == 12
+    assert sorted(os.listdir(cache_dir)) == [
+        "noise_shaping_basis_m40_r2_l10.npz", "noise_shaping_basis_m40_r2_l12.npz",
+    ]
+
+
 def test_basis_cache_corrupt_file_recomputed(cache_dir):
-    path = os.path.join(cache_dir, "noise_shaping_basis_m20_r1.npz")
+    path = os.path.join(cache_dir, "noise_shaping_basis_m20_r1_l10.npz")
     with open(path, "wb") as fh:
         fh.write(b"not an npz")
     basis = ns.compute_basis(20, 1, truncation=10, cache_dir=cache_dir)
     assert basis.size == 20  # fell back to recomputation
+    with np.load(path) as data:  # and overwrote the file
+        assert np.array_equal(data["right_vectors"], basis.right_vectors)
 
 
-def test_size_budget_enforced():
-    with pytest.raises(ValueError):
-        ns.compute_basis(200, 1, truncation=10, size_budget=100)
-    ns.compute_basis(100, 1, truncation=10, size_budget=100)
+def _good_cache_arrays(m, r, ell):
+    basis = ns.compute_basis(m, r, truncation=ell)
+    return dict(format_version=np.array([ns._CACHE_FORMAT_VERSION]), size=np.array([m]),
+                order=np.array([r]), singular_values=basis.singular_values,
+                right_vectors=basis.right_vectors)
+
+
+def _write_wrong_version(path, arrays):
+    np.savez(path, **{**arrays, "format_version": np.array([1])})
+
+
+def _write_wrong_shape(path, arrays):
+    np.savez(path, **{**arrays, "right_vectors": arrays["right_vectors"][:, :-1]})
+
+
+def _write_non_finite(path, arrays):
+    V = arrays["right_vectors"].copy()
+    V[3, 2] = np.nan
+    np.savez(path, **{**arrays, "right_vectors": V})
+
+
+def _write_truncated(path, arrays):
+    np.savez(path, **arrays)
+    with open(path, "rb") as fh:
+        head = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(head[: len(head) // 2])
+
+
+@pytest.mark.parametrize("write_bad", [
+    _write_wrong_version, _write_wrong_shape, _write_non_finite, _write_truncated,
+])
+def test_basis_cache_bad_file_recomputed_and_overwritten(cache_dir, write_bad):
+    m, r, ell = 48, 2, 12
+    arrays = _good_cache_arrays(m, r, ell)
+    path = os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}_l{ell}.npz")
+    write_bad(path, arrays)
+    basis = ns.compute_basis(m, r, truncation=ell, cache_dir=cache_dir)
+    assert np.array_equal(basis.singular_values, arrays["singular_values"])
+    assert np.array_equal(basis.right_vectors, arrays["right_vectors"])
+    with np.load(path) as data:
+        for key, want in arrays.items():
+            assert np.array_equal(data[key], want)
 
 
 def test_project_shaped_dominated_by_full_norm(rng):

@@ -11,6 +11,8 @@ from sdlowrank import recovery
 from sdlowrank import sensing
 from sdlowrank import sigma_delta
 
+from dense_oracle import inverse_power_entries
+
 
 def pipeline_problem(n, m, r, k=1, form="full_inverse_power", seed=0, eps=0.0,
                      ell=None, beta=0.5):
@@ -79,7 +81,7 @@ def test_truth_is_feasible_for_all_forms():
 def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
     # J = [S A, S] and c = S q, with the form's map S written out densely
     m, r = 40, 3
-    inverse_power = noise_shaping.inverse_power_entries(m, r).astype(float)
+    inverse_power = inverse_power_entries(m, r).astype(float)
     for form in recovery.CONSTRAINT_FORMS:
         problem, _, _ = pipeline_problem(4, m, r, form=form, seed=8, eps=0.5, ell=10)
         S = inverse_power

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdlowrank import sigma_delta as sdq
 
@@ -104,23 +104,31 @@ def test_stability_certified_range(rng):
             assert np.max(np.abs(run.state)) <= beta / 2
 
 
-# beta is dyadic (k / 16) so the levels (j + 1/2) beta and their gaps are
-# exact in float64; at other steps the stored gaps differ from beta by an
-# ulp and the exact comparison with beta / 2 can flag a state on the bound
+# any step beta = k / d: the stored levels (j + 1/2) beta and their gaps
+# are exact only at dyadic beta, so elsewhere a state on the bound can
+# read an ulp above beta / 2, and the overflow flag must not count that
+# as leaving it.  Inputs on the half-step grid put states on the bound.
 @PROPERTY
 @given(
     r=st.integers(1, 4),
     k=st.integers(1, 64),
+    d=st.sampled_from([16, 3, 10, 100]),
     mu=st.floats(0.0, 10.0),
     m=st.integers(1, 256),
     seed=st.integers(0, 2**32 - 1),
+    on_grid=st.booleans(),
 )
-def test_quantizer_certified_range_dyadic_steps(r, k, mu, m, seed):
-    beta = k / 16
+# zero input at beta = 0.01: the state reads -0.005000000000000001
+@example(r=4, k=1, d=100, mu=0.0, m=2, seed=0, on_grid=False)
+def test_quantizer_certified_range_any_step(r, k, d, mu, m, seed, on_grid):
+    beta = k / d
     y = np.random.default_rng(seed).uniform(-mu, mu, m)
+    if on_grid:
+        y = np.clip(np.round(y / (beta / 2)) * (beta / 2), -mu, mu)
     scheme = sdq.default_scheme(r, sdq.build_alphabet(sdq.required_levels(mu, beta, r), beta))
     run = sdq.quantize(y, scheme)
-    assert np.max(np.abs(run.state)) <= beta / 2
+    ulp_slack = 4 * np.finfo(float).eps * scheme.alphabet.max_level
+    assert np.max(np.abs(run.state)) <= beta / 2 + ulp_slack
     assert not run.overflow
     assert sdq.state_residual(run, r) <= 1e-9 * max(1.0, float(np.max(np.abs(y))))
 
