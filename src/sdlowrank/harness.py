@@ -503,7 +503,7 @@ def _attempt(task, basis=None):
         return task, _failure(exc)
 
 
-def _run_group(group, pool, workers):
+def _run_group(group, pool):
     """Outcomes of one (r, m) group's trials, which share one basis.
 
     The basis is built (or read from the cache) once for the group and
@@ -518,20 +518,17 @@ def _run_group(group, pool, workers):
         except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
             return [(task, _failure(exc)) for task in group]
     bases = itertools.repeat(basis, len(group))
-    if pool is None:
-        return list(map(_attempt, group, bases))
-    # one chunk per worker, so each worker unpickles the basis once
-    return list(pool.map(_attempt, group, bases, chunksize=-(-len(group) // workers)))
+    return list((map if pool is None else pool.map)(_attempt, group, bases))
 
 
 def _execute(tasks, workers):
     """Run every task; results and failures come back in CSV row order."""
     groups = [list(g) for _, g in itertools.groupby(tasks, key=lambda t: (t.r, t.m))]
     if workers <= 1:
-        outcomes = [o for group in groups for o in _run_group(group, None, 1)]
+        outcomes = [o for group in groups for o in _run_group(group, None)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for group in groups for o in _run_group(group, pool, workers)]
+            outcomes = [o for group in groups for o in _run_group(group, pool)]
     results = sorted((rec for rec, msg in outcomes if msg is None), key=_trial_key)
     failures = sorted(((task, msg) for task, msg in outcomes if msg is not None),
                       key=lambda failure: _trial_key(failure[0]))

@@ -105,9 +105,10 @@ def test_stability_certified_range(rng):
 
 
 # any step beta = k / d: the stored levels (j + 1/2) beta and their gaps
-# are exact only at dyadic beta, so elsewhere a state on the bound can
-# read an ulp above beta / 2, and the overflow flag must not count that
-# as leaving it.  Inputs on the half-step grid put states on the bound.
+# are exact only at dyadic beta (d = 16), where the state must stay within
+# beta / 2 exactly; elsewhere a state on the bound can read an ulp above
+# it, and the overflow flag must not count that as leaving it.  Inputs on
+# the half-step grid put states on the bound.
 @PROPERTY
 @given(
     r=st.integers(1, 4),
@@ -127,7 +128,7 @@ def test_quantizer_certified_range_any_step(r, k, d, mu, m, seed, on_grid):
         y = np.clip(np.round(y / (beta / 2)) * (beta / 2), -mu, mu)
     scheme = sdq.default_scheme(r, sdq.build_alphabet(sdq.required_levels(mu, beta, r), beta))
     run = sdq.quantize(y, scheme)
-    ulp_slack = 4 * np.finfo(float).eps * scheme.alphabet.max_level
+    ulp_slack = 0.0 if d == 16 else 4 * np.finfo(float).eps * scheme.alphabet.max_level
     assert np.max(np.abs(run.state)) <= beta / 2 + ulp_slack
     assert not run.overflow
     assert sdq.state_residual(run, r) <= 1e-9 * max(1.0, float(np.max(np.abs(y))))
