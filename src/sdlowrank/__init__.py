@@ -36,7 +36,6 @@ from sdlowrank.sensing import (
     MeasurementOperator,
     RipEstimate,
     apply,
-    composed_operator,
     draw_operator,
     empirical_rip,
     gaussian_rank_k,
@@ -48,7 +47,6 @@ from sdlowrank.recovery import (
     best_rank_k_error,
     check_feasibility,
     recover,
-    reference_solve,
 )
 from sdlowrank.encoding import (
     EncodedMeasurements,
@@ -78,7 +76,6 @@ __all__ = [
     "RipEstimate",
     "draw_operator",
     "apply",
-    "composed_operator",
     "empirical_rip",
     "gaussian_rank_k",
     "RecoveryProblem",
@@ -87,7 +84,6 @@ __all__ = [
     "recover",
     "check_feasibility",
     "best_rank_k_error",
-    "reference_solve",
     "EncoderMatrix",
     "EncodedMeasurements",
     "draw_encoder",

@@ -68,7 +68,7 @@ def cmd_quantize(args):
 
 def cmd_recover(args):
     config = _load_config(args)
-    record = harness._run_trial(harness.first_trial(config))
+    record, solution = harness.trial_solve(harness.first_trial(config))
     print(f"order r={record.r} m={record.m} lambda={record.lam:g} "
           f"form={config.constraint_form}")
     print(f"relative error {record.err_relative:.6e} "
@@ -76,6 +76,8 @@ def cmd_recover(args):
     print(f"nuclear norm of estimate {record.objective:.6g}")
     print(f"iterations {record.iterations}, converged {record.converged}, "
           f"overflow {record.overflow}")
+    print(f"penalty changes {solution.penalty_changes}, "
+          f"secular steps {solution.secular_steps}")
     return 0 if record.converged else 1
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "first_trial",
     "trial_instance",
     "trial_quantize",
+    "trial_solve",
     "fit_slope",
     "write_records_csv",
     "read_records_csv",
@@ -438,8 +439,8 @@ def trial_quantize(task, y):
     return scheme, sigma_delta.quantize(y, scheme)
 
 
-def _run_trial(task, basis=None):
-    """Run one trial through decoding and return its TrialRecord.
+def trial_solve(task, basis=None):
+    """Run one trial through decoding; return (TrialRecord, RecoverySolution).
 
     basis is the projected form's noise-shaping basis at (task.m, task.r);
     a trial run on its own builds it (or reads it from the cache).
@@ -479,7 +480,7 @@ def _run_trial(task, basis=None):
     solution = recovery.recover(problem, config.solver_params())
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))
-    return TrialRecord(
+    record = TrialRecord(
         r=r, m=m, ell=config.ell, lam=task.lam, trial_index=task.trial_index,
         seed=task.matrix_seed, err_frobenius=err,
         err_relative=err / truth_norm if truth_norm else 0.0,
@@ -489,6 +490,12 @@ def _run_trial(task, basis=None):
         iterations=solution.iterations, converged=solution.converged, scale=scale,
         encoder_dim=task.encoder_dim, encoder_seed=task.encoder_seed,
     )
+    return record, solution
+
+
+def _run_trial(task, basis=None):
+    """One sweep trial: trial_solve's TrialRecord, the task's CSV row."""
+    return trial_solve(task, basis)[0]
 
 
 def _failure(exc):

@@ -23,6 +23,7 @@ schemes once m and r grow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "recover",
     "check_feasibility",
     "best_rank_k_error",
-    "reference_solve",
 ]
 
 CONSTRAINT_FORMS = ("full_inverse_power", "projected", "encoded")
@@ -47,8 +47,9 @@ CONSTRAINT_FORMS = ("full_inverse_power", "projected", "encoded")
 # beyond this and point the caller at the projected form
 DENSE_FULL_FORM_LIMIT = 4096
 
-_REFERENCE_MAX_UNKNOWNS = 100
-_REFERENCE_MAX_ROWS = 200
+# the tube projection's largest multiplier; at it the projection lands on
+# the closest reachable shell when the tube is empty
+_THETA_CAP = 1e40
 
 
 # residual balancing of the penalty: every _ADAPT_INTERVAL iterations, at
@@ -147,6 +148,13 @@ class RecoveryProblem:
 
 @dataclass
 class RecoverySolution:
+    """Result of recover.
+
+    penalty_changes counts the residual-balancing updates of the penalty;
+    secular_steps counts the tube projection's Newton evaluations of its
+    secular function, summed over the solve.
+    """
+
     estimate: np.ndarray
     noise_estimate: np.ndarray
     objective: float
@@ -156,6 +164,8 @@ class RecoverySolution:
     converged: bool
     primal_residual: float
     dual_residual: float
+    penalty_changes: int = 0
+    secular_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -176,6 +186,14 @@ class _TubeProjector:
     Uses the economy SVD of J.  With p in singular coordinates the
     projection solves a scalar secular equation for the multiplier
     theta; components outside the row space of J pass through unchanged.
+
+    The solve is safeguarded Newton on 1/phi(theta) - 1/R, as for the
+    trust-region step of More and Sorensen (SIAM J. Sci. Stat. Comput.
+    1983), started from the theta of this projector's previous active
+    projection: consecutive ADMM inputs are close, so theta moves little
+    and two or three evaluations usually meet the 1e-13 R stopping rule.
+    theta is that warm start; steps counts the evaluations of phi in the
+    Newton loop, not the feasibility test at theta = 0.
     """
 
     def __init__(self, J, c, R):
@@ -188,44 +206,42 @@ class _TubeProjector:
         self.Vh = Vh
         self.cbar = U.T @ c
         self.c_perp2 = max(float(c @ c - self.cbar @ self.cbar), 0.0)
-
-    def _phi2(self, d, theta):
-        w = d / (1.0 + theta * self.s2)
-        return float(w @ w) + self.c_perp2
+        self.theta = 1.0
+        self.steps = 0
 
     def __call__(self, p):
         pbar = self.Vh @ p
         d = self.s * pbar - self.cbar
-        R2 = self.R ** 2
-        if self._phi2(d, 0.0) <= R2:
+        R = self.R
+        if float(d @ d) + self.c_perp2 <= R ** 2:
             return p
-        # bracket the multiplier, then Newton on 1/phi with bisection guard
-        lo, hi = 0.0, 1.0
-        while self._phi2(d, hi) > R2 and hi < 1e40:
-            lo = hi
-            hi *= 16.0
-        if self._phi2(d, hi) > R2:
-            theta = hi  # empty set; land on the closest reachable shell
-        else:
-            theta = np.sqrt(lo * hi) if lo > 0 else hi / 2
-            R_target = self.R
-            for _ in range(80):
-                w = d / (1.0 + theta * self.s2)
-                phi2 = float(w @ w) + self.c_perp2
-                phi = np.sqrt(phi2)
-                if phi > R_target:
-                    lo = theta
+        # phi decreases in theta; [lo, hi] brackets the root and tightens
+        # with each evaluation, and hi stays unbounded until phi <= R
+        theta, lo, hi = self.theta, 0.0, math.inf
+        for _ in range(80):
+            den = 1.0 + theta * self.s2
+            w = d / den
+            phi2 = float(w @ w) + self.c_perp2
+            phi = math.sqrt(phi2)
+            self.steps += 1
+            if phi > R:
+                lo = theta
+                if theta >= _THETA_CAP:
+                    break  # empty set; land on the closest reachable shell
+            else:
+                hi = theta
+            if abs(phi - R) <= 1e-13 * R:
+                break
+            # Newton on g = 1/phi - 1/R, with g' = -phi'/phi^2
+            gprime = float((w * w / den) @ self.s2) / (phi * phi2)
+            step = theta - (1.0 / phi - 1.0 / R) / gprime if gprime > 0 else math.inf
+            if not (lo < step < hi):
+                if hi == math.inf:
+                    step = 16.0 * lo
                 else:
-                    hi = theta
-                if abs(phi - R_target) <= 1e-13 * R_target:
-                    break
-                dphi2 = -2.0 * float((w * w / (1.0 + theta * self.s2)) @ self.s2)
-                g = 1.0 / phi - 1.0 / R_target
-                gprime = -dphi2 / (2.0 * phi * phi2)
-                step = theta - g / gprime if gprime != 0 else np.inf
-                if not np.isfinite(step) or not (lo < step < hi):
-                    step = np.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-                theta = step
+                    step = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
+            theta = min(step, _THETA_CAP)
+        self.theta = theta
         alpha = (pbar + theta * self.s * self.cbar) / (1.0 + theta * self.s2)
         return p + self.Vh.T @ (alpha - pbar)
 
@@ -281,8 +297,13 @@ def _nuclear_prox(Z, tau):
     return (U * np.maximum(s - tau, 0.0)) @ Vh
 
 
+def _norm(v):
+    # what np.linalg.norm computes for a 1-d float vector, without its overhead
+    return math.sqrt(v @ v)
+
+
 def _ball_project(v, R):
-    nv = np.linalg.norm(v)
+    nv = _norm(v)
     if nv <= R:
         return v
     if R == 0.0:
@@ -346,13 +367,13 @@ def recover(problem, params=None, start=None):
             xp = Zp.reshape(-1, order="F")
         resid = x - xp
         u = u + resid
-        rz = float(np.linalg.norm(resid[:N]))
-        rn = float(np.linalg.norm(resid[N:])) if with_nu else 0.0
-        dual = rho * float(np.linalg.norm(xp - xp_old))
+        rz = _norm(resid[:N])
+        rn = _norm(resid[N:]) if with_nu else 0.0
+        dual = rho * _norm(xp - xp_old)
         pri = max(rz, rn)
-        ok_z = rz <= tol * max(1.0, float(np.linalg.norm(x[:N])))
-        ok_n = (not with_nu) or rn <= tol * max(1.0, float(np.linalg.norm(x[N:])))
-        ok_d = dual <= tol * max(1.0, rho * float(np.linalg.norm(u)))
+        ok_z = rz <= tol * max(1.0, _norm(x[:N]))
+        ok_n = (not with_nu) or rn <= tol * max(1.0, _norm(x[N:]))
+        ok_d = dual <= tol * max(1.0, rho * _norm(u))
         if ok_z and ok_n and ok_d:
             stopped = True
             break
@@ -382,6 +403,8 @@ def recover(problem, params=None, start=None):
         converged=False,
         primal_residual=pri,
         dual_residual=dual,
+        penalty_changes=n_adapt,
+        secular_steps=proj_S.steps,
     )
     if stopped:
         solution.converged = check_feasibility(solution, problem).ok
@@ -441,33 +464,3 @@ def best_rank_k_error(X, k):
     s = np.linalg.svd(X, compute_uv=False)
     return float(s[k:].sum())
 
-
-def reference_solve(problem):
-    """High-accuracy solve for small instances, used as a test oracle.
-
-    Restricted to n1 * n2 <= 100 and m <= 200.  Solves at tolerance
-    1e-8 with a tenfold iteration budget, then re-solves warm from the
-    result and insists the objective moves by less than 1e-6.  Raises on
-    non-convergence instead of returning a doubtful answer.
-    """
-    n1, n2 = problem.operator.shape
-    if n1 * n2 > _REFERENCE_MAX_UNKNOWNS or problem.operator.rows > _REFERENCE_MAX_ROWS:
-        raise ValueError(
-            "reference_solve accepts only n1*n2 <= "
-            f"{_REFERENCE_MAX_UNKNOWNS} and m <= {_REFERENCE_MAX_ROWS}"
-        )
-    params = SolverParams(max_iterations=50000, tolerance=1e-8)
-    cold = recover(problem, params)
-    if not cold.converged:
-        raise RuntimeError(
-            "reference_solve did not converge: "
-            f"iterations={cold.iterations}, primal={cold.primal_residual:.3e}, "
-            f"dual={cold.dual_residual:.3e}"
-        )
-    warm = recover(problem, params, start=(cold.estimate, cold.noise_estimate))
-    drift = abs(warm.objective - cold.objective)
-    if drift > 1e-6 * max(1.0, abs(cold.objective)):
-        raise RuntimeError(
-            f"reference_solve cold/warm objectives disagree by {drift:.3e}"
-        )
-    return cold

@@ -13,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "MeasurementOperator",
-    "ComposedOperator",
     "RipEstimate",
     "draw_operator",
     "apply",
-    "composed_operator",
     "empirical_rip",
     "gaussian_rank_k",
 ]
@@ -40,15 +38,6 @@ class MeasurementOperator:
     shape: tuple
     distribution: str
     seed: int
-    data: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ComposedOperator:
-    """The map X -> (1/sqrt(ell)) P_ell V^T M(X), itself operator-like."""
-
-    rows: int
-    shape: tuple
     data: np.ndarray = field(repr=False)
 
 
@@ -93,21 +82,6 @@ def apply(op, X):
     if X.shape != tuple(op.shape):
         raise ValueError(f"expected shape {tuple(op.shape)}, got {X.shape}")
     return op.data @ X.reshape(-1, order="F")
-
-
-def composed_operator(op, basis, ell):
-    """Compose the operator with the scaled singular projection.
-
-    Returns the map X -> (1/sqrt(ell)) P_ell V^T M(X) with a dense
-    ell x (n1 n2) representation, so apply works on it unchanged.
-    """
-    if basis.size != op.rows:
-        raise ValueError("basis size must equal the operator row count")
-    if not (1 <= ell <= op.rows):
-        raise ValueError("ell must lie in [1, m]")
-    Vt = basis.right_vectors[:, :ell].T
-    data = (Vt @ op.data) / np.sqrt(ell)
-    return ComposedOperator(rows=ell, shape=tuple(op.shape), data=data)
 
 
 def gaussian_rank_k(rng, n1, n2, k):

@@ -155,7 +155,8 @@ def quantize(y, scheme):
     half an ulp of the largest level, so a state on the bound can read an
     ulp above it when beta is not dyadic.  Quantization always runs to
     completion, saturating at the extreme levels when the input leaves
-    the certified range.
+    the certified range; a feedback value that leaves the floating-point
+    range raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -163,18 +164,42 @@ def quantize(y, scheme):
     if not np.all(np.isfinite(y)):
         raise ValueError("quantize requires finite inputs")
     r = scheme.order
-    # alternating binomial weights on the last r states, exact integers
-    coeffs = [(-1) ** (j + 1) * math.comb(r, j) for j in range(1, r + 1)]
+    alphabet = scheme.alphabet
+    # scalar_quantize inlined on Python floats: the same floor candidate,
+    # neighbour checks and tie-break, so every output bit matches it
+    levels = alphabet.values.tolist()
+    top = len(levels) - 1
+    half = alphabet.num_levels_half
+    step = alphabet.step
+    # alternating binomial weights on the last r states, exact in floats;
+    # states[j] is u_{i-1-j}.  The zero states before the start add exact
+    # zeros to the feedback, which can flip only the sign of a zero v, and
+    # neither its level nor its state depends on that sign
+    coeffs = [float((-1) ** (j + 1) * math.comb(r, j)) for j in range(1, r + 1)]
+    states = [0.0] * r
     m = y.size
     q = np.empty(m)
     u = np.empty(m)
     for i in range(m):
-        v = y[i]
-        for j in range(1, min(r, i) + 1):
-            v += coeffs[j - 1] * u[i - j]
-        q[i] = scalar_quantize(v, scheme.alphabet)
-        u[i] = v - q[i]
-    alphabet = scheme.alphabet
+        v = y.item(i)
+        for c, prev in zip(coeffs, states):
+            v += c * prev
+        try:
+            j = math.floor(v / step) + half
+        except (OverflowError, ValueError):
+            raise ValueError(
+                f"quantize: feedback value {v} at sample {i} is out of range"
+            ) from None
+        j = min(max(j, 0), top)
+        best = j
+        if j > 0 and abs(levels[j - 1] - v) < abs(levels[j] - v):
+            best = j - 1
+        if j < top and abs(levels[j + 1] - v) <= abs(levels[best] - v):
+            best = j + 1
+        q[i] = qi = levels[best]
+        u[i] = ui = v - qi
+        states.pop()
+        states.insert(0, ui)
     rounding = 4 * np.finfo(float).eps * (alphabet.max_level + alphabet.step)
     overflow = bool(np.max(np.abs(u)) > scheme.stability_constant + rounding)
     return QuantizationRun(input=y, output=q, state=u, overflow=overflow)

@@ -60,6 +60,7 @@ def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
     out = capsys.readouterr().out
     assert "relative error" in out
     assert "converged True" in out
+    assert "penalty changes" in out and "secular steps" in out
 
 
 def test_recover_instance_matches_sweep_first_row(tiny_cfg_file, tmp_path):

@@ -4,14 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdlowrank import encoding
+from sdlowrank import harness
 from sdlowrank import noise_shaping
 from sdlowrank import recovery
 from sdlowrank import sensing
 from sdlowrank import sigma_delta
 
 from dense_oracle import inverse_power_entries
+from oracles import reference_solve
+
+# fixed examples, so the suite stays deterministic from run to run
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def pipeline_problem(n, m, r, k=1, form="full_inverse_power", seed=0, eps=0.0,
@@ -182,9 +188,9 @@ def test_best_rank_k_error_oracle():
 def test_reference_solve_agrees_and_is_idempotent():
     problem, _, _ = pipeline_problem(5, 100, 2, seed=17)
     fast = recovery.recover(problem)
-    ref = recovery.reference_solve(problem)
+    ref = reference_solve(problem)
     assert abs(fast.objective - ref.objective) <= 1e-3 * max(1.0, ref.objective)
-    again = recovery.reference_solve(problem)
+    again = reference_solve(problem)
     assert abs(again.objective - ref.objective) <= 1e-6 * max(1.0, ref.objective)
 
 
@@ -194,14 +200,14 @@ def test_reference_solve_zero_problem():
         operator=op, quantized=np.zeros(12), order=1, gamma=0.25,
         constraint_form="full_inverse_power",
     )
-    ref = recovery.reference_solve(problem)
+    ref = reference_solve(problem)
     assert ref.objective == 0.0
 
 
 def test_reference_solve_guards_size():
     problem, _, _ = pipeline_problem(11, 100, 1, seed=19)
     with pytest.raises(ValueError):
-        recovery.reference_solve(problem)
+        reference_solve(problem)
 
 
 def test_noise_ball_active_case():
@@ -233,6 +239,86 @@ def test_tube_projection_lands_on_the_shell_when_c_is_large(scale):
     p = x0 + Vh.T @ (e1 / s)
     x = recovery._TubeProjector(J, c, 1.0)(p)
     assert abs(np.linalg.norm(J @ x - c) - 1.0) <= 1e-3
+
+
+def _tube(rows, cols, log_cond, rho, radius_rel, seed):
+    """A tube {x : ||J x - c|| <= R} around a known interior point x0.
+
+    J has columns scaled over log_cond decades; c = J x0 + e with
+    ||e|| = rho R, part of it outside the range of J when rows > cols.
+    R is radius_rel ||J|| ||x0||, so rounding in J x - c stays far below
+    1e-12 R for points of size ||x0||.
+    """
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal((rows, cols)) * np.logspace(0, -log_cond, cols)
+    x0 = rng.standard_normal(cols)
+    R = radius_rel * np.linalg.norm(J, 2) * np.linalg.norm(x0)
+    e = rng.standard_normal(rows)
+    c = J @ x0 + e * (rho * R / np.linalg.norm(e))
+    return rng, J, c, R, x0
+
+
+@PROPERTY
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    log_cond=st.floats(0.0, 4.0),
+    rho=st.floats(0.0, 0.99),
+    radius_rel=st.floats(0.1, 10.0),
+    reach=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tube_projection_properties(rows, cols, log_cond, rho, radius_rel, reach, seed):
+    rng, J, c, R, x0 = _tube(rows, cols, log_cond, rho, radius_rel, seed)
+    # a walk of inputs: small moves (the warm start's case), jumps, and
+    # an interior point
+    step = reach * np.linalg.norm(x0) / np.sqrt(cols)
+    p = x0 + step * rng.standard_normal(cols)
+    inputs = []
+    for _ in range(6):
+        inputs += [p, p + 1e-6 * step * rng.standard_normal(cols), x0]
+        p = p + step * rng.standard_normal(cols) / 4
+    warm = recovery._TubeProjector(J, c, R)
+    inside = x0
+    for p in inputs:
+        x = warm(p)
+        fresh = recovery._TubeProjector(J, c, R)(p)
+        # the warm state changes no point beyond the stopping rule
+        assert np.linalg.norm(x - fresh) <= 1e-12 * max(1.0, np.linalg.norm(fresh))
+        assert np.linalg.norm(J @ x - c) <= R * (1 + 1e-12)
+        mid = 0.5 * (x0 + x)
+        assert recovery._TubeProjector(J, c, R)(mid) is mid
+        # variational inequality of the projection onto a convex set, at
+        # strictly feasible points
+        for z in (x0, mid, inside):
+            gap = np.dot(p - x, z - x)
+            assert gap <= 1e-9 * np.linalg.norm(p - x) * np.linalg.norm(z - x)
+        inside = x0 + 0.9 * (x - x0)
+    assert warm(x0) is x0
+
+
+def test_tube_projection_lands_at_the_cap_when_the_tube_is_empty():
+    # c has a part of norm 2 R outside the range of J: no x reaches the
+    # tube, and the projection lands on the closest reachable shell
+    rng = np.random.default_rng(3)
+    J = rng.standard_normal((12, 5))
+    U, _, _ = np.linalg.svd(J)
+    R = 0.5
+    c = J @ rng.standard_normal(5) + 2 * R * U[:, -1]
+    proj = recovery._TubeProjector(J, c, R)
+    for _ in range(2):
+        x = proj(rng.standard_normal(5))
+        assert proj.theta == 1e40
+        assert abs(np.linalg.norm(J @ x - c) - 2 * R) <= 1e-9 * R
+
+
+def test_warm_started_secular_solve_stays_cheap(tmp_path):
+    # a clock-free guard on the projection's cost: the warm start needs
+    # about 3 Newton evaluations per ADMM iteration, a cold bracket about 8
+    config = harness.desk_config(output_path=str(tmp_path))
+    _, solution = harness.trial_solve(harness.first_trial(config))
+    assert solution.converged
+    assert solution.secular_steps <= 4 * solution.iterations
 
 
 def test_against_convex_programming_oracle():

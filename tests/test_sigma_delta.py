@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdlowrank import sigma_delta as sdq
 
+from oracles import reference_quantize
+
 # fixed examples, so the suite stays deterministic from run to run
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -132,6 +134,62 @@ def test_quantizer_certified_range_any_step(r, k, d, mu, m, seed, on_grid):
     assert np.max(np.abs(run.state)) <= beta / 2 + ulp_slack
     assert not run.overflow
     assert sdq.state_residual(run, r) <= 1e-9 * max(1.0, float(np.max(np.abs(y))))
+
+
+# quantize inlines scalar_quantize on Python floats; it must reproduce the
+# per-sample scalar_quantize loop bit for bit, at dyadic and non-dyadic
+# steps, on the half-step grid (exact ties) and past the alphabet's range
+@PROPERTY
+@given(
+    r=st.integers(1, 4),
+    k=st.integers(1, 64),
+    d=st.sampled_from([16, 3, 10, 100]),
+    levels=st.integers(1, 40),
+    certified=st.booleans(),
+    mu=st.floats(0.0, 50.0),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    on_grid=st.booleans(),
+)
+@example(r=2, k=8, d=16, levels=3, certified=False, mu=2.0, m=64, seed=0, on_grid=True)
+def test_quantize_matches_scalar_reference_bit_for_bit(
+    r, k, d, levels, certified, mu, m, seed, on_grid
+):
+    beta = k / d
+    y = np.random.default_rng(seed).uniform(-mu, mu, m)
+    if on_grid:
+        y = np.round(y / (beta / 2)) * (beta / 2)
+    if certified:
+        levels = sdq.required_levels(mu, beta, r)
+    scheme = sdq.default_scheme(r, sdq.build_alphabet(levels, beta))
+    run = sdq.quantize(y, scheme)
+    q, u, overflow = reference_quantize(y, scheme)
+    assert run.output.tobytes() == q.tobytes()
+    assert run.state.tobytes() == u.tobytes()
+    assert run.overflow == overflow
+
+
+def test_quantize_matches_reference_on_a_diverging_run():
+    # a one-bit alphabet at order 4 on a constant far outside its range:
+    # the state grows like i^4 but stays finite
+    scheme = sdq.default_scheme(4, sdq.build_alphabet(1, 0.5))
+    y = np.full(2000, 100.0)
+    run = sdq.quantize(y, scheme)
+    q, u, overflow = reference_quantize(y, scheme)
+    assert run.output.tobytes() == q.tobytes()
+    assert run.state.tobytes() == u.tobytes()
+    assert run.overflow and overflow
+    assert 6.6e13 < np.max(np.abs(run.state)) < 6.7e13
+
+
+def test_quantize_rejects_a_feedback_value_that_leaves_the_floats():
+    # inputs near the largest double: the fourth-order feedback overflows
+    scheme = sdq.default_scheme(4, sdq.build_alphabet(1, 1.0))
+    y = np.full(50, 1e307)
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        reference_quantize(y, scheme)
+    with pytest.raises(ValueError):
+        sdq.quantize(y, scheme)
 
 
 def test_overflow_flag_set_when_alphabet_too_small(rng):
