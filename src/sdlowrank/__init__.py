@@ -22,7 +22,6 @@ from sdlowrank.sigma_delta import (
     default_scheme,
     quantize,
     required_levels,
-    scalar_quantize,
     state_residual,
 )
 from sdlowrank.noise_shaping import (
@@ -63,7 +62,6 @@ __all__ = [
     "QuantizationRun",
     "build_alphabet",
     "default_scheme",
-    "scalar_quantize",
     "required_levels",
     "quantize",
     "state_residual",

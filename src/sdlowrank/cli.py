@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
 
 from sdlowrank import harness
-from sdlowrank import noise_shaping
 from sdlowrank import sensing
 from sdlowrank import sigma_delta
 
@@ -41,7 +39,7 @@ def _load_config(args):
         overrides["workers"] = args.workers
     if args.config:
         return harness.load_config(args.config, **overrides)
-    return harness.desk_config(**overrides)
+    return harness.ExperimentConfig(**overrides)
 
 
 def cmd_quantize(args):
@@ -86,7 +84,6 @@ def _run_sweep(args, runner):
     result = runner(config)
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.summary_path}")
-    print(f"wrote {result.plot_path}")
     for r, slope in sorted(result.slopes.items()):
         print(f"r={r}: fitted slope {slope:.4f}")
     if result.failures:
@@ -121,67 +118,6 @@ def cmd_rip_check(args):
     return 0
 
 
-def cmd_selftest(args):
-    failures = []
-
-    def check(name, fn):
-        try:
-            fn()
-            print(f"ok {name}")
-        except Exception as exc:  # noqa: BLE001 - reported, then aggregated
-            failures.append(name)
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-
-    def quantizer_stability():
-        rng = np.random.default_rng(7)
-        for r in (1, 2):
-            alphabet = sigma_delta.build_alphabet(
-                sigma_delta.required_levels(0.9, 0.5, r), 0.5
-            )
-            scheme = sigma_delta.default_scheme(r, alphabet)
-            for _ in range(50):
-                y = rng.uniform(-0.9, 0.9, 64)
-                run = sigma_delta.quantize(y, scheme)
-                assert not run.overflow
-                assert sigma_delta.state_residual(run, r) <= 1e-9
-
-    def shaping_roundtrip():
-        v = np.round(np.random.default_rng(3).uniform(-1, 1, 256) * 512) / 512
-        back = noise_shaping.apply_difference(noise_shaping.apply_inverse_power(v, 2), 2)
-        assert np.max(np.abs(back - v)) <= 1e-10
-
-    def small_recovery():
-        config = harness.desk_config(
-            n1=4, n2=4, rank=1, ell=16, oversampling_grid=(4.0,), orders=(1,),
-            trials=1, constraint_form="full_inverse_power",
-            output_path="/tmp/sdlowrank-selftest",
-        )
-        record = harness._run_trial(harness.first_trial(config))
-        assert record.converged, "solver did not converge"
-        assert record.err_relative < 1.0
-
-    def csv_roundtrip():
-        rec = harness.TrialRecord(
-            r=1, m=16, ell=8, lam=2.0, trial_index=0, seed=9,
-            err_frobenius=0.5, err_relative=0.1, objective=3.0,
-            sigma_k_tail=0.0, eps=0.0,
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "t.csv")
-            harness.write_records_csv([rec], path)
-            assert harness.read_records_csv(path) == [rec]
-
-    check("quantizer stability", quantizer_stability)
-    check("noise shaping roundtrip", shaping_roundtrip)
-    check("small recovery", small_recovery)
-    check("csv roundtrip", csv_roundtrip)
-    if failures:
-        print(f"SELFTEST FAIL ({len(failures)} of 4)")
-        return 1
-    print("SELFTEST PASS")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sdlowrank",
@@ -198,7 +134,6 @@ def build_parser():
         ("sweep-noise", cmd_sweep_noise, "error vs measurement noise level"),
         ("rate-distortion", cmd_rate_distortion, "error vs bit rate via encoding"),
         ("rip-check", cmd_rip_check, "estimate the restricted isometry constant"),
-        ("selftest", cmd_selftest, "run fast internal consistency checks"),
     ]
     for name, fn, help_text in commands:
         p = sub.add_parser(name, help=help_text)

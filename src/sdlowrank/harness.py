@@ -28,10 +28,7 @@ __all__ = [
     "ExperimentConfig",
     "TrialRecord",
     "SweepResult",
-    "ScalingNote",
     "load_config",
-    "save_config",
-    "desk_config",
     "make_low_rank",
     "measurement_scaling",
     "run_oversampling_sweep",
@@ -89,7 +86,6 @@ class ExperimentConfig:
     encoder_dim: int = 80
     distribution: str = "gaussian"
     mu: float = 0.0
-    operator_mode: str = "fixed"  # fixed per grid point, or fresh per trial
     solver_max_iterations: int = 5000
     solver_tolerance: float = 1e-6
     solver_penalty: float = 1.0
@@ -111,8 +107,6 @@ class ExperimentConfig:
                 raise ValueError(f"m = {lam} * {self.ell} is not integral")
         if any(e < 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be nonnegative")
-        if self.operator_mode not in ("fixed", "fresh"):
-            raise ValueError("operator_mode must be 'fixed' or 'fresh'")
         if self.constraint_form not in recovery.CONSTRAINT_FORMS:
             raise ValueError(f"unknown constraint_form {self.constraint_form!r}")
 
@@ -164,16 +158,8 @@ class SweepResult:
     records: list
     csv_path: str
     summary_path: str
-    plot_path: str
     slopes: dict
     failures: list
-
-
-@dataclass(frozen=True)
-class ScalingNote:
-    scale: float
-    measured_max: float
-    message: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +192,13 @@ def _parse_value(key, text):
 
 
 def load_config(path, **overrides):
-    """Read a flat key=value config file into an ExperimentConfig."""
-    values = {}
+    """Read a flat key=value config file into an ExperimentConfig.
+
+    A line that is not key=value, an unknown key and a key set twice
+    raise ValueError naming the file and the line.
+    """
+    known = {f.name for f in fields(ExperimentConfig)}
+    parsed = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -216,37 +207,14 @@ def load_config(path, **overrides):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            values[key] = val
-    known = {f.name for f in fields(ExperimentConfig)}
-    parsed = {}
-    for key, val in values.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        parsed[key] = _parse_value(key, val)
+            key = key.strip()
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in parsed:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice")
+            parsed[key] = _parse_value(key, val.strip())
     parsed.update(overrides)
     return ExperimentConfig(**parsed)
-
-
-def save_config(config, path):
-    lines = []
-    for f in fields(ExperimentConfig):
-        val = getattr(config, f.name)
-        if val is None:
-            continue
-        if isinstance(val, tuple):
-            text = ",".join(_format_cell(x) for x in val)
-        elif f.name == "levels" and isinstance(val, dict):
-            text = ",".join(f"{k}:{v}" for k, v in sorted(val.items()))
-        else:
-            text = str(val)
-        lines.append(f"{f.name} = {text}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def desk_config(**overrides):
-    return ExperimentConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +234,15 @@ def make_low_rank(n1, n2, k, seed):
 def measurement_scaling(X, op, mu=0.9):
     """Rescale X so the measurement vector has max magnitude mu.
 
-    Keeps the quantizer inside its certified input range.  Zero input is
-    returned unchanged with an explanatory note.
+    Keeps the quantizer inside its certified input range.  Returns
+    (scaled X, scale); zero input is returned unchanged with scale 1.
     """
     y = sensing.apply(op, X)
     ymax = float(np.max(np.abs(y))) if y.size else 0.0
     if ymax == 0.0:
-        return X, ScalingNote(scale=1.0, measured_max=0.0, message="zero input unchanged")
+        return X, 1.0
     scale = mu / ymax
-    return X * scale, ScalingNote(scale=scale, measured_max=ymax)
+    return X * scale, scale
 
 
 def _derive_seed(*entropy):
@@ -344,28 +312,44 @@ def write_records_csv(records, path):
 
 def _parse_cell(name, text):
     if text == "":
+        # only the fields that default to None are written empty
+        if getattr(TrialRecord, name, "required") is not None:
+            raise ValueError(f"empty {name}")
         return None
     if name in ("r", "m", "ell", "trial_index", "seed", "iterations",
                 "rate_bits", "rate_bits_fig", "encoder_dim", "encoder_seed"):
         return int(text)
     if name in ("overflow", "converged"):
+        if text not in ("0", "1"):
+            raise ValueError(f"{name} must be 0 or 1, got {text!r}")
         return text == "1"
     return float(text)
 
 
 def read_records_csv(path):
-    records = []
+    """Read the records of a CSV that write_records_csv wrote.
+
+    A missing format line or header, a header other than the TrialRecord
+    columns, and a row with the wrong number of cells or a cell that does
+    not parse raise ValueError naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CSV_FORMAT_LINE:
-        raise ValueError(f"{path}: missing format line {CSV_FORMAT_LINE!r}")
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = body[0].split(",")
-    names = [("lam" if h == "lambda" else h) for h in header]
-    for row in body[1:]:
+        raise ValueError(f"{path}:1: missing format line {CSV_FORMAT_LINE!r}")
+    names = [f.name for f in fields(TrialRecord)]
+    header = ",".join(_column(n) for n in names)
+    if len(lines) < 2 or lines[1] != header:
+        raise ValueError(f"{path}:2: expected the header {header!r}")
+    records = []
+    for lineno, row in enumerate(lines[2:], 3):
         cells = row.split(",")
-        kwargs = {n: _parse_cell(n, c) for n, c in zip(names, cells)}
-        records.append(TrialRecord(**kwargs))
+        if len(cells) != len(names):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {len(names)}")
+        try:
+            records.append(TrialRecord(**{n: _parse_cell(n, c) for n, c in zip(names, cells)}))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -417,8 +401,7 @@ def trial_instance(task):
     X = make_low_rank(config.n1, config.n2, config.rank, task.matrix_seed)
     scale = 1.0
     if config.mu > 0:
-        X, note = measurement_scaling(X, op, config.mu)
-        scale = note.scale
+        X, scale = measurement_scaling(X, op, config.mu)
     y = sensing.apply(op, X)
     if task.eps > 0 and task.noise_seed is not None:
         noise = np.random.default_rng(task.noise_seed).uniform(0.0, 1.0, task.m)
@@ -555,10 +538,11 @@ class _SweepSpec:
     """What distinguishes one experiment's sweep from another's.
 
     points are the (lam, m, eps) grid points, swept for every order.
-    shared_operator draws one operator for all points (fixed mode) instead
-    of one per point; paired_truth reuses each trial's truth matrix at
-    every point.  Means of err_relative are grouped by the TrialRecord
-    field group_by and fitted over the groups with a positive value.
+    Every trial at a point shares its operator; shared_operator draws one
+    operator for all points instead of one per point; paired_truth
+    reuses each trial's truth matrix at every point.  Means of
+    err_relative are grouped by the TrialRecord field group_by and fitted
+    over the groups with a positive value.
     """
 
     experiment: int
@@ -568,7 +552,6 @@ class _SweepSpec:
     paired_truth: bool
     group_by: str
     fit_mode: str
-    x_label: str
 
 
 def _oversampling_spec(config):
@@ -577,7 +560,7 @@ def _oversampling_spec(config):
         tuple((lam, int(round(lam * config.ell)), 0.0)
               for lam in config.oversampling_grid),
         shared_operator=False, paired_truth=True,
-        group_by="lam", fit_mode="loglog", x_label="oversampling factor",
+        group_by="lam", fit_mode="loglog",
     )
 
 
@@ -587,7 +570,7 @@ def _noise_spec(config):
     return _SweepSpec(
         _EXP_NOISE, "noise", tuple((lam, m, eps) for eps in config.epsilon_grid),
         shared_operator=True, paired_truth=True,
-        group_by="eps", fit_mode="semilog", x_label="noise level",
+        group_by="eps", fit_mode="semilog",
     )
 
 
@@ -600,7 +583,7 @@ def _rate_spec(config):
               for lam in config.oversampling_grid),
         shared_operator=False, paired_truth=False,
         # rate_bits follows each trial's alphabet; rate_bits_fig has one value per (r, m)
-        group_by="rate_bits_fig", fit_mode="semilog", x_label="rate L_enc r ln m (bits)",
+        group_by="rate_bits_fig", fit_mode="semilog",
     )
 
 
@@ -614,18 +597,13 @@ def _sweep_tasks(config, spec):
     def seed(role, *key):
         return _derive_seed(config.master_seed, spec.experiment, role, *key)
 
-    fresh = config.operator_mode == "fresh"
     encoded = config.constraint_form == "encoded"
     for r in config.orders:
         for i, (lam, m, eps) in enumerate(spec.points):
             for trial in range(config.trials):
-                if spec.shared_operator:
-                    op_key = (0, i, trial) if fresh else (0,)
-                else:
-                    op_key = (i, trial) if fresh else (i,)
                 yield _TrialTask(
                     config=config, r=r, m=m, lam=lam, trial_index=trial,
-                    operator_seed=seed(_ROLE_OPERATOR, *op_key),
+                    operator_seed=seed(_ROLE_OPERATOR, 0 if spec.shared_operator else i),
                     matrix_seed=(seed(_ROLE_MATRIX, trial) if spec.paired_truth
                                  else seed(_ROLE_MATRIX, i, trial)),
                     eps=eps,
@@ -652,23 +630,28 @@ def _mean_errors(records, key):
     return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
 
 
+def _health(records):
+    """Counts of records that did not converge and that overflowed."""
+    return sum(not t.converged for t in records), sum(t.overflow for t in records)
+
+
 def _run_sweep(config, spec):
-    """Run one experiment's trials and write its CSV, summary and plot."""
+    """Run one experiment's trials and write its CSV and summary."""
     results, failures = _execute(list(_sweep_tasks(config, spec)), config.workers)
 
     column = _column(spec.group_by)
     slopes = {}
+    not_converged, overflowed = _health(results)
     summary = [
         f"config: master_seed={config.master_seed} form={config.constraint_form}"
         f" n={config.n1}x{config.n2} rank={config.rank} ell={config.ell}"
         f" beta={config.beta:g} mu={config.mu:g} trials={config.trials}",
         f"{spec.name.replace('_', '-')} sweep: {len(results)} trials,"
-        f" {len(failures)} failures",
+        f" {len(failures)} failures, {not_converged} not converged, {overflowed} overflowed",
     ]
     for r in config.orders:
-        means = _mean_errors(
-            [t for t in results if t.r == r], key=lambda t: getattr(t, spec.group_by)
-        )
+        records = [t for t in results if t.r == r]
+        means = _mean_errors(records, key=lambda t: getattr(t, spec.group_by))
         fitted = [(x, err) for x, err in means.items() if x > 0]
         if len(fitted) >= 2:
             slope, intercept, r2 = fit_slope(fitted, spec.fit_mode)
@@ -677,8 +660,12 @@ def _run_sweep(config, spec):
                 f"r={r}: {spec.fit_mode} slope vs {column} {slope:.6g}"
                 f" intercept {intercept:.6g} R2 {r2:.4f} over {len(fitted)} points"
             )
-        summary += [f"  {column}={x:g}: mean relative error {err:.6e}"
-                    for x, err in means.items()]
+        for x, err in means.items():
+            not_converged, overflowed = _health(
+                [t for t in records if getattr(t, spec.group_by) == x])
+            flagged = (f" ({not_converged} not converged, {overflowed} overflowed)"
+                       if not_converged or overflowed else "")
+            summary.append(f"  {column}={x:g}: mean relative error {err:.6e}{flagged}")
     summary += [
         f"FAILED r={t.r} m={t.m} eps={t.eps:g} trial={t.trial_index}: {msg}"
         for t, msg in failures
@@ -690,14 +677,10 @@ def _run_sweep(config, spec):
     summary_path = os.path.join(config.output_path, f"{spec.name}_summary.txt")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(summary) + "\n")
-    plot_path = os.path.join(config.output_path, f"plot_{spec.name}.py")
-    with open(plot_path, "w", encoding="utf-8") as fh:
-        fh.write(_plot_script(f"{spec.name}.csv", spec.fit_mode, column, spec.x_label))
     return SweepResult(
         records=results,
         csv_path=csv_path,
         summary_path=summary_path,
-        plot_path=plot_path,
         slopes=slopes,
         failures=failures,
     )
@@ -720,38 +703,3 @@ def run_rate_distortion(config):
     m = lambda * encoder_dim for each grid value.
     """
     return _run_sweep(replace(config, constraint_form="encoded"), _rate_spec(config))
-
-
-def _plot_script(csv_name, kind, x_col, x_label):
-    return f'''"""Self-contained plot for {csv_name}; needs only matplotlib."""
-import csv
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-series = defaultdict(lambda: defaultdict(list))
-with open("{csv_name}", "r", encoding="utf-8") as fh:
-    rows = [r for r in fh if r.strip() and not r.startswith("#")]
-reader = csv.DictReader(rows)
-for row in reader:
-    x = float(row["{x_col}"])
-    series[int(row["r"])][x].append(float(row["err_relative"]))
-
-fig, ax = plt.subplots()
-for r in sorted(series):
-    xs = sorted(series[r])
-    ys = [sum(series[r][x]) / len(series[r][x]) for x in xs]
-    ax.plot(xs, ys, marker="o", label=f"r={{r}}")
-kind = "{kind}"
-if kind == "loglog":
-    ax.set_xscale("log")
-    ax.set_yscale("log")
-elif kind == "semilog":
-    ax.set_yscale("log")
-ax.set_xlabel("{x_label}")
-ax.set_ylabel("mean relative error")
-ax.legend()
-ax.grid(True, which="both", alpha=0.3)
-fig.savefig("{csv_name}".replace(".csv", ".png"), dpi=150)
-print("wrote", "{csv_name}".replace(".csv", ".png"))
-'''

@@ -25,7 +25,6 @@ __all__ = [
     "SigmaDeltaScheme",
     "QuantizationRun",
     "build_alphabet",
-    "scalar_quantize",
     "required_levels",
     "quantize",
     "state_residual",
@@ -107,29 +106,6 @@ def default_scheme(order, alphabet):
     return SigmaDeltaScheme(order, alphabet, alphabet.step / 2)
 
 
-def scalar_quantize(z, alphabet):
-    """Nearest alphabet level to z; exact ties resolve to the larger level.
-
-    The candidate index comes from integer arithmetic on z / step and is
-    then refined by comparing against its neighbors, so the argmin and
-    tie-break contracts hold even when z / step rounds poorly.
-    """
-    if not np.isfinite(z):
-        raise ValueError("scalar_quantize requires a finite input")
-    values = alphabet.values
-    top = len(values) - 1
-    j = int(np.floor(z / alphabet.step)) + alphabet.num_levels_half
-    j = min(max(j, 0), top)
-    best = j
-    for cand in (j - 1, j + 1):
-        if 0 <= cand <= top:
-            d_best = abs(values[best] - z)
-            d_cand = abs(values[cand] - z)
-            if d_cand < d_best or (d_cand == d_best and values[cand] > values[best]):
-                best = cand
-    return float(values[best])
-
-
 def required_levels(input_bound, step, order):
     """Alphabet half-size sufficient for the half-step state bound.
 
@@ -165,8 +141,8 @@ def quantize(y, scheme):
         raise ValueError("quantize requires finite inputs")
     r = scheme.order
     alphabet = scheme.alphabet
-    # scalar_quantize inlined on Python floats: the same floor candidate,
-    # neighbour checks and tie-break, so every output bit matches it
+    # nearest level on Python floats: a floor candidate, then its
+    # neighbours, with exact ties going to the larger level
     levels = alphabet.values.tolist()
     top = len(levels) - 1
     half = alphabet.num_levels_half

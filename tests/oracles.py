@@ -1,22 +1,46 @@
 """Reference implementations that only tests call.
 
 Each is the plain, slow route to something the package computes faster or
-composes from its primitives: the quantizer loop built on
-sigma_delta.scalar_quantize, a high-accuracy solve with a cold/warm
-agreement check, and the measurement operator composed with the scaled
-singular projection.
+composes from its primitives: the quantizer loop built on a per-sample
+nearest-level search, a high-accuracy solve with a cold/warm agreement
+check, and the measurement operator composed with the scaled singular
+projection.  save_config writes the flat key=value format that
+harness.load_config reads.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from sdlowrank import harness
 from sdlowrank import recovery
-from sdlowrank import sigma_delta
 
 _REFERENCE_MAX_UNKNOWNS = 100
 _REFERENCE_MAX_ROWS = 200
+
+
+def scalar_quantize(z, alphabet):
+    """Nearest alphabet level to z; exact ties resolve to the larger level.
+
+    The candidate index comes from integer arithmetic on z / step and is
+    then refined by comparing against its neighbors, so the argmin and
+    tie-break contracts hold even when z / step rounds poorly.
+    """
+    if not np.isfinite(z):
+        raise ValueError("scalar_quantize requires a finite input")
+    values = alphabet.values
+    top = len(values) - 1
+    j = int(np.floor(z / alphabet.step)) + alphabet.num_levels_half
+    j = min(max(j, 0), top)
+    best = j
+    for cand in (j - 1, j + 1):
+        if 0 <= cand <= top:
+            d_best = abs(values[best] - z)
+            d_cand = abs(values[cand] - z)
+            if d_cand < d_best or (d_cand == d_best and values[cand] > values[best]):
+                best = cand
+    return float(values[best])
 
 
 def reference_quantize(y, scheme):
@@ -33,7 +57,7 @@ def reference_quantize(y, scheme):
         v = y[i]
         for j in range(1, min(r, i) + 1):
             v += coeffs[j - 1] * u[i - j]
-        q[i] = sigma_delta.scalar_quantize(v, scheme.alphabet)
+        q[i] = scalar_quantize(v, scheme.alphabet)
         u[i] = v - q[i]
     alphabet = scheme.alphabet
     rounding = 4 * np.finfo(float).eps * (alphabet.max_level + alphabet.step)
@@ -95,3 +119,21 @@ def composed_operator(op, basis, ell):
     Vt = basis.right_vectors[:, :ell].T
     data = (Vt @ op.data) / np.sqrt(ell)
     return ComposedOperator(rows=ell, shape=tuple(op.shape), data=data)
+
+
+def save_config(config, path):
+    """Write every set field of config as one key = value line."""
+    lines = []
+    for f in fields(harness.ExperimentConfig):
+        val = getattr(config, f.name)
+        if val is None:
+            continue
+        if isinstance(val, tuple):
+            text = ",".join(str(x) for x in val)
+        elif f.name == "levels" and isinstance(val, dict):
+            text = ",".join(f"{k}:{v}" for k, v in sorted(val.items()))
+        else:
+            text = str(val)
+        lines.append(f"{f.name} = {text}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -47,7 +47,7 @@ def sweep_full_r1(out_root):
     tightest constraint; the truncated projection saturates at desk m
     and flattens the r = 1 slope, so it is not used for this order.
     """
-    cfg = harness.desk_config(
+    cfg = harness.ExperimentConfig(
         constraint_form="full_inverse_power", orders=(1,),
         master_seed=MASTER_SEED, output_path=str(out_root / "oversampling_r1"),
     )
@@ -57,7 +57,7 @@ def sweep_full_r1(out_root):
 @pytest.fixture(scope="module")
 def sweep_proj_r23(out_root):
     """Oversampling sweep, orders 2 and 3 through the default projected form."""
-    cfg = harness.desk_config(
+    cfg = harness.ExperimentConfig(
         orders=(2, 3), master_seed=MASTER_SEED,
         output_path=str(out_root / "oversampling_r23"),
     )
@@ -66,7 +66,7 @@ def sweep_proj_r23(out_root):
 
 @pytest.fixture(scope="module")
 def sweep_noise(out_root):
-    cfg = harness.desk_config(
+    cfg = harness.ExperimentConfig(
         orders=(1,), master_seed=MASTER_SEED,
         output_path=str(out_root / "noise"),
     )
@@ -75,7 +75,7 @@ def sweep_noise(out_root):
 
 @pytest.fixture(scope="module")
 def sweep_rate(out_root):
-    cfg = harness.desk_config(
+    cfg = harness.ExperimentConfig(
         orders=(2,), master_seed=MASTER_SEED,
         output_path=str(out_root / "rate"),
     )

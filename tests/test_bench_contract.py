@@ -14,6 +14,8 @@ import pytest
 
 from sdlowrank import cli, encoding, harness, noise_shaping, recovery, sensing, sigma_delta
 
+from oracles import save_config
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -39,13 +41,13 @@ MODULES = {
     ("rate-distortion", "rate_distortion.csv"),
 ])
 def test_traced_sweep_joins_its_csv(tmp_path, command, csv_name):
-    config = harness.desk_config(
+    config = harness.ExperimentConfig(
         n1=5, n2=5, rank=1, ell=16, oversampling_grid=(2.0, 4.0), orders=(1, 2),
         epsilon_grid=(0.0, 0.5), trials=2, encoder_dim=16, master_seed=5,
         output_path=str(tmp_path / "out"),
     )
     path = tmp_path / "tiny.cfg"
-    harness.save_config(config, path)
+    save_config(config, path)
     tracer = tracing.Tracer()
     with tracer.installed(MODULES):
         with tracer.span("cli.main") as sweep:

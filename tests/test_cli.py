@@ -8,6 +8,8 @@ import pytest
 from sdlowrank import cli
 from sdlowrank import harness
 
+from oracles import save_config
+
 
 def write_tiny_cfg(tmp_path, **overrides):
     base = dict(
@@ -17,20 +19,13 @@ def write_tiny_cfg(tmp_path, **overrides):
     )
     base.update(overrides)
     path = tmp_path / "tiny.cfg"
-    harness.save_config(harness.desk_config(**base), path)
+    save_config(harness.ExperimentConfig(**base), path)
     return str(path)
 
 
 @pytest.fixture
 def tiny_cfg_file(tmp_path):
     return write_tiny_cfg(tmp_path)
-
-
-def test_selftest_passes(capsys):
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "SELFTEST PASS" in out
-    assert "FAIL" not in out
 
 
 def test_quantize_prints_and_saves(tiny_cfg_file, tmp_path, capsys):
@@ -94,13 +89,13 @@ def test_sweep_noise_cli(tiny_cfg_file, tmp_path, capsys):
 
 
 def test_rate_distortion_cli(tmp_path, capsys):
-    cfg = harness.desk_config(
+    cfg = harness.ExperimentConfig(
         n1=5, n2=5, rank=1, ell=16, oversampling_grid=(2.0, 4.0),
         orders=(2,), trials=2, master_seed=77, encoder_dim=16,
         constraint_form="encoded", output_path=str(tmp_path / "out"),
     )
     path = tmp_path / "rate.cfg"
-    harness.save_config(cfg, path)
+    save_config(cfg, path)
     code = cli.main(["rate-distortion", "--config", str(path)])
     assert code == 0
     assert os.path.exists(os.path.join(cfg.output_path, "rate_distortion.csv"))
@@ -139,7 +134,7 @@ def test_no_config_is_the_desk_config(monkeypatch, command, runner):
 
     def capture(config):
         seen.append(config)
-        return harness.SweepResult([], "x.csv", "x.txt", "x.py", {}, [])
+        return harness.SweepResult([], "x.csv", "x.txt", {}, [])
 
     monkeypatch.setattr(harness, runner, capture)
     assert cli.main([command, "--out", "x"]) == 0

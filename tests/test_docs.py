@@ -1,8 +1,13 @@
-"""The README quick start and the demo run as documented."""
+"""The README quick start and the demo run as documented, and the README
+and configs/desk.cfg match the program they describe."""
 
+import argparse
 import re
 import runpy
+from dataclasses import fields
 from pathlib import Path
+
+from sdlowrank import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +23,19 @@ def test_quantizer_walkthrough_runs(capsys):
     demo = runpy.run_path(str(ROOT / "demos" / "quantizer_walkthrough.py"))
     demo["run_demo"]()
     assert "relative error" in capsys.readouterr().out
+
+
+def test_readme_lists_every_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Command line .*?```\n(.*?)```", readme, re.DOTALL).group(1)
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("sdlowrank ")]
+    [subcommands] = [action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(subcommands)
+
+
+def test_desk_config_sets_every_field():
+    lines = (ROOT / "configs" / "desk.cfg").read_text(encoding="utf-8").splitlines()
+    keys = [line.partition("=")[0].strip() for line in lines
+            if line.strip() and not line.startswith("#")]
+    assert sorted(keys) == sorted(f.name for f in fields(harness.ExperimentConfig))

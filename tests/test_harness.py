@@ -13,6 +13,8 @@ from sdlowrank import harness
 from sdlowrank import noise_shaping
 from sdlowrank import sensing
 
+from oracles import save_config
+
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
 
@@ -24,38 +26,44 @@ def tiny_config(tmp_path, **overrides):
         output_path=str(tmp_path / "out"),
     )
     base.update(overrides)
-    return harness.desk_config(**base)
+    return harness.ExperimentConfig(**base)
 
 
 # -- config files -----------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
-    cfg = harness.desk_config(
+    cfg = harness.ExperimentConfig(
         orders=(1, 3), epsilon_grid=(0.0, 0.25), levels={1: 3, 2: 9},
         gamma=0.3, trials=7, mu=0.9, constraint_form="full_inverse_power",
     )
     path = tmp_path / "t.cfg"
-    harness.save_config(cfg, path)
+    save_config(cfg, path)
     back = harness.load_config(path)
     assert back == cfg
 
 
 def test_config_defaults_round_trip(tmp_path):
-    cfg = harness.desk_config()
-    harness.save_config(cfg, tmp_path / "d.cfg")
+    cfg = harness.ExperimentConfig()
+    save_config(cfg, tmp_path / "d.cfg")
     assert harness.load_config(tmp_path / "d.cfg") == cfg
 
 
 def test_load_config_overrides_win(tmp_path):
-    harness.save_config(harness.desk_config(trials=3), tmp_path / "o.cfg")
+    save_config(harness.ExperimentConfig(trials=3), tmp_path / "o.cfg")
     cfg = harness.load_config(tmp_path / "o.cfg", trials=9, master_seed=5)
     assert cfg.trials == 9 and cfg.master_seed == 5
 
 
 def test_unknown_config_key_rejected(tmp_path):
     (tmp_path / "bad.cfg").write_text("n1 = 10\nturbo = yes\n")
-    with pytest.raises(ValueError, match="turbo"):
+    with pytest.raises(ValueError, match="bad.cfg:2: .*turbo"):
         harness.load_config(tmp_path / "bad.cfg")
+
+
+def test_duplicate_config_key_rejected(tmp_path):
+    (tmp_path / "dup.cfg").write_text("trials = 3\nn1 = 10\ntrials = 4\n")
+    with pytest.raises(ValueError, match="dup.cfg:3: .*trials"):
+        harness.load_config(tmp_path / "dup.cfg")
 
 
 def test_malformed_config_line_rejected(tmp_path):
@@ -79,11 +87,11 @@ def test_shipped_configs_load(path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        harness.desk_config(oversampling_grid=(2.3,), ell=16)  # m not integral
+        harness.ExperimentConfig(oversampling_grid=(2.3,), ell=16)  # m not integral
     with pytest.raises(ValueError):
-        harness.desk_config(epsilon_grid=(-0.5,))
+        harness.ExperimentConfig(epsilon_grid=(-0.5,))
     with pytest.raises(ValueError):
-        harness.desk_config(constraint_form="banana")
+        harness.ExperimentConfig(constraint_form="banana")
 
 
 # -- building blocks --------------------------------------------------------
@@ -111,16 +119,15 @@ def test_measurement_scaling_hits_target():
     ymax = float(np.max(np.abs(sensing.apply(op, X))))
     # rescale the operator so the raw measurement peak is exactly 2
     op2 = dataclasses.replace(op, data=op.data * (2.0 / ymax))
-    Xs, note = harness.measurement_scaling(X, op2, mu=0.9)
-    assert note.scale == pytest.approx(0.45, rel=1e-12)
-    assert note.measured_max == pytest.approx(2.0, rel=1e-12)
+    Xs, scale = harness.measurement_scaling(X, op2, mu=0.9)
+    assert scale == pytest.approx(0.45, rel=1e-12)
     assert np.max(np.abs(sensing.apply(op2, Xs))) <= 0.9 * (1 + 1e-9)
 
 
 def test_measurement_scaling_zero_input():
     op = sensing.draw_operator(8, 3, 3, seed=1)
-    Xs, note = harness.measurement_scaling(np.zeros((3, 3)), op)
-    assert note.scale == 1.0 and "zero" in note.message
+    Xs, scale = harness.measurement_scaling(np.zeros((3, 3)), op)
+    assert scale == 1.0
     assert np.array_equal(Xs, np.zeros((3, 3)))
 
 
@@ -219,14 +226,49 @@ def test_read_records_rejects_wrong_format(tmp_path):
         harness.read_records_csv(tmp_path / "bad.csv")
 
 
+def _drop_cells(row, n):
+    return ",".join(row.split(",")[:-n])
+
+
+def _set_cell(row, index, text):
+    cells = row.split(",")
+    cells[index] = text
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("mutate, lineno", [
+    (lambda lines: lines[:1], 2),
+    (lambda lines: lines[:2] + [_drop_cells(lines[2], 14)], 3),
+    (lambda lines: [lines[0], lines[1] + ",turbo", lines[2] + ",1"], 2),
+    (lambda lines: lines[:2] + [lines[2] + ",7"], 3),
+    (lambda lines: lines[:2] + [_drop_cells(lines[2], 1)], 3),
+    (lambda lines: lines[:2] + [_set_cell(lines[2], 6, "")], 3),
+    (lambda lines: lines[:2] + [_set_cell(lines[2], 13, "true")], 3),
+], ids=["format-line-only", "short-row", "unknown-column", "extra-cell", "last-cell-missing",
+        "empty-required-cell", "flag-not-0-or-1"])
+def test_read_records_rejects_malformed_files(tmp_path, mutate, lineno):
+    rec = harness.TrialRecord(
+        r=2, m=32, ell=16, lam=2.0, trial_index=0, seed=123,
+        err_frobenius=0.5, err_relative=0.1, objective=4.25, sigma_k_tail=0.0,
+        eps=0.0, rate_bits=90, rate_bits_fig=45, encoder_dim=16, encoder_seed=99,
+    )
+    harness.write_records_csv([rec], tmp_path / "ok.csv")
+    lines = mutate((tmp_path / "ok.csv").read_text().splitlines())
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.csv:{lineno}: "):
+        harness.read_records_csv(tmp_path / "bad.csv")
+
+
 # -- sweeps at toy size -----------------------------------------------------
 
 def test_oversampling_sweep_row_count_and_outputs(tmp_path):
     cfg = tiny_config(tmp_path)
     res = harness.run_oversampling_sweep(cfg)
     assert len(res.records) == len(cfg.orders) * len(cfg.oversampling_grid) * cfg.trials
-    for path in (res.csv_path, res.summary_path, res.plot_path):
+    for path in (res.csv_path, res.summary_path):
         assert os.path.exists(path)
+    assert sorted(os.listdir(cfg.output_path)) == [
+        "basis_cache", "oversampling.csv", "oversampling_summary.txt"]
     assert 1 in res.slopes
     assert not res.failures
     for rec in res.records:
@@ -308,6 +350,30 @@ def test_sweep_summary_mentions_slopes(tmp_path):
     text = Path(res.summary_path).read_text()
     assert "slope" in text.lower()
     assert f"master_seed={cfg.master_seed}" in text
+    assert "0 failures, 0 not converged, 0 overflowed" in text
+    assert "not converged)" not in text
+
+
+def test_summary_counts_nonconverged_and_overflowed_trials(tmp_path):
+    # three iterations stop every solve short; gamma below beta / 2 overflows
+    cfg = tiny_config(tmp_path, solver_max_iterations=3, gamma=0.2)
+    res = harness.run_oversampling_sweep(cfg)
+
+    def counts(records):
+        return sum(not t.converged for t in records), sum(t.overflow for t in records)
+
+    not_converged, overflowed = counts(res.records)
+    assert not_converged > 0 and overflowed > 0
+    lines = Path(res.summary_path).read_text().splitlines()
+    assert lines[1] == (f"oversampling sweep: {len(res.records)} trials, 0 failures, "
+                        f"{not_converged} not converged, {overflowed} overflowed")
+    for lam in cfg.oversampling_grid:
+        group = counts([t for t in res.records if t.lam == lam])
+        [line] = [ln for ln in lines if ln.startswith(f"  lambda={lam:g}: ")]
+        if any(group):
+            assert line.endswith(" (%d not converged, %d overflowed)" % group)
+        else:
+            assert "not converged" not in line
 
 
 def test_failures_come_back_in_csv_order(tmp_path):

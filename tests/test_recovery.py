@@ -74,14 +74,41 @@ def test_unquantized_rank_one_exact_recovery():
     assert np.linalg.norm(sol.estimate - X) <= 1e-3 * np.linalg.norm(X)
 
 
-def test_truth_is_feasible_for_all_forms():
-    for form in ("full_inverse_power", "projected"):
-        for eps in (0.0, 0.5):
-            problem, X, noise = pipeline_problem(5, 80, 2, form=form, seed=3,
-                                                 eps=eps, ell=20)
-            shaped = recovery.shaped_residual_vector(problem, X, noise)
-            assert np.linalg.norm(shaped) <= problem.radius + 1e-9
-            assert np.linalg.norm(noise) <= problem.noise_radius + 1e-12
+@settings(PROPERTY, max_examples=100)
+@given(
+    form=st.sampled_from(recovery.CONSTRAINT_FORMS),
+    r=st.integers(1, 3),
+    ell=st.sampled_from([20, 40, 80]),
+    lam=st.integers(1, 4),
+    eps=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    distribution=st.sampled_from(sensing.DISTRIBUTIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truth_is_feasible_for_all_forms(form, r, ell, lam, eps, distribution, seed):
+    # the sweep's own instance, drawn through the config (so its
+    # distribution), with the task's bounded noise when eps > 0
+    config = harness.ExperimentConfig(
+        n1=4, n2=4, rank=1, ell=ell, oversampling_grid=(float(lam),), orders=(r,),
+        master_seed=seed, constraint_form=form, encoder_dim=20, distribution=distribution,
+    )
+    task = dataclasses.replace(harness.first_trial(config), eps=eps, noise_seed=seed)
+    op, X, _, y = harness.trial_instance(task)
+    noise = y - sensing.apply(op, X)
+    scheme, run = harness.trial_quantize(task, y)
+    assert not run.overflow
+    basis = encoder = None
+    if form == "projected":
+        basis = noise_shaping.compute_basis(task.m, r, truncation=ell)
+    if form == "encoded":
+        encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
+        assert encoder.norm_ok
+    problem = recovery.RecoveryProblem(
+        operator=op, quantized=run.output, order=r, gamma=scheme.stability_constant,
+        noise_bound=eps, constraint_form=form, basis=basis, encoder=encoder,
+    )
+    shaped = recovery.shaped_residual_vector(problem, X, noise)
+    assert np.linalg.norm(shaped) <= problem.radius * (1 + 1e-9)
+    assert np.linalg.norm(noise) <= problem.noise_radius * (1 + 1e-9)
 
 
 def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
@@ -312,10 +339,42 @@ def test_tube_projection_lands_at_the_cap_when_the_tube_is_empty():
         assert abs(np.linalg.norm(J @ x - c) - 2 * R) <= 1e-9 * R
 
 
+@PROPERTY
+@given(
+    n1=st.integers(1, 8),
+    n2=st.integers(1, 8),
+    rank=st.integers(0, 8),
+    log_scale=st.floats(-2.0, 2.0),
+    tau_rel=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nuclear_prox_is_the_proximal_point(n1, n2, rank, log_scale, tau_rel, seed):
+    # f(X) = tau ||X||_* + ||X - Z||_F^2 / 2 is 1-strongly convex, so P is
+    # its minimizer exactly when f(X) >= f(P) + ||X - P||_F^2 / 2 for all X
+    rng = np.random.default_rng(seed)
+    k = min(rank, n1, n2)  # below min(n1, n2): a rank-deficient Z
+    scale = 10.0 ** log_scale
+    Z = scale * rng.standard_normal((n1, k)) @ rng.standard_normal((k, n2))
+    tau = tau_rel * max(np.linalg.norm(Z, 2), scale)
+    P = recovery._nuclear_prox(Z, tau)
+
+    def f(X):
+        return tau * recovery.nuclear_norm(X) + 0.5 * np.sum((X - Z) ** 2)
+
+    fP = f(P)
+    candidates = [np.zeros_like(Z), Z]
+    for step in (1e-6, 1e-3, 1e-1, 1.0):
+        candidates += [P + step * scale * rng.standard_normal(Z.shape) for _ in range(5)]
+    for X in candidates:
+        # rounding in f grows with the larger of the two values compared
+        fX = f(X)
+        assert fX >= fP + 0.5 * np.sum((X - P) ** 2) - 1e-12 * max(1.0, abs(fP), fX)
+
+
 def test_warm_started_secular_solve_stays_cheap(tmp_path):
     # a clock-free guard on the projection's cost: the warm start needs
     # about 3 Newton evaluations per ADMM iteration, a cold bracket about 8
-    config = harness.desk_config(output_path=str(tmp_path))
+    config = harness.ExperimentConfig(output_path=str(tmp_path))
     _, solution = harness.trial_solve(harness.first_trial(config))
     assert solution.converged
     assert solution.secular_steps <= 4 * solution.iterations

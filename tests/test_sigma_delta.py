@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdlowrank import sigma_delta as sdq
 
-from oracles import reference_quantize
+from oracles import reference_quantize, scalar_quantize
 
 # fixed examples, so the suite stays deterministic from run to run
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -35,28 +35,28 @@ def test_alphabet_rejects_bad_args():
 
 def test_scalar_quantize_nearest():
     a = sdq.build_alphabet(2, 0.5)  # levels -0.75 -0.25 0.25 0.75
-    assert sdq.scalar_quantize(0.3, a) == 0.25
-    assert sdq.scalar_quantize(-0.6, a) == -0.75
-    assert sdq.scalar_quantize(0.74, a) == 0.75
+    assert scalar_quantize(0.3, a) == 0.25
+    assert scalar_quantize(-0.6, a) == -0.75
+    assert scalar_quantize(0.74, a) == 0.75
 
 
 def test_scalar_quantize_tie_goes_to_larger():
     a = sdq.build_alphabet(2, 0.5)
-    assert sdq.scalar_quantize(0.0, a) == 0.25
-    assert sdq.scalar_quantize(0.5, a) == 0.75
-    assert sdq.scalar_quantize(-0.5, a) == -0.25
+    assert scalar_quantize(0.0, a) == 0.25
+    assert scalar_quantize(0.5, a) == 0.75
+    assert scalar_quantize(-0.5, a) == -0.25
 
 
 def test_scalar_quantize_saturates_out_of_range():
     a = sdq.build_alphabet(1, 0.5)
-    assert sdq.scalar_quantize(7.0, a) == 0.25
-    assert sdq.scalar_quantize(-7.0, a) == -0.25
+    assert scalar_quantize(7.0, a) == 0.25
+    assert scalar_quantize(-7.0, a) == -0.25
 
 
 def test_scalar_quantize_monotone():
     a = sdq.build_alphabet(3, 0.5)
     zs = np.linspace(-2, 2, 801)
-    qs = [sdq.scalar_quantize(z, a) for z in zs]
+    qs = [scalar_quantize(z, a) for z in zs]
     assert all(b >= a_ for a_, b in zip(qs, qs[1:]))
 
 
@@ -136,9 +136,10 @@ def test_quantizer_certified_range_any_step(r, k, d, mu, m, seed, on_grid):
     assert sdq.state_residual(run, r) <= 1e-9 * max(1.0, float(np.max(np.abs(y))))
 
 
-# quantize inlines scalar_quantize on Python floats; it must reproduce the
-# per-sample scalar_quantize loop bit for bit, at dyadic and non-dyadic
-# steps, on the half-step grid (exact ties) and past the alphabet's range
+# quantize does scalar_quantize's nearest-level search inline on Python
+# floats; it must reproduce the per-sample scalar_quantize loop bit for
+# bit, at dyadic and non-dyadic steps, on the half-step grid (exact ties)
+# and past the alphabet's range
 @PROPERTY
 @given(
     r=st.integers(1, 4),
