@@ -35,8 +35,7 @@ def run_demo():
 
     basis = noise_shaping.compute_basis(m, r, truncation=ell)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2,
-        constraint_form="projected", basis=basis,
+        operator=op, quantized=run.output, order=r, gamma=beta / 2, basis=basis,
     )
     start = time.time()
     sol = recovery.recover(problem)
@@ -48,7 +47,7 @@ def run_demo():
     print(f"relative error = {rel:.4e}")
     print(f"nuclear norms: estimate {sol.objective:.4f} vs truth "
           f"{recovery.nuclear_norm(X):.4f}")
-    report = recovery.check_feasibility(sol, problem)
+    report = sol.feasibility
     print(f"constraint: |shaped residual| = {report.shaped_lhs:.4f} "
           f"<= radius {report.shaped_radius:.4f} (slack {report.shaped_slack:.4f})")
 
@@ -57,8 +56,7 @@ def run_demo():
     encoder = encoding.draw_encoder(L_enc, m, seed=3)
     coded = encoding.encode(run.output, r, encoder, alphabet.max_level)
     problem_enc = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2,
-        constraint_form="encoded", encoder=encoder,
+        operator=op, quantized=run.output, order=r, gamma=beta / 2, encoder=encoder,
     )
     sol_enc = recovery.recover(problem_enc)
     rel_enc = np.linalg.norm(sol_enc.estimate - X) / np.linalg.norm(X)

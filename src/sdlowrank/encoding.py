@@ -28,18 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EncoderMatrix:
-    """Reproducible L_enc x m random sign matrix with a norm certificate.
-
-    norm_estimate is the exact spectral norm; norm_ok records whether it
-    stays within the high-probability bound sqrt(L_enc) + 2 sqrt(m).
-    """
+    """Reproducible L_enc x m random sign matrix."""
 
     out_dim: int
     in_dim: int
     seed: int
     data: np.ndarray = field(repr=False)
-    norm_estimate: float = 0.0
-    norm_ok: bool = True
 
 
 @dataclass(frozen=True)
@@ -57,21 +51,16 @@ class EncodedMeasurements:
 
 
 def draw_encoder(L_enc, m, seed=0):
-    """Draw a reproducible ±1 encoder and check its operator norm."""
+    """Draw a reproducible ±1 encoder."""
     if not (1 <= L_enc <= m):
         raise ValueError("need 1 <= L_enc <= m")
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(L_enc, m)).astype(float) * 2.0 - 1.0
-    # exact spectral norm: the top eigenvalue of the L_enc x L_enc Gram matrix
-    est = float(np.sqrt(np.linalg.eigvalsh(data @ data.T)[-1]))
-    bound = np.sqrt(L_enc) + 2.0 * np.sqrt(m)
     return EncoderMatrix(
         out_dim=int(L_enc),
         in_dim=int(m),
         seed=int(seed),
         data=data,
-        norm_estimate=est,
-        norm_ok=bool(est <= bound),
     )
 
 

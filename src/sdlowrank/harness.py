@@ -45,6 +45,9 @@ __all__ = [
 
 CSV_FORMAT_LINE = "# sdlowrank-trials-v1"
 
+# the decoder forms constraint_form names; see recovery.RecoveryProblem
+CONSTRAINT_FORMS = ("full_inverse_power", "projected", "encoded")
+
 # experiment identifiers entering seed derivation
 _EXP_OVERSAMPLING = 1
 _EXP_NOISE = 2
@@ -88,14 +91,15 @@ class ExperimentConfig:
     mu: float = 0.0
     solver_max_iterations: int = 5000
     solver_tolerance: float = 1e-6
-    solver_penalty: float = 1.0
     workers: int = 1
-    output_path: str = "results"
+    output_path: str = "results/desk"
     cache_dir: object = None
 
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
+        if not (1 <= self.rank <= min(self.n1, self.n2)):
+            raise ValueError(f"rank must lie in [1, {min(self.n1, self.n2)}]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.orders) == 0:
@@ -107,8 +111,12 @@ class ExperimentConfig:
                 raise ValueError(f"m = {lam} * {self.ell} is not integral")
         if any(e < 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be nonnegative")
-        if self.constraint_form not in recovery.CONSTRAINT_FORMS:
+        if self.constraint_form not in CONSTRAINT_FORMS:
             raise ValueError(f"unknown constraint_form {self.constraint_form!r}")
+        if isinstance(self.levels, dict):
+            for order in self.orders:
+                if order not in self.levels:
+                    raise ValueError(f"levels has no entry for order {order}")
 
     def gamma_value(self):
         return self.beta / 2 if self.gamma == "auto" else float(self.gamma)
@@ -124,7 +132,6 @@ class ExperimentConfig:
         return recovery.SolverParams(
             max_iterations=self.solver_max_iterations,
             tolerance=self.solver_tolerance,
-            penalty=self.solver_penalty,
         )
 
 
@@ -426,7 +433,9 @@ def trial_solve(task, basis=None):
     """Run one trial through decoding; return (TrialRecord, RecoverySolution).
 
     basis is the projected form's noise-shaping basis at (task.m, task.r);
-    a trial run on its own builds it (or reads it from the cache).
+    a trial run on its own builds it (or reads it from the cache).  Unless
+    the quantizer overflowed, a true pair (X, y - M(X)) that fails
+    check_feasibility raises RuntimeError naming the violated constraint.
     """
     config = task.config
     m, r = task.m, task.r
@@ -448,18 +457,14 @@ def trial_solve(task, basis=None):
         order=r,
         gamma=scheme.stability_constant,
         noise_bound=task.eps,
-        constraint_form=config.constraint_form,
         basis=basis,
         encoder=encoder,
     )
-    if encoder is not None:
-        # the true pair must satisfy the sketched constraint; this is a
-        # guaranteed consequence of stability and the encoder norm bound
-        truth_lhs = np.linalg.norm(encoder.data @ run.state)
-        if not run.overflow and encoder.norm_ok and truth_lhs > problem.radius:
-            raise RuntimeError(
-                f"truth violates the sketched constraint: {truth_lhs:.3e}"
-            )
+    if not run.overflow:
+        # by stability the true pair (X, y - M(X)) lies inside the ball
+        truth = recovery.check_feasibility(problem, X, y - sensing.apply(op, X))
+        if not truth.ok:
+            raise RuntimeError("truth is infeasible: " + "; ".join(truth.messages))
     solution = recovery.recover(problem, config.solver_params())
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))
@@ -577,6 +582,9 @@ def _noise_spec(config):
 def _rate_spec(config):
     if config.encoder_dim < 1:
         raise ValueError("encoder_dim must be set for rate-distortion runs")
+    for lam in config.oversampling_grid:
+        if not float(lam * config.encoder_dim).is_integer():
+            raise ValueError(f"m = {lam} * {config.encoder_dim} is not integral")
     return _SweepSpec(
         _EXP_RATE, "rate_distortion",
         tuple((lam, int(round(lam * config.encoder_dim)), 0.0)

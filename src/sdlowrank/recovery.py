@@ -5,10 +5,11 @@ The program being solved is
     minimize ||Z||_*  subject to  ||shaped(M(Z) + nu - q)||_2 <= radius,
                                   ||nu||_2 <= eps * sqrt(m),
 
-where "shaped" is one of three linear maps: the full inverse power
-D^{-r}, its truncated singular projection sigma_ell P_ell V^T, or a
-Bernoulli-sketched inverse power B D^{-r}.  All three reduce to a single
-Euclidean ball constraint on a stacked variable x = (vec Z, nu):
+where "shaped" is one of three linear maps, picked by the problem's
+inputs: the full inverse power D^{-r} (neither), its truncated singular
+projection sigma_ell P_ell V^T (a basis), or a Bernoulli-sketched B D^{-r}
+(an encoder).  All three reduce to a single Euclidean ball constraint on
+a stacked variable x = (vec Z, nu):
 
     S = { x : ||J x - c||_2 <= radius }.
 
@@ -41,8 +42,6 @@ __all__ = [
     "best_rank_k_error",
 ]
 
-CONSTRAINT_FORMS = ("full_inverse_power", "projected", "encoded")
-
 # materializing D^{-r} (full form with noise) is quadratic in m; refuse
 # beyond this and point the caller at the projected form
 DENSE_FULL_FORM_LIMIT = 4096
@@ -52,10 +51,10 @@ DENSE_FULL_FORM_LIMIT = 4096
 _THETA_CAP = 1e40
 
 
-# residual balancing of the penalty: every _ADAPT_INTERVAL iterations, at
-# most _ADAPT_CAP times, and only during the first _ADAPT_WINDOW fraction
-# of the run, so the splitting ends with a fixed penalty, as its
-# convergence argument requires
+# residual balancing of the penalty, which starts at 1.0: every
+# _ADAPT_INTERVAL iterations, at most _ADAPT_CAP times, and only during
+# the first _ADAPT_WINDOW fraction of the run, so the splitting ends with
+# a fixed penalty, as its convergence argument requires
 _ADAPT_INTERVAL = 25
 _ADAPT_CAP = 40
 _ADAPT_WINDOW = 0.8
@@ -63,16 +62,10 @@ _ADAPT_WINDOW = 0.8
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Iteration controls for recover.
-
-    penalty is the consensus coupling weight; it is adapted by residual
-    balancing (halved or doubled when one residual exceeds the other
-    tenfold) early in the run.
-    """
+    """Iteration controls for recover."""
 
     max_iterations: int = 5000
     tolerance: float = 1e-6
-    penalty: float = 1.0
 
 
 @dataclass
@@ -91,10 +84,9 @@ class RecoveryProblem:
     noise_bound : float
         eps >= 0; the noise ball has radius eps * sqrt(m).  Zero
         eliminates nu from the program entirely.
-    constraint_form : str
-        One of "full_inverse_power", "projected", "encoded".
-    basis : NoiseShapingBasis, required for the projected form.
-    encoder : EncoderMatrix, required for the encoded form.
+    basis : NoiseShapingBasis, optional; selects the projected form.
+    encoder : EncoderMatrix, optional; selects the encoded form.  With
+        neither, the constraint is the full inverse power D^{-r}.
     """
 
     operator: sensing.MeasurementOperator
@@ -102,7 +94,6 @@ class RecoveryProblem:
     order: int
     gamma: float
     noise_bound: float = 0.0
-    constraint_form: str = "projected"
     basis: object = None
     encoder: object = None
 
@@ -119,16 +110,12 @@ class RecoveryProblem:
             raise ValueError("gamma must be positive")
         if self.noise_bound < 0:
             raise ValueError("noise_bound must be nonnegative")
-        if self.constraint_form not in CONSTRAINT_FORMS:
-            raise ValueError(f"unknown constraint_form {self.constraint_form!r}")
-        if self.constraint_form == "projected":
-            if self.basis is None:
-                raise ValueError("projected form requires a basis")
+        if self.basis is not None and self.encoder is not None:
+            raise ValueError("pass a basis or an encoder, not both")
+        if self.basis is not None:
             if self.basis.size != m or self.basis.order != self.order:
                 raise ValueError("basis size/order do not match the problem")
-        if self.constraint_form == "encoded":
-            if self.encoder is None:
-                raise ValueError("encoded form requires an encoder")
+        if self.encoder is not None:
             if self.encoder.in_dim != m:
                 raise ValueError("encoder input dimension does not match m")
 
@@ -137,7 +124,7 @@ class RecoveryProblem:
         """Radius of the shaped-residual ball: 3 m gamma for the encoded
         form, gamma sqrt(m) otherwise."""
         m = self.operator.rows
-        if self.constraint_form == "encoded":
+        if self.encoder is not None:
             return 3.0 * m * self.gamma
         return self.gamma * np.sqrt(m)
 
@@ -150,6 +137,7 @@ class RecoveryProblem:
 class RecoverySolution:
     """Result of recover.
 
+    feasibility is check_feasibility's report on the returned point;
     penalty_changes counts the residual-balancing updates of the penalty;
     secular_steps counts the tube projection's Newton evaluations of its
     secular function, summed over the solve.
@@ -158,12 +146,11 @@ class RecoverySolution:
     estimate: np.ndarray
     noise_estimate: np.ndarray
     objective: float
-    residual_shaped: float
-    residual_noise: float
     iterations: int
     converged: bool
     primal_residual: float
     dual_residual: float
+    feasibility: FeasibilityReport
     penalty_changes: int = 0
     secular_steps: int = 0
 
@@ -249,30 +236,28 @@ class _TubeProjector:
 def _shape(problem, M):
     """The form's shaping map applied to the columns (or the vector) M:
     D^{-r} M, sigma_ell V_ell^T M, or B D^{-r} M."""
-    form = problem.constraint_form
-    if form == "projected":
+    if problem.basis is not None:
         return noise_shaping.project_shaped(M, problem.basis)
     shaped = noise_shaping.apply_inverse_power(M, problem.order)
-    if form == "encoded":
+    if problem.encoder is not None:
         return problem.encoder.data @ shaped
     return shaped
 
 
 def _noise_block(problem):
     """The shaping map as a matrix T, the constraint's block acting on nu."""
-    form = problem.constraint_form
     r = problem.order
-    if form == "projected":
+    if problem.basis is not None:
         return problem.basis.sigma_truncation * problem.basis.right_vectors.T
-    if form == "encoded":
+    if problem.encoder is not None:
         # B D^{-r} = (D^{-r,T} B^T)^T, and D^{-r,T} is D^{-r} on reversed rows
         B = problem.encoder.data
         return noise_shaping.apply_inverse_power(B[:, ::-1].T, r)[::-1].T
     m = problem.operator.rows
     if m > DENSE_FULL_FORM_LIMIT:
         raise ValueError(
-            f"full_inverse_power with noise materializes an {m} x {m} "
-            f"block; beyond {DENSE_FULL_FORM_LIMIT} use the projected form"
+            f"the full form with noise materializes an {m} x {m} block; "
+            f"beyond {DENSE_FULL_FORM_LIMIT} pass a basis (the projected form)"
         )
     return noise_shaping.apply_inverse_power(np.eye(m), r)
 
@@ -325,9 +310,9 @@ def recover(problem, params=None, start=None):
     start : (Z0, nu0) pair, optional
         Warm-start point; nu0 may be None.
 
-    The returned converged flag requires both residual criteria and an
-    independent feasibility check to pass; non-convergence within
-    max_iterations returns the best iterate with converged False.
+    The returned converged flag requires both residual criteria and the
+    feasibility check of the returned point to pass; non-convergence
+    within max_iterations returns the last iterate with converged False.
     """
     if params is None:
         params = SolverParams()
@@ -347,7 +332,7 @@ def recover(problem, params=None, start=None):
         if with_nu and nu0 is not None:
             xp[N:] = np.asarray(nu0, dtype=float)
     u = np.zeros(N + m_nu)
-    rho = params.penalty
+    rho = 1.0
     tol = params.tolerance
     n_adapt = 0
     stopped = False
@@ -393,47 +378,43 @@ def recover(problem, params=None, start=None):
 
     Z = x[:N].reshape((n1, n2), order="F")
     nu = x[N:].copy() if with_nu else np.zeros(m)
-    solution = RecoverySolution(
+    report = check_feasibility(problem, Z, nu)
+    return RecoverySolution(
         estimate=Z,
         noise_estimate=nu,
         objective=nuclear_norm(Z),
-        residual_shaped=float(np.linalg.norm(J @ x - c)),
-        residual_noise=float(np.linalg.norm(nu)),
         iterations=it,
-        converged=False,
+        converged=stopped and report.ok,
         primal_residual=pri,
         dual_residual=dual,
+        feasibility=report,
         penalty_changes=n_adapt,
         secular_steps=proj_S.steps,
     )
-    if stopped:
-        solution.converged = check_feasibility(solution, problem).ok
-    return solution
 
 
-def shaped_residual_vector(problem, Z, nu=None):
+def shaped_residual_vector(problem, Z, nu):
     """Constraint left-hand side rebuilt from the primitive operations.
 
     This is the independent evaluation path used by check_feasibility:
     it applies the operator to Z and shapes the residual vector, rather
     than multiplying by the solver's materialized J.
     """
-    res = sensing.apply(problem.operator, Z) - problem.quantized
-    if nu is not None and nu.size:
-        res = res + nu
+    res = sensing.apply(problem.operator, Z) - problem.quantized + nu
     return _shape(problem, res)
 
 
-def check_feasibility(solution, problem):
-    """Recompute both constraint norms from scratch and report slack.
+def check_feasibility(problem, Z, nu):
+    """Evaluate both constraints at the point (Z, nu) and report slack.
 
+    recover runs it on the point it returns, trial_solve on the truth.
     Violations beyond 1e-6 relative (plus a 1e-6 absolute floor) are
     flagged; ok is True when neither constraint is flagged.
     """
-    shaped = shaped_residual_vector(problem, solution.estimate, solution.noise_estimate)
+    shaped = shaped_residual_vector(problem, Z, nu)
     shaped_lhs = float(np.linalg.norm(shaped))
     radius = problem.radius
-    noise_lhs = float(np.linalg.norm(solution.noise_estimate))
+    noise_lhs = float(np.linalg.norm(nu))
     noise_radius = problem.noise_radius
     messages = []
     if shaped_lhs > radius * (1 + 1e-6) + 1e-6:

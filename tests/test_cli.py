@@ -137,9 +137,9 @@ def test_no_config_is_the_desk_config(monkeypatch, command, runner):
         return harness.SweepResult([], "x.csv", "x.txt", {}, [])
 
     monkeypatch.setattr(harness, runner, capture)
-    assert cli.main([command, "--out", "x"]) == 0
-    assert cli.main([command, "--config", DESK_CFG, "--out", "x"]) == 0
-    assert seen[0] == seen[1]
+    assert cli.main([command]) == 0
+    assert cli.main([command, "--config", DESK_CFG]) == 0
+    assert seen[0] == seen[1] == harness.load_config(DESK_CFG) == harness.ExperimentConfig()
 
 
 def test_rip_check_cli(tiny_cfg_file, capsys):

@@ -1,12 +1,14 @@
-"""The README quick start and the demo run as documented, and the README
-and configs/desk.cfg match the program they describe."""
+"""The README quick start and the demo run as documented, and the README,
+configs/desk.cfg and pyproject.toml match the program they describe."""
 
 import argparse
 import re
 import runpy
+import tomllib
 from dataclasses import fields
 from pathlib import Path
 
+import sdlowrank
 from sdlowrank import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,3 +41,10 @@ def test_desk_config_sets_every_field():
     keys = [line.partition("=")[0].strip() for line in lines
             if line.strip() and not line.startswith("#")]
     assert sorted(keys) == sorted(f.name for f in fields(harness.ExperimentConfig))
+
+
+def test_pyproject_names_the_package():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == sdlowrank.__name__
+    assert project["version"] == sdlowrank.__version__

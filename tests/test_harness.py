@@ -11,6 +11,7 @@ import pytest
 
 from sdlowrank import harness
 from sdlowrank import noise_shaping
+from sdlowrank import recovery
 from sdlowrank import sensing
 
 from oracles import save_config
@@ -33,7 +34,7 @@ def tiny_config(tmp_path, **overrides):
 
 def test_config_round_trip(tmp_path):
     cfg = harness.ExperimentConfig(
-        orders=(1, 3), epsilon_grid=(0.0, 0.25), levels={1: 3, 2: 9},
+        orders=(1, 3), epsilon_grid=(0.0, 0.25), levels={1: 3, 3: 9},
         gamma=0.3, trials=7, mu=0.9, constraint_form="full_inverse_power",
     )
     path = tmp_path / "t.cfg"
@@ -73,7 +74,7 @@ def test_malformed_config_line_rejected(tmp_path):
 
 
 def test_levels_field_parse_forms(tmp_path):
-    for text, expected in (("auto", "auto"), ("9", 9), ("1:3,2:9", {1: 3, 2: 9})):
+    for text, expected in (("auto", "auto"), ("9", 9), ("1:3,2:9,3:27", {1: 3, 2: 9, 3: 27})):
         (tmp_path / "l.cfg").write_text(f"levels = {text}\n")
         assert harness.load_config(tmp_path / "l.cfg").levels == expected
 
@@ -92,6 +93,25 @@ def test_config_validation():
         harness.ExperimentConfig(epsilon_grid=(-0.5,))
     with pytest.raises(ValueError):
         harness.ExperimentConfig(constraint_form="banana")
+
+
+def test_levels_missing_an_order_rejected():
+    # levels_for would raise KeyError in every order-2 trial
+    with pytest.raises(ValueError, match="levels has no entry for order 2"):
+        harness.ExperimentConfig(levels={1: 5}, orders=(1, 2))
+
+
+def test_rank_above_matrix_size_rejected():
+    # make_low_rank would raise in every trial
+    with pytest.raises(ValueError, match=r"rank must lie in \[1, 4\]"):
+        harness.ExperimentConfig(n1=4, n2=4, rank=5)
+
+
+def test_rate_sweep_rejects_non_integral_m(tmp_path):
+    # 2.5 * 7 = 17.5 would run at m = 18 and be recorded at lambda = 2.5
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.5,), encoder_dim=7)
+    with pytest.raises(ValueError, match=r"m = 2.5 \* 7 is not integral"):
+        harness.run_rate_distortion(cfg)
 
 
 # -- building blocks --------------------------------------------------------
@@ -374,6 +394,19 @@ def test_summary_counts_nonconverged_and_overflowed_trials(tmp_path):
             assert line.endswith(" (%d not converged, %d overflowed)" % group)
         else:
             assert "not converged" not in line
+
+
+@pytest.mark.parametrize("form", harness.CONSTRAINT_FORMS)
+def test_truth_check_fires_for_every_form(tmp_path, monkeypatch, form):
+    # a tenth of the radius puts the true pair outside the ball (it sits
+    # at 0.13-0.65 of it here), so every trial fails before it is solved
+    radius = recovery.RecoveryProblem.radius
+    monkeypatch.setattr(recovery.RecoveryProblem, "radius",
+                        property(lambda problem: radius.fget(problem) / 10))
+    cfg = tiny_config(tmp_path, constraint_form=form, encoder_dim=32)
+    with pytest.raises(RuntimeError, match="4 of 4 trials failed") as exc:
+        harness.run_oversampling_sweep(cfg)
+    assert str(exc.value).count("RuntimeError: truth is infeasible: shaped residual") == 4
 
 
 def test_failures_come_back_in_csv_order(tmp_path):

@@ -41,7 +41,7 @@ def pipeline_problem(n, m, r, k=1, form="full_inverse_power", seed=0, eps=0.0,
         encoder = encoding.draw_encoder(max(m // 4, 1), m, seed=seed + 3000)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=run.output, order=r, gamma=beta / 2,
-        noise_bound=eps, constraint_form=form, basis=basis, encoder=encoder,
+        noise_bound=eps, basis=basis, encoder=encoder,
     )
     return problem, X, noise
 
@@ -50,7 +50,6 @@ def test_zero_problem_returns_zero():
     op = sensing.draw_operator(20, 4, 4, seed=1)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=np.zeros(20), order=1, gamma=0.25,
-        constraint_form="full_inverse_power",
     )
     sol = recovery.recover(problem)
     assert sol.converged
@@ -67,7 +66,6 @@ def test_unquantized_rank_one_exact_recovery():
     q = sensing.apply(op, X)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=q, order=1, gamma=1e-6 / np.sqrt(m),
-        constraint_form="full_inverse_power",
     )
     sol = recovery.recover(problem)
     assert sol.converged
@@ -76,7 +74,7 @@ def test_unquantized_rank_one_exact_recovery():
 
 @settings(PROPERTY, max_examples=100)
 @given(
-    form=st.sampled_from(recovery.CONSTRAINT_FORMS),
+    form=st.sampled_from(harness.CONSTRAINT_FORMS),
     r=st.integers(1, 3),
     ell=st.sampled_from([20, 40, 80]),
     lam=st.integers(1, 4),
@@ -101,10 +99,9 @@ def test_truth_is_feasible_for_all_forms(form, r, ell, lam, eps, distribution, s
         basis = noise_shaping.compute_basis(task.m, r, truncation=ell)
     if form == "encoded":
         encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
-        assert encoder.norm_ok
     problem = recovery.RecoveryProblem(
         operator=op, quantized=run.output, order=r, gamma=scheme.stability_constant,
-        noise_bound=eps, constraint_form=form, basis=basis, encoder=encoder,
+        noise_bound=eps, basis=basis, encoder=encoder,
     )
     shaped = recovery.shaped_residual_vector(problem, X, noise)
     assert np.linalg.norm(shaped) <= problem.radius * (1 + 1e-9)
@@ -115,7 +112,7 @@ def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
     # J = [S A, S] and c = S q, with the form's map S written out densely
     m, r = 40, 3
     inverse_power = inverse_power_entries(m, r).astype(float)
-    for form in recovery.CONSTRAINT_FORMS:
+    for form in harness.CONSTRAINT_FORMS:
         problem, _, _ = pipeline_problem(4, m, r, form=form, seed=8, eps=0.5, ell=10)
         S = inverse_power
         if form == "projected":
@@ -142,7 +139,8 @@ def test_converged_solutions_pass_feasibility():
         problem, _, _ = pipeline_problem(6, 120, r, form=form, seed=7, ell=30)
         sol = recovery.recover(problem)
         assert sol.converged
-        report = recovery.check_feasibility(sol, problem)
+        report = recovery.check_feasibility(problem, sol.estimate, sol.noise_estimate)
+        assert report == sol.feasibility
         assert report.ok
         assert report.shaped_slack >= -1e-6 * max(1.0, problem.radius)
 
@@ -151,14 +149,8 @@ def test_check_feasibility_flags_violation():
     op = sensing.draw_operator(10, 3, 3, seed=2)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=np.ones(10), order=1, gamma=1e-12,
-        constraint_form="full_inverse_power",
     )
-    sol = recovery.RecoverySolution(
-        estimate=np.zeros((3, 3)), noise_estimate=np.zeros(10), objective=0.0,
-        residual_shaped=0.0, residual_noise=0.0, iterations=0, converged=False,
-        primal_residual=0.0, dual_residual=0.0,
-    )
-    report = recovery.check_feasibility(sol, problem)
+    report = recovery.check_feasibility(problem, np.zeros((3, 3)), np.zeros(10))
     assert not report.ok
     assert report.messages
 
@@ -170,6 +162,24 @@ def test_nonconvergence_reported_honestly():
     assert sol.iterations == 3
     assert np.isfinite(sol.primal_residual)
     assert np.isfinite(sol.dual_residual)
+
+
+def test_solution_carries_its_feasibility_report(monkeypatch):
+    problem, _, _ = pipeline_problem(6, 96, 2, seed=9)
+    for params in (recovery.SolverParams(max_iterations=3), recovery.SolverParams()):
+        sol = recovery.recover(problem, params)
+        assert sol.feasibility == recovery.check_feasibility(
+            problem, sol.estimate, sol.noise_estimate)
+        if sol.iterations < params.max_iterations:  # the solve stopped
+            assert sol.feasibility.ok == sol.converged
+    assert sol.converged
+    # a solve that stops at an infeasible point is not converged
+    infeasible = dataclasses.replace(sol.feasibility, ok=False, messages=("forced",))
+    monkeypatch.setattr(recovery, "check_feasibility", lambda *args: infeasible)
+    sol = recovery.recover(problem)
+    assert sol.iterations < recovery.SolverParams().max_iterations
+    assert not sol.converged
+    assert sol.feasibility is infeasible
 
 
 def test_scale_equivariance():
@@ -188,19 +198,21 @@ def test_invalid_problems_rejected():
     op = sensing.draw_operator(10, 3, 3, seed=2)
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
-                                 gamma=-1.0,
-                                 constraint_form="full_inverse_power")
+                                 gamma=-1.0)
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(9), order=1,
-                                 gamma=0.25,
-                                 constraint_form="full_inverse_power")
-    with pytest.raises(ValueError):
-        recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
-                                 gamma=0.25, constraint_form="mystery")
-    with pytest.raises(ValueError):
-        # projected form requires a basis
-        recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
-                                 gamma=0.25, constraint_form="projected")
+                                 gamma=0.25)
+
+
+def test_problem_with_basis_and_encoder_rejected():
+    # each input picks a form, so both together name two decoders
+    op = sensing.draw_operator(10, 3, 3, seed=2)
+    with pytest.raises(ValueError, match="not both"):
+        recovery.RecoveryProblem(
+            operator=op, quantized=np.zeros(10), order=1, gamma=0.25,
+            basis=noise_shaping.compute_basis(10, 1, truncation=5),
+            encoder=encoding.draw_encoder(5, 10, seed=0),
+        )
 
 
 def test_best_rank_k_error_oracle():
@@ -225,7 +237,6 @@ def test_reference_solve_zero_problem():
     op = sensing.draw_operator(12, 3, 3, seed=4)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=np.zeros(12), order=1, gamma=0.25,
-        constraint_form="full_inverse_power",
     )
     ref = reference_solve(problem)
     assert ref.objective == 0.0
@@ -241,9 +252,8 @@ def test_noise_ball_active_case():
     problem, X, noise = pipeline_problem(5, 80, 1, seed=23, eps=1.0)
     sol = recovery.recover(problem)
     assert sol.converged
-    assert sol.residual_noise <= problem.noise_radius * (1 + 1e-6) + 1e-6
-    report = recovery.check_feasibility(sol, problem)
-    assert report.ok
+    assert sol.feasibility.noise_lhs <= problem.noise_radius * (1 + 1e-6) + 1e-6
+    assert sol.feasibility.ok
 
 
 # The projector reads the part of c outside the range of J as
