@@ -45,7 +45,7 @@ def _load_config(args):
 def cmd_quantize(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    _, X, scale, y = harness.trial_instance(task)
+    X, scale, y = harness.trial_instance(task, harness.grid_point(task)[0])
     scheme, run = harness.trial_quantize(task, y)
     alphabet = scheme.alphabet
     print(f"order r={task.r} m={task.m} lambda={task.lam:g}")
@@ -66,7 +66,8 @@ def cmd_quantize(args):
 
 def cmd_recover(args):
     config = _load_config(args)
-    record, solution = harness.trial_solve(harness.first_trial(config))
+    task = harness.first_trial(config)
+    record, solution = harness.trial_solve(task, harness.grid_point(task))
     print(f"order r={record.r} m={record.m} lambda={record.lam:g} "
           f"form={config.constraint_form}")
     print(f"relative error {record.err_relative:.6e} "
@@ -106,7 +107,7 @@ def cmd_rate_distortion(args):
 def cmd_rip_check(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    op = harness.trial_instance(task)[0]
+    op = harness.grid_point(task)[0]
     # rows scaled by 1/sqrt(m) give E ||M(X)||^2 = ||X||_F^2, so delta_hat
     # measures the distance from an isometry
     op = replace(op, data=op.data / np.sqrt(task.m))

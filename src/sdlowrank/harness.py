@@ -5,14 +5,13 @@ per-trial seeds from the master seed, run independent trials (optionally
 across worker processes), sort the results deterministically, and write
 one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  A trial
-is a sequence of stages (trial_instance, trial_quantize, then decoding)
-that the command line reuses for single instances.
+runs the stages trial_instance, trial_quantize and trial_solve on what
+grid_point builds once for its grid point; the command line reuses them.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -35,6 +34,7 @@ __all__ = [
     "run_noise_sweep",
     "run_rate_distortion",
     "first_trial",
+    "grid_point",
     "trial_instance",
     "trial_quantize",
     "trial_solve",
@@ -106,11 +106,25 @@ class ExperimentConfig:
             raise ValueError("orders must not be empty")
         if len(self.oversampling_grid) == 0:
             raise ValueError("oversampling_grid must not be empty")
+        if any(r < 1 for r in self.orders):
+            raise ValueError(f"orders must be >= 1, got {self.orders}")
         for lam in self.oversampling_grid:
+            if not lam > 0:
+                raise ValueError(f"oversampling_grid entries must be positive, got {lam}")
             if not float(lam * self.ell).is_integer():
                 raise ValueError(f"m = {lam} * {self.ell} is not integral")
         if any(e < 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be nonnegative")
+        # each grid point draws one operator: a repeated value would run it twice
+        for name in ("orders", "oversampling_grid", "epsilon_grid"):
+            values = getattr(self, name)
+            for value in values:
+                if values.count(value) > 1:
+                    raise ValueError(f"{name} lists {value} more than once")
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not self.gamma_value() > 0:
+            raise ValueError(f"gamma must be 'auto' or positive, got {self.gamma}")
         if self.constraint_form not in CONSTRAINT_FORMS:
             raise ValueError(f"unknown constraint_form {self.constraint_form!r}")
         if isinstance(self.levels, dict):
@@ -385,26 +399,36 @@ def _trial_key(item):
     return (item.r, item.m, item.eps, item.trial_index)
 
 
-def _trial_basis(config, m, r):
-    cache_dir = config.cache_dir
-    if cache_dir is None:
-        cache_dir = os.path.join(config.output_path, "basis_cache")
-    return noise_shaping.compute_basis(
-        m, r, truncation=min(config.ell, m), cache_dir=cache_dir
-    )
+def grid_point(task):
+    """(operator, basis, encoder), shared by every trial at the task's grid point.
 
-
-def trial_instance(task):
-    """Draw, scale and measure one trial's truth, then add its noise.
-
-    Returns (operator, truth, scale, measurements).  mu > 0 scales the
-    truth so the clean measurements peak at mu; the measurements carry
-    the task's bounded noise when eps > 0.
+    Of the basis and the encoder, the one the form does not use is None.
+    The basis is cached in cache_dir, by default output_path/basis_cache.
     """
     config = task.config
     op = sensing.draw_operator(
         task.m, config.n1, config.n2, config.distribution, task.operator_seed
     )
+    basis = encoder = None
+    if config.constraint_form == "projected":
+        cache_dir = config.cache_dir
+        if cache_dir is None:
+            cache_dir = os.path.join(config.output_path, "basis_cache")
+        basis = noise_shaping.compute_basis(
+            task.m, task.r, truncation=min(config.ell, task.m), cache_dir=cache_dir
+        )
+    elif config.constraint_form == "encoded":
+        encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
+    return op, basis, encoder
+
+
+def trial_instance(task, op):
+    """Draw, scale and measure one trial's truth through op, then add its noise.
+
+    Returns (truth, scale, measurements).  mu > 0 scales the truth so the
+    clean measurements peak at mu; eps > 0 adds the task's bounded noise.
+    """
+    config = task.config
     X = make_low_rank(config.n1, config.n2, config.rank, task.matrix_seed)
     scale = 1.0
     if config.mu > 0:
@@ -413,7 +437,7 @@ def trial_instance(task):
     if task.eps > 0 and task.noise_seed is not None:
         noise = np.random.default_rng(task.noise_seed).uniform(0.0, 1.0, task.m)
         y = y + noise * (task.eps / np.max(noise))
-    return op, X, scale, y
+    return X, scale, y
 
 
 def trial_quantize(task, y):
@@ -429,25 +453,21 @@ def trial_quantize(task, y):
     return scheme, sigma_delta.quantize(y, scheme)
 
 
-def trial_solve(task, basis=None):
+def trial_solve(task, point):
     """Run one trial through decoding; return (TrialRecord, RecoverySolution).
 
-    basis is the projected form's noise-shaping basis at (task.m, task.r);
-    a trial run on its own builds it (or reads it from the cache).  Unless
-    the quantizer overflowed, a true pair (X, y - M(X)) that fails
-    check_feasibility raises RuntimeError naming the violated constraint.
+    point is grid_point(task).  Unless the quantizer overflowed, a true
+    pair (X, y - M(X)) that fails check_feasibility raises RuntimeError
+    naming the violated constraint.
     """
     config = task.config
     m, r = task.m, task.r
-    op, X, scale, y = trial_instance(task)
+    op, basis, encoder = point
+    X, scale, y = trial_instance(task, op)
     scheme, run = trial_quantize(task, y)
 
-    encoder = None
     rate_bits = rate_bits_fig = None
-    if config.constraint_form == "projected" and basis is None:
-        basis = _trial_basis(config, m, r)
-    if config.constraint_form == "encoded":
-        encoder = encoding.draw_encoder(task.encoder_dim, m, task.encoder_seed)
+    if encoder is not None:
         coded = encoding.encode(run.output, r, encoder, scheme.alphabet.max_level)
         rate_bits = coded.rate_bits
         rate_bits_fig = encoding.rate_bits_plotted(task.encoder_dim, r, m)
@@ -481,56 +501,44 @@ def trial_solve(task, basis=None):
     return record, solution
 
 
-def _run_trial(task, basis=None):
+def _run_trial(task, point):
     """One sweep trial: trial_solve's TrialRecord, the task's CSV row."""
-    return trial_solve(task, basis)[0]
+    return trial_solve(task, point)[0]
 
 
 def _failure(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _attempt(task, basis=None):
-    """(record, None) for a trial that ran, (task, message) for one that raised."""
+def _run_group(group):
+    """(record, None) or (task, message) per trial of one grid point, built once."""
     try:
-        return _run_trial(task, basis), None
-    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-        return task, _failure(exc)
-
-
-def _run_group(group, pool):
-    """Outcomes of one (r, m) group's trials, which share one basis.
-
-    The basis is built (or read from the cache) once for the group and
-    dropped when the group is done, so a process holds at most one.  If
-    it cannot be built, every trial of the group fails with that error.
-    """
-    first = group[0]
-    basis = None
-    if first.config.constraint_form == "projected":
+        point = grid_point(group[0])
+    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+        return [(task, _failure(exc)) for task in group]
+    outcomes = []
+    for task in group:
         try:
-            basis = _trial_basis(first.config, first.m, first.r)
-        except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-            return [(task, _failure(exc)) for task in group]
-    bases = itertools.repeat(basis, len(group))
-    return list((map if pool is None else pool.map)(_attempt, group, bases))
+            outcomes.append((_run_trial(task, point), None))
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            outcomes.append((task, _failure(exc)))
+    return outcomes
 
 
-def _execute(tasks, workers):
-    """Run every task; results and failures come back in CSV row order."""
-    groups = [list(g) for _, g in itertools.groupby(tasks, key=lambda t: (t.r, t.m))]
+def _execute(groups, workers):
+    """Run each grid point's trials; results and failures come back in CSV row order."""
     if workers <= 1:
-        outcomes = [o for group in groups for o in _run_group(group, None)]
+        outcomes = [o for group in map(_run_group, groups) for o in group]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for group in groups for o in _run_group(group, pool)]
+            outcomes = [o for group in pool.map(_run_group, groups) for o in group]
     results = sorted((rec for rec, msg in outcomes if msg is None), key=_trial_key)
     failures = sorted(((task, msg) for task, msg in outcomes if msg is not None),
                       key=lambda failure: _trial_key(failure[0]))
-    if len(failures) > _FAILURE_ABORT_FRACTION * len(tasks):
+    if len(failures) > _FAILURE_ABORT_FRACTION * len(outcomes):
         detail = "; ".join(msg for _, msg in failures[:5])
         raise RuntimeError(
-            f"{len(failures)} of {len(tasks)} trials failed, aborting: {detail}"
+            f"{len(failures)} of {len(outcomes)} trials failed, aborting: {detail}"
         )
     return results, failures
 
@@ -583,6 +591,9 @@ def _rate_spec(config):
     if config.encoder_dim < 1:
         raise ValueError("encoder_dim must be set for rate-distortion runs")
     for lam in config.oversampling_grid:
+        if lam < 1:
+            raise ValueError(f"oversampling_grid entry {lam} gives m = {lam} * "
+                             f"{config.encoder_dim} below encoder_dim")
         if not float(lam * config.encoder_dim).is_integer():
             raise ValueError(f"m = {lam} * {config.encoder_dim} is not integral")
     return _SweepSpec(
@@ -596,7 +607,7 @@ def _rate_spec(config):
 
 
 def _sweep_tasks(config, spec):
-    """Yield the sweep's tasks by order, grid point and trial.
+    """Yield the sweep's tasks as one list per grid point, by order and point.
 
     Each seed derives from the master seed, the experiment, its role and
     the indices it depends on, so no task's seeds depend on the others.
@@ -608,8 +619,8 @@ def _sweep_tasks(config, spec):
     encoded = config.constraint_form == "encoded"
     for r in config.orders:
         for i, (lam, m, eps) in enumerate(spec.points):
-            for trial in range(config.trials):
-                yield _TrialTask(
+            yield [
+                _TrialTask(
                     config=config, r=r, m=m, lam=lam, trial_index=trial,
                     operator_seed=seed(_ROLE_OPERATOR, 0 if spec.shared_operator else i),
                     matrix_seed=(seed(_ROLE_MATRIX, trial) if spec.paired_truth
@@ -619,6 +630,8 @@ def _sweep_tasks(config, spec):
                     encoder_seed=seed(_ROLE_ENCODER, i) if encoded else None,
                     encoder_dim=config.encoder_dim if encoded else None,
                 )
+                for trial in range(config.trials)
+            ]
 
 
 def first_trial(config):
@@ -627,7 +640,7 @@ def first_trial(config):
     Single-instance commands run this task, so their output matches the
     sweep's CSV row for it.
     """
-    return next(_sweep_tasks(config, _oversampling_spec(config)))
+    return next(_sweep_tasks(config, _oversampling_spec(config)))[0]
 
 
 def _mean_errors(records, key):
@@ -645,7 +658,7 @@ def _health(records):
 
 def _run_sweep(config, spec):
     """Run one experiment's trials and write its CSV and summary."""
-    results, failures = _execute(list(_sweep_tasks(config, spec)), config.workers)
+    results, failures = _execute(_sweep_tasks(config, spec), config.workers)
 
     column = _column(spec.group_by)
     slopes = {}

@@ -47,7 +47,8 @@ def test_quantize_uses_the_configured_gamma(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(certified bound 0.2)" in out
     assert "overflow: True" in out
-    assert harness._run_trial(harness.first_trial(harness.load_config(path))).overflow
+    task = harness.first_trial(harness.load_config(path))
+    assert harness._run_trial(task, harness.grid_point(task)).overflow
 
 
 def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
@@ -60,7 +61,8 @@ def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
 
 def test_recover_instance_matches_sweep_first_row(tiny_cfg_file, tmp_path):
     cfg = harness.load_config(tiny_cfg_file, output_path=str(tmp_path / "sw"))
-    record = harness._run_trial(harness.first_trial(cfg))
+    task = harness.first_trial(cfg)
+    record = harness._run_trial(task, harness.grid_point(task))
     sweep = harness.run_oversampling_sweep(cfg)
     first = [
         t for t in sweep.records
@@ -148,9 +150,10 @@ def test_rip_check_cli(tiny_cfg_file, capsys):
     assert "delta_hat" in out
 
 
-def test_rip_check_probes_the_normalized_operator(capsys):
-    # desk defaults; the raw operator gives a constant near m
-    assert cli.main(["rip-check", "--trials", "50"]) == 0
+def test_rip_check_probes_the_normalized_operator(tmp_path, capsys):
+    # desk defaults; the raw operator gives a constant near m.  The first
+    # grid point's basis is cached under --out
+    assert cli.main(["rip-check", "--trials", "50", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert float(out.split("delta_hat = ")[1].split()[0]) < 1
     assert "(1/sqrt(m)) M" in out

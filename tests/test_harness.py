@@ -1,14 +1,19 @@
 """Experiment configs, seeds, slope fits, CSV round trips, tiny sweeps."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
+import inspect
+import io
 import math
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdlowrank import encoding
 from sdlowrank import harness
 from sdlowrank import noise_shaping
 from sdlowrank import recovery
@@ -105,6 +110,31 @@ def test_rank_above_matrix_size_rejected():
     # make_low_rank would raise in every trial
     with pytest.raises(ValueError, match=r"rank must lie in \[1, 4\]"):
         harness.ExperimentConfig(n1=4, n2=4, rank=5)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # a repeated value writes every row of its grid point twice, from two operators
+    (dict(oversampling_grid=(2.0, 2.0)), "oversampling_grid lists 2.0 more than once"),
+    (dict(epsilon_grid=(0.5, 0.5)), "epsilon_grid lists 0.5 more than once"),
+    (dict(orders=(1, 1)), "orders lists 1 more than once"),
+    # each of these raises ValueError in every trial
+    (dict(beta=0.0), "beta must be positive, got 0.0"),
+    (dict(gamma=-1.0), "gamma must be 'auto' or positive, got -1.0"),
+    (dict(oversampling_grid=(0.0, 2.0)), "oversampling_grid entries must be positive, got 0.0"),
+    (dict(orders=(0, 1)), r"orders must be >= 1, got \(0, 1\)"),
+], ids=["repeated-lambda", "repeated-eps", "repeated-order", "zero-beta", "negative-gamma",
+        "zero-lambda", "zero-order"])
+def test_config_rejects_values_no_sweep_can_run(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        harness.ExperimentConfig(n1=4, n2=4, rank=1, ell=8, **overrides)
+
+
+def test_rate_sweep_rejects_m_below_encoder_dim(tmp_path):
+    # m = 0.5 * 16 = 8 < 16 rows: draw_encoder would fail every trial at that point
+    cfg = tiny_config(tmp_path, oversampling_grid=(0.5, 2.0), encoder_dim=16)
+    with pytest.raises(ValueError, match=r"oversampling_grid entry 0.5 gives m = 0.5 \* 16"):
+        harness.run_rate_distortion(cfg)
+    assert not os.path.exists(cfg.output_path)
 
 
 def test_rate_sweep_rejects_non_integral_m(tmp_path):
@@ -307,22 +337,122 @@ def test_oversampling_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_builds_each_basis_once(tmp_path, monkeypatch):
-    calls = []
+    # the workers build the bases, so every process appends its calls to a
+    # file; forked workers inherit the counting wrapper
     build = noise_shaping.compute_basis
 
     def counted(m, r, truncation, cache_dir=None):
-        calls.append((m, r))
+        with open(tmp_path / "calls.txt", "a", encoding="utf-8") as fh:
+            fh.write(f"{m} {r}\n")
         return build(m, r, truncation, cache_dir=cache_dir)
 
     monkeypatch.setattr(noise_shaping, "compute_basis", counted)
     digests = []
     for workers in (1, 2):
-        calls.clear()
+        (tmp_path / "calls.txt").write_text("")
         cfg = tiny_config(tmp_path / str(workers), orders=(1, 2), trials=3, workers=workers)
         res = harness.run_oversampling_sweep(cfg)
+        calls = [tuple(map(int, line.split()))
+                 for line in (tmp_path / "calls.txt").read_text().splitlines()]
         assert sorted(calls) == sorted({(rec.m, rec.r) for rec in res.records})
         digests.append(hashlib.sha256(Path(res.csv_path).read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+def _count_calls(monkeypatch, module, name, calls, fail_at_m=None):
+    """Wrap module.name so it appends its m to calls (and raises at fail_at_m)."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+
+    def counted(*args, **kwargs):
+        m = signature.bind(*args, **kwargs).arguments["m"]
+        calls.append(m)
+        if m == fail_at_m:
+            raise ValueError(f"no {name} at m = {m}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
+    # a grid point is one order at one (lambda, m, eps); its trials share
+    # one operator and one basis (projected form) or one encoder (rate sweep)
+    calls = {name: [] for name in ("draw_operator", "compute_basis", "draw_encoder")}
+    _count_calls(monkeypatch, sensing, "draw_operator", calls["draw_operator"])
+    _count_calls(monkeypatch, noise_shaping, "compute_basis", calls["compute_basis"])
+    _count_calls(monkeypatch, encoding, "draw_encoder", calls["draw_encoder"])
+    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, epsilon_grid=(0.0, 0.5),
+                      encoder_dim=16)
+    for run, built in ((harness.run_oversampling_sweep, "compute_basis"),
+                       (harness.run_noise_sweep, "compute_basis"),
+                       (harness.run_rate_distortion, "draw_encoder")):
+        for made in calls.values():
+            made.clear()
+        res = run(cfg)
+        points = sorted({(rec.r, rec.m, rec.eps) for rec in res.records})
+        assert len(res.records) == len(points) * cfg.trials
+        assert sorted(calls["draw_operator"]) == sorted(m for _, m, _ in points)
+        assert sorted(calls[built]) == sorted(m for _, m, _ in points)
+        unused = {"compute_basis": "draw_encoder", "draw_encoder": "compute_basis"}[built]
+        assert calls[unused] == []
+
+
+def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
+    # only task lists go to a worker and only outcomes come back: the
+    # operator and the basis are built in the worker, never pickled
+    sent, returned = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(items) for items in iterables]
+            sent.append((fn, iterables))
+            outcomes = list(super().map(fn, *iterables, **kwargs))
+            returned.extend(outcomes)
+            return iter(outcomes)
+
+    class ArrayFinder(pickle.Pickler):
+        def __init__(self):
+            super().__init__(io.BytesIO())
+            self.arrays = 0
+
+        def persistent_id(self, obj):
+            self.arrays += isinstance(obj, np.ndarray)
+            return None
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, workers=2)
+    res = harness.run_oversampling_sweep(cfg)
+    assert len(res.records) == 12 and not res.failures
+    [(fn, [groups])] = sent
+    assert fn is harness._run_group
+    assert [len(group) for group in groups] == [cfg.trials] * 4
+    assert all(isinstance(task, harness._TrialTask) for group in groups for task in group)
+    assert [rec for outcomes in returned for rec, _ in outcomes] == res.records
+    finder = ArrayFinder()
+    finder.dump((groups, returned))
+    assert finder.arrays == 0
+
+
+@pytest.mark.parametrize("module, name, form", [
+    (sensing, "draw_operator", "projected"),
+    (noise_shaping, "compute_basis", "projected"),
+    (encoding, "draw_encoder", "encoded"),
+], ids=["operator", "basis", "encoder"])
+def test_failed_grid_point_fails_all_its_trials(tmp_path, monkeypatch, module, name, form):
+    # one of five points cannot be built: its two trials are failures with
+    # the build's message, the build is not retried per trial, and the
+    # other points still run (2 of 10 failures stays under the abort line)
+    calls = []
+    _count_calls(monkeypatch, module, name, calls, fail_at_m=64)
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.0, 3.0, 4.0, 5.0, 6.0),
+                      constraint_form=form, encoder_dim=16)
+    res = harness.run_oversampling_sweep(cfg)
+    assert calls.count(64) == 1
+    assert [(t.m, t.trial_index, msg) for t, msg in res.failures] == [
+        (64, 0, f"ValueError: no {name} at m = 64"),
+        (64, 1, f"ValueError: no {name} at m = 64")]
+    assert sorted({rec.m for rec in res.records}) == [32, 48, 80, 96]
+    assert len(res.records) == 8
 
 
 def test_noise_sweep_rows_and_monotone_grid(tmp_path):
@@ -412,11 +542,13 @@ def test_truth_check_fires_for_every_form(tmp_path, monkeypatch, form):
 def test_failures_come_back_in_csv_order(tmp_path):
     cfg = tiny_config(tmp_path, trials=10)
     first = harness.first_trial(cfg)
-    # listed in descending trial order; m = 0 makes the operator draw raise
-    tasks = [dataclasses.replace(first, trial_index=i, m=0 if i in (2, 7) else first.m)
-             for i in reversed(range(10))]
+    # two grid points, each listed in descending trial order; m = 0 makes
+    # the second point's operator draw raise
+    broken = [dataclasses.replace(first, trial_index=i, m=0) for i in (7, 2)]
+    working = [dataclasses.replace(first, trial_index=i)
+               for i in reversed(range(10)) if i not in (2, 7)]
     for workers in (1, 2):
-        results, failures = harness._execute(tasks, workers)
+        results, failures = harness._execute([working, broken], workers)
         assert [t.trial_index for t, _ in failures] == [2, 7]
         assert all(msg.startswith("ValueError: ") for _, msg in failures)
         assert [rec.trial_index for rec in results] == [0, 1, 3, 4, 5, 6, 8, 9]

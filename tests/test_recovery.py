@@ -82,23 +82,22 @@ def test_unquantized_rank_one_exact_recovery():
     distribution=st.sampled_from(sensing.DISTRIBUTIONS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_truth_is_feasible_for_all_forms(form, r, ell, lam, eps, distribution, seed):
+def test_truth_is_feasible_for_all_forms(tmp_path_factory, form, r, ell, lam, eps,
+                                        distribution, seed):
     # the sweep's own instance, drawn through the config (so its
-    # distribution), with the task's bounded noise when eps > 0
+    # distribution), with the task's bounded noise when eps > 0; the bases
+    # are cached outside the checkout
     config = harness.ExperimentConfig(
         n1=4, n2=4, rank=1, ell=ell, oversampling_grid=(float(lam),), orders=(r,),
         master_seed=seed, constraint_form=form, encoder_dim=20, distribution=distribution,
+        output_path=str(tmp_path_factory.getbasetemp() / "feasible"),
     )
     task = dataclasses.replace(harness.first_trial(config), eps=eps, noise_seed=seed)
-    op, X, _, y = harness.trial_instance(task)
+    op, basis, encoder = harness.grid_point(task)
+    X, _, y = harness.trial_instance(task, op)
     noise = y - sensing.apply(op, X)
     scheme, run = harness.trial_quantize(task, y)
     assert not run.overflow
-    basis = encoder = None
-    if form == "projected":
-        basis = noise_shaping.compute_basis(task.m, r, truncation=ell)
-    if form == "encoded":
-        encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
     problem = recovery.RecoveryProblem(
         operator=op, quantized=run.output, order=r, gamma=scheme.stability_constant,
         noise_bound=eps, basis=basis, encoder=encoder,
@@ -385,7 +384,8 @@ def test_warm_started_secular_solve_stays_cheap(tmp_path):
     # a clock-free guard on the projection's cost: the warm start needs
     # about 3 Newton evaluations per ADMM iteration, a cold bracket about 8
     config = harness.ExperimentConfig(output_path=str(tmp_path))
-    _, solution = harness.trial_solve(harness.first_trial(config))
+    task = harness.first_trial(config)
+    _, solution = harness.trial_solve(task, harness.grid_point(task))
     assert solution.converged
     assert solution.secular_steps <= 4 * solution.iterations
 
