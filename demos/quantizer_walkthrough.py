@@ -35,7 +35,8 @@ def run_demo():
 
     basis = noise_shaping.compute_basis(m, r, truncation=ell)
     problem = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2, basis=basis,
+        operator=op, quantized=run.output, order=r, gamma=scheme.stability_constant,
+        basis=basis,
     )
     start = time.time()
     sol = recovery.recover(problem)
@@ -56,7 +57,8 @@ def run_demo():
     encoder = encoding.draw_encoder(L_enc, m, seed=3)
     coded = encoding.encode(run.output, r, encoder, alphabet.max_level)
     problem_enc = recovery.RecoveryProblem(
-        operator=op, quantized=run.output, order=r, gamma=beta / 2, encoder=encoder,
+        operator=op, quantized=run.output, order=r, gamma=scheme.stability_constant,
+        encoder=encoder,
     )
     sol_enc = recovery.recover(problem_enc)
     rel_enc = np.linalg.norm(sol_enc.estimate - X) / np.linalg.norm(X)

@@ -80,8 +80,7 @@ class ExperimentConfig:
     oversampling_grid: tuple = (2.0, 4.0, 8.0, 16.0)
     orders: tuple = (1, 2, 3)
     beta: float = 0.5
-    levels: object = "auto"  # "auto", an int, or {order: int}
-    gamma: object = "auto"  # "auto" means beta / 2
+    levels: object = "auto"  # "auto" or an int
     epsilon_grid: tuple = (0.0, 0.25, 0.5, 1.0, 2.0)
     trials: int = 10
     master_seed: int = 12345
@@ -102,10 +101,9 @@ class ExperimentConfig:
             raise ValueError(f"rank must lie in [1, {min(self.n1, self.n2)}]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if len(self.orders) == 0:
-            raise ValueError("orders must not be empty")
-        if len(self.oversampling_grid) == 0:
-            raise ValueError("oversampling_grid must not be empty")
+        for name in ("orders", "oversampling_grid", "epsilon_grid"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         if any(r < 1 for r in self.orders):
             raise ValueError(f"orders must be >= 1, got {self.orders}")
         for lam in self.oversampling_grid:
@@ -123,24 +121,26 @@ class ExperimentConfig:
                     raise ValueError(f"{name} lists {value} more than once")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.gamma_value() > 0:
-            raise ValueError(f"gamma must be 'auto' or positive, got {self.gamma}")
+        if self.levels != "auto" and not (isinstance(self.levels, int) and self.levels >= 1):
+            raise ValueError(f"levels must be 'auto' or an integer >= 1, got {self.levels!r}")
+        if not self.mu >= 0:
+            raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.constraint_form not in CONSTRAINT_FORMS:
             raise ValueError(f"unknown constraint_form {self.constraint_form!r}")
-        if isinstance(self.levels, dict):
-            for order in self.orders:
-                if order not in self.levels:
-                    raise ValueError(f"levels has no entry for order {order}")
-
-    def gamma_value(self):
-        return self.beta / 2 if self.gamma == "auto" else float(self.gamma)
+        if self.encoder_dim < 1:
+            raise ValueError(f"encoder_dim must be >= 1, got {self.encoder_dim}")
+        if self.distribution not in sensing.DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.solver_max_iterations < 1:
+            raise ValueError(
+                f"solver_max_iterations must be >= 1, got {self.solver_max_iterations}")
+        if not self.solver_tolerance > 0:
+            raise ValueError(f"solver_tolerance must be positive, got {self.solver_tolerance}")
 
     def levels_for(self, order, observed_max):
         if self.levels == "auto":
             return sigma_delta.required_levels(observed_max, self.beta, order)
-        if isinstance(self.levels, dict):
-            return int(self.levels[order])
-        return int(self.levels)
+        return self.levels
 
     def solver_params(self):
         return recovery.SolverParams(
@@ -186,24 +186,10 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # config file round trip (flat key=value text)
 
-def _parse_levels(text):
-    if text == "auto":
-        return "auto"
-    if ":" in text:
-        out = {}
-        for piece in text.split(","):
-            key, val = piece.split(":")
-            out[int(key)] = int(val)
-        return out
-    return int(text)
-
-
 def _parse_value(key, text):
     """Parse a config value as the type of the field's default."""
     if key == "levels":
-        return _parse_levels(text)
-    if key == "gamma":
-        return "auto" if text == "auto" else float(text)
+        return "auto" if text == "auto" else int(text)
     if key == "cache_dir":
         return text or None
     default = getattr(ExperimentConfig, key)
@@ -215,8 +201,9 @@ def _parse_value(key, text):
 def load_config(path, **overrides):
     """Read a flat key=value config file into an ExperimentConfig.
 
-    A line that is not key=value, an unknown key and a key set twice
-    raise ValueError naming the file and the line.
+    A line that is not key=value, an unknown key, a key set twice and a
+    value that does not parse raise ValueError naming the file and the
+    line; a config ExperimentConfig rejects raises it naming the file.
     """
     known = {f.name for f in fields(ExperimentConfig)}
     parsed = {}
@@ -233,9 +220,15 @@ def load_config(path, **overrides):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in parsed:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice")
-            parsed[key] = _parse_value(key, val.strip())
+            try:
+                parsed[key] = _parse_value(key, val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     parsed.update(overrides)
-    return ExperimentConfig(**parsed)
+    try:
+        return ExperimentConfig(**parsed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +434,15 @@ def trial_instance(task, op):
 
 
 def trial_quantize(task, y):
-    """Quantize y at the task's order with the config's beta, levels and gamma.
+    """Quantize y at the task's order with the config's beta and levels.
 
-    Returns (scheme, run); the scheme carries gamma, the state bound the
+    Returns (scheme, run); the scheme certifies gamma, the state bound the
     decoder's radius is built from.
     """
     config = task.config
     L = config.levels_for(task.r, float(np.max(np.abs(y))))
     alphabet = sigma_delta.build_alphabet(L, config.beta)
-    scheme = sigma_delta.SigmaDeltaScheme(task.r, alphabet, config.gamma_value())
+    scheme = sigma_delta.default_scheme(task.r, alphabet)
     return scheme, sigma_delta.quantize(y, scheme)
 
 
@@ -567,29 +560,40 @@ class _SweepSpec:
     fit_mode: str
 
 
+def _check_encoder_fits(config, spec):
+    """Return spec; in the encoded form every point needs m >= encoder_dim.
+
+    draw_encoder would fail every trial at a point with fewer rows.
+    """
+    if config.constraint_form == "encoded":
+        for lam, m, _ in spec.points:
+            if m < config.encoder_dim:
+                raise ValueError(f"oversampling_grid entry {lam} gives m = {lam} * "
+                                 f"{config.ell} below encoder_dim {config.encoder_dim}")
+    return spec
+
+
 def _oversampling_spec(config):
-    return _SweepSpec(
+    return _check_encoder_fits(config, _SweepSpec(
         _EXP_OVERSAMPLING, "oversampling",
         tuple((lam, int(round(lam * config.ell)), 0.0)
               for lam in config.oversampling_grid),
         shared_operator=False, paired_truth=True,
         group_by="lam", fit_mode="loglog",
-    )
+    ))
 
 
 def _noise_spec(config):
     lam = config.oversampling_grid[0]
     m = int(round(lam * config.ell))
-    return _SweepSpec(
+    return _check_encoder_fits(config, _SweepSpec(
         _EXP_NOISE, "noise", tuple((lam, m, eps) for eps in config.epsilon_grid),
         shared_operator=True, paired_truth=True,
         group_by="eps", fit_mode="semilog",
-    )
+    ))
 
 
 def _rate_spec(config):
-    if config.encoder_dim < 1:
-        raise ValueError("encoder_dim must be set for rate-distortion runs")
     for lam in config.oversampling_grid:
         if lam < 1:
             raise ValueError(f"oversampling_grid entry {lam} gives m = {lam} * "

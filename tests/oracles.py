@@ -130,8 +130,6 @@ def save_config(config, path):
             continue
         if isinstance(val, tuple):
             text = ",".join(str(x) for x in val)
-        elif f.name == "levels" and isinstance(val, dict):
-            text = ",".join(f"{k}:{v}" for k, v in sorted(val.items()))
         else:
             text = str(val)
         lines.append(f"{f.name} = {text}")

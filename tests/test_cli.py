@@ -40,12 +40,13 @@ def test_quantize_prints_and_saves(tiny_cfg_file, tmp_path, capsys):
     assert saved["y"].shape == saved["q"].shape == saved["u"].shape
 
 
-def test_quantize_uses_the_configured_gamma(tmp_path, capsys):
-    # gamma below beta / 2 makes this instance overflow in the sweep's trial
-    path = write_tiny_cfg(tmp_path, gamma=0.2)
+def test_quantize_reports_the_sweeps_overflow(tmp_path, capsys):
+    # two levels a side cannot hold the state within the scheme's beta / 2,
+    # so this instance overflows, as it does in the sweep's trial
+    path = write_tiny_cfg(tmp_path, levels=2)
     assert cli.main(["quantize", "--config", path]) == 0
     out = capsys.readouterr().out
-    assert "(certified bound 0.2)" in out
+    assert "(certified bound 0.25)" in out
     assert "overflow: True" in out
     task = harness.first_trial(harness.load_config(path))
     assert harness._run_trial(task, harness.grid_point(task)).overflow

@@ -4,9 +4,10 @@ configs/desk.cfg and pyproject.toml match the program they describe."""
 import argparse
 import re
 import runpy
-import tomllib
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import sdlowrank
 from sdlowrank import cli, harness
@@ -44,6 +45,7 @@ def test_desk_config_sets_every_field():
 
 
 def test_pyproject_names_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["name"] == sdlowrank.__name__

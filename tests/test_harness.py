@@ -39,8 +39,8 @@ def tiny_config(tmp_path, **overrides):
 
 def test_config_round_trip(tmp_path):
     cfg = harness.ExperimentConfig(
-        orders=(1, 3), epsilon_grid=(0.0, 0.25), levels={1: 3, 3: 9},
-        gamma=0.3, trials=7, mu=0.9, constraint_form="full_inverse_power",
+        orders=(1, 3), epsilon_grid=(0.0, 0.25), levels=9,
+        trials=7, mu=0.9, constraint_form="full_inverse_power",
     )
     path = tmp_path / "t.cfg"
     save_config(cfg, path)
@@ -78,10 +78,24 @@ def test_malformed_config_line_rejected(tmp_path):
         harness.load_config(tmp_path / "bad.cfg")
 
 
+def test_config_errors_name_the_file(tmp_path):
+    (tmp_path / "bad.cfg").write_text("n1 = 10\ntrials = x\n")
+    with pytest.raises(ValueError, match=r"bad.cfg:2: trials: invalid literal for int\(\)"):
+        harness.load_config(tmp_path / "bad.cfg")
+    # a value that parses but ExperimentConfig rejects names the file only
+    (tmp_path / "bad.cfg").write_text("n1 = 10\ntrials = 0\n")
+    with pytest.raises(ValueError, match="bad.cfg: trials must be >= 1"):
+        harness.load_config(tmp_path / "bad.cfg")
+
+
 def test_levels_field_parse_forms(tmp_path):
-    for text, expected in (("auto", "auto"), ("9", 9), ("1:3,2:9,3:27", {1: 3, 2: 9, 3: 27})):
+    for text, expected in (("auto", "auto"), ("9", 9)):
         (tmp_path / "l.cfg").write_text(f"levels = {text}\n")
         assert harness.load_config(tmp_path / "l.cfg").levels == expected
+    # one integer serves every order; a per-order map does not parse
+    (tmp_path / "l.cfg").write_text("levels = 1:3,2:9\n")
+    with pytest.raises(ValueError, match="l.cfg:1: levels: "):
+        harness.load_config(tmp_path / "l.cfg")
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS,
@@ -101,9 +115,10 @@ def test_config_validation():
 
 
 def test_levels_missing_an_order_rejected():
-    # levels_for would raise KeyError in every order-2 trial
-    with pytest.raises(ValueError, match="levels has no entry for order 2"):
-        harness.ExperimentConfig(levels={1: 5}, orders=(1, 2))
+    # levels is "auto" or one integer for every order; a map is not accepted
+    for levels in ({1: 5}, {1: 5, 2: 9}):
+        with pytest.raises(ValueError, match="levels must be 'auto' or an integer >= 1"):
+            harness.ExperimentConfig(levels=levels, orders=(1, 2))
 
 
 def test_rank_above_matrix_size_rejected():
@@ -119,14 +134,34 @@ def test_rank_above_matrix_size_rejected():
     (dict(orders=(1, 1)), "orders lists 1 more than once"),
     # each of these raises ValueError in every trial
     (dict(beta=0.0), "beta must be positive, got 0.0"),
-    (dict(gamma=-1.0), "gamma must be 'auto' or positive, got -1.0"),
     (dict(oversampling_grid=(0.0, 2.0)), "oversampling_grid entries must be positive, got 0.0"),
     (dict(orders=(0, 1)), r"orders must be >= 1, got \(0, 1\)"),
-], ids=["repeated-lambda", "repeated-eps", "repeated-order", "zero-beta", "negative-gamma",
-        "zero-lambda", "zero-order"])
-def test_config_rejects_values_no_sweep_can_run(overrides, message):
-    with pytest.raises(ValueError, match=message):
-        harness.ExperimentConfig(n1=4, n2=4, rank=1, ell=8, **overrides)
+    (dict(levels=0), "levels must be 'auto' or an integer >= 1, got 0"),
+    (dict(distribution="foo"), "unknown distribution 'foo'"),
+    # draw_encoder needs 1 <= encoder_dim <= m rows
+    (dict(encoder_dim=0), "encoder_dim must be >= 1, got 0"),
+    (dict(oversampling_grid=(2.0,), constraint_form="encoded", encoder_dim=20),
+     r"oversampling_grid entry 2.0 gives m = 2.0 \* 8 below encoder_dim 20"),
+    # a noise sweep of no points writes an empty CSV
+    (dict(epsilon_grid=()), "epsilon_grid must not be empty"),
+    # every solve stops at once, or runs to the cap, and is recorded as not converged
+    (dict(solver_max_iterations=0), "solver_max_iterations must be >= 1, got 0"),
+    (dict(solver_tolerance=0.0), "solver_tolerance must be positive, got 0.0"),
+    (dict(solver_tolerance=-1e-6), "solver_tolerance must be positive, got -1e-06"),
+    # mu <= 0 leaves the natural scale, so a negative mu would be ignored
+    (dict(mu=-1.0), "mu must be nonnegative, got -1.0"),
+], ids=["repeated-lambda", "repeated-eps", "repeated-order", "zero-beta",
+        "zero-lambda", "zero-order", "zero-levels", "unknown-distribution",
+        "zero-encoder-dim", "encoded-m-below-encoder-dim", "empty-eps",
+        "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu"])
+def test_config_rejects_values_no_sweep_can_run(tmp_path, overrides, message):
+    # rejected before any trial runs, so no output is written
+    out = tmp_path / "out"
+    for run in (harness.run_oversampling_sweep, harness.run_noise_sweep):
+        with pytest.raises(ValueError, match=message):
+            run(harness.ExperimentConfig(n1=4, n2=4, rank=1, ell=8,
+                                         output_path=str(out), **overrides))
+    assert not out.exists()
 
 
 def test_rate_sweep_rejects_m_below_encoder_dim(tmp_path):
@@ -135,6 +170,16 @@ def test_rate_sweep_rejects_m_below_encoder_dim(tmp_path):
     with pytest.raises(ValueError, match=r"oversampling_grid entry 0.5 gives m = 0.5 \* 16"):
         harness.run_rate_distortion(cfg)
     assert not os.path.exists(cfg.output_path)
+
+
+def test_rate_sweep_reads_the_grid_against_encoder_dim(tmp_path):
+    # m = 2 * 40 = 80 here, where the encoded oversampling sweep's m = 2 * 16 is too few
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), encoder_dim=40,
+                      constraint_form="encoded")
+    with pytest.raises(ValueError, match="below encoder_dim 40"):
+        harness.run_oversampling_sweep(cfg)
+    res = harness.run_rate_distortion(cfg)
+    assert [rec.m for rec in res.records] == [80, 80]
 
 
 def test_rate_sweep_rejects_non_integral_m(tmp_path):
@@ -505,15 +550,16 @@ def test_sweep_summary_mentions_slopes(tmp_path):
 
 
 def test_summary_counts_nonconverged_and_overflowed_trials(tmp_path):
-    # three iterations stop every solve short; gamma below beta / 2 overflows
-    cfg = tiny_config(tmp_path, solver_max_iterations=3, gamma=0.2)
+    # three iterations stop every solve short; two levels a side are far
+    # too few for these measurements, so every state leaves beta / 2
+    cfg = tiny_config(tmp_path, solver_max_iterations=3, levels=2)
     res = harness.run_oversampling_sweep(cfg)
 
     def counts(records):
         return sum(not t.converged for t in records), sum(t.overflow for t in records)
 
     not_converged, overflowed = counts(res.records)
-    assert not_converged > 0 and overflowed > 0
+    assert not_converged == overflowed == len(res.records) == 4
     lines = Path(res.summary_path).read_text().splitlines()
     assert lines[1] == (f"oversampling sweep: {len(res.records)} trials, 0 failures, "
                         f"{not_converged} not converged, {overflowed} overflowed")
