@@ -6,7 +6,10 @@ across worker processes), sort the results deterministically, and write
 one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  A trial
 runs the stages trial_instance, trial_quantize and trial_solve on what
-grid_point builds once for its grid point; the command line reuses them.
+grid_point builds once for its grid point: the operator, the basis or
+encoder, and a ConstraintFactor in which the point's first trial builds
+the constraint matrix J and its SVD for the rest to share.  The command
+line reuses the same stages.
 """
 
 from __future__ import annotations
@@ -136,6 +139,8 @@ class ExperimentConfig:
                 f"solver_max_iterations must be >= 1, got {self.solver_max_iterations}")
         if not self.solver_tolerance > 0:
             raise ValueError(f"solver_tolerance must be positive, got {self.solver_tolerance}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def levels_for(self, order, observed_max):
         if self.levels == "auto":
@@ -393,10 +398,13 @@ def _trial_key(item):
 
 
 def grid_point(task):
-    """(operator, basis, encoder), shared by every trial at the task's grid point.
+    """(operator, basis, encoder, factor), shared by every trial at the task's grid point.
 
     Of the basis and the encoder, the one the form does not use is None.
     The basis is cached in cache_dir, by default output_path/basis_cache.
+    factor is an empty recovery.ConstraintFactor; the point's first
+    recover call fills it with J and its SVD, and it is freed with the
+    point.
     """
     config = task.config
     op = sensing.draw_operator(
@@ -412,7 +420,7 @@ def grid_point(task):
         )
     elif config.constraint_form == "encoded":
         encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
-    return op, basis, encoder
+    return op, basis, encoder, recovery.ConstraintFactor()
 
 
 def trial_instance(task, op):
@@ -455,7 +463,7 @@ def trial_solve(task, point):
     """
     config = task.config
     m, r = task.m, task.r
-    op, basis, encoder = point
+    op, basis, encoder, factor = point
     X, scale, y = trial_instance(task, op)
     scheme, run = trial_quantize(task, y)
 
@@ -478,7 +486,7 @@ def trial_solve(task, point):
         truth = recovery.check_feasibility(problem, X, y - sensing.apply(op, X))
         if not truth.ok:
             raise RuntimeError("truth is infeasible: " + "; ".join(truth.messages))
-    solution = recovery.recover(problem, config.solver_params())
+    solution = recovery.recover(problem, config.solver_params(), factor=factor)
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))
     record = TrialRecord(
@@ -520,7 +528,7 @@ def _run_group(group):
 
 def _execute(groups, workers):
     """Run each grid point's trials; results and failures come back in CSV row order."""
-    if workers <= 1:
+    if workers == 1:
         outcomes = [o for group in map(_run_group, groups) for o in group]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

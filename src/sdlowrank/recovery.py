@@ -20,6 +20,12 @@ the singular coordinates), the other applies the nuclear-norm prox
 projection view keeps every iterate feasible for S no matter how badly
 conditioned D^{-r} is, which is what breaks down for naive first-order
 schemes once m and r grow.
+
+J and its SVD depend on the operator, the basis or encoder, the order
+and whether nu is present, but not on q: a ConstraintFactor builds them
+once and serves every problem that shares those inputs, so all trials
+of a sweep's grid point share one factorization and each forms only its
+own c.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "SolverParams",
     "RecoveryProblem",
     "RecoverySolution",
+    "ConstraintFactor",
     "FeasibilityReport",
     "recover",
     "check_feasibility",
@@ -170,9 +177,13 @@ class FeasibilityReport:
 class _TubeProjector:
     """Exact Euclidean projection onto {x : ||J x - c|| <= R}.
 
-    Uses the economy SVD of J.  With p in singular coordinates the
-    projection solves a scalar secular equation for the multiplier
-    theta; components outside the row space of J pass through unchanged.
+    Takes the economy SVD (U, s, Vh) of J, which a ConstraintFactor
+    computes once for all the trials of a grid point; each projector
+    forms its own cbar = U^T c, the squared norm c_perp2 of the part of c
+    outside the range of J, and its warm start.  With p in singular
+    coordinates the projection solves a scalar secular equation for the
+    multiplier theta; components outside the row space of J pass through
+    unchanged.
 
     The solve is safeguarded Newton on 1/phi(theta) - 1/R, as for the
     trust-region step of More and Sorensen (SIAM J. Sci. Stat. Comput.
@@ -183,11 +194,11 @@ class _TubeProjector:
     Newton loop, not the feasibility test at theta = 0.
     """
 
-    def __init__(self, J, c, R):
+    def __init__(self, svd, c, R):
         if R < 0:
             raise ValueError("constraint radius must be nonnegative")
         self.R = float(R)
-        U, s, Vh = np.linalg.svd(J, full_matrices=False)
+        U, s, Vh = svd
         self.s = s
         self.s2 = s * s
         self.Vh = Vh
@@ -262,19 +273,58 @@ def _noise_block(problem):
     return noise_shaping.apply_inverse_power(np.eye(m), r)
 
 
-def build_constraint(problem):
-    """Materialize (J, c, radius) for the stacked ball constraint.
+class ConstraintFactor:
+    """The constraint matrix J = [G T] of one grid point and its thin SVD.
 
-    J = [G T] acts on (vec Z, nu) with G the shaped operator and c the
-    shaped quantized vector; the nu block T is omitted when noise_bound is
-    zero.  The full inverse power form with noise requires a dense m x m
-    block and is refused beyond DENSE_FULL_FORM_LIMIT.
+    A one-slot holder.  The first problem given to fit fixes what J
+    depends on: the operator, the basis and the encoder (by identity),
+    the order, and whether nu is present.  fit builds J and its SVD then,
+    and for every later problem returns the same arrays if those inputs
+    are the same, and raises ValueError if any of them differs, so no
+    problem is ever given another's J.  A sweep's grid point owns one and
+    frees it with the point.
     """
-    J = _shape(problem, problem.operator.data)
-    c = _shape(problem, problem.quantized)
-    if problem.noise_bound > 0:
-        J = np.concatenate([J, _noise_block(problem)], axis=1)
-    return J, c, problem.radius
+
+    def __init__(self):
+        self._inputs = None
+        self._key = None
+        self.J = None
+        self.svd = None
+
+    def fit(self, problem):
+        """Build J and its SVD (U, s, Vh) for problem, or check that they are
+        its own; return self."""
+        inputs = (problem.operator, problem.basis, problem.encoder)
+        key = (problem.order, problem.noise_bound > 0)
+        if self._inputs is None:
+            J = _shape(problem, problem.operator.data)
+            if problem.noise_bound > 0:
+                J = np.concatenate([J, _noise_block(problem)], axis=1)
+            self.svd = np.linalg.svd(J, full_matrices=False)
+            self.J = J
+            self._inputs, self._key = inputs, key
+        elif key != self._key or any(a is not b for a, b in zip(inputs, self._inputs)):
+            raise ValueError(
+                "the constraint factor was built for another operator, basis, "
+                "encoder, order or noise block"
+            )
+        return self
+
+
+def build_constraint(problem, factor=None):
+    """(J, c, radius) for the stacked ball constraint.
+
+    J = [G T] acts on (vec Z, nu) with G the shaped operator; the nu block
+    T is omitted when noise_bound is zero.  J comes from factor, which
+    builds it and its SVD for its first problem and returns the same
+    array for the rest; a fresh ConstraintFactor is used when none is
+    given.  c, the shaped quantized vector, is formed for each problem.
+    The full inverse power form with noise requires a dense m x m block
+    and is refused beyond DENSE_FULL_FORM_LIMIT.
+    """
+    if factor is None:
+        factor = ConstraintFactor()
+    return factor.fit(problem).J, _shape(problem, problem.quantized), problem.radius
 
 
 def _nuclear_prox(Z, tau):
@@ -300,7 +350,7 @@ def nuclear_norm(Z):
     return float(np.linalg.svd(Z, compute_uv=False).sum())
 
 
-def recover(problem, params=None, start=None):
+def recover(problem, params=None, start=None, factor=None):
     """Solve the recovery program and return a RecoverySolution.
 
     Parameters
@@ -309,6 +359,9 @@ def recover(problem, params=None, start=None):
     params : SolverParams, optional
     start : (Z0, nu0) pair, optional
         Warm-start point; nu0 may be None.
+    factor : ConstraintFactor, optional
+        Holds J and its SVD for the problem's grid point, built on first
+        use; without one, both are built for this call alone.
 
     The returned converged flag requires both residual criteria and the
     feasibility check of the returned point to pass; non-convergence
@@ -321,9 +374,11 @@ def recover(problem, params=None, start=None):
     m = problem.operator.rows
     with_nu = problem.noise_bound > 0
     m_nu = m if with_nu else 0
-    J, c, R1 = build_constraint(problem)
+    if factor is None:
+        factor = ConstraintFactor()
+    _, c, R1 = build_constraint(problem, factor)
     R2 = problem.noise_radius
-    proj_S = _TubeProjector(J, c, R1)
+    proj_S = _TubeProjector(factor.svd, c, R1)
 
     xp = np.zeros(N + m_nu)
     if start is not None:

@@ -180,6 +180,15 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_workers_exits_one(tiny_cfg_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = cli.main(["sweep-oversampling", "--config", tiny_cfg_file,
+                     "--workers", "0", "--out", str(out_dir)])
+    assert code == 1
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

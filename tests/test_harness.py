@@ -150,10 +150,14 @@ def test_rank_above_matrix_size_rejected():
     (dict(solver_tolerance=-1e-6), "solver_tolerance must be positive, got -1e-06"),
     # mu <= 0 leaves the natural scale, so a negative mu would be ignored
     (dict(mu=-1.0), "mu must be nonnegative, got -1.0"),
+    # a sweep would run serially as if workers were 1
+    (dict(workers=0), "workers must be >= 1, got 0"),
+    (dict(workers=-3), "workers must be >= 1, got -3"),
 ], ids=["repeated-lambda", "repeated-eps", "repeated-order", "zero-beta",
         "zero-lambda", "zero-order", "zero-levels", "unknown-distribution",
         "zero-encoder-dim", "encoded-m-below-encoder-dim", "empty-eps",
-        "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu"])
+        "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu",
+        "zero-workers", "negative-workers"])
 def test_config_rejects_values_no_sweep_can_run(tmp_path, overrides, message):
     # rejected before any trial runs, so no output is written
     out = tmp_path / "out"
@@ -440,6 +444,66 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
         assert sorted(calls[built]) == sorted(m for _, m, _ in points)
         unused = {"compute_basis": "draw_encoder", "draw_encoder": "compute_basis"}[built]
         assert calls[unused] == []
+
+
+# one grid point of each decoder form: (constraint_form, eps)
+FACTOR_CASES = [("projected", 0.0), ("projected", 0.5), ("encoded", 0.0),
+                ("full_inverse_power", 0.0)]
+FACTOR_IDS = ["projected", "projected-noise", "encoded", "full"]
+
+
+def _one_point_config(tmp_path, form, eps):
+    """A noise sweep of one grid point, (r, m, eps) = (1, 32, eps), 3 trials."""
+    return tiny_config(tmp_path, oversampling_grid=(2.0,), epsilon_grid=(eps,), trials=3,
+                       constraint_form=form, encoder_dim=16, workers=1)
+
+
+@pytest.mark.parametrize("form, eps", FACTOR_CASES, ids=FACTOR_IDS)
+def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps):
+    # every trial's recover still calls build_constraint, and all get the
+    # one J that the first built; the shaped operator and the SVD of J
+    # are computed once for the point
+    shaped, factored, built = [], [], []
+    shape, svd, build = recovery._shape, np.linalg.svd, recovery.build_constraint
+
+    def counted_shape(problem, M):
+        if M is problem.operator.data:
+            shaped.append(M)
+        return shape(problem, M)
+
+    def counted_svd(a, *args, **kwargs):
+        factored.append(a)
+        return svd(a, *args, **kwargs)
+
+    def counted_build(*args, **kwargs):
+        result = build(*args, **kwargs)
+        built.append(result[0])
+        return result
+
+    monkeypatch.setattr(recovery, "_shape", counted_shape)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(recovery, "build_constraint", counted_build)
+    res = harness.run_noise_sweep(_one_point_config(tmp_path, form, eps))
+    assert len(res.records) == 3 and not res.failures
+    assert len(built) == 3 and all(J is built[0] for J in built)
+    assert len(shaped) == 1
+    assert sum(a is built[0] for a in factored) == 1
+
+
+@pytest.mark.parametrize("form, eps", FACTOR_CASES, ids=FACTOR_IDS)
+def test_shared_factor_solves_like_a_fresh_build(tmp_path, form, eps):
+    # a trial solved after another filled its point's factor matches the
+    # same trial solved on a point of its own, bit for bit
+    cfg = _one_point_config(tmp_path, form, eps)
+    first, second = next(harness._sweep_tasks(cfg, harness._noise_spec(cfg)))[:2]
+    point = harness.grid_point(first)
+    harness.trial_solve(first, point)
+    _, shared = harness.trial_solve(second, point)
+    _, fresh = harness.trial_solve(second, harness.grid_point(second))
+    assert np.array_equal(shared.estimate, fresh.estimate)
+    assert np.array_equal(shared.noise_estimate, fresh.noise_estimate)
+    assert shared.iterations == fresh.iterations
+    assert shared.secular_steps == fresh.secular_steps
 
 
 def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):

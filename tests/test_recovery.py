@@ -93,7 +93,7 @@ def test_truth_is_feasible_for_all_forms(tmp_path_factory, form, r, ell, lam, ep
         output_path=str(tmp_path_factory.getbasetemp() / "feasible"),
     )
     task = dataclasses.replace(harness.first_trial(config), eps=eps, noise_seed=seed)
-    op, basis, encoder = harness.grid_point(task)
+    op, basis, encoder, _ = harness.grid_point(task)
     X, _, y = harness.trial_instance(task, op)
     noise = y - sensing.apply(op, X)
     scheme, run = harness.trial_quantize(task, y)
@@ -124,6 +124,31 @@ def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
         assert J.shape == want.shape
         assert np.max(np.abs(J - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(c - S @ problem.quantized)) <= 1e-12 * np.max(np.abs(c))
+
+
+def test_constraint_factor_refuses_another_grid_points_problem():
+    problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
+    factor = recovery.ConstraintFactor().fit(problem)
+    J, svd = factor.J.copy(), factor.svd
+    another_basis = noise_shaping.compute_basis(40, 2, truncation=10)
+    others = {
+        "operator": pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)[0],
+        "basis": dataclasses.replace(problem, basis=another_basis),
+        "order": dataclasses.replace(
+            problem, order=1, basis=noise_shaping.compute_basis(40, 1, truncation=10)),
+        "noise": dataclasses.replace(problem, noise_bound=0.5),
+    }
+    for name, other in others.items():
+        for use in (factor.fit, lambda p: recovery.build_constraint(p, factor),
+                    lambda p: recovery.recover(p, factor=factor)):
+            with pytest.raises(ValueError, match="built for another operator"):
+                use(other)
+    # the refusals left the factor as it was, and another q of the same
+    # point gets the same J and SVD objects
+    assert np.array_equal(factor.J, J) and factor.svd is svd
+    same_point = dataclasses.replace(problem, quantized=np.zeros(40))
+    assert recovery.build_constraint(same_point, factor)[0] is factor.J
+    assert factor.svd is svd
 
 
 def test_objective_not_above_truth():
@@ -255,6 +280,11 @@ def test_noise_ball_active_case():
     assert sol.feasibility.ok
 
 
+def _projector(J, c, R):
+    """The tube projector of ||J x - c|| <= R, from the thin SVD of J."""
+    return recovery._TubeProjector(np.linalg.svd(J, full_matrices=False), c, R)
+
+
 # The projector reads the part of c outside the range of J as
 # c.c - cbar.cbar; once ||c|| >> R the rounding of that difference exceeds
 # R^2 and the projection lands on the wrong shell.  Strict, so the marker
@@ -273,7 +303,7 @@ def test_tube_projection_lands_on_the_shell_when_c_is_large(scale):
     e1 = np.zeros(30)
     e1[0] = 0.95
     p = x0 + Vh.T @ (e1 / s)
-    x = recovery._TubeProjector(J, c, 1.0)(p)
+    x = _projector(J, c, 1.0)(p)
     assert abs(np.linalg.norm(J @ x - c) - 1.0) <= 1e-3
 
 
@@ -314,16 +344,16 @@ def test_tube_projection_properties(rows, cols, log_cond, rho, radius_rel, reach
     for _ in range(6):
         inputs += [p, p + 1e-6 * step * rng.standard_normal(cols), x0]
         p = p + step * rng.standard_normal(cols) / 4
-    warm = recovery._TubeProjector(J, c, R)
+    warm = _projector(J, c, R)
     inside = x0
     for p in inputs:
         x = warm(p)
-        fresh = recovery._TubeProjector(J, c, R)(p)
+        fresh = _projector(J, c, R)(p)
         # the warm state changes no point beyond the stopping rule
         assert np.linalg.norm(x - fresh) <= 1e-12 * max(1.0, np.linalg.norm(fresh))
         assert np.linalg.norm(J @ x - c) <= R * (1 + 1e-12)
         mid = 0.5 * (x0 + x)
-        assert recovery._TubeProjector(J, c, R)(mid) is mid
+        assert _projector(J, c, R)(mid) is mid
         # variational inequality of the projection onto a convex set, at
         # strictly feasible points
         for z in (x0, mid, inside):
@@ -341,7 +371,7 @@ def test_tube_projection_lands_at_the_cap_when_the_tube_is_empty():
     U, _, _ = np.linalg.svd(J)
     R = 0.5
     c = J @ rng.standard_normal(5) + 2 * R * U[:, -1]
-    proj = recovery._TubeProjector(J, c, R)
+    proj = _projector(J, c, R)
     for _ in range(2):
         x = proj(rng.standard_normal(5))
         assert proj.theta == 1e40
