@@ -9,7 +9,13 @@ only the leading ell singular values sigma_1..sigma_ell of D^{-r} and
 its leading right singular vectors V_ell.  compute_basis finds them in
 O(m ell) memory, never forming the m x m matrix: in closed form at
 r = 1, by block subspace iteration with Rayleigh-Ritz for r >= 2.  The
-pair can be cached on disk, keyed by (m, r, ell).
+iteration factors its tall m x 2 ell blocks by Cholesky QR twice
+(CholeskyQR2; Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014):
+a small Gram matrix, its Cholesky factor and one matrix product, in
+place of LAPACK's Householder QR and thin SVD.  Only the first
+Rayleigh-Ritz step keeps a thin SVD, because its block is too
+ill-conditioned for Cholesky QR (see _subspace_iteration).  The pair can
+be cached on disk, keyed by (m, r, ell).
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ __all__ = [
     "project_shaped",
 ]
 
-_CACHE_FORMAT_VERSION = 2
+# 3: bases built with Cholesky QR; their last digits differ from version 2's
+_CACHE_FORMAT_VERSION = 3
 
 # subspace iteration stops once sigma_ell ||D^{r,T} V_ell||_2 is within
 # this of 1, and gives up after _MAX_STEPS power steps
@@ -148,6 +155,26 @@ def _certificate(s, V, r):
     return float(s[-1]) * math.sqrt(np.linalg.eigvalsh(X.T @ X)[-1])
 
 
+def _cholesky_qr(Y):
+    """Y = Q R with orthonormal Q and upper-triangular R, by Cholesky QR
+    twice on Y with its columns scaled to unit norm.
+
+    One pass takes the Cholesky factor C of the Gram matrix Q^T Q and sets
+    Q = Q C^{-1}; it loses orthogonality like cond^2 eps, where cond is
+    the scaled block's condition number, and the second pass restores it
+    to eps while cond stays well below 1e8.  The unit columns keep the
+    Gram matrix from overflowing whatever Y's column norms.  Raises
+    LinAlgError when the Gram matrix is not numerically positive definite.
+    """
+    d = np.linalg.norm(Y, axis=0)
+    Q, R = Y / d, np.diag(d)
+    for _ in range(2):
+        C = np.linalg.cholesky(Q.T @ Q).T
+        Q = Q @ np.linalg.inv(C)
+        R = C @ R
+    return Q, R
+
+
 def _subspace_iteration(m, r, ell):
     """Block subspace iteration on D^{-r,T} D^{-r} with Rayleigh-Ritz.
 
@@ -156,16 +183,38 @@ def _subspace_iteration(m, r, ell):
     alone, so the result is deterministic; that start lies close to the
     wanted subspace and saves power steps over a random one.  When p = m
     the block spans R^m and the first Ritz step is exact.
+
+    Each Rayleigh-Ritz step takes the SVD U S W^T of D^{-r} Q; each power
+    step orthonormalizes D^{-r,T} U.  Step 0 takes a thin LAPACK SVD of
+    D^{-r} Q, because on the r = 1 start that block is ill-conditioned
+    even with its columns scaled to unit norm: condition number 2.5e2 at
+    r = 2, 8.9e4 at r = 3, 2.3e7 at r = 4 and 4.5e9 at r = 5 (m = 1280,
+    ell = 80), where Cholesky QR, which needs it well below 1e8, breaks
+    down.  Every later block, power step or Rayleigh-Ritz, measured below
+    3 for r <= 6 (m = 1280, ell = 80) and is factored
+    by _cholesky_qr: the power step's block directly, and the
+    Rayleigh-Ritz block as D^{-r} Q = Q_s R, whose p x p SVD
+    R = U_R S W^T gives U = Q_s U_R.  A Cholesky breakdown raises
+    BasisNotCertified.
     """
     Q = _first_order_pair(m, min(2 * ell, m))[1]
-    for _ in range(_MAX_STEPS + 1):
-        U, s, Wh = np.linalg.svd(apply_inverse_power(Q, r), full_matrices=False)
-        s, V = s[:ell], Q @ Wh[:ell].T
-        certificate = _certificate(s, V, r)
-        if certificate <= 1.0 + _CERTIFICATE_SLACK:
-            return s, V
-        # D^{-r,T} U: D^{-r} on reversed rows
-        Q = np.linalg.qr(apply_inverse_power(U[::-1], r)[::-1])[0]
+    for step in range(_MAX_STEPS + 1):
+        try:
+            Y = apply_inverse_power(Q, r)
+            if step == 0:
+                U, s, Wh = np.linalg.svd(Y, full_matrices=False)
+            else:
+                Q_s, R = _cholesky_qr(Y)
+                U, s, Wh = np.linalg.svd(R)
+                U = Q_s @ U
+            s, V = s[:ell], Q @ Wh[:ell].T
+            certificate = _certificate(s, V, r)
+            if certificate <= 1.0 + _CERTIFICATE_SLACK:
+                return s, V
+            # D^{-r,T} U: D^{-r} on reversed rows
+            Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])[0]
+        except np.linalg.LinAlgError as exc:
+            raise BasisNotCertified(f"m={m} r={r} ell={ell}: step {step}: {exc}") from exc
     raise BasisNotCertified(
         f"m={m} r={r} ell={ell}: sigma_ell ||D^(r,T) V_ell|| = {certificate!r} "
         f"after {_MAX_STEPS} steps"

@@ -564,6 +564,24 @@ def test_failed_grid_point_fails_all_its_trials(tmp_path, monkeypatch, module, n
     assert len(res.records) == 8
 
 
+def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):
+    # r = 1 and the r = 2 points with m <= 2 ell need no Cholesky factor;
+    # at m = 64 the first power step breaks down, and both of its trials
+    # carry the typed message (2 of 12 failures stays under the abort line)
+    def breakdown(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(noise_shaping.np.linalg, "cholesky", breakdown)
+    cfg = tiny_config(tmp_path, orders=(1, 2), oversampling_grid=(1.0, 2.0, 4.0))
+    res = harness.run_oversampling_sweep(cfg)
+    message = ("BasisNotCertified: m=64 r=2 ell=16: step 0: "
+               "Matrix is not positive definite")
+    assert [(t.r, t.m, t.trial_index, msg) for t, msg in res.failures] == [
+        (2, 64, 0, message), (2, 64, 1, message)]
+    assert [(rec.r, rec.m) for rec in res.records] == [
+        (1, 16), (1, 16), (1, 32), (1, 32), (1, 64), (1, 64), (2, 16), (2, 16), (2, 32), (2, 32)]
+
+
 def test_noise_sweep_rows_and_monotone_grid(tmp_path):
     cfg = tiny_config(tmp_path, epsilon_grid=(0.0, 0.5, 1.0))
     res = harness.run_noise_sweep(cfg)

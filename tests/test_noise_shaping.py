@@ -137,9 +137,9 @@ def test_basis_invariants(cache_dir):
     assert basis.sigma_truncation == s[ell - 1]
 
 
-@pytest.mark.parametrize("m", [160, 320, 640, 1280])
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_basis_matches_dense_oracle(m, r):
+@pytest.mark.parametrize("r, m", [(r, m) for r in (1, 2, 3) for m in (160, 320, 640, 1280)]
+                         + [(4, m) for m in (160, 320, 640)])
+def test_basis_matches_dense_oracle(r, m):
     """sigma_1..sigma_ell to 1e-8 relative, the span of V_ell to a largest
     principal-angle sine of 1e-4, and the decoder's certificate
     sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9, computed with dense D^r."""
@@ -156,7 +156,7 @@ def test_basis_matches_dense_oracle(m, r):
 
 @settings(PROPERTY, max_examples=30)
 @given(m_ell=st.integers(1, 160).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
-       r=st.integers(1, 3))
+       r=ORDERS)
 def test_basis_certified_at_any_size(m_ell, r):
     # block sizes on both sides of p = m, down to m = 1 and ell = 1
     m, ell = m_ell
@@ -175,6 +175,64 @@ def test_basis_uncertified_raises_typed_error(monkeypatch):
     with pytest.raises(ns.BasisNotCertified):
         ns.compute_basis(320, 2, truncation=80)
     ns.compute_basis(160, 2, truncation=80)  # p = m: exact at step 0
+
+
+def test_cholesky_breakdown_raises_typed_error(monkeypatch):
+    # p = 160 < m: the first power step needs a Cholesky factor
+    def breakdown(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(ns.np.linalg, "cholesky", breakdown)
+    with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=2 ell=80: step 0: Matrix is not"):
+        ns.compute_basis(320, 2, truncation=80)
+
+
+def test_basis_build_takes_one_tall_svd_and_no_householder_qr(monkeypatch):
+    m, r, ell = 1280, 3, 80
+    qr_calls, tall_svds = [], []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def counted_qr(a, *args, **kwargs):
+        qr_calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    def counted_svd(a, *args, **kwargs):
+        if a.shape[0] == m:
+            tall_svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(ns.np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(ns.np.linalg, "svd", counted_svd)
+    ns.compute_basis(m, r, truncation=ell)
+    assert qr_calls == []
+    assert tall_svds == [(m, 2 * ell)]
+
+
+@st.composite
+def _tall_blocks(draw):
+    """An m x p block Q0 T diag(d): orthonormal Q0, a p x p factor T with
+    condition number up to 1e4 (one Cholesky QR pass alone leaves QᵀQ
+    off by up to 1e-8 there), and column scales d spread across
+    1e-8..1e8."""
+    m = draw(st.integers(1, 300))
+    p = draw(st.integers(1, min(m, 40)))
+    kappa = 10.0 ** draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q0, W1, W2 = (np.linalg.qr(rng.standard_normal(shape))[0]
+                  for shape in ((m, p), (p, p), (p, p)))
+    T = W1 * np.geomspace(1.0, 1.0 / kappa, p) @ W2.T
+    return Q0 @ T * 10.0 ** rng.uniform(-8, 8, p)
+
+
+@PROPERTY
+@given(Y=_tall_blocks())
+def test_cholesky_qr_factors_tall_blocks(Y):
+    Q, R = ns._cholesky_qr(Y)
+    p = Y.shape[1]
+    assert Q.shape == Y.shape and R.shape == (p, p)
+    assert np.max(np.abs(Q.T @ Q - np.eye(p))) <= 1e-12
+    assert np.linalg.norm(Q @ R - Y) <= 1e-12 * np.linalg.norm(Y)
+    assert np.array_equal(R, np.triu(R))
 
 
 def test_basis_truncation_change():
@@ -256,6 +314,31 @@ def _write_truncated(path, arrays):
         head = fh.read()
     with open(path, "wb") as fh:
         fh.write(head[: len(head) // 2])
+
+
+def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypatch):
+    # a file with a fresh build's arrays but the previous format's stamp,
+    # which marks an older algorithm's last digits, is rebuilt, not read
+    m, r, ell = 320, 2, 40
+    arrays = _good_cache_arrays(m, r, ell)
+    assert ns._CACHE_FORMAT_VERSION == 3
+    path = os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}_l{ell}.npz")
+    np.savez(path, **{**arrays, "format_version": np.array([2])})
+    built = []
+    iteration = ns._subspace_iteration
+
+    def counted(*args):
+        built.append(args)
+        return iteration(*args)
+
+    monkeypatch.setattr(ns, "_subspace_iteration", counted)
+    basis = ns.compute_basis(m, r, truncation=ell, cache_dir=cache_dir)
+    assert built == [(m, r, ell)]
+    assert np.array_equal(basis.right_vectors, arrays["right_vectors"])
+    with np.load(path) as data:
+        assert int(data["format_version"][0]) == 3
+        for key, want in arrays.items():
+            assert np.array_equal(data[key], want)
 
 
 @pytest.mark.parametrize("write_bad", [
