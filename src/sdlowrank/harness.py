@@ -4,17 +4,21 @@ One engine runs every sweep from a small per-experiment spec: derive
 per-trial seeds from the master seed, run independent trials (optionally
 across worker processes), sort the results deterministically, and write
 one CSV plus a text summary with fitted slopes.  Reordering or
-parallelizing trial execution never changes the output bytes.  A trial
-runs the stages trial_instance, trial_quantize and trial_solve on what
-grid_point builds once for its grid point: the operator, the basis or
-encoder, and a ConstraintFactor in which the point's first trial builds
-the constraint matrix J and its SVD for the rest to share.  The command
-line reuses the same stages.
+parallelizing trial execution never changes the output bytes.  Work is
+done a grid point at a time, on what grid_point builds once for it: the
+operator, the basis or encoder, and a ConstraintFactor that holds the
+constraint matrix J and its SVD for all the point's trials.  Each trial
+is prepared (trial_instance, trial_quantize, the encoding and the truth
+check), the prepared trials are solved together by one
+recovery.recover_batch call, and each gets its CSV row from _run_trial.
+The command line reuses the same stages through trial_solve, which
+solves one trial as a batch of one and so reproduces its sweep row.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -403,8 +407,7 @@ def grid_point(task):
     Of the basis and the encoder, the one the form does not use is None.
     The basis is cached in cache_dir, by default output_path/basis_cache.
     factor is an empty recovery.ConstraintFactor; the point's first
-    recover call fills it with J and its SVD, and it is freed with the
-    point.
+    solve fills it with J and its SVD, and it is freed with the point.
     """
     config = task.config
     op = sensing.draw_operator(
@@ -454,16 +457,27 @@ def trial_quantize(task, y):
     return scheme, sigma_delta.quantize(y, scheme)
 
 
-def trial_solve(task, point):
-    """Run one trial through decoding; return (TrialRecord, RecoverySolution).
+@dataclass(frozen=True)
+class _PreparedTrial:
+    """One trial up to its solve: its truth, its problem and what its row reports."""
+
+    truth: np.ndarray
+    scale: float
+    overflow: bool
+    rate_bits: object
+    rate_bits_fig: object
+    problem: recovery.RecoveryProblem
+
+
+def _prepare_trial(task, point):
+    """Draw, quantize and (encoded) encode one trial, and pose its problem.
 
     point is grid_point(task).  Unless the quantizer overflowed, a true
     pair (X, y - M(X)) that fails check_feasibility raises RuntimeError
     naming the violated constraint.
     """
-    config = task.config
     m, r = task.m, task.r
-    op, basis, encoder, factor = point
+    op, basis, encoder, _ = point
     X, scale, y = trial_instance(task, op)
     scheme, run = trial_quantize(task, y)
 
@@ -486,25 +500,37 @@ def trial_solve(task, point):
         truth = recovery.check_feasibility(problem, X, y - sensing.apply(op, X))
         if not truth.ok:
             raise RuntimeError("truth is infeasible: " + "; ".join(truth.messages))
-    solution = recovery.recover(problem, config.solver_params(), factor=factor)
+    return _PreparedTrial(X, scale, run.overflow, rate_bits, rate_bits_fig, problem)
+
+
+def _run_trial(task, trial, solution):
+    """One sweep trial's TrialRecord, its CSV row, from its prepared trial and solution."""
+    config = task.config
+    X = trial.truth
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))
-    record = TrialRecord(
-        r=r, m=m, ell=config.ell, lam=task.lam, trial_index=task.trial_index,
+    return TrialRecord(
+        r=task.r, m=task.m, ell=config.ell, lam=task.lam, trial_index=task.trial_index,
         seed=task.matrix_seed, err_frobenius=err,
         err_relative=err / truth_norm if truth_norm else 0.0,
         objective=solution.objective,
         sigma_k_tail=recovery.best_rank_k_error(X, config.rank), eps=task.eps,
-        rate_bits=rate_bits, rate_bits_fig=rate_bits_fig, overflow=run.overflow,
-        iterations=solution.iterations, converged=solution.converged, scale=scale,
+        rate_bits=trial.rate_bits, rate_bits_fig=trial.rate_bits_fig, overflow=trial.overflow,
+        iterations=solution.iterations, converged=solution.converged, scale=trial.scale,
         encoder_dim=task.encoder_dim, encoder_seed=task.encoder_seed,
     )
-    return record, solution
 
 
-def _run_trial(task, point):
-    """One sweep trial: trial_solve's TrialRecord, the task's CSV row."""
-    return trial_solve(task, point)[0]
+def trial_solve(task, point):
+    """Run one trial through decoding; return (TrialRecord, RecoverySolution).
+
+    point is grid_point(task).  The solve is the sweep's on a batch of
+    one, so the record equals the task's row of the sweep's CSV.  Unless
+    the quantizer overflowed, an infeasible truth raises RuntimeError.
+    """
+    trial = _prepare_trial(task, point)
+    solution = recovery.recover(trial.problem, task.config.solver_params(), factor=point[3])
+    return _run_trial(task, trial, solution), solution
 
 
 def _failure(exc):
@@ -512,15 +538,38 @@ def _failure(exc):
 
 
 def _run_group(group):
-    """(record, None) or (task, message) per trial of one grid point, built once."""
+    """(record, None) or (task, message) per trial of one grid point, built once.
+
+    Every trial is prepared, then all that were are solved in one
+    recovery.recover_batch call on the point's factor, and each row is
+    built by _run_trial, in the group's order.  A trial that fails at any
+    stage fails alone.
+    """
     try:
         point = grid_point(group[0])
     except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
         return [(task, _failure(exc)) for task in group]
-    outcomes = []
+    trials = []
     for task in group:
         try:
-            outcomes.append((_run_trial(task, point), None))
+            trials.append(_prepare_trial(task, point))
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            trials.append(exc)
+    ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]
+    try:
+        solutions = iter(recovery.recover_batch(
+            [trial.problem for trial in ready], group[0].config.solver_params(),
+            factor=point[3]))
+    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+        solutions = itertools.repeat(exc)
+    outcomes = []
+    for task, trial in zip(group, trials):
+        outcome = trial if isinstance(trial, Exception) else next(solutions)
+        if isinstance(outcome, Exception):
+            outcomes.append((task, _failure(outcome)))
+            continue
+        try:
+            outcomes.append((_run_trial(task, trial, outcome), None))
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             outcomes.append((task, _failure(exc)))
     return outcomes

@@ -26,6 +26,16 @@ and whether nu is present, but not on q: a ConstraintFactor builds them
 once and serves every problem that shares those inputs, so all trials
 of a sweep's grid point share one factorization and each forms only its
 own c.
+
+recover_batch solves the problems of one factor together: each
+iteration steps every problem still running as one row of (B, n)
+arrays, with one stacked SVD for all the nuclear prox steps, and a
+problem leaves the batch when it stops.  Each row's products are taken
+by kernels that compute a row alone (np.matvec, np.vecdot and the
+stacked SVD run one BLAS or LAPACK call per row), and its scalar tests
+are Python float arithmetic, so every problem gets the bits it gets on
+its own; a 2-d gemm over the batch would round differently as the
+batch changed.  recover is recover_batch on a batch of one.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ __all__ = [
     "ConstraintFactor",
     "FeasibilityReport",
     "recover",
+    "recover_batch",
     "check_feasibility",
     "best_rank_k_error",
 ]
@@ -174,76 +185,6 @@ class FeasibilityReport:
     messages: tuple = ()
 
 
-class _TubeProjector:
-    """Exact Euclidean projection onto {x : ||J x - c|| <= R}.
-
-    Takes the economy SVD (U, s, Vh) of J, which a ConstraintFactor
-    computes once for all the trials of a grid point; each projector
-    forms its own cbar = U^T c, the squared norm c_perp2 of the part of c
-    outside the range of J, and its warm start.  With p in singular
-    coordinates the projection solves a scalar secular equation for the
-    multiplier theta; components outside the row space of J pass through
-    unchanged.
-
-    The solve is safeguarded Newton on 1/phi(theta) - 1/R, as for the
-    trust-region step of More and Sorensen (SIAM J. Sci. Stat. Comput.
-    1983), started from the theta of this projector's previous active
-    projection: consecutive ADMM inputs are close, so theta moves little
-    and two or three evaluations usually meet the 1e-13 R stopping rule.
-    theta is that warm start; steps counts the evaluations of phi in the
-    Newton loop, not the feasibility test at theta = 0.
-    """
-
-    def __init__(self, svd, c, R):
-        if R < 0:
-            raise ValueError("constraint radius must be nonnegative")
-        self.R = float(R)
-        U, s, Vh = svd
-        self.s = s
-        self.s2 = s * s
-        self.Vh = Vh
-        self.cbar = U.T @ c
-        self.c_perp2 = max(float(c @ c - self.cbar @ self.cbar), 0.0)
-        self.theta = 1.0
-        self.steps = 0
-
-    def __call__(self, p):
-        pbar = self.Vh @ p
-        d = self.s * pbar - self.cbar
-        R = self.R
-        if float(d @ d) + self.c_perp2 <= R ** 2:
-            return p
-        # phi decreases in theta; [lo, hi] brackets the root and tightens
-        # with each evaluation, and hi stays unbounded until phi <= R
-        theta, lo, hi = self.theta, 0.0, math.inf
-        for _ in range(80):
-            den = 1.0 + theta * self.s2
-            w = d / den
-            phi2 = float(w @ w) + self.c_perp2
-            phi = math.sqrt(phi2)
-            self.steps += 1
-            if phi > R:
-                lo = theta
-                if theta >= _THETA_CAP:
-                    break  # empty set; land on the closest reachable shell
-            else:
-                hi = theta
-            if abs(phi - R) <= 1e-13 * R:
-                break
-            # Newton on g = 1/phi - 1/R, with g' = -phi'/phi^2
-            gprime = float((w * w / den) @ self.s2) / (phi * phi2)
-            step = theta - (1.0 / phi - 1.0 / R) / gprime if gprime > 0 else math.inf
-            if not (lo < step < hi):
-                if hi == math.inf:
-                    step = 16.0 * lo
-                else:
-                    step = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
-            theta = min(step, _THETA_CAP)
-        self.theta = theta
-        alpha = (pbar + theta * self.s * self.cbar) / (1.0 + theta * self.s2)
-        return p + self.Vh.T @ (alpha - pbar)
-
-
 def _shape(problem, M):
     """The form's shaping map applied to the columns (or the vector) M:
     D^{-r} M, sigma_ell V_ell^T M, or B D^{-r} M."""
@@ -327,23 +268,150 @@ def build_constraint(problem, factor=None):
     return factor.fit(problem).J, _shape(problem, problem.quantized), problem.radius
 
 
+def _sumsq(A):
+    """[A[b] @ A[b] for each row b], as Python floats.
+
+    np.vecdot takes one BLAS dot product per row, so each value has the
+    bits of that row's product alone, at any batch size; a 2-d gemm or
+    (A * A).sum(1) would not.
+    """
+    return np.vecdot(A, A).tolist()
+
+
+def _stacked_svd(Z):
+    """The thin SVD of each matrix of the stack Z, and {index: LinAlgError}.
+
+    A matrix whose SVD fails gets zero factors and its own error, and the
+    others keep the bits of the stacked call.
+    """
+    try:
+        return np.linalg.svd(Z, full_matrices=False), {}
+    except np.linalg.LinAlgError:
+        pass
+    k = min(Z.shape[1:])
+    factors, errors = [], {}
+    for b, matrix in enumerate(Z):
+        try:
+            factors.append(np.linalg.svd(matrix, full_matrices=False))
+        except np.linalg.LinAlgError as exc:
+            errors[b] = exc
+            factors.append((np.zeros((Z.shape[1], k)), np.zeros(k), np.zeros((k, Z.shape[2]))))
+    return tuple(np.stack(f) for f in zip(*factors)), errors
+
+
 def _nuclear_prox(Z, tau):
-    U, s, Vh = np.linalg.svd(Z, full_matrices=False)
-    return (U * np.maximum(s - tau, 0.0)) @ Vh
+    """Singular value soft-thresholding of each matrix Z[b] at tau[b].
+
+    Returns the stack of proximal points and _stacked_svd's errors.
+    """
+    (U, s, Vh), errors = _stacked_svd(Z)
+    return np.matmul(U * np.maximum(s - tau[:, None], 0.0)[:, None, :], Vh), errors
 
 
-def _norm(v):
-    # what np.linalg.norm computes for a 1-d float vector, without its overhead
-    return math.sqrt(v @ v)
+class _Tube:
+    """Exact Euclidean projection onto {x : ||J x - c_b|| <= R_b}, row by row.
 
+    Holds the economy SVD (U, s, Vh) of J, which a ConstraintFactor
+    computes once for all the trials of a grid point.  Each row b is one
+    problem: its cbar = U^T c, the squared norm c_perp2 of the part of c
+    outside the range of J (both formed per problem), its radius
+    and its warm start.  With p in singular coordinates the projection
+    solves a scalar secular equation for the multiplier theta; components
+    outside the row space of J pass through unchanged.
 
-def _ball_project(v, R):
-    nv = _norm(v)
-    if nv <= R:
-        return v
-    if R == 0.0:
-        return np.zeros_like(v)
-    return v * (R / nv)
+    The solve is safeguarded Newton on 1/phi(theta) - 1/R, as for the
+    trust-region step of More and Sorensen (SIAM J. Sci. Stat. Comput.
+    1983), started from the theta of the row's previous active
+    projection: consecutive ADMM inputs are close, so theta moves little
+    and two or three evaluations usually meet the 1e-13 R stopping rule.
+    steps counts each row's evaluations of phi in the Newton loop, not
+    the feasibility test at theta = 0.  The per-row scalars are Python
+    floats, as cheap for one row as for many.
+    """
+
+    def __init__(self, svd, cs, radii):
+        U, self.s, self.Vh = svd
+        self.s2 = self.s * self.s
+        cbars = [U.T @ c for c in cs]
+        self.cbar = np.array(cbars).reshape(len(cs), -1)
+        self.c_perp2 = [max(float(c @ c - cbar @ cbar), 0.0) for c, cbar in zip(cs, cbars)]
+        self.R = [float(R) for R in radii]
+        self.R2 = [R ** 2 for R in self.R]
+        self.theta = [1.0] * len(cs)
+        self.steps = [0] * len(cs)
+
+    def keep(self, rows):
+        """Drop every row not listed in rows."""
+        self.cbar = self.cbar[rows]
+        for name in ("c_perp2", "R", "R2", "theta", "steps"):
+            values = getattr(self, name)
+            setattr(self, name, [values[b] for b in rows])
+
+    def __call__(self, P):
+        """Project each row of P onto its own tube."""
+        Pbar = np.matvec(self.Vh, P)
+        D = self.s * Pbar - self.cbar
+        dd = _sumsq(D)
+        out = [b for b in range(len(P)) if not dd[b] + self.c_perp2[b] <= self.R2[b]]
+        if not out:
+            return P
+        cbar = self.cbar
+        if len(out) < len(P):
+            Pbar, D, cbar = Pbar[out], D[out], cbar[out]
+        theta = np.array(self._secular(D, out))[:, None]
+        alpha = (Pbar + theta * self.s * cbar) / (1.0 + theta * self.s2)
+        step = np.matvec(self.Vh.T, alpha - Pbar)
+        if len(out) == len(P):
+            return P + step
+        X = P.copy()
+        X[out] = P[out] + step
+        return X
+
+    def _secular(self, D, out):
+        """Newton on the secular equation of the rows out; their new theta."""
+        thetas = [self.theta[b] for b in out]
+        lo, hi = [0.0] * len(out), [math.inf] * len(out)
+        steps = [0] * len(out)
+        running = range(len(out))
+        # phi decreases in theta; [lo, hi] brackets the root and tightens
+        # with each evaluation, and hi stays unbounded until phi <= R
+        for _ in range(80):
+            den = 1.0 + np.array(thetas)[:, None] * self.s2
+            W = D / den
+            phi2s = _sumsq(W)
+            slopes = np.vecdot(W * W / den, self.s2).tolist()
+            unfinished = []
+            for j in running:
+                b = out[j]
+                theta, R = thetas[j], self.R[b]
+                phi2 = phi2s[j] + self.c_perp2[b]
+                phi = math.sqrt(phi2)
+                steps[j] += 1
+                if phi > R:
+                    lo[j] = theta
+                    if theta >= _THETA_CAP:
+                        continue  # empty set; land on the closest reachable shell
+                else:
+                    hi[j] = theta
+                if abs(phi - R) <= 1e-13 * R:
+                    continue
+                # Newton on g = 1/phi - 1/R, with g' = -phi'/phi^2
+                gprime = slopes[j] / (phi * phi2)
+                step = theta - (1.0 / phi - 1.0 / R) / gprime if gprime > 0 else math.inf
+                if not (lo[j] < step < hi[j]):
+                    if hi[j] == math.inf:
+                        step = 16.0 * lo[j]
+                    else:
+                        step = math.sqrt(lo[j] * hi[j]) if lo[j] > 0 else 0.5 * hi[j]
+                thetas[j] = min(step, _THETA_CAP)
+                unfinished.append(j)
+            running = unfinished
+            if not running:
+                break
+        for j, b in enumerate(out):
+            self.theta[b] = thetas[j]
+            self.steps[b] += steps[j]
+        return thetas
 
 
 def nuclear_norm(Z):
@@ -363,89 +431,186 @@ def recover(problem, params=None, start=None, factor=None):
         Holds J and its SVD for the problem's grid point, built on first
         use; without one, both are built for this call alone.
 
-    The returned converged flag requires both residual criteria and the
-    feasibility check of the returned point to pass; non-convergence
-    within max_iterations returns the last iterate with converged False.
+    This is recover_batch on a batch of one, and raises what the solve
+    raised.  The returned converged flag requires both residual criteria
+    and the feasibility check of the returned point to pass;
+    non-convergence within max_iterations returns the last iterate with
+    converged False.
+    """
+    [outcome] = recover_batch([problem], params, None if start is None else [start], factor)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def recover_batch(problems, params=None, starts=None, factor=None):
+    """Solve problems that share one constraint matrix J, in lockstep.
+
+    Every problem must fit factor (one grid point's operator, basis or
+    encoder, order and noise flag; see ConstraintFactor); starts, if
+    given, holds one (Z0, nu0) pair or None per problem.  Returns one
+    entry per problem, in order: its RecoverySolution, or the exception
+    its set-up, its solve or its final check raised.  A problem that
+    fails leaves the others as they are.
+
+    All problems advance one ADMM iteration at a time, as rows of (B, n)
+    arrays with their own penalty, penalty schedule, warm theta and
+    counts; a row leaves the batch when it stops.  Every per-row product
+    is a stacked kernel that computes each row alone (a matrix-vector
+    product, a dot product or an SVD per row), so a problem gets the same
+    bits in any batch as on its own.
     """
     if params is None:
         params = SolverParams()
-    n1, n2 = problem.operator.shape
-    N = n1 * n2
-    m = problem.operator.rows
-    with_nu = problem.noise_bound > 0
-    m_nu = m if with_nu else 0
     if factor is None:
         factor = ConstraintFactor()
-    _, c, R1 = build_constraint(problem, factor)
-    R2 = problem.noise_radius
-    proj_S = _TubeProjector(factor.svd, c, R1)
+    if starts is None:
+        starts = [None] * len(problems)
+    if len(starts) != len(problems):
+        raise ValueError(f"{len(starts)} starts for {len(problems)} problems")
+    outcomes = [None] * len(problems)
+    members, cs, xp = [], [], []
+    for i, (problem, start) in enumerate(zip(problems, starts)):
+        try:
+            factor.fit(problem)
+            c = _shape(problem, problem.quantized)
+            x0 = _start_point(problem, start)
+        except Exception as exc:  # noqa: BLE001 - this problem fails alone
+            outcomes[i] = exc
+            continue
+        members.append(i)
+        cs.append(c)
+        xp.append(x0)
+    if members:
+        tube = _Tube(factor.svd, cs, [problems[i].radius for i in members])
+        _admm(problems, members, np.array(xp), tube, params, outcomes)
+    return outcomes
 
-    xp = np.zeros(N + m_nu)
+
+def _start_point(problem, start):
+    """The stacked x = (vec Z, nu) a solve starts from: zero, or start."""
+    N = problem.operator.data.shape[1]
+    with_nu = problem.noise_bound > 0
+    xp = np.zeros(N + (problem.operator.rows if with_nu else 0))
     if start is not None:
         Z0, nu0 = start
         xp[:N] = np.asarray(Z0, dtype=float).reshape(-1, order="F")
         if with_nu and nu0 is not None:
             xp[N:] = np.asarray(nu0, dtype=float)
-    u = np.zeros(N + m_nu)
-    rho = 1.0
-    tol = params.tolerance
-    n_adapt = 0
-    stopped = False
-    it = 0
-    pri = dual = np.inf
-    x = xp
-    for it in range(1, params.max_iterations + 1):
-        x = proj_S(xp - u)
-        xp_old = xp
-        t = x + u
-        Zp = _nuclear_prox(t[:N].reshape((n1, n2), order="F"), 1.0 / rho)
-        if with_nu:
-            xp = np.concatenate(
-                [Zp.reshape(-1, order="F"), _ball_project(t[N:], R2)]
-            )
-        else:
-            xp = Zp.reshape(-1, order="F")
-        resid = x - xp
-        u = u + resid
-        rz = _norm(resid[:N])
-        rn = _norm(resid[N:]) if with_nu else 0.0
-        dual = rho * _norm(xp - xp_old)
-        pri = max(rz, rn)
-        ok_z = rz <= tol * max(1.0, _norm(x[:N]))
-        ok_n = (not with_nu) or rn <= tol * max(1.0, _norm(x[N:]))
-        ok_d = dual <= tol * max(1.0, rho * _norm(u))
-        if ok_z and ok_n and ok_d:
-            stopped = True
-            break
-        if (
-            it % _ADAPT_INTERVAL == 0
-            and n_adapt < _ADAPT_CAP
-            and it < _ADAPT_WINDOW * params.max_iterations
-        ):
-            if pri > 10.0 * dual:
-                rho *= 2.0
-                u /= 2.0
-                n_adapt += 1
-            elif dual > 10.0 * pri:
-                rho /= 2.0
-                u *= 2.0
-                n_adapt += 1
+    return xp
 
-    Z = x[:N].reshape((n1, n2), order="F")
-    nu = x[N:].copy() if with_nu else np.zeros(m)
-    report = check_feasibility(problem, Z, nu)
-    return RecoverySolution(
-        estimate=Z,
-        noise_estimate=nu,
-        objective=nuclear_norm(Z),
-        iterations=it,
-        converged=stopped and report.ok,
-        primal_residual=pri,
-        dual_residual=dual,
-        feasibility=report,
-        penalty_changes=n_adapt,
-        secular_steps=proj_S.steps,
-    )
+
+def _admm(problems, members, xp, tube, params, outcomes):
+    """Two-block consensus ADMM on the rows of xp; fills outcomes[members].
+
+    The arrays hold one row per problem still iterating; the per-row
+    scalars (penalty, residuals, counts) are Python floats and ints, and
+    each row's tests are the same float expressions whatever the batch.
+    """
+    first = problems[members[0]]
+    n1, n2 = first.operator.shape
+    N = n1 * n2
+    with_nu = first.noise_bound > 0
+    noise_radius = [problems[i].noise_radius for i in members]
+    u = np.zeros_like(xp)
+    rho = [1.0] * len(members)
+    n_adapt = [0] * len(members)
+    tol = params.tolerance
+    x = xp
+    pri = dual = [math.inf] * len(members)
+    it = 0
+    for it in range(1, params.max_iterations + 1):
+        x = tube(xp - u)
+        t = x + u
+        B = len(t)
+        tau = 1.0 / np.array(rho)
+        Zp, errors = _nuclear_prox(t[:, :N].reshape(B, n2, n1).transpose(0, 2, 1), tau)
+        zp = Zp.transpose(0, 2, 1).reshape(B, N)
+        if with_nu:
+            # the noise ball's projection
+            v = t[:, N:]
+            norms = map(math.sqrt, _sumsq(v))
+            shrink = [R / nv if nv > R else 1.0 for R, nv in zip(noise_radius, norms)]
+            xp_new = np.concatenate([zp, v * np.array(shrink)[:, None]], axis=1)
+        else:
+            xp_new = zp
+        resid = x - xp_new
+        u = u + resid
+        rz = map(math.sqrt, _sumsq(resid[:, :N]))
+        xz = map(math.sqrt, _sumsq(x[:, :N]))
+        moved = map(math.sqrt, _sumsq(xp_new - xp))
+        un = map(math.sqrt, _sumsq(u))
+        if with_nu:
+            rn = map(math.sqrt, _sumsq(resid[:, N:]))
+            xn = map(math.sqrt, _sumsq(x[:, N:]))
+        else:
+            rn = xn = [0.0] * B
+        xp = xp_new
+        pri, dual, stopped = [], [], []
+        for b, (rz_b, rn_b, xz_b, xn_b, moved_b, un_b) in enumerate(zip(rz, rn, xz, xn, moved, un)):
+            dual_b = rho[b] * moved_b
+            pri.append(max(rz_b, rn_b))
+            dual.append(dual_b)
+            if (rz_b <= tol * max(1.0, xz_b)
+                    and ((not with_nu) or rn_b <= tol * max(1.0, xn_b))
+                    and dual_b <= tol * max(1.0, rho[b] * un_b)):
+                stopped.append(b)
+        if stopped or errors:
+            for b in stopped:
+                if b not in errors:
+                    _finish(problems[members[b]], x[b], it, True, pri[b], dual[b], n_adapt[b],
+                            tube.steps[b], outcomes, members[b])
+            for b, exc in errors.items():
+                outcomes[members[b]] = exc
+            keep = [b for b in range(B) if b not in errors and b not in stopped]
+            if not keep:
+                return
+            tube.keep(keep)
+            xp, u, x = xp[keep], u[keep], x[keep]
+            members, noise_radius, rho, n_adapt, pri, dual = (
+                [values[b] for b in keep]
+                for values in (members, noise_radius, rho, n_adapt, pri, dual))
+        if it % _ADAPT_INTERVAL == 0 and it < _ADAPT_WINDOW * params.max_iterations:
+            # residual balancing, row by row, at most _ADAPT_CAP times each
+            for b in range(len(rho)):
+                if n_adapt[b] >= _ADAPT_CAP:
+                    continue
+                if pri[b] > 10.0 * dual[b]:
+                    rho[b] *= 2.0
+                    u[b] /= 2.0
+                    n_adapt[b] += 1
+                elif dual[b] > 10.0 * pri[b]:
+                    rho[b] /= 2.0
+                    u[b] *= 2.0
+                    n_adapt[b] += 1
+    for b, i in enumerate(members):
+        _finish(problems[i], x[b], it, False, pri[b], dual[b], n_adapt[b], tube.steps[b],
+                outcomes, i)
+
+
+def _finish(problem, x, iterations, stopped, pri, dual, n_adapt, steps, outcomes, i):
+    """Check one problem's returned point and store its RecoverySolution."""
+    try:
+        n1, n2 = problem.operator.shape
+        N = n1 * n2
+        x = x.copy()
+        Z = x[:N].reshape((n1, n2), order="F")
+        nu = x[N:].copy() if problem.noise_bound > 0 else np.zeros(problem.operator.rows)
+        report = check_feasibility(problem, Z, nu)
+        outcomes[i] = RecoverySolution(
+            estimate=Z,
+            noise_estimate=nu,
+            objective=nuclear_norm(Z),
+            iterations=iterations,
+            converged=stopped and report.ok,
+            primal_residual=float(pri),
+            dual_residual=float(dual),
+            feasibility=report,
+            penalty_changes=int(n_adapt),
+            secular_steps=int(steps),
+        )
+    except Exception as exc:  # noqa: BLE001 - this problem fails alone
+        outcomes[i] = exc
 
 
 def shaped_residual_vector(problem, Z, nu):

@@ -5,7 +5,8 @@ composes from its primitives: the quantizer loop built on a per-sample
 nearest-level search, a high-accuracy solve with a cold/warm agreement
 check, and the measurement operator composed with the scaled singular
 projection.  save_config writes the flat key=value format that
-harness.load_config reads.
+harness.load_config reads.  FACTOR_CASES names one grid point of each
+decoder form for the tests that compare solves across a point.
 """
 
 import math
@@ -18,6 +19,11 @@ from sdlowrank import recovery
 
 _REFERENCE_MAX_UNKNOWNS = 100
 _REFERENCE_MAX_ROWS = 200
+
+# one grid point of each decoder form: (constraint_form, eps)
+FACTOR_CASES = [("projected", 0.0), ("projected", 0.5), ("encoded", 0.0),
+                ("full_inverse_power", 0.0)]
+FACTOR_IDS = ["projected", "projected-noise", "encoded", "full"]
 
 
 def scalar_quantize(z, alphabet):

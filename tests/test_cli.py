@@ -49,7 +49,7 @@ def test_quantize_reports_the_sweeps_overflow(tmp_path, capsys):
     assert "(certified bound 0.25)" in out
     assert "overflow: True" in out
     task = harness.first_trial(harness.load_config(path))
-    assert harness._run_trial(task, harness.grid_point(task)).overflow
+    assert harness.trial_solve(task, harness.grid_point(task))[0].overflow
 
 
 def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
@@ -63,7 +63,7 @@ def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
 def test_recover_instance_matches_sweep_first_row(tiny_cfg_file, tmp_path):
     cfg = harness.load_config(tiny_cfg_file, output_path=str(tmp_path / "sw"))
     task = harness.first_trial(cfg)
-    record = harness._run_trial(task, harness.grid_point(task))
+    record, _ = harness.trial_solve(task, harness.grid_point(task))
     sweep = harness.run_oversampling_sweep(cfg)
     first = [
         t for t in sweep.records

@@ -19,7 +19,7 @@ from sdlowrank import noise_shaping
 from sdlowrank import recovery
 from sdlowrank import sensing
 
-from oracles import save_config
+from oracles import FACTOR_CASES, FACTOR_IDS, save_config
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
@@ -446,12 +446,6 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
         assert calls[unused] == []
 
 
-# one grid point of each decoder form: (constraint_form, eps)
-FACTOR_CASES = [("projected", 0.0), ("projected", 0.5), ("encoded", 0.0),
-                ("full_inverse_power", 0.0)]
-FACTOR_IDS = ["projected", "projected-noise", "encoded", "full"]
-
-
 def _one_point_config(tmp_path, form, eps):
     """A noise sweep of one grid point, (r, m, eps) = (1, 32, eps), 3 trials."""
     return tiny_config(tmp_path, oversampling_grid=(2.0,), epsilon_grid=(eps,), trials=3,
@@ -460,11 +454,11 @@ def _one_point_config(tmp_path, form, eps):
 
 @pytest.mark.parametrize("form, eps", FACTOR_CASES, ids=FACTOR_IDS)
 def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps):
-    # every trial's recover still calls build_constraint, and all get the
-    # one J that the first built; the shaped operator and the SVD of J
-    # are computed once for the point
-    shaped, factored, built = [], [], []
-    shape, svd, build = recovery._shape, np.linalg.svd, recovery.build_constraint
+    # every trial's problem is fitted to the point's factor, and all get
+    # the one J that the first fit built; the shaped operator and the SVD
+    # of J are computed once for the point
+    shaped, factored, fitted = [], [], []
+    shape, svd, fit = recovery._shape, np.linalg.svd, recovery.ConstraintFactor.fit
 
     def counted_shape(problem, M):
         if M is problem.operator.data:
@@ -475,19 +469,19 @@ def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps
         factored.append(a)
         return svd(a, *args, **kwargs)
 
-    def counted_build(*args, **kwargs):
-        result = build(*args, **kwargs)
-        built.append(result[0])
+    def counted_fit(factor, problem):
+        result = fit(factor, problem)
+        fitted.append(factor.J)
         return result
 
     monkeypatch.setattr(recovery, "_shape", counted_shape)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(recovery, "build_constraint", counted_build)
+    monkeypatch.setattr(recovery.ConstraintFactor, "fit", counted_fit)
     res = harness.run_noise_sweep(_one_point_config(tmp_path, form, eps))
     assert len(res.records) == 3 and not res.failures
-    assert len(built) == 3 and all(J is built[0] for J in built)
+    assert len(fitted) == 3 and all(J is fitted[0] for J in fitted)
     assert len(shaped) == 1
-    assert sum(a is built[0] for a in factored) == 1
+    assert sum(a is fitted[0] for a in factored) == 1
 
 
 @pytest.mark.parametrize("form, eps", FACTOR_CASES, ids=FACTOR_IDS)
@@ -562,6 +556,33 @@ def test_failed_grid_point_fails_all_its_trials(tmp_path, monkeypatch, module, n
         (64, 1, f"ValueError: no {name} at m = 64")]
     assert sorted({rec.m for rec in res.records}) == [32, 48, 80, 96]
     assert len(res.records) == 8
+
+
+def test_a_trial_whose_solve_fails_fails_alone(tmp_path, monkeypatch):
+    # trial 1's instance scaled by 1e6 (the same program, 1e6 times as
+    # large) meets an SVD that refuses matrices that large: it fails with
+    # the solver's message, and its four neighbours, solved in the same
+    # batch, write the rows they write without it (1 of 5 failures stays
+    # under the abort line)
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), trials=5)
+    clean = harness.run_oversampling_sweep(cfg).records
+    instance, svd = harness.trial_instance, np.linalg.svd
+
+    def scaled_instance(task, op):
+        X, scale, y = instance(task, op)
+        return (1e6 * X, scale, 1e6 * y) if task.trial_index == 1 else (X, scale, y)
+
+    def failing_svd(a, *args, **kwargs):
+        if np.abs(a).max() > 1e4:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "trial_instance", scaled_instance)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    res = harness.run_oversampling_sweep(cfg)
+    assert [(t.trial_index, msg) for t, msg in res.failures] == [
+        (1, "LinAlgError: SVD did not converge")]
+    assert res.records == [rec for rec in clean if rec.trial_index != 1]
 
 
 def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):

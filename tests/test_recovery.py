@@ -14,7 +14,7 @@ from sdlowrank import sensing
 from sdlowrank import sigma_delta
 
 from dense_oracle import inverse_power_entries
-from oracles import reference_solve
+from oracles import FACTOR_CASES, FACTOR_IDS, reference_solve
 
 # fixed examples, so the suite stays deterministic from run to run
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -280,9 +280,24 @@ def test_noise_ball_active_case():
     assert sol.feasibility.ok
 
 
-def _projector(J, c, R):
-    """The tube projector of ||J x - c|| <= R, from the thin SVD of J."""
-    return recovery._TubeProjector(np.linalg.svd(J, full_matrices=False), c, R)
+class _projector:
+    """The tube projector of ||J x - c|| <= R, from the thin SVD of J.
+
+    A one-row recovery._Tube that takes and returns one vector; a point
+    the tube passes through unchanged comes back as the same object.
+    """
+
+    def __init__(self, J, c, R):
+        self.tube = recovery._Tube(np.linalg.svd(J, full_matrices=False), [c], [R])
+
+    def __call__(self, p):
+        P = p[None, :]
+        X = self.tube(P)
+        return p if X is P else X[0]
+
+    @property
+    def theta(self):
+        return self.tube.theta[0]
 
 
 # The projector reads the part of c outside the range of J as
@@ -395,7 +410,9 @@ def test_nuclear_prox_is_the_proximal_point(n1, n2, rank, log_scale, tau_rel, se
     scale = 10.0 ** log_scale
     Z = scale * rng.standard_normal((n1, k)) @ rng.standard_normal((k, n2))
     tau = tau_rel * max(np.linalg.norm(Z, 2), scale)
-    P = recovery._nuclear_prox(Z, tau)
+    stack, errors = recovery._nuclear_prox(Z[None], np.array([tau]))
+    assert not errors
+    P = stack[0]
 
     def f(X):
         return tau * recovery.nuclear_norm(X) + 0.5 * np.sum((X - Z) ** 2)
@@ -438,3 +455,116 @@ def test_against_convex_programming_oracle():
         sol = recovery.recover(problem)
         assert sol.converged
         assert abs(sol.objective - prog.value) <= 1e-3 * max(1.0, prog.value)
+
+
+# -- lockstep solves --------------------------------------------------------
+
+_POINTS = {}
+
+
+def _point_trials(base, case):
+    """(factor, prepared trials) of one grid point of case = (form, eps).
+
+    The point is (r, m) = (2, 32) with 4 trials, built once per case and
+    shared by every test that reads it.
+    """
+    if case not in _POINTS:
+        form, eps = case
+        config = harness.ExperimentConfig(
+            n1=4, n2=4, rank=1, ell=16, oversampling_grid=(2.0,), orders=(2,),
+            epsilon_grid=(eps,), trials=4, master_seed=11, constraint_form=form,
+            encoder_dim=16, output_path=str(base / "lockstep"),
+        )
+        tasks = next(harness._sweep_tasks(config, harness._noise_spec(config)))
+        point = harness.grid_point(tasks[0])
+        _POINTS[case] = point[3], [harness._prepare_trial(task, point) for task in tasks]
+    return _POINTS[case]
+
+
+def _same_solution(got, want):
+    assert got.estimate.tobytes() == want.estimate.tobytes()
+    assert got.noise_estimate.tobytes() == want.noise_estimate.tobytes()
+    assert (got.iterations, got.secular_steps, got.penalty_changes, got.converged) == (
+        want.iterations, want.secular_steps, want.penalty_changes, want.converged)
+
+
+@settings(PROPERTY, max_examples=24)
+@given(
+    case=st.sampled_from(FACTOR_CASES),
+    order=st.permutations(range(4)),
+    size=st.integers(1, 4),
+    warm=st.lists(st.booleans(), min_size=4, max_size=4),
+    max_iterations=st.sampled_from([4, 60, 5000]),
+)
+def test_lockstep_solve_matches_each_problem_alone(tmp_path_factory, case, order, size, warm,
+                                                    max_iterations):
+    # any subset of a point's problems, in any order, some warm-started
+    # (as oracles.reference_solve does), solved together: each gets the
+    # bits it gets alone, and so do its counts
+    factor, trials = _point_trials(tmp_path_factory.getbasetemp(), case)
+    chosen = [trials[i] for i in order[:size]]
+    problems = [trial.problem for trial in chosen]
+    starts = [(0.5 * trial.truth, np.full(trial.problem.operator.rows, 0.01)) if w else None
+              for trial, w in zip(chosen, warm)]
+    params = recovery.SolverParams(max_iterations=max_iterations)
+    together = recovery.recover_batch(problems, params, starts, factor)
+    for problem, start, solution in zip(problems, starts, together):
+        _same_solution(solution, recovery.recover(problem, params, start, factor))
+
+
+@PROPERTY
+@given(
+    rows=st.integers(1, 12),
+    n=st.integers(1, 300),
+    offset=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sums_of_squares_are_the_one_row_products(rows, n, offset, seed):
+    # the solver's per-row norms are each row's own dot product, the
+    # product a one-vector solve takes, for slices of wider rows too
+    A = np.random.default_rng(seed).standard_normal((rows, n + 2 * offset))[:, offset:offset + n]
+    assert recovery._sumsq(A) == [float(a @ a) for a in A]
+
+
+def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
+    # the third problem scaled by 1e6 is the same program 1e6 times as
+    # large; an SVD that refuses matrices that large fails it, in the
+    # stacked call and alone, with the same error, and the other three
+    # keep the bits they get alone
+    factor, trials = _point_trials(tmp_path, ("projected", 0.5))
+    problems = [trial.problem for trial in trials]
+    big = problems[2]
+    problems[2] = dataclasses.replace(big, quantized=1e6 * big.quantized, gamma=1e6 * big.gamma)
+    alone = [recovery.recover(p, factor=factor) for p in problems[:2] + problems[3:]]
+    limit = 1e3 * max(np.abs(s.estimate).max() for s in alone)
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        if np.abs(a).max() > limit:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    together = recovery.recover_batch(problems, factor=factor)
+    with pytest.raises(np.linalg.LinAlgError) as failed:
+        recovery.recover(problems[2], factor=factor)
+    assert isinstance(together[2], np.linalg.LinAlgError)
+    assert str(together[2]) == str(failed.value) == "SVD did not converge"
+    for got, want in zip(together[:2] + together[3:], alone):
+        _same_solution(got, want)
+        assert got.objective == want.objective and got.feasibility == want.feasibility
+
+
+def test_batch_set_up_failure_fails_its_problem_alone():
+    # a problem of another grid point cannot fit the factor; the others solve
+    problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
+    other, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)
+    factor = recovery.ConstraintFactor()
+    outcomes = recovery.recover_batch([problem, other, problem], factor=factor)
+    assert isinstance(outcomes[1], ValueError)
+    assert "built for another operator" in str(outcomes[1])
+    for got in (outcomes[0], outcomes[2]):
+        _same_solution(got, recovery.recover(problem))
+    with pytest.raises(ValueError, match="2 starts for 3 problems"):
+        recovery.recover_batch([problem] * 3, starts=[None, None])
+
