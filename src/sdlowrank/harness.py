@@ -5,20 +5,26 @@ per-trial seeds from the master seed, run independent trials (optionally
 across worker processes), sort the results deterministically, and write
 one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  Work is
-done a grid point at a time, on what grid_point builds once for it: the
-operator, the basis or encoder, and a ConstraintFactor that holds the
-constraint matrix J and its SVD for all the point's trials.  Each trial
-is prepared (trial_instance, trial_quantize, the encoding and the truth
-check), the prepared trials are solved together by one
-recovery.recover_batch call, and each gets its CSV row from _run_trial.
-The command line reuses the same stages through trial_solve, which
-solves one trial as a batch of one and so reproduces its sweep row.
+done a unit at a time: the trials, in CSV row order, that share all
+that grid_point and the constraint matrix J read, namely the order, m,
+the operator and encoder seeds, and whether eps is positive.  A unit is
+one grid point of the oversampling and rate sweeps, and in the noise
+sweep the eps = 0 point or all the eps > 0 points of an (r, m) (each
+point in the encoded form, where each draws its own encoder).  Each
+unit builds its operator and its basis or encoder once with grid_point;
+each trial is prepared (trial_instance, trial_quantize, the encoding and
+the truth check); the prepared trials are solved together by one
+recovery.recover_batch call, which builds J and its SVD once for them;
+and each trial gets its CSV row from _run_trial.  The command line reuses
+the same stages through trial_solve, which solves one trial as a batch
+of one and so reproduces its sweep row.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -102,6 +108,11 @@ class ExperimentConfig:
     cache_dir: object = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
         if not (1 <= self.rank <= min(self.n1, self.n2)):
@@ -128,7 +139,9 @@ class ExperimentConfig:
                     raise ValueError(f"{name} lists {value} more than once")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.levels != "auto" and not (isinstance(self.levels, int) and self.levels >= 1):
+        if self.levels != "auto" and not (isinstance(self.levels, int)
+                                          and not isinstance(self.levels, bool)
+                                          and self.levels >= 1):
             raise ValueError(f"levels must be 'auto' or an integer >= 1, got {self.levels!r}")
         if not self.mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
@@ -402,12 +415,10 @@ def _trial_key(item):
 
 
 def grid_point(task):
-    """(operator, basis, encoder, factor), shared by every trial at the task's grid point.
+    """(operator, basis, encoder), shared by every trial of the task's unit.
 
     Of the basis and the encoder, the one the form does not use is None.
     The basis is cached in cache_dir, by default output_path/basis_cache.
-    factor is an empty recovery.ConstraintFactor; the point's first
-    solve fills it with J and its SVD, and it is freed with the point.
     """
     config = task.config
     op = sensing.draw_operator(
@@ -423,7 +434,7 @@ def grid_point(task):
         )
     elif config.constraint_form == "encoded":
         encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
-    return op, basis, encoder, recovery.ConstraintFactor()
+    return op, basis, encoder
 
 
 def trial_instance(task, op):
@@ -477,7 +488,7 @@ def _prepare_trial(task, point):
     naming the violated constraint.
     """
     m, r = task.m, task.r
-    op, basis, encoder, _ = point
+    op, basis, encoder = point
     X, scale, y = trial_instance(task, op)
     scheme, run = trial_quantize(task, y)
 
@@ -529,7 +540,7 @@ def trial_solve(task, point):
     the quantizer overflowed, an infeasible truth raises RuntimeError.
     """
     trial = _prepare_trial(task, point)
-    solution = recovery.recover(trial.problem, task.config.solver_params(), factor=point[3])
+    solution = recovery.recover(trial.problem, task.config.solver_params())
     return _run_trial(task, trial, solution), solution
 
 
@@ -538,12 +549,11 @@ def _failure(exc):
 
 
 def _run_group(group):
-    """(record, None) or (task, message) per trial of one grid point, built once.
+    """(record, None) or (task, message) per trial of one unit, built once.
 
     Every trial is prepared, then all that were are solved in one
-    recovery.recover_batch call on the point's factor, and each row is
-    built by _run_trial, in the group's order.  A trial that fails at any
-    stage fails alone.
+    recovery.recover_batch call, and each row is built by _run_trial, in
+    the group's order.  A trial that fails at any stage fails alone.
     """
     try:
         point = grid_point(group[0])
@@ -558,8 +568,7 @@ def _run_group(group):
     ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]
     try:
         solutions = iter(recovery.recover_batch(
-            [trial.problem for trial in ready], group[0].config.solver_params(),
-            factor=point[3]))
+            [trial.problem for trial in ready], group[0].config.solver_params()))
     except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
         solutions = itertools.repeat(exc)
     outcomes = []
@@ -576,7 +585,7 @@ def _run_group(group):
 
 
 def _execute(groups, workers):
-    """Run each grid point's trials; results and failures come back in CSV row order."""
+    """Run each unit's trials; results and failures come back in CSV row order."""
     if workers == 1:
         outcomes = [o for group in map(_run_group, groups) for o in group]
     else:
@@ -668,7 +677,7 @@ def _rate_spec(config):
 
 
 def _sweep_tasks(config, spec):
-    """Yield the sweep's tasks as one list per grid point, by order and point.
+    """Yield the sweep's tasks by order, point and trial.
 
     Each seed derives from the master seed, the experiment, its role and
     the indices it depends on, so no task's seeds depend on the others.
@@ -680,8 +689,8 @@ def _sweep_tasks(config, spec):
     encoded = config.constraint_form == "encoded"
     for r in config.orders:
         for i, (lam, m, eps) in enumerate(spec.points):
-            yield [
-                _TrialTask(
+            for trial in range(config.trials):
+                yield _TrialTask(
                     config=config, r=r, m=m, lam=lam, trial_index=trial,
                     operator_seed=seed(_ROLE_OPERATOR, 0 if spec.shared_operator else i),
                     matrix_seed=(seed(_ROLE_MATRIX, trial) if spec.paired_truth
@@ -691,8 +700,17 @@ def _sweep_tasks(config, spec):
                     encoder_seed=seed(_ROLE_ENCODER, i) if encoded else None,
                     encoder_dim=config.encoder_dim if encoded else None,
                 )
-                for trial in range(config.trials)
-            ]
+
+
+def _unit_key(task):
+    """What grid_point and the constraint matrix J read of a task."""
+    return task.r, task.m, task.operator_seed, task.encoder_seed, task.eps > 0
+
+
+def _sweep_units(config, spec):
+    """The sweep's tasks in CSV row order, cut into units: runs of equal _unit_key."""
+    tasks = sorted(_sweep_tasks(config, spec), key=_trial_key)
+    return [list(unit) for _, unit in itertools.groupby(tasks, key=_unit_key)]
 
 
 def first_trial(config):
@@ -701,7 +719,7 @@ def first_trial(config):
     Single-instance commands run this task, so their output matches the
     sweep's CSV row for it.
     """
-    return next(_sweep_tasks(config, _oversampling_spec(config)))[0]
+    return next(_sweep_tasks(config, _oversampling_spec(config)))
 
 
 def _mean_errors(records, key):
@@ -719,7 +737,7 @@ def _health(records):
 
 def _run_sweep(config, spec):
     """Run one experiment's trials and write its CSV and summary."""
-    results, failures = _execute(_sweep_tasks(config, spec), config.workers)
+    results, failures = _execute(_sweep_units(config, spec), config.workers)
 
     column = _column(spec.group_by)
     slopes = {}

@@ -22,12 +22,10 @@ conditioned D^{-r} is, which is what breaks down for naive first-order
 schemes once m and r grow.
 
 J and its SVD depend on the operator, the basis or encoder, the order
-and whether nu is present, but not on q: a ConstraintFactor builds them
-once and serves every problem that shares those inputs, so all trials
-of a sweep's grid point share one factorization and each forms only its
-own c.
-
-recover_batch solves the problems of one factor together: each
+and whether nu is present, but not on q.  recover_batch takes problems
+that share all of these, builds J and its SVD once, from the first
+problem that sets up, and forms only each problem's own c; a problem
+whose inputs differ fails alone.  It solves them together: each
 iteration steps every problem still running as one row of (B, n)
 arrays, with one stacked SVD for all the nuclear prox steps, and a
 problem leaves the batch when it stops.  Each row's products are taken
@@ -52,7 +50,6 @@ __all__ = [
     "SolverParams",
     "RecoveryProblem",
     "RecoverySolution",
-    "ConstraintFactor",
     "FeasibilityReport",
     "recover",
     "recover_batch",
@@ -214,58 +211,32 @@ def _noise_block(problem):
     return noise_shaping.apply_inverse_power(np.eye(m), r)
 
 
-class ConstraintFactor:
-    """The constraint matrix J = [G T] of one grid point and its thin SVD.
-
-    A one-slot holder.  The first problem given to fit fixes what J
-    depends on: the operator, the basis and the encoder (by identity),
-    the order, and whether nu is present.  fit builds J and its SVD then,
-    and for every later problem returns the same arrays if those inputs
-    are the same, and raises ValueError if any of them differs, so no
-    problem is ever given another's J.  A sweep's grid point owns one and
-    frees it with the point.
-    """
-
-    def __init__(self):
-        self._inputs = None
-        self._key = None
-        self.J = None
-        self.svd = None
-
-    def fit(self, problem):
-        """Build J and its SVD (U, s, Vh) for problem, or check that they are
-        its own; return self."""
-        inputs = (problem.operator, problem.basis, problem.encoder)
-        key = (problem.order, problem.noise_bound > 0)
-        if self._inputs is None:
-            J = _shape(problem, problem.operator.data)
-            if problem.noise_bound > 0:
-                J = np.concatenate([J, _noise_block(problem)], axis=1)
-            self.svd = np.linalg.svd(J, full_matrices=False)
-            self.J = J
-            self._inputs, self._key = inputs, key
-        elif key != self._key or any(a is not b for a, b in zip(inputs, self._inputs)):
-            raise ValueError(
-                "the constraint factor was built for another operator, basis, "
-                "encoder, order or noise block"
-            )
-        return self
+def _constraint_matrix(problem):
+    """The constraint matrix J = [G T]: the shaped operator G, and the nu
+    block T when noise_bound is positive."""
+    J = _shape(problem, problem.operator.data)
+    if problem.noise_bound > 0:
+        J = np.concatenate([J, _noise_block(problem)], axis=1)
+    return J
 
 
-def build_constraint(problem, factor=None):
+def _shares_constraint(problem, other):
+    """Whether problem's J is other's: the same operator, basis and encoder
+    objects, the same order, and nu present in both or in neither."""
+    return (problem.operator is other.operator and problem.basis is other.basis
+            and problem.encoder is other.encoder and problem.order == other.order
+            and (problem.noise_bound > 0) == (other.noise_bound > 0))
+
+
+def build_constraint(problem):
     """(J, c, radius) for the stacked ball constraint.
 
     J = [G T] acts on (vec Z, nu) with G the shaped operator; the nu block
-    T is omitted when noise_bound is zero.  J comes from factor, which
-    builds it and its SVD for its first problem and returns the same
-    array for the rest; a fresh ConstraintFactor is used when none is
-    given.  c, the shaped quantized vector, is formed for each problem.
-    The full inverse power form with noise requires a dense m x m block
-    and is refused beyond DENSE_FULL_FORM_LIMIT.
+    T is omitted when noise_bound is zero.  c is the shaped quantized
+    vector.  The full inverse power form with noise requires a dense
+    m x m block and is refused beyond DENSE_FULL_FORM_LIMIT.
     """
-    if factor is None:
-        factor = ConstraintFactor()
-    return factor.fit(problem).J, _shape(problem, problem.quantized), problem.radius
+    return _constraint_matrix(problem), _shape(problem, problem.quantized), problem.radius
 
 
 def _sumsq(A):
@@ -311,8 +282,8 @@ def _nuclear_prox(Z, tau):
 class _Tube:
     """Exact Euclidean projection onto {x : ||J x - c_b|| <= R_b}, row by row.
 
-    Holds the economy SVD (U, s, Vh) of J, which a ConstraintFactor
-    computes once for all the trials of a grid point.  Each row b is one
+    Holds the economy SVD (U, s, Vh) of J, which recover_batch computes
+    once for all the problems that share J.  Each row b is one
     problem: its cbar = U^T c, the squared norm c_perp2 of the part of c
     outside the range of J (both formed per problem), its radius
     and its warm start.  With p in singular coordinates the projection
@@ -418,7 +389,7 @@ def nuclear_norm(Z):
     return float(np.linalg.svd(Z, compute_uv=False).sum())
 
 
-def recover(problem, params=None, start=None, factor=None):
+def recover(problem, params=None, start=None):
     """Solve the recovery program and return a RecoverySolution.
 
     Parameters
@@ -427,9 +398,6 @@ def recover(problem, params=None, start=None, factor=None):
     params : SolverParams, optional
     start : (Z0, nu0) pair, optional
         Warm-start point; nu0 may be None.
-    factor : ConstraintFactor, optional
-        Holds J and its SVD for the problem's grid point, built on first
-        use; without one, both are built for this call alone.
 
     This is recover_batch on a batch of one, and raises what the solve
     raised.  The returned converged flag requires both residual criteria
@@ -437,21 +405,23 @@ def recover(problem, params=None, start=None, factor=None):
     non-convergence within max_iterations returns the last iterate with
     converged False.
     """
-    [outcome] = recover_batch([problem], params, None if start is None else [start], factor)
+    [outcome] = recover_batch([problem], params, None if start is None else [start])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def recover_batch(problems, params=None, starts=None, factor=None):
+def recover_batch(problems, params=None, starts=None):
     """Solve problems that share one constraint matrix J, in lockstep.
 
-    Every problem must fit factor (one grid point's operator, basis or
-    encoder, order and noise flag; see ConstraintFactor); starts, if
-    given, holds one (Z0, nu0) pair or None per problem.  Returns one
-    entry per problem, in order: its RecoverySolution, or the exception
-    its set-up, its solve or its final check raised.  A problem that
-    fails leaves the others as they are.
+    J and its SVD are built once, from the first problem that sets up; a
+    later problem whose operator, basis or encoder (by identity), order
+    or noise flag differs from that one's fails with ValueError, so no
+    problem is ever given another's J.  starts, if given, holds one
+    (Z0, nu0) pair or None per problem.  Returns one entry per problem,
+    in order: its RecoverySolution, or the exception its set-up, its
+    solve or its final check raised.  A problem that fails leaves the
+    others as they are.
 
     All problems advance one ADMM iteration at a time, as rows of (B, n)
     arrays with their own penalty, penalty schedule, warm theta and
@@ -462,17 +432,21 @@ def recover_batch(problems, params=None, starts=None, factor=None):
     """
     if params is None:
         params = SolverParams()
-    if factor is None:
-        factor = ConstraintFactor()
     if starts is None:
         starts = [None] * len(problems)
     if len(starts) != len(problems):
         raise ValueError(f"{len(starts)} starts for {len(problems)} problems")
     outcomes = [None] * len(problems)
+    owner = svd = None
     members, cs, xp = [], [], []
     for i, (problem, start) in enumerate(zip(problems, starts)):
         try:
-            factor.fit(problem)
+            if owner is None:
+                svd = np.linalg.svd(_constraint_matrix(problem), full_matrices=False)
+                owner = problem
+            elif not _shares_constraint(problem, owner):
+                raise ValueError("the problem's operator, basis, encoder, order or noise "
+                                 "block differs from the batch's")
             c = _shape(problem, problem.quantized)
             x0 = _start_point(problem, start)
         except Exception as exc:  # noqa: BLE001 - this problem fails alone
@@ -482,7 +456,7 @@ def recover_batch(problems, params=None, starts=None, factor=None):
         cs.append(c)
         xp.append(x0)
     if members:
-        tube = _Tube(factor.svd, cs, [problems[i].radius for i in members])
+        tube = _Tube(svd, cs, [problems[i].radius for i in members])
         _admm(problems, members, np.array(xp), tube, params, outcomes)
     return outcomes
 

@@ -43,7 +43,7 @@ MODULES = {
 def test_traced_sweep_joins_its_csv(tmp_path, command, csv_name):
     config = harness.ExperimentConfig(
         n1=5, n2=5, rank=1, ell=16, oversampling_grid=(2.0, 4.0), orders=(1, 2),
-        epsilon_grid=(0.0, 0.5), trials=2, encoder_dim=16, master_seed=5,
+        epsilon_grid=(0.0, 0.5, 1.0), trials=2, encoder_dim=16, master_seed=5,
         output_path=str(tmp_path / "out"),
     )
     path = tmp_path / "tiny.cfg"

@@ -19,7 +19,7 @@ from sdlowrank import noise_shaping
 from sdlowrank import recovery
 from sdlowrank import sensing
 
-from oracles import FACTOR_CASES, FACTOR_IDS, save_config
+from oracles import save_config
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
@@ -153,11 +153,22 @@ def test_rank_above_matrix_size_rejected():
     # a sweep would run serially as if workers were 1
     (dict(workers=0), "workers must be >= 1, got 0"),
     (dict(workers=-3), "workers must be >= 1, got -3"),
+    # a nan eps writes rows with the noise-free error; every solve stops
+    # after one iteration at an infinite tolerance; a bool is an int, and
+    # True would run with L = 1
+    (dict(epsilon_grid=(0.0, math.nan)), r"epsilon_grid must be finite, got \(0.0, nan\)"),
+    (dict(solver_tolerance=math.inf), "solver_tolerance must be finite, got inf"),
+    (dict(levels=True), "levels must be 'auto' or an integer >= 1, got True"),
+    # each of these fails every trial once the sweep has started
+    (dict(mu=math.inf), "mu must be finite, got inf"),
+    (dict(beta=math.inf), "beta must be finite, got inf"),
+    (dict(epsilon_grid=(0.0, math.inf)), r"epsilon_grid must be finite, got \(0.0, inf\)"),
 ], ids=["repeated-lambda", "repeated-eps", "repeated-order", "zero-beta",
         "zero-lambda", "zero-order", "zero-levels", "unknown-distribution",
         "zero-encoder-dim", "encoded-m-below-encoder-dim", "empty-eps",
         "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu",
-        "zero-workers", "negative-workers"])
+        "zero-workers", "negative-workers", "nan-eps", "infinite-tolerance", "bool-levels",
+        "infinite-mu", "infinite-beta", "infinite-eps"])
 def test_config_rejects_values_no_sweep_can_run(tmp_path, overrides, message):
     # rejected before any trial runs, so no output is written
     out = tmp_path / "out"
@@ -424,13 +435,15 @@ def _count_calls(monkeypatch, module, name, calls, fail_at_m=None):
 
 
 def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
-    # a grid point is one order at one (lambda, m, eps); its trials share
-    # one operator and one basis (projected form) or one encoder (rate sweep)
+    # a unit is the trials that share one J: one order at one (lambda, m)
+    # in the oversampling and rate sweeps, and in the noise sweep its
+    # eps = 0 point or all its eps > 0 points; a unit's trials share one
+    # operator and one basis (projected form) or one encoder (rate sweep)
     calls = {name: [] for name in ("draw_operator", "compute_basis", "draw_encoder")}
     _count_calls(monkeypatch, sensing, "draw_operator", calls["draw_operator"])
     _count_calls(monkeypatch, noise_shaping, "compute_basis", calls["compute_basis"])
     _count_calls(monkeypatch, encoding, "draw_encoder", calls["draw_encoder"])
-    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, epsilon_grid=(0.0, 0.5),
+    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, epsilon_grid=(0.0, 0.5, 1.0),
                       encoder_dim=16)
     for run, built in ((harness.run_oversampling_sweep, "compute_basis"),
                        (harness.run_noise_sweep, "compute_basis"),
@@ -438,27 +451,29 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
         for made in calls.values():
             made.clear()
         res = run(cfg)
-        points = sorted({(rec.r, rec.m, rec.eps) for rec in res.records})
+        points = {(rec.r, rec.m, rec.eps) for rec in res.records}
         assert len(res.records) == len(points) * cfg.trials
-        assert sorted(calls["draw_operator"]) == sorted(m for _, m, _ in points)
-        assert sorted(calls[built]) == sorted(m for _, m, _ in points)
+        # two per order: the two lambdas, or the noise sweep's eps = 0 and eps > 0
+        units = sorted({(r, m, eps > 0) for r, m, eps in points})
+        assert len(units) == 2 * len(cfg.orders)
+        assert sorted(calls["draw_operator"]) == sorted(m for _, m, _ in units)
+        assert sorted(calls[built]) == sorted(m for _, m, _ in units)
         unused = {"compute_basis": "draw_encoder", "draw_encoder": "compute_basis"}[built]
         assert calls[unused] == []
 
 
-def _one_point_config(tmp_path, form, eps):
-    """A noise sweep of one grid point, (r, m, eps) = (1, 32, eps), 3 trials."""
-    return tiny_config(tmp_path, oversampling_grid=(2.0,), epsilon_grid=(eps,), trials=3,
-                       constraint_form=form, encoder_dim=16, workers=1)
-
-
-@pytest.mark.parametrize("form, eps", FACTOR_CASES, ids=FACTOR_IDS)
-def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps):
-    # every trial's problem is fitted to the point's factor, and all get
-    # the one J that the first fit built; the shaped operator and the SVD
-    # of J are computed once for the point
-    shaped, factored, fitted = [], [], []
-    shape, svd, fit = recovery._shape, np.linalg.svd, recovery.ConstraintFactor.fit
+@pytest.mark.parametrize("form, epsilon_grid, units", [
+    ("projected", (0.0, 0.5, 1.0), 2), ("projected", (0.5, 1.0, 2.0), 1),
+    ("encoded", (0.0, 0.5, 1.0), 3), ("full_inverse_power", (0.0, 0.5, 1.0), 2),
+], ids=["projected", "projected-noise", "encoded", "full"])
+def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, epsilon_grid,
+                                                units):
+    # a noise sweep of one order over three eps: the eps > 0 points share
+    # J, except in the encoded form, where each point draws its own
+    # encoder; each unit shapes the operator and takes the SVD of its J
+    # once
+    shaped, factored, built = [], [], []
+    shape, svd, constraint = recovery._shape, np.linalg.svd, recovery._constraint_matrix
 
     def counted_shape(problem, M):
         if M is problem.operator.data:
@@ -469,35 +484,41 @@ def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps
         factored.append(a)
         return svd(a, *args, **kwargs)
 
-    def counted_fit(factor, problem):
-        result = fit(factor, problem)
-        fitted.append(factor.J)
-        return result
+    def counted_constraint(problem):
+        built.append(constraint(problem))
+        return built[-1]
 
     monkeypatch.setattr(recovery, "_shape", counted_shape)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(recovery.ConstraintFactor, "fit", counted_fit)
-    res = harness.run_noise_sweep(_one_point_config(tmp_path, form, eps))
-    assert len(res.records) == 3 and not res.failures
-    assert len(fitted) == 3 and all(J is fitted[0] for J in fitted)
-    assert len(shaped) == 1
-    assert sum(a is fitted[0] for a in factored) == 1
+    monkeypatch.setattr(recovery, "_constraint_matrix", counted_constraint)
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), epsilon_grid=epsilon_grid,
+                      trials=3, constraint_form=form, encoder_dim=16)
+    res = harness.run_noise_sweep(cfg)
+    assert len(res.records) == 9 and not res.failures
+    assert len(built) == len(shaped) == units
+    assert all(sum(a is J for a in factored) == 1 for J in built)
 
 
-@pytest.mark.parametrize("form, eps", FACTOR_CASES, ids=FACTOR_IDS)
-def test_shared_factor_solves_like_a_fresh_build(tmp_path, form, eps):
-    # a trial solved after another filled its point's factor matches the
-    # same trial solved on a point of its own, bit for bit
-    cfg = _one_point_config(tmp_path, form, eps)
-    first, second = next(harness._sweep_tasks(cfg, harness._noise_spec(cfg)))[:2]
-    point = harness.grid_point(first)
-    harness.trial_solve(first, point)
-    _, shared = harness.trial_solve(second, point)
-    _, fresh = harness.trial_solve(second, harness.grid_point(second))
-    assert np.array_equal(shared.estimate, fresh.estimate)
-    assert np.array_equal(shared.noise_estimate, fresh.noise_estimate)
-    assert shared.iterations == fresh.iterations
-    assert shared.secular_steps == fresh.secular_steps
+def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch):
+    # the benchmark's trace joins one _run_trial call per CSV row, in row
+    # order; the eps > 0 points still form one unit per order
+    keys, groups = [], []
+    run_trial, run_group = harness._run_trial, harness._run_group
+
+    def recorded_trial(task, trial, solution):
+        keys.append(harness._trial_key(task))
+        return run_trial(task, trial, solution)
+
+    def recorded_group(group):
+        groups.append(sorted({task.eps for task in group}))
+        return run_group(group)
+
+    monkeypatch.setattr(harness, "_run_trial", recorded_trial)
+    monkeypatch.setattr(harness, "_run_group", recorded_group)
+    res = harness.run_noise_sweep(tiny_config(tmp_path, orders=(2, 1),
+                                              epsilon_grid=(1.0, 0.0, 0.5)))
+    assert keys == [harness._trial_key(rec) for rec in res.records] == sorted(keys)
+    assert groups == [[0.0], [0.5, 1.0]] * 2
 
 
 def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):

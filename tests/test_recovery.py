@@ -93,7 +93,7 @@ def test_truth_is_feasible_for_all_forms(tmp_path_factory, form, r, ell, lam, ep
         output_path=str(tmp_path_factory.getbasetemp() / "feasible"),
     )
     task = dataclasses.replace(harness.first_trial(config), eps=eps, noise_seed=seed)
-    op, basis, encoder, _ = harness.grid_point(task)
+    op, basis, encoder = harness.grid_point(task)
     X, _, y = harness.trial_instance(task, op)
     noise = y - sensing.apply(op, X)
     scheme, run = harness.trial_quantize(task, y)
@@ -124,31 +124,6 @@ def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
         assert J.shape == want.shape
         assert np.max(np.abs(J - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(c - S @ problem.quantized)) <= 1e-12 * np.max(np.abs(c))
-
-
-def test_constraint_factor_refuses_another_grid_points_problem():
-    problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
-    factor = recovery.ConstraintFactor().fit(problem)
-    J, svd = factor.J.copy(), factor.svd
-    another_basis = noise_shaping.compute_basis(40, 2, truncation=10)
-    others = {
-        "operator": pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)[0],
-        "basis": dataclasses.replace(problem, basis=another_basis),
-        "order": dataclasses.replace(
-            problem, order=1, basis=noise_shaping.compute_basis(40, 1, truncation=10)),
-        "noise": dataclasses.replace(problem, noise_bound=0.5),
-    }
-    for name, other in others.items():
-        for use in (factor.fit, lambda p: recovery.build_constraint(p, factor),
-                    lambda p: recovery.recover(p, factor=factor)):
-            with pytest.raises(ValueError, match="built for another operator"):
-                use(other)
-    # the refusals left the factor as it was, and another q of the same
-    # point gets the same J and SVD objects
-    assert np.array_equal(factor.J, J) and factor.svd is svd
-    same_point = dataclasses.replace(problem, quantized=np.zeros(40))
-    assert recovery.build_constraint(same_point, factor)[0] is factor.J
-    assert factor.svd is svd
 
 
 def test_objective_not_above_truth():
@@ -463,7 +438,7 @@ _POINTS = {}
 
 
 def _point_trials(base, case):
-    """(factor, prepared trials) of one grid point of case = (form, eps).
+    """The prepared trials of one grid point of case = (form, eps).
 
     The point is (r, m) = (2, 32) with 4 trials, built once per case and
     shared by every test that reads it.
@@ -475,9 +450,9 @@ def _point_trials(base, case):
             epsilon_grid=(eps,), trials=4, master_seed=11, constraint_form=form,
             encoder_dim=16, output_path=str(base / "lockstep"),
         )
-        tasks = next(harness._sweep_tasks(config, harness._noise_spec(config)))
+        [tasks] = harness._sweep_units(config, harness._noise_spec(config))
         point = harness.grid_point(tasks[0])
-        _POINTS[case] = point[3], [harness._prepare_trial(task, point) for task in tasks]
+        _POINTS[case] = [harness._prepare_trial(task, point) for task in tasks]
     return _POINTS[case]
 
 
@@ -501,15 +476,15 @@ def test_lockstep_solve_matches_each_problem_alone(tmp_path_factory, case, order
     # any subset of a point's problems, in any order, some warm-started
     # (as oracles.reference_solve does), solved together: each gets the
     # bits it gets alone, and so do its counts
-    factor, trials = _point_trials(tmp_path_factory.getbasetemp(), case)
+    trials = _point_trials(tmp_path_factory.getbasetemp(), case)
     chosen = [trials[i] for i in order[:size]]
     problems = [trial.problem for trial in chosen]
     starts = [(0.5 * trial.truth, np.full(trial.problem.operator.rows, 0.01)) if w else None
               for trial, w in zip(chosen, warm)]
     params = recovery.SolverParams(max_iterations=max_iterations)
-    together = recovery.recover_batch(problems, params, starts, factor)
+    together = recovery.recover_batch(problems, params, starts)
     for problem, start, solution in zip(problems, starts, together):
-        _same_solution(solution, recovery.recover(problem, params, start, factor))
+        _same_solution(solution, recovery.recover(problem, params, start))
 
 
 @PROPERTY
@@ -531,11 +506,11 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
     # large; an SVD that refuses matrices that large fails it, in the
     # stacked call and alone, with the same error, and the other three
     # keep the bits they get alone
-    factor, trials = _point_trials(tmp_path, ("projected", 0.5))
+    trials = _point_trials(tmp_path, ("projected", 0.5))
     problems = [trial.problem for trial in trials]
     big = problems[2]
     problems[2] = dataclasses.replace(big, quantized=1e6 * big.quantized, gamma=1e6 * big.gamma)
-    alone = [recovery.recover(p, factor=factor) for p in problems[:2] + problems[3:]]
+    alone = [recovery.recover(p) for p in problems[:2] + problems[3:]]
     limit = 1e3 * max(np.abs(s.estimate).max() for s in alone)
     svd = np.linalg.svd
 
@@ -545,9 +520,9 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    together = recovery.recover_batch(problems, factor=factor)
+    together = recovery.recover_batch(problems)
     with pytest.raises(np.linalg.LinAlgError) as failed:
-        recovery.recover(problems[2], factor=factor)
+        recovery.recover(problems[2])
     assert isinstance(together[2], np.linalg.LinAlgError)
     assert str(together[2]) == str(failed.value) == "SVD did not converge"
     for got, want in zip(together[:2] + together[3:], alone):
@@ -555,16 +530,32 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
         assert got.objective == want.objective and got.feasibility == want.feasibility
 
 
-def test_batch_set_up_failure_fails_its_problem_alone():
-    # a problem of another grid point cannot fit the factor; the others solve
+def _another_grid_points_problem(problem, differs):
+    """problem with the input named differs taken from another grid point."""
+    if differs == "operator":
+        return pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)[0]
+    if differs == "basis":
+        return dataclasses.replace(problem, basis=noise_shaping.compute_basis(40, 2, truncation=10))
+    if differs == "order":
+        return dataclasses.replace(
+            problem, order=1, basis=noise_shaping.compute_basis(40, 1, truncation=10))
+    return dataclasses.replace(problem, noise_bound=0.5)
+
+
+@pytest.mark.parametrize("differs", ["operator", "basis", "order", "noise"])
+def test_batch_set_up_failure_fails_its_problem_alone(differs):
+    # a problem whose J is not the batch's fails alone, whether it comes
+    # first or later, and every other problem solves as it does alone
     problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
-    other, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)
-    factor = recovery.ConstraintFactor()
-    outcomes = recovery.recover_batch([problem, other, problem], factor=factor)
+    other = _another_grid_points_problem(problem, differs)
+    alone = recovery.recover(problem)
+    outcomes = recovery.recover_batch([problem, other, problem])
     assert isinstance(outcomes[1], ValueError)
-    assert "built for another operator" in str(outcomes[1])
+    assert "differs from the batch's" in str(outcomes[1])
     for got in (outcomes[0], outcomes[2]):
-        _same_solution(got, recovery.recover(problem))
+        _same_solution(got, alone)
+    outcomes = recovery.recover_batch([other, problem])
+    assert isinstance(outcomes[1], ValueError)
+    _same_solution(outcomes[0], recovery.recover(other))
     with pytest.raises(ValueError, match="2 starts for 3 problems"):
         recovery.recover_batch([problem] * 3, starts=[None, None])
-
