@@ -542,20 +542,36 @@ def _another_grid_points_problem(problem, differs):
     return dataclasses.replace(problem, noise_bound=0.5)
 
 
-@pytest.mark.parametrize("differs", ["operator", "basis", "order", "noise"])
-def test_batch_set_up_failure_fails_its_problem_alone(differs):
-    # a problem whose J is not the batch's fails alone, whether it comes
-    # first or later, and every other problem solves as it does alone
+def test_constraint_factor_refuses_another_grid_points_problem():
+    # the batch's J and SVD, built from its first problem, are refused to a
+    # problem of another operator, basis, order or noise flag, whether it
+    # comes first or later; another q of the same point shares them
     problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
-    other = _another_grid_points_problem(problem, differs)
-    alone = recovery.recover(problem)
+    for differs in ("operator", "basis", "order", "noise"):
+        other = _another_grid_points_problem(problem, differs)
+        for batch in ([problem, other], [other, problem]):
+            outcomes = recovery.recover_batch(batch)
+            assert isinstance(outcomes[1], ValueError), differs
+            assert "differs from the batch's" in str(outcomes[1])
+            _same_solution(outcomes[0], recovery.recover(batch[0]))
+    same_point = dataclasses.replace(problem, quantized=np.zeros(40))
+    J = recovery.build_constraint(problem)[0]
+    assert np.array_equal(recovery.build_constraint(same_point)[0], J)
+    outcomes = recovery.recover_batch([problem, same_point])
+    _same_solution(outcomes[0], recovery.recover(problem))
+    _same_solution(outcomes[1], recovery.recover(same_point))
+
+
+def test_batch_set_up_failure_fails_its_problem_alone():
+    # a problem of another grid point fails alone; the others solve as
+    # they do alone
+    problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
+    other = _another_grid_points_problem(problem, "operator")
     outcomes = recovery.recover_batch([problem, other, problem])
     assert isinstance(outcomes[1], ValueError)
     assert "differs from the batch's" in str(outcomes[1])
+    alone = recovery.recover(problem)
     for got in (outcomes[0], outcomes[2]):
         _same_solution(got, alone)
-    outcomes = recovery.recover_batch([other, problem])
-    assert isinstance(outcomes[1], ValueError)
-    _same_solution(outcomes[0], recovery.recover(other))
     with pytest.raises(ValueError, match="2 starts for 3 problems"):
         recovery.recover_batch([problem] * 3, starts=[None, None])
