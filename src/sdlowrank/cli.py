@@ -45,7 +45,7 @@ def _load_config(args):
 def cmd_quantize(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    X, scale, y = harness.trial_instance(task, harness.grid_point(task)[0])
+    X, scale, y = harness.trial_instance(task, harness.trial_operator(task))
     scheme, run = harness.trial_quantize(task, y)
     alphabet = scheme.alphabet
     print(f"order r={task.r} m={task.m} lambda={task.lam:g}")
@@ -107,7 +107,7 @@ def cmd_rate_distortion(args):
 def cmd_rip_check(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    op = harness.grid_point(task)[0]
+    op = harness.trial_operator(task)
     # rows scaled by 1/sqrt(m) give E ||M(X)||^2 = ||X||_F^2, so delta_hat
     # measures the distance from an isometry
     op = replace(op, data=op.data / np.sqrt(task.m))
@@ -150,7 +150,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

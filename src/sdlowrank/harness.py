@@ -4,20 +4,19 @@ One engine runs every sweep from a small per-experiment spec: derive
 per-trial seeds from the master seed, run independent trials (optionally
 across worker processes), sort the results deterministically, and write
 one CSV plus a text summary with fitted slopes.  Reordering or
-parallelizing trial execution never changes the output bytes.  Work is
-done a unit at a time: the trials, in CSV row order, that share all
-that grid_point and the constraint matrix J read, namely the order, m,
-the operator and encoder seeds, and whether eps is positive.  A unit is
-one grid point of the oversampling and rate sweeps, and in the noise
-sweep the eps = 0 point or all the eps > 0 points of an (r, m) (each
-point in the encoded form, where each draws its own encoder).  Each
-unit builds its operator and its basis or encoder once with grid_point;
-each trial is prepared (trial_instance, trial_quantize, the encoding and
-the truth check); the prepared trials are solved together by one
-recovery.recover_batch call, which builds J and its SVD once for them;
-and each trial gets its CSV row from _run_trial.  The command line reuses
-the same stages through trial_solve, which solves one trial as a batch
-of one and so reproduces its sweep row.
+parallelizing trial execution never changes the output bytes.  Every
+sweep runs orders x lambda grid x eps grid at m = lambda * base, with the
+operator and encoder drawn per lambda.  Work is done a unit at a time:
+the trials, in CSV row order, that share all that grid_point and the
+constraint matrix J read, namely the order, m and whether eps is
+positive.  Each unit builds its operator and its basis or encoder once
+with grid_point; each trial is prepared (trial_instance, trial_quantize,
+the encoding and the truth check); the prepared trials are solved
+together by one recovery.recover_batch call, which builds J and its SVD
+once for them; and each trial gets its CSV row from _run_trial.  The
+command line reuses the same stages through trial_operator and
+trial_solve, which solves one trial as a batch of one and so reproduces
+its sweep row.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ __all__ = [
     "run_noise_sweep",
     "run_rate_distortion",
     "first_trial",
+    "trial_operator",
     "grid_point",
     "trial_instance",
     "trial_quantize",
@@ -414,6 +414,14 @@ def _trial_key(item):
     return (item.r, item.m, item.eps, item.trial_index)
 
 
+def trial_operator(task):
+    """The task's measurement operator, shared by every trial of its unit."""
+    config = task.config
+    return sensing.draw_operator(
+        task.m, config.n1, config.n2, config.distribution, task.operator_seed
+    )
+
+
 def grid_point(task):
     """(operator, basis, encoder), shared by every trial of the task's unit.
 
@@ -421,9 +429,6 @@ def grid_point(task):
     The basis is cached in cache_dir, by default output_path/basis_cache.
     """
     config = task.config
-    op = sensing.draw_operator(
-        task.m, config.n1, config.n2, config.distribution, task.operator_seed
-    )
     basis = encoder = None
     if config.constraint_form == "projected":
         cache_dir = config.cache_dir
@@ -434,7 +439,7 @@ def grid_point(task):
         )
     elif config.constraint_form == "encoded":
         encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
-    return op, basis, encoder
+    return trial_operator(task), basis, encoder
 
 
 def trial_instance(task, op):
@@ -609,102 +614,91 @@ def _execute(groups, workers):
 class _SweepSpec:
     """What distinguishes one experiment's sweep from another's.
 
-    points are the (lam, m, eps) grid points, swept for every order.
-    Every trial at a point shares its operator; shared_operator draws one
-    operator for all points instead of one per point; paired_truth
-    reuses each trial's truth matrix at every point.  Means of
-    err_relative are grouped by the TrialRecord field group_by and fitted
-    over the groups with a positive value.
+    The sweep runs orders x lambdas x epsilons at m = lambda * base, and
+    every trial of an m shares one operator and one encoder.
+    paired_truth reuses each trial's truth matrix at every point.  Means
+    of err_relative are grouped by the TrialRecord field group_by and
+    fitted over the groups with a positive value.
     """
 
     experiment: int
     name: str
-    points: tuple
-    shared_operator: bool
+    base: int
+    lambdas: tuple
+    epsilons: tuple
     paired_truth: bool
     group_by: str
     fit_mode: str
 
 
-def _check_encoder_fits(config, spec):
-    """Return spec; in the encoded form every point needs m >= encoder_dim.
+def _check_grid(config, spec):
+    """Return spec; every m must be integral, and in the encoded form >= encoder_dim.
 
+    A fractional m would run at its rounding and be recorded at lambda;
     draw_encoder would fail every trial at a point with fewer rows.
     """
-    if config.constraint_form == "encoded":
-        for lam, m, _ in spec.points:
-            if m < config.encoder_dim:
-                raise ValueError(f"oversampling_grid entry {lam} gives m = {lam} * "
-                                 f"{config.ell} below encoder_dim {config.encoder_dim}")
+    for lam in spec.lambdas:
+        if not float(lam * spec.base).is_integer():
+            raise ValueError(f"m = {lam} * {spec.base} is not integral")
+        if config.constraint_form == "encoded" and lam * spec.base < config.encoder_dim:
+            raise ValueError(f"oversampling_grid entry {lam} gives m = {lam} * "
+                             f"{spec.base} below encoder_dim {config.encoder_dim}")
     return spec
 
 
 def _oversampling_spec(config):
-    return _check_encoder_fits(config, _SweepSpec(
-        _EXP_OVERSAMPLING, "oversampling",
-        tuple((lam, int(round(lam * config.ell)), 0.0)
-              for lam in config.oversampling_grid),
-        shared_operator=False, paired_truth=True,
-        group_by="lam", fit_mode="loglog",
+    return _check_grid(config, _SweepSpec(
+        _EXP_OVERSAMPLING, "oversampling", config.ell, config.oversampling_grid, (0.0,),
+        paired_truth=True, group_by="lam", fit_mode="loglog",
     ))
 
 
 def _noise_spec(config):
-    lam = config.oversampling_grid[0]
-    m = int(round(lam * config.ell))
-    return _check_encoder_fits(config, _SweepSpec(
-        _EXP_NOISE, "noise", tuple((lam, m, eps) for eps in config.epsilon_grid),
-        shared_operator=True, paired_truth=True,
-        group_by="eps", fit_mode="semilog",
+    return _check_grid(config, _SweepSpec(
+        _EXP_NOISE, "noise", config.ell, config.oversampling_grid[:1], config.epsilon_grid,
+        paired_truth=True, group_by="eps", fit_mode="semilog",
     ))
 
 
 def _rate_spec(config):
-    for lam in config.oversampling_grid:
-        if lam < 1:
-            raise ValueError(f"oversampling_grid entry {lam} gives m = {lam} * "
-                             f"{config.encoder_dim} below encoder_dim")
-        if not float(lam * config.encoder_dim).is_integer():
-            raise ValueError(f"m = {lam} * {config.encoder_dim} is not integral")
-    return _SweepSpec(
-        _EXP_RATE, "rate_distortion",
-        tuple((lam, int(round(lam * config.encoder_dim)), 0.0)
-              for lam in config.oversampling_grid),
-        shared_operator=False, paired_truth=False,
+    return _check_grid(config, _SweepSpec(
+        _EXP_RATE, "rate_distortion", config.encoder_dim, config.oversampling_grid, (0.0,),
+        paired_truth=False,
         # rate_bits follows each trial's alphabet; rate_bits_fig has one value per (r, m)
         group_by="rate_bits_fig", fit_mode="semilog",
-    )
+    ))
 
 
 def _sweep_tasks(config, spec):
-    """Yield the sweep's tasks by order, point and trial.
+    """Yield the sweep's tasks by order, lambda, eps and trial.
 
     Each seed derives from the master seed, the experiment, its role and
-    the indices it depends on, so no task's seeds depend on the others.
+    the index it depends on: the lambda's for the operator, the encoder
+    and an unpaired truth, and the eps's for the noise.
     """
 
     def seed(role, *key):
         return _derive_seed(config.master_seed, spec.experiment, role, *key)
 
     encoded = config.constraint_form == "encoded"
-    for r in config.orders:
-        for i, (lam, m, eps) in enumerate(spec.points):
-            for trial in range(config.trials):
-                yield _TrialTask(
-                    config=config, r=r, m=m, lam=lam, trial_index=trial,
-                    operator_seed=seed(_ROLE_OPERATOR, 0 if spec.shared_operator else i),
-                    matrix_seed=(seed(_ROLE_MATRIX, trial) if spec.paired_truth
-                                 else seed(_ROLE_MATRIX, i, trial)),
-                    eps=eps,
-                    noise_seed=seed(_ROLE_NOISE, i, trial) if eps > 0 else None,
-                    encoder_seed=seed(_ROLE_ENCODER, i) if encoded else None,
-                    encoder_dim=config.encoder_dim if encoded else None,
-                )
+    for r, (i, lam), (j, eps), trial in itertools.product(
+            config.orders, enumerate(spec.lambdas), enumerate(spec.epsilons),
+            range(config.trials)):
+        yield _TrialTask(
+            config=config, r=r, m=int(round(lam * spec.base)), lam=lam, trial_index=trial,
+            operator_seed=seed(_ROLE_OPERATOR, i),
+            matrix_seed=(seed(_ROLE_MATRIX, trial) if spec.paired_truth
+                         else seed(_ROLE_MATRIX, i, trial)),
+            eps=eps,
+            noise_seed=seed(_ROLE_NOISE, j, trial) if eps > 0 else None,
+            encoder_seed=seed(_ROLE_ENCODER, i) if encoded else None,
+            encoder_dim=config.encoder_dim if encoded else None,
+        )
 
 
 def _unit_key(task):
-    """What grid_point and the constraint matrix J read of a task."""
-    return task.r, task.m, task.operator_seed, task.encoder_seed, task.eps > 0
+    """What grid_point and J read of a task; in a sweep m fixes the operator and encoder."""
+    return task.r, task.m, task.eps > 0
 
 
 def _sweep_units(config, spec):
@@ -802,4 +796,5 @@ def run_rate_distortion(config):
     The oversampling grid is read against the encoder dimension here:
     m = lambda * encoder_dim for each grid value.
     """
-    return _run_sweep(replace(config, constraint_form="encoded"), _rate_spec(config))
+    config = replace(config, constraint_form="encoded")
+    return _run_sweep(config, _rate_spec(config))

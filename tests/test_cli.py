@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sdlowrank import cli
+from sdlowrank import encoding
 from sdlowrank import harness
+from sdlowrank import noise_shaping
 
 from oracles import save_config
 
@@ -152,12 +154,31 @@ def test_rip_check_cli(tiny_cfg_file, capsys):
 
 
 def test_rip_check_probes_the_normalized_operator(tmp_path, capsys):
-    # desk defaults; the raw operator gives a constant near m.  The first
-    # grid point's basis is cached under --out
+    # desk defaults; the raw operator gives a constant near m
     assert cli.main(["rip-check", "--trials", "50", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert float(out.split("delta_hat = ")[1].split()[0]) < 1
     assert "(1/sqrt(m)) M" in out
+
+
+@pytest.mark.parametrize("form", ["projected", "encoded"])
+@pytest.mark.parametrize("command", ["quantize", "rip-check"])
+def test_single_instance_commands_build_only_the_operator(tmp_path, monkeypatch, command,
+                                                          form):
+    # neither command reads a basis or an encoder, so neither builds one
+    built = []
+    for module, name in ((noise_shaping, "compute_basis"), (encoding, "draw_encoder")):
+        def counted(*args, _build=getattr(module, name), **kwargs):
+            built.append(args)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    path = write_tiny_cfg(tmp_path, constraint_form=form, encoder_dim=16)
+    out_dir = tmp_path / "inst"
+    assert cli.main([command, "--config", path, "--out", str(out_dir)]) == 0
+    assert built == []
+    assert not (out_dir / "basis_cache").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flag_changes_the_instance(tiny_cfg_file, capsys):
@@ -170,6 +191,11 @@ def test_seed_flag_changes_the_instance(tiny_cfg_file, capsys):
 
 def test_missing_config_file_exits_one(capsys):
     assert cli.main(["recover", "--config", "/nonexistent/x.cfg"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_directory_as_config_exits_one(tmp_path, capsys):
+    assert cli.main(["quantize", "--config", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -464,12 +464,12 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("form, epsilon_grid, units", [
     ("projected", (0.0, 0.5, 1.0), 2), ("projected", (0.5, 1.0, 2.0), 1),
-    ("encoded", (0.0, 0.5, 1.0), 3), ("full_inverse_power", (0.0, 0.5, 1.0), 2),
+    ("encoded", (0.0, 0.5, 1.0), 2), ("full_inverse_power", (0.0, 0.5, 1.0), 2),
 ], ids=["projected", "projected-noise", "encoded", "full"])
 def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, epsilon_grid,
                                                 units):
     # a noise sweep of one order over three eps: the eps > 0 points share
-    # J, except in the encoded form, where each point draws its own
+    # J in every form, since they share one operator and one basis or
     # encoder; each unit shapes the operator and takes the SVD of its J
     # once
     shaped, factored, built = [], [], []
@@ -497,6 +497,80 @@ def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps
     assert len(res.records) == 9 and not res.failures
     assert len(built) == len(shaped) == units
     assert all(sum(a is J for a in factored) == 1 for J in built)
+
+
+_SPECS = {"oversampling": harness._oversampling_spec, "noise": harness._noise_spec,
+          "rate_distortion": harness._rate_spec}
+
+
+def _point_by_point_seeds(config, name):
+    """Each task's (r, m, lambda, eps, trial) and seeds, derived point by point.
+
+    Written out apart from _sweep_tasks: a sweep lists its (lambda, m, eps)
+    points; the noise sweep's points share operator seed 0, a paired
+    truth follows the trial alone, and every other seed follows the
+    point's index.  The benchmark's reference means were recorded at
+    these seeds.
+    """
+    experiment = {"oversampling": 1, "noise": 2, "rate_distortion": 3}[name]
+    base = config.encoder_dim if name == "rate_distortion" else config.ell
+    lambdas = config.oversampling_grid[:1] if name == "noise" else config.oversampling_grid
+    epsilons = config.epsilon_grid if name == "noise" else (0.0,)
+    points = [(lam, int(lam * base), eps) for lam in lambdas for eps in epsilons]
+    encoded = name == "rate_distortion" or config.constraint_form == "encoded"
+
+    def seed(*key):
+        return harness._derive_seed(config.master_seed, experiment, *key)
+
+    return [(r, m, lam, eps, trial,
+             seed(101, 0 if name == "noise" else i),
+             seed(102, i, trial) if name == "rate_distortion" else seed(102, trial),
+             seed(103, i, trial) if eps > 0 else None,
+             seed(104, i) if encoded else None)
+            for r in config.orders for i, (lam, m, eps) in enumerate(points)
+            for trial in range(config.trials)]
+
+
+@pytest.mark.parametrize("form", harness.CONSTRAINT_FORMS)
+def test_sweep_seeds_follow_lambda_and_eps(tmp_path, form):
+    # every task of an m shares one operator seed and one encoder seed;
+    # each task's seeds are the point-by-point derivation's, but for the
+    # encoded noise sweep's encoder, now the one of its lambda at every eps
+    cfg = tiny_config(tmp_path, orders=(1, 2), epsilon_grid=(0.0, 0.5, 1.0),
+                      encoder_dim=16, constraint_form=form)
+    for name, make_spec in _SPECS.items():
+        config = (dataclasses.replace(cfg, constraint_form="encoded")
+                  if name == "rate_distortion" else cfg)
+        tasks = list(harness._sweep_tasks(config, make_spec(config)))
+        shared = {}
+        for task in tasks:
+            shared.setdefault(task.m, set()).add((task.operator_seed, task.encoder_seed))
+        assert [len(seeds) for seeds in shared.values()] == [1] * len(shared)
+        expected = _point_by_point_seeds(config, name)
+        if name == "noise" and form == "encoded":
+            expected = [row[:-1] + (expected[0][-1],) for row in expected]
+        assert [(t.r, t.m, t.lam, t.eps, t.trial_index, t.operator_seed, t.matrix_seed,
+                 t.noise_seed, t.encoder_seed) for t in tasks] == expected
+
+
+def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch):
+    # the eps points share the lambda's encoder as they share its
+    # operator: each order's two units (eps = 0 and eps > 0) draw it
+    seeds = []
+    draw = encoding.draw_encoder
+
+    def counted(L_enc, m, seed=0):
+        seeds.append(seed)
+        return draw(L_enc, m, seed)
+
+    monkeypatch.setattr(encoding, "draw_encoder", counted)
+    cfg = tiny_config(tmp_path, orders=(1, 2), epsilon_grid=(0.0, 0.5, 1.0),
+                      constraint_form="encoded", encoder_dim=16)
+    res = harness.run_noise_sweep(cfg)
+    assert len(res.records) == 2 * 3 * cfg.trials and not res.failures
+    assert len(seeds) == 2 * len(cfg.orders)
+    assert set(seeds) == {rec.encoder_seed for rec in res.records}
+    assert len(set(seeds)) == 1
 
 
 def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch):
