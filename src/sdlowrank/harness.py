@@ -158,6 +158,8 @@ class ExperimentConfig:
             raise ValueError(f"solver_tolerance must be positive, got {self.solver_tolerance}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def levels_for(self, order, observed_max):
         if self.levels == "auto":

@@ -249,7 +249,8 @@ def _write_cache(path, m, r, s, V):
 def _read_cache(path, m, r, ell):
     """(s, V) from a cache file, or None if it is missing, stale or malformed."""
     try:
-        with np.load(path) as data:
+        # np.load(path) leaves its own handle open when the zip read raises
+        with open(path, "rb") as f, np.load(f) as data:
             if int(data["format_version"][0]) != _CACHE_FORMAT_VERSION:
                 return None
             if int(data["size"][0]) != m or int(data["order"][0]) != r:

@@ -28,12 +28,16 @@ problem that sets up, and forms only each problem's own c; a problem
 whose inputs differ fails alone.  It solves them together: each
 iteration steps every problem still running as one row of (B, n)
 arrays, with one stacked SVD for all the nuclear prox steps, and a
-problem leaves the batch when it stops.  Each row's products are taken
-by kernels that compute a row alone (np.matvec, np.vecdot and the
-stacked SVD run one BLAS or LAPACK call per row), and its scalar tests
-are Python float arithmetic, so every problem gets the bits it gets on
-its own; a 2-d gemm over the batch would round differently as the
-batch changed.  recover is recover_batch on a batch of one.
+problem leaves the batch when it stops.  A row's scalars live in its
+_Row record, and one statement of _admm drops finished rows from the
+records and every array together: new per-row state is a _Row field, or
+one more entry in that statement if it is an array.  Each row's
+products are taken by kernels that compute a row alone (np.matvec,
+np.vecdot and the stacked SVD run one BLAS or LAPACK call per row), and
+its scalar tests are Python float arithmetic, so every problem gets the
+bits it gets on its own; a 2-d gemm over the batch would round
+differently as the batch changed.  recover is recover_batch on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -121,10 +125,12 @@ class RecoveryProblem:
             )
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
-        if self.noise_bound < 0:
-            raise ValueError("noise_bound must be nonnegative")
+        # nan fails both tests: a nan noise_bound would read as no noise
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 <= self.noise_bound < math.inf:
+            raise ValueError(
+                f"noise_bound must be nonnegative and finite, got {self.noise_bound}")
         if self.basis is not None and self.encoder is not None:
             raise ValueError("pass a basis or an encoder, not both")
         if self.basis is not None:
@@ -279,57 +285,72 @@ def _nuclear_prox(Z, tau):
     return np.matmul(U * np.maximum(s - tau[:, None], 0.0)[:, None, :], Vh), errors
 
 
+@dataclass(eq=False)
+class _Row:
+    """One problem's scalars in a lockstep solve, as Python numbers.
+
+    index is its place in recover_batch's list.  c_perp2, R and R2 = R**2
+    fix its tube, theta and steps are the tube projection's warm
+    multiplier and count of secular evaluations, and the rest are the
+    ADMM loop's.  A new per-problem scalar is a new field here.
+    """
+
+    index: int
+    problem: object
+    c_perp2: float
+    R: float
+    R2: float
+    noise_radius: float
+    theta: float = 1.0
+    steps: int = 0
+    rho: float = 1.0
+    n_adapt: int = 0
+    pri: float = math.inf
+    dual: float = math.inf
+
+
+def _coordinates(U, c):
+    """(U^T c, c_perp2): c in the singular coordinates of J = U diag(s) Vh,
+    and the squared norm of the part of c outside the range of J."""
+    cbar = U.T @ c
+    return cbar, max(float(c @ c - cbar @ cbar), 0.0)
+
+
 class _Tube:
     """Exact Euclidean projection onto {x : ||J x - c_b|| <= R_b}, row by row.
 
-    Holds the economy SVD (U, s, Vh) of J, which recover_batch computes
-    once for all the problems that share J.  Each row b is one
-    problem: its cbar = U^T c, the squared norm c_perp2 of the part of c
-    outside the range of J (both formed per problem), its radius
-    and its warm start.  With p in singular coordinates the projection
-    solves a scalar secular equation for the multiplier theta; components
-    outside the row space of J pass through unchanged.
+    Holds only s and Vh of the economy SVD of J, which recover_batch
+    computes once; each call takes the rows' cbar = U^T c and their _Row
+    records.  With p in singular coordinates the projection solves a
+    scalar secular equation for the multiplier theta; components outside
+    the row space of J pass through unchanged.
 
     The solve is safeguarded Newton on 1/phi(theta) - 1/R, as for the
     trust-region step of More and Sorensen (SIAM J. Sci. Stat. Comput.
     1983), started from the theta of the row's previous active
     projection: consecutive ADMM inputs are close, so theta moves little
     and two or three evaluations usually meet the 1e-13 R stopping rule.
-    steps counts each row's evaluations of phi in the Newton loop, not
+    A row's steps counts its evaluations of phi in the Newton loop, not
     the feasibility test at theta = 0.  The per-row scalars are Python
     floats, as cheap for one row as for many.
     """
 
-    def __init__(self, svd, cs, radii):
-        U, self.s, self.Vh = svd
-        self.s2 = self.s * self.s
-        cbars = [U.T @ c for c in cs]
-        self.cbar = np.array(cbars).reshape(len(cs), -1)
-        self.c_perp2 = [max(float(c @ c - cbar @ cbar), 0.0) for c, cbar in zip(cs, cbars)]
-        self.R = [float(R) for R in radii]
-        self.R2 = [R ** 2 for R in self.R]
-        self.theta = [1.0] * len(cs)
-        self.steps = [0] * len(cs)
+    def __init__(self, s, Vh):
+        self.s, self.Vh = s, Vh
+        self.s2 = s * s
 
-    def keep(self, rows):
-        """Drop every row not listed in rows."""
-        self.cbar = self.cbar[rows]
-        for name in ("c_perp2", "R", "R2", "theta", "steps"):
-            values = getattr(self, name)
-            setattr(self, name, [values[b] for b in rows])
-
-    def __call__(self, P):
-        """Project each row of P onto its own tube."""
+    def __call__(self, P, cbar, rows):
+        """Project each row of P onto its own tube, that of the same row of
+        cbar and of rows."""
         Pbar = np.matvec(self.Vh, P)
-        D = self.s * Pbar - self.cbar
+        D = self.s * Pbar - cbar
         dd = _sumsq(D)
-        out = [b for b in range(len(P)) if not dd[b] + self.c_perp2[b] <= self.R2[b]]
+        out = [b for b, row in enumerate(rows) if not dd[b] + row.c_perp2 <= row.R2]
         if not out:
             return P
-        cbar = self.cbar
         if len(out) < len(P):
             Pbar, D, cbar = Pbar[out], D[out], cbar[out]
-        theta = np.array(self._secular(D, out))[:, None]
+        theta = np.array(self._secular(D, [rows[b] for b in out]))[:, None]
         alpha = (Pbar + theta * self.s * cbar) / (1.0 + theta * self.s2)
         step = np.matvec(self.Vh.T, alpha - Pbar)
         if len(out) == len(P):
@@ -338,12 +359,11 @@ class _Tube:
         X[out] = P[out] + step
         return X
 
-    def _secular(self, D, out):
-        """Newton on the secular equation of the rows out; their new theta."""
-        thetas = [self.theta[b] for b in out]
-        lo, hi = [0.0] * len(out), [math.inf] * len(out)
-        steps = [0] * len(out)
-        running = range(len(out))
+    def _secular(self, D, rows):
+        """Newton on the secular equation of D's rows; their new theta."""
+        thetas = [row.theta for row in rows]
+        lo, hi = [0.0] * len(rows), [math.inf] * len(rows)
+        running = range(len(rows))
         # phi decreases in theta; [lo, hi] brackets the root and tightens
         # with each evaluation, and hi stays unbounded until phi <= R
         for _ in range(80):
@@ -353,11 +373,11 @@ class _Tube:
             slopes = np.vecdot(W * W / den, self.s2).tolist()
             unfinished = []
             for j in running:
-                b = out[j]
-                theta, R = thetas[j], self.R[b]
-                phi2 = phi2s[j] + self.c_perp2[b]
+                row = rows[j]
+                theta, R = thetas[j], row.R
+                phi2 = phi2s[j] + row.c_perp2
                 phi = math.sqrt(phi2)
-                steps[j] += 1
+                row.steps += 1
                 if phi > R:
                     lo[j] = theta
                     if theta >= _THETA_CAP:
@@ -374,14 +394,11 @@ class _Tube:
                         step = 16.0 * lo[j]
                     else:
                         step = math.sqrt(lo[j] * hi[j]) if lo[j] > 0 else 0.5 * hi[j]
-                thetas[j] = min(step, _THETA_CAP)
+                thetas[j] = row.theta = min(step, _THETA_CAP)
                 unfinished.append(j)
             running = unfinished
             if not running:
                 break
-        for j, b in enumerate(out):
-            self.theta[b] = thetas[j]
-            self.steps[b] += steps[j]
         return thetas
 
 
@@ -424,11 +441,11 @@ def recover_batch(problems, params=None, starts=None):
     others as they are.
 
     All problems advance one ADMM iteration at a time, as rows of (B, n)
-    arrays with their own penalty, penalty schedule, warm theta and
-    counts; a row leaves the batch when it stops.  Every per-row product
-    is a stacked kernel that computes each row alone (a matrix-vector
-    product, a dot product or an SVD per row), so a problem gets the same
-    bits in any batch as on its own.
+    arrays, each with its own penalty, penalty schedule, warm theta and
+    counts in its _Row; a row leaves the batch when it stops.  Every
+    per-row product is a stacked kernel that computes each row alone (a
+    matrix-vector product, a dot product or an SVD per row), so a problem
+    gets the same bits in any batch as on its own.
     """
     if params is None:
         params = SolverParams()
@@ -437,12 +454,12 @@ def recover_batch(problems, params=None, starts=None):
     if len(starts) != len(problems):
         raise ValueError(f"{len(starts)} starts for {len(problems)} problems")
     outcomes = [None] * len(problems)
-    owner = svd = None
-    members, cs, xp = [], [], []
+    owner = None
+    rows, cbars, xp = [], [], []
     for i, (problem, start) in enumerate(zip(problems, starts)):
         try:
             if owner is None:
-                svd = np.linalg.svd(_constraint_matrix(problem), full_matrices=False)
+                U, s, Vh = np.linalg.svd(_constraint_matrix(problem), full_matrices=False)
                 owner = problem
             elif not _shares_constraint(problem, owner):
                 raise ValueError("the problem's operator, basis, encoder, order or noise "
@@ -452,12 +469,14 @@ def recover_batch(problems, params=None, starts=None):
         except Exception as exc:  # noqa: BLE001 - this problem fails alone
             outcomes[i] = exc
             continue
-        members.append(i)
-        cs.append(c)
+        cbar, c_perp2 = _coordinates(U, c)
+        R = float(problem.radius)
+        rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius))
+        cbars.append(cbar)
         xp.append(x0)
-    if members:
-        tube = _Tube(svd, cs, [problems[i].radius for i in members])
-        _admm(problems, members, np.array(xp), tube, params, outcomes)
+    if rows:
+        _admm(rows, np.array(xp), np.array(cbars).reshape(len(rows), -1), _Tube(s, Vh),
+              params, outcomes)
     return outcomes
 
 
@@ -474,37 +493,36 @@ def _start_point(problem, start):
     return xp
 
 
-def _admm(problems, members, xp, tube, params, outcomes):
-    """Two-block consensus ADMM on the rows of xp; fills outcomes[members].
+def _admm(rows, xp, cbar, tube, params, outcomes):
+    """Two-block consensus ADMM on the rows of xp; fills outcomes[row.index].
 
-    The arrays hold one row per problem still iterating; the per-row
-    scalars (penalty, residuals, counts) are Python floats and ints, and
-    each row's tests are the same float expressions whatever the batch.
+    Row b of the (B, .) arrays xp, u, x and cbar is the problem of
+    rows[b], whose scalars are Python numbers in that _Row; each row's
+    tests are the same float expressions whatever the batch.  One
+    statement drops the rows that stopped or failed from the list and
+    every array together; a new per-row array is one more entry in it.
     """
-    first = problems[members[0]]
+    first = rows[0].problem
     n1, n2 = first.operator.shape
     N = n1 * n2
     with_nu = first.noise_bound > 0
-    noise_radius = [problems[i].noise_radius for i in members]
     u = np.zeros_like(xp)
-    rho = [1.0] * len(members)
-    n_adapt = [0] * len(members)
     tol = params.tolerance
     x = xp
-    pri = dual = [math.inf] * len(members)
     it = 0
     for it in range(1, params.max_iterations + 1):
-        x = tube(xp - u)
+        x = tube(xp - u, cbar, rows)
         t = x + u
         B = len(t)
-        tau = 1.0 / np.array(rho)
+        tau = 1.0 / np.array([row.rho for row in rows])
         Zp, errors = _nuclear_prox(t[:, :N].reshape(B, n2, n1).transpose(0, 2, 1), tau)
         zp = Zp.transpose(0, 2, 1).reshape(B, N)
         if with_nu:
             # the noise ball's projection
             v = t[:, N:]
             norms = map(math.sqrt, _sumsq(v))
-            shrink = [R / nv if nv > R else 1.0 for R, nv in zip(noise_radius, norms)]
+            shrink = [row.noise_radius / nv if nv > row.noise_radius else 1.0
+                      for row, nv in zip(rows, norms)]
             xp_new = np.concatenate([zp, v * np.array(shrink)[:, None]], axis=1)
         else:
             xp_new = zp
@@ -520,71 +538,66 @@ def _admm(problems, members, xp, tube, params, outcomes):
         else:
             rn = xn = [0.0] * B
         xp = xp_new
-        pri, dual, stopped = [], [], []
-        for b, (rz_b, rn_b, xz_b, xn_b, moved_b, un_b) in enumerate(zip(rz, rn, xz, xn, moved, un)):
-            dual_b = rho[b] * moved_b
-            pri.append(max(rz_b, rn_b))
-            dual.append(dual_b)
+        stopped = []
+        for b, (row, rz_b, rn_b, xz_b, xn_b, moved_b, un_b) in enumerate(
+                zip(rows, rz, rn, xz, xn, moved, un)):
+            row.dual = row.rho * moved_b
+            row.pri = max(rz_b, rn_b)
             if (rz_b <= tol * max(1.0, xz_b)
                     and ((not with_nu) or rn_b <= tol * max(1.0, xn_b))
-                    and dual_b <= tol * max(1.0, rho[b] * un_b)):
+                    and row.dual <= tol * max(1.0, row.rho * un_b)):
                 stopped.append(b)
         if stopped or errors:
             for b in stopped:
                 if b not in errors:
-                    _finish(problems[members[b]], x[b], it, True, pri[b], dual[b], n_adapt[b],
-                            tube.steps[b], outcomes, members[b])
+                    _finish(rows[b], x[b], it, True, outcomes)
             for b, exc in errors.items():
-                outcomes[members[b]] = exc
+                outcomes[rows[b].index] = exc
             keep = [b for b in range(B) if b not in errors and b not in stopped]
             if not keep:
                 return
-            tube.keep(keep)
-            xp, u, x = xp[keep], u[keep], x[keep]
-            members, noise_radius, rho, n_adapt, pri, dual = (
-                [values[b] for b in keep]
-                for values in (members, noise_radius, rho, n_adapt, pri, dual))
+            rows, xp, u, x, cbar = [rows[b] for b in keep], xp[keep], u[keep], x[keep], cbar[keep]
         if it % _ADAPT_INTERVAL == 0 and it < _ADAPT_WINDOW * params.max_iterations:
             # residual balancing, row by row, at most _ADAPT_CAP times each
-            for b in range(len(rho)):
-                if n_adapt[b] >= _ADAPT_CAP:
+            for b, row in enumerate(rows):
+                if row.n_adapt >= _ADAPT_CAP:
                     continue
-                if pri[b] > 10.0 * dual[b]:
-                    rho[b] *= 2.0
+                if row.pri > 10.0 * row.dual:
+                    row.rho *= 2.0
                     u[b] /= 2.0
-                    n_adapt[b] += 1
-                elif dual[b] > 10.0 * pri[b]:
-                    rho[b] /= 2.0
+                    row.n_adapt += 1
+                elif row.dual > 10.0 * row.pri:
+                    row.rho /= 2.0
                     u[b] *= 2.0
-                    n_adapt[b] += 1
-    for b, i in enumerate(members):
-        _finish(problems[i], x[b], it, False, pri[b], dual[b], n_adapt[b], tube.steps[b],
-                outcomes, i)
+                    row.n_adapt += 1
+    for b, row in enumerate(rows):
+        _finish(row, x[b], it, False, outcomes)
 
 
-def _finish(problem, x, iterations, stopped, pri, dual, n_adapt, steps, outcomes, i):
-    """Check one problem's returned point and store its RecoverySolution."""
+def _finish(row, x, iterations, stopped, outcomes):
+    """Check row's returned point and store its RecoverySolution."""
     try:
+        problem = row.problem
         n1, n2 = problem.operator.shape
         N = n1 * n2
         x = x.copy()
         Z = x[:N].reshape((n1, n2), order="F")
         nu = x[N:].copy() if problem.noise_bound > 0 else np.zeros(problem.operator.rows)
         report = check_feasibility(problem, Z, nu)
-        outcomes[i] = RecoverySolution(
+        outcomes[row.index] = RecoverySolution(
             estimate=Z,
             noise_estimate=nu,
             objective=nuclear_norm(Z),
             iterations=iterations,
             converged=stopped and report.ok,
-            primal_residual=float(pri),
-            dual_residual=float(dual),
+            primal_residual=row.pri,
+            dual_residual=row.dual,
             feasibility=report,
-            penalty_changes=int(n_adapt),
-            secular_steps=int(steps),
+            penalty_changes=row.n_adapt,
+            secular_steps=row.steps,
         )
     except Exception as exc:  # noqa: BLE001 - this problem fails alone
-        outcomes[i] = exc
+        outcomes[row.index] = exc
 
 
 def shaped_residual_vector(problem, Z, nu):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,7 +331,7 @@ def test_criterion_10_reproducible_bytes(sweep_noise, out_root):
         )
         reruns.append(harness.run_noise_sweep(cfg2))
     digests = [
-        hashlib.sha256(open(r.csv_path, "rb").read()).hexdigest()
+        hashlib.sha256(Path(r.csv_path).read_bytes()).hexdigest()
         for r in (res, *reruns)
     ]
     _report(

@@ -153,6 +153,8 @@ def test_rank_above_matrix_size_rejected():
     # a sweep would run serially as if workers were 1
     (dict(workers=0), "workers must be >= 1, got 0"),
     (dict(workers=-3), "workers must be >= 1, got -3"),
+    # numpy's seed sequence refuses it with a message that names no key
+    (dict(master_seed=-1), "master_seed must be >= 0, got -1"),
     # a nan eps writes rows with the noise-free error; every solve stops
     # after one iteration at an infinite tolerance; a bool is an int, and
     # True would run with L = 1
@@ -167,8 +169,8 @@ def test_rank_above_matrix_size_rejected():
         "zero-lambda", "zero-order", "zero-levels", "unknown-distribution",
         "zero-encoder-dim", "encoded-m-below-encoder-dim", "empty-eps",
         "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu",
-        "zero-workers", "negative-workers", "nan-eps", "infinite-tolerance", "bool-levels",
-        "infinite-mu", "infinite-beta", "infinite-eps"])
+        "zero-workers", "negative-workers", "negative-seed", "nan-eps", "infinite-tolerance",
+        "bool-levels", "infinite-mu", "infinite-beta", "infinite-eps"])
 def test_config_rejects_values_no_sweep_can_run(tmp_path, overrides, message):
     # rejected before any trial runs, so no output is written
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Solver contract tests: feasibility, optimality, oracle agreement."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,13 @@ def test_invalid_problems_rejected():
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(9), order=1,
                                  gamma=0.25)
+    # an infinite radius returns zero as converged, and a nan noise_bound
+    # would read as no noise
+    for name, value in (("gamma", math.inf), ("gamma", math.nan), ("noise_bound", math.inf),
+                        ("noise_bound", math.nan), ("noise_bound", -0.5)):
+        with pytest.raises(ValueError, match=f"{name} must be .*, got {value}"):
+            recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
+                                     **{"gamma": 0.25, name: value})
 
 
 def test_problem_with_basis_and_encoder_rejected():
@@ -258,21 +266,27 @@ def test_noise_ball_active_case():
 class _projector:
     """The tube projector of ||J x - c|| <= R, from the thin SVD of J.
 
-    A one-row recovery._Tube that takes and returns one vector; a point
-    the tube passes through unchanged comes back as the same object.
+    A recovery._Tube called on one row that takes and returns one
+    vector; a point the tube passes through unchanged comes back as the
+    same object.
     """
 
     def __init__(self, J, c, R):
-        self.tube = recovery._Tube(np.linalg.svd(J, full_matrices=False), [c], [R])
+        U, s, Vh = np.linalg.svd(J, full_matrices=False)
+        self.tube = recovery._Tube(s, Vh)
+        cbar, c_perp2 = recovery._coordinates(U, c)
+        self.cbar = cbar[None, :]
+        R = float(R)
+        self.row = recovery._Row(0, None, c_perp2, R, R ** 2, 0.0)
 
     def __call__(self, p):
         P = p[None, :]
-        X = self.tube(P)
+        X = self.tube(P, self.cbar, [self.row])
         return p if X is P else X[0]
 
     @property
     def theta(self):
-        return self.tube.theta[0]
+        return self.row.theta
 
 
 # The projector reads the part of c outside the range of J as
