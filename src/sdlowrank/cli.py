@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -92,18 +93,6 @@ def _run_sweep(args, runner):
     return 0
 
 
-def cmd_sweep_oversampling(args):
-    return _run_sweep(args, harness.run_oversampling_sweep)
-
-
-def cmd_sweep_noise(args):
-    return _run_sweep(args, harness.run_noise_sweep)
-
-
-def cmd_rate_distortion(args):
-    return _run_sweep(args, harness.run_rate_distortion)
-
-
 def cmd_rip_check(args):
     config = _load_config(args)
     task = harness.first_trial(config)
@@ -130,10 +119,12 @@ def build_parser():
     commands = [
         ("quantize", cmd_quantize, "quantize one seeded instance and report state bounds"),
         ("recover", cmd_recover, "run the full pipeline on one seeded instance"),
-        ("sweep-oversampling", cmd_sweep_oversampling,
+        ("sweep-oversampling", partial(_run_sweep, runner=harness.run_oversampling_sweep),
          "error vs oversampling factor for each order"),
-        ("sweep-noise", cmd_sweep_noise, "error vs measurement noise level"),
-        ("rate-distortion", cmd_rate_distortion, "error vs bit rate via encoding"),
+        ("sweep-noise", partial(_run_sweep, runner=harness.run_noise_sweep),
+         "error vs measurement noise level"),
+        ("rate-distortion", partial(_run_sweep, runner=harness.run_rate_distortion),
+         "error vs bit rate via encoding"),
         ("rip-check", cmd_rip_check, "estimate the restricted isometry constant"),
     ]
     for name, fn, help_text in commands:

@@ -28,11 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EncoderMatrix:
-    """Reproducible L_enc x m random sign matrix."""
+    """L_enc x m random sign matrix; draw_encoder's seed reproduces it."""
 
     out_dim: int
     in_dim: int
-    seed: int
     data: np.ndarray = field(repr=False)
 
 
@@ -45,9 +44,7 @@ class EncodedMeasurements:
     """
 
     payload: np.ndarray = field(repr=False)
-    rate_bits: int = 0
-    alphabet_max: float = 0.0
-    order: int = 1
+    rate_bits: int
 
 
 def draw_encoder(L_enc, m, seed=0):
@@ -56,12 +53,7 @@ def draw_encoder(L_enc, m, seed=0):
         raise ValueError("need 1 <= L_enc <= m")
     rng = np.random.default_rng(seed)
     data = rng.integers(0, 2, size=(L_enc, m)).astype(float) * 2.0 - 1.0
-    return EncoderMatrix(
-        out_dim=int(L_enc),
-        in_dim=int(m),
-        seed=int(seed),
-        data=data,
-    )
+    return EncoderMatrix(out_dim=int(L_enc), in_dim=int(m), data=data)
 
 
 def rate_bits_nominal(L_enc, r, alphabet_max, m):
@@ -84,6 +76,4 @@ def encode(q, r, encoder, alphabet_max):
     return EncodedMeasurements(
         payload=payload,
         rate_bits=rate_bits_nominal(encoder.out_dim, r, alphabet_max, encoder.in_dim),
-        alphabet_max=float(alphabet_max),
-        order=int(r),
     )

@@ -124,11 +124,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
         if any(r < 1 for r in self.orders):
             raise ValueError(f"orders must be >= 1, got {self.orders}")
+        # each sweep checks that its m = lambda * base is integral (_check_grid)
         for lam in self.oversampling_grid:
             if not lam > 0:
                 raise ValueError(f"oversampling_grid entries must be positive, got {lam}")
-            if not float(lam * self.ell).is_integer():
-                raise ValueError(f"m = {lam} * {self.ell} is not integral")
         if any(e < 0 for e in self.epsilon_grid):
             raise ValueError("epsilon_grid entries must be nonnegative")
         # each grid point draws one operator: a repeated value would run it twice

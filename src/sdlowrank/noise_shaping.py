@@ -59,8 +59,8 @@ class NoiseShapingBasis:
     """The leading ell singular values and right singular vectors of D^{-r}.
 
     singular_values holds sigma_1 >= ... >= sigma_ell and right_vectors
-    the matching columns of V, an m x ell array; truncation is ell, the
-    number of directions the stabilized constraint keeps.
+    the matching columns of V, an m x ell array; ell is the number of
+    directions the stabilized constraint keeps.
     """
 
     order: int
@@ -70,10 +70,6 @@ class NoiseShapingBasis:
     @property
     def size(self):
         return self.right_vectors.shape[0]
-
-    @property
-    def truncation(self):
-        return self.singular_values.shape[0]
 
     @property
     def sigma_truncation(self):

@@ -43,7 +43,7 @@ of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +123,8 @@ class RecoveryProblem:
             raise ValueError(
                 f"quantized must have shape ({m},), got {self.quantized.shape}"
             )
+        if not np.all(np.isfinite(self.quantized)):
+            raise ValueError("quantized must be finite")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         # nan fails both tests: a nan noise_bound would read as no noise
@@ -616,7 +618,8 @@ def check_feasibility(problem, Z, nu):
 
     recover runs it on the point it returns, trial_solve on the truth.
     Violations beyond 1e-6 relative (plus a 1e-6 absolute floor) are
-    flagged; ok is True when neither constraint is flagged.
+    flagged, and so is a nan norm; ok is True when neither constraint is
+    flagged.
     """
     shaped = shaped_residual_vector(problem, Z, nu)
     shaped_lhs = float(np.linalg.norm(shaped))
@@ -624,11 +627,11 @@ def check_feasibility(problem, Z, nu):
     noise_lhs = float(np.linalg.norm(nu))
     noise_radius = problem.noise_radius
     messages = []
-    if shaped_lhs > radius * (1 + 1e-6) + 1e-6:
+    if not shaped_lhs <= radius * (1 + 1e-6) + 1e-6:
         messages.append(
             f"shaped residual {shaped_lhs:.6e} exceeds radius {radius:.6e}"
         )
-    if noise_lhs > noise_radius * (1 + 1e-6) + 1e-6:
+    if not noise_lhs <= noise_radius * (1 + 1e-6) + 1e-6:
         messages.append(
             f"noise norm {noise_lhs:.6e} exceeds radius {noise_radius:.6e}"
         )

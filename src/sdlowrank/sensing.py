@@ -28,7 +28,7 @@ MAX_OPERATOR_ENTRIES = 200_000_000
 
 @dataclass(frozen=True)
 class MeasurementOperator:
-    """Dense representation of M with reproducible entries.
+    """Dense representation of M; draw_operator's seed reproduces it.
 
     data[i] is vec(A_i) in column-stacked order, so apply is a single
     matrix-vector product.
@@ -36,8 +36,6 @@ class MeasurementOperator:
 
     rows: int
     shape: tuple
-    distribution: str
-    seed: int
     data: np.ndarray = field(repr=False)
 
 
@@ -49,8 +47,6 @@ class RipEstimate:
     under-estimate the extremes.
     """
 
-    rank: int
-    trials: int
     delta_hat: float
     extremes: tuple
 
@@ -71,9 +67,7 @@ def draw_operator(m, n1, n2, distribution="gaussian", seed=0):
         data = rng.standard_normal((m, n1 * n2))
     else:
         data = rng.integers(0, 2, size=(m, n1 * n2)).astype(float) * 2.0 - 1.0
-    return MeasurementOperator(
-        rows=m, shape=(n1, n2), distribution=distribution, seed=int(seed), data=data
-    )
+    return MeasurementOperator(rows=m, shape=(n1, n2), data=data)
 
 
 def apply(op, X):
@@ -112,4 +106,4 @@ def empirical_rip(op, k, trials, seed=0):
         lo = min(lo, ratio)
         hi = max(hi, ratio)
     delta_hat = max(1.0 - lo, hi - 1.0, 0.0)
-    return RipEstimate(rank=int(k), trials=int(trials), delta_hat=delta_hat, extremes=(lo, hi))
+    return RipEstimate(delta_hat=delta_hat, extremes=(lo, hi))

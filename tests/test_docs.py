@@ -1,7 +1,10 @@
-"""The README quick start and the demo run as documented, and the README,
-configs/desk.cfg and pyproject.toml match the program they describe."""
+"""The README quick start and the demo run as documented, the README,
+configs/desk.cfg and pyproject.toml match the program they describe, and
+no package module imports a name it never reads."""
 
 import argparse
+import ast
+import importlib
 import re
 import runpy
 from dataclasses import fields
@@ -50,3 +53,21 @@ def test_pyproject_names_the_package():
         project = tomllib.load(fh)["project"]
     assert project["name"] == sdlowrank.__name__
     assert project["version"] == sdlowrank.__version__
+
+
+def test_package_modules_read_every_name_they_import():
+    # no linter runs with the tests, so this is the check for a dead import
+    unused = []
+    for path in sorted((ROOT / "src" / "sdlowrank").glob("*.py")):
+        module = "sdlowrank" if path.stem == "__init__" else f"sdlowrank.{path.stem}"
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read and name not in exported:
+                        unused.append(f"{module}.{name}")
+    assert unused == []

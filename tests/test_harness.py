@@ -105,9 +105,13 @@ def test_shipped_configs_load(path):
     assert isinstance(harness.load_config(path), harness.ExperimentConfig)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(oversampling_grid=(2.3,), ell=16)  # m not integral
+def test_config_validation(tmp_path):
+    # m = 2.3 * 16 is refused by every sweep that reads the grid against ell
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.3,))
+    for run in (harness.run_oversampling_sweep, harness.run_noise_sweep, harness.first_trial):
+        with pytest.raises(ValueError, match=r"m = 2.3 \* 16 is not integral"):
+            run(cfg)
+    assert not os.path.exists(cfg.output_path)
     with pytest.raises(ValueError):
         harness.ExperimentConfig(epsilon_grid=(-0.5,))
     with pytest.raises(ValueError):
@@ -197,6 +201,15 @@ def test_rate_sweep_reads_the_grid_against_encoder_dim(tmp_path):
         harness.run_oversampling_sweep(cfg)
     res = harness.run_rate_distortion(cfg)
     assert [rec.m for rec in res.records] == [80, 80]
+
+
+def test_rate_sweep_runs_a_grid_integral_only_against_encoder_dim(tmp_path):
+    # m = 2.5 * 3 is not integral, but the rate sweep runs m = 2.5 * 40 and 5 * 40
+    cfg = harness.ExperimentConfig(n1=4, n2=4, rank=1, ell=3, encoder_dim=40,
+                                   oversampling_grid=(2.5, 5.0), orders=(1,), trials=1,
+                                   output_path=str(tmp_path / "out"))
+    res = harness.run_rate_distortion(cfg)
+    assert [rec.m for rec in res.records] == [100, 200]
 
 
 def test_rate_sweep_rejects_non_integral_m(tmp_path):

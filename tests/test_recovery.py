@@ -117,7 +117,7 @@ def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
         S = inverse_power
         if form == "projected":
             basis = problem.basis
-            S = basis.sigma_truncation * basis.right_vectors[:, :basis.truncation].T
+            S = basis.sigma_truncation * basis.right_vectors[:, :len(basis.singular_values)].T
         if form == "encoded":
             S = problem.encoder.data @ inverse_power
         J, c, _ = recovery.build_constraint(problem)
@@ -153,6 +153,17 @@ def test_check_feasibility_flags_violation():
     report = recovery.check_feasibility(problem, np.zeros((3, 3)), np.zeros(10))
     assert not report.ok
     assert report.messages
+
+
+def test_check_feasibility_flags_a_nan_point():
+    # nan > bound is False, so a nan norm would read as within its radius
+    problem, X, noise = pipeline_problem(4, 64, 1, form="projected", seed=5, eps=0.5, ell=16)
+    assert recovery.check_feasibility(problem, X, noise).ok
+    for Z, nu, constraint in ((np.full_like(X, np.nan), noise, "shaped residual nan"),
+                              (X, np.full_like(noise, np.nan), "noise norm nan")):
+        report = recovery.check_feasibility(problem, Z, nu)
+        assert not report.ok
+        assert any(msg.startswith(constraint) for msg in report.messages)
 
 
 def test_nonconvergence_reported_honestly():
@@ -209,6 +220,11 @@ def test_invalid_problems_rejected():
         with pytest.raises(ValueError, match=f"{name} must be .*, got {value}"):
             recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
                                      **{"gamma": 0.25, name: value})
+    # recover would fail in the SVD with a message that names no input
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="quantized must be finite"):
+            recovery.RecoveryProblem(operator=op, quantized=np.r_[np.zeros(9), value], order=1,
+                                     gamma=0.25)
 
 
 def test_problem_with_basis_and_encoder_rejected():
