@@ -77,7 +77,8 @@ def cmd_recover(args):
     print(f"iterations {record.iterations}, converged {record.converged}, "
           f"overflow {record.overflow}")
     print(f"penalty changes {solution.penalty_changes}, "
-          f"secular steps {solution.secular_steps}")
+          f"secular steps {solution.secular_steps}, "
+          f"anderson rejections {solution.anderson_rejections}")
     return 0 if record.converged else 1
 
 

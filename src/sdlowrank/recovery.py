@@ -38,6 +38,17 @@ its scalar tests are Python float arithmetic, so every problem gets the
 bits it gets on its own; a 2-d gemm over the batch would round
 differently as the batch changed.  recover is recover_batch on a batch
 of one.
+
+The splitting is Douglas-Rachford on the variable t = x + u, and each
+row's t is Anderson-accelerated (type II, after Fu, Zhang and Boyd, SIAM
+J. Sci. Comput. 2020): from the row's last _ANDERSON_MEMORY steps the
+solver fits the fixed-point residual by least squares and moves the prox
+input by the correction it implies.  A row forgets that history when its
+penalty changes, undoes a corrected step after which its residual grew,
+and skips a correction far longer than the residual.  The memory is a
+module constant, not a SolverParams field: no sweep varies it, and the
+tests that pin the plain splitting set it to 0, at which the loop is the
+plain one bit for bit.
 """
 
 from __future__ import annotations
@@ -77,6 +88,16 @@ _THETA_CAP = 1e40
 _ADAPT_INTERVAL = 25
 _ADAPT_CAP = 40
 _ADAPT_WINDOW = 0.8
+
+# Anderson acceleration of each row's Douglas-Rachford variable over its
+# last _ANDERSON_MEMORY steps (see _Anderson); a constant, not a
+# SolverParams field, because only the tests that pin the plain splitting
+# set it (to 0).  The least-squares fit carries a Tikhonov term of
+# _ANDERSON_RIDGE times the trace of its Gram matrix, and a correction
+# longer than _ANDERSON_CAP times the fixed-point residual is not taken.
+_ANDERSON_MEMORY = 5
+_ANDERSON_RIDGE = 1e-10
+_ANDERSON_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -163,7 +184,9 @@ class RecoverySolution:
     feasibility is check_feasibility's report on the returned point;
     penalty_changes counts the residual-balancing updates of the penalty;
     secular_steps counts the tube projection's Newton evaluations of its
-    secular function, summed over the solve.
+    secular function, summed over the solve; anderson_rejections counts
+    the accelerated steps the solver undid, because the fixed-point
+    residual grew, or did not take, because the correction was too long.
     """
 
     estimate: np.ndarray
@@ -176,6 +199,7 @@ class RecoverySolution:
     feasibility: FeasibilityReport
     penalty_changes: int = 0
     secular_steps: int = 0
+    anderson_rejections: int = 0
 
 
 @dataclass(frozen=True)
@@ -293,8 +317,10 @@ class _Row:
 
     index is its place in recover_batch's list.  c_perp2, R and R2 = R**2
     fix its tube, theta and steps are the tube projection's warm
-    multiplier and count of secular evaluations, and the rest are the
-    ADMM loop's.  A new per-problem scalar is a new field here.
+    multiplier and count of secular evaluations, pairs, g_norm,
+    extrapolated and rejections are its Anderson state (see _Anderson),
+    and the rest are the ADMM loop's.  A new per-problem scalar is a new
+    field here.
     """
 
     index: int
@@ -309,6 +335,127 @@ class _Row:
     n_adapt: int = 0
     pri: float = math.inf
     dual: float = math.inf
+    pairs: int = -1
+    g_norm: float = math.inf
+    extrapolated: bool = False
+    rejections: int = 0
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of each row's Douglas-Rachford variable.
+
+    A row's ADMM state (xp, u) is (prox(t), t - prox(t)) for the
+    t = x + u of its last iteration, and an iteration maps t to
+    F(t) = t + g(t), where the fixed-point residual g(t) = x - xp is the
+    tube point less the prox point (Walker and Ni, SIAM J. Numer. Anal.
+    2011; Fu, Zhang and Boyd, SIAM J. Sci. Comput. 2020).  Each row keeps
+    g and F(t) at its last step, in g and f, and a ring of its last mem
+    secant pairs: differences of g in dG, those of F(t) = t + g in dF, and
+    the Gram matrix dG dG^T in gram, which takes one new row and column a
+    step.  The row's correction to its next t, F(t), is -dF^T gamma, for
+    the gamma that fits g by dG^T gamma in least squares with a Tikhonov
+    term of _ANDERSON_RIDGE times the Gram's trace.
+
+    Safeguards, per row.  _admm clears the history when the row's penalty
+    changes, since that changes F.  A corrected step after which the
+    residual grew is undone: the row goes back to the plain point F(t) of
+    the step before and starts a new history there.  A correction longer
+    than _ANDERSON_CAP times the residual is not taken, so the prox never
+    sees a blown-up input.  rejections counts both.  Every product is a
+    per-row kernel (np.vecdot, np.vecmat and a stacked np.linalg.solve),
+    so a row's bits do not depend on the batch.
+    """
+
+    def __init__(self, B, n):
+        mem = _ANDERSON_MEMORY
+        self.dG, self.dF = np.zeros((B, mem, n)), np.zeros((B, mem, n))
+        self.gram = np.zeros((B, mem, mem))
+        self.g, self.f = np.zeros((B, n)), np.zeros((B, n))
+
+    def take(self, keep):
+        """Keep the rows keep, an ascending list, moving them up in place
+        (a copy would hold a second history at the batch's largest), and
+        return self."""
+        for name in ("dG", "dF", "gram", "g", "f"):
+            a = getattr(self, name)
+            for i, b in enumerate(keep):
+                a[i] = a[b]
+            setattr(self, name, a[:len(keep)])
+        return self
+
+    def clear(self, b, row):
+        """Forget row b's secant pairs and its last step."""
+        row.pairs, row.extrapolated = -1, False
+        self._forget(b)
+
+    def _forget(self, b):
+        self.dG[b] = self.dF[b] = self.gram[b] = 0.0
+
+    def __call__(self, rows, f, x, xp):
+        """The correction to each row's next t, f = F(t), or None.
+
+        x - xp is each row's residual g(t).  A row with no correction gets
+        a zero row, which leaves its t and u as the plain step has them.
+        """
+        mem = self.dG.shape[1]
+        if not mem:
+            return None
+        B = len(rows)
+        g = x - xp
+        norms = list(map(math.sqrt, _sumsq(g)))
+        back, fresh, slots = [], [], []
+        for b, row in enumerate(rows):
+            if row.extrapolated and not norms[b] <= row.g_norm:
+                back.append(b)
+                row.rejections += 1
+                row.pairs = 0
+            else:
+                if row.pairs < 0:
+                    fresh.append(b)
+                row.pairs += 1
+                row.g_norm = norms[b]
+            row.extrapolated = False
+            slots.append((row.pairs - 1) % mem)
+        # every row writes its new pair; a row with no last step, or one
+        # going back, then forgets what it wrote
+        dg, every = g - self.g, np.arange(B)
+        self.dG[every, slots] = dg
+        self.dF[every, slots] = f - self.f
+        col = np.vecdot(self.dG, dg[:, None, :])
+        self.gram[every, slots] = col
+        self.gram[every, :, slots] = col
+        for b in back + fresh:
+            self._forget(b)
+        if back:
+            ref = [b for b in range(B) if b not in back]
+            self.g[ref], self.f[ref] = g[ref], f[ref]
+        else:
+            self.g, self.f = g, f
+        traces = [sum(d) for d in np.diagonal(self.gram, axis1=1, axis2=2).tolist()]
+        fit = [b for b, row in enumerate(rows) if row.pairs > 0 and 0.0 < traces[b] < math.inf]
+        if not (fit or back):
+            return None
+        ridge = np.array([_ANDERSON_RIDGE * tr for tr in traces])
+        A = self.gram + ridge[:, None, None] * np.eye(mem)
+        rhs = np.vecdot(self.dG, g[:, None, :])
+        fitted = set(fit)
+        plain = [b for b in range(B) if b not in fitted]
+        if plain:
+            # the identity and a zero right-hand side give these rows gamma = 0
+            A[plain], rhs[plain] = np.eye(mem), 0.0
+        delta = -np.vecmat(np.linalg.solve(A, rhs[:, :, None])[:, :, 0], self.dF)
+        lengths = list(map(math.sqrt, _sumsq(delta)))
+        for b in fit:
+            if lengths[b] <= _ANDERSON_CAP * norms[b]:
+                rows[b].extrapolated = True
+            else:
+                rows[b].rejections += 1
+                plain.append(b)
+        if plain:
+            delta[plain] = 0.0
+        if back:
+            delta[back] = self.f[back] - f[back]
+        return delta
 
 
 def _coordinates(U, c):
@@ -502,19 +649,31 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
     rows[b], whose scalars are Python numbers in that _Row; each row's
     tests are the same float expressions whatever the batch.  One
     statement drops the rows that stopped or failed from the list and
-    every array together; a new per-row array is one more entry in it.
+    every array together, the Anderson history included; a new per-row
+    array is one more entry in it.
+
+    Each iteration forms t = x + u, the Douglas-Rachford variable whose
+    prox gives the next (xp, u), and the rows' Anderson history (see
+    _Anderson) may add a correction delta to it; delta enters u as
+    u + resid + delta, so a row without one, and every row at
+    _ANDERSON_MEMORY = 0, takes the plain step.  A penalty change clears
+    the row's history, since it changes the map being accelerated.
     """
     first = rows[0].problem
     n1, n2 = first.operator.shape
     N = n1 * n2
     with_nu = first.noise_bound > 0
     u = np.zeros_like(xp)
+    anderson = _Anderson(*xp.shape)
     tol = params.tolerance
     x = xp
     it = 0
     for it in range(1, params.max_iterations + 1):
         x = tube(xp - u, cbar, rows)
         t = x + u
+        delta = anderson(rows, t, x, xp)
+        if delta is not None:
+            t = t + delta
         B = len(t)
         tau = 1.0 / np.array([row.rho for row in rows])
         Zp, errors = _nuclear_prox(t[:, :N].reshape(B, n2, n1).transpose(0, 2, 1), tau)
@@ -529,7 +688,7 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
         else:
             xp_new = zp
         resid = x - xp_new
-        u = u + resid
+        u = u + resid if delta is None else u + resid + delta
         rz = map(math.sqrt, _sumsq(resid[:, :N]))
         xz = map(math.sqrt, _sumsq(x[:, :N]))
         moved = map(math.sqrt, _sumsq(xp_new - xp))
@@ -558,7 +717,8 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
             keep = [b for b in range(B) if b not in errors and b not in stopped]
             if not keep:
                 return
-            rows, xp, u, x, cbar = [rows[b] for b in keep], xp[keep], u[keep], x[keep], cbar[keep]
+            rows, xp, u, x, cbar, anderson = ([rows[b] for b in keep], xp[keep], u[keep],
+                                               x[keep], cbar[keep], anderson.take(keep))
         if it % _ADAPT_INTERVAL == 0 and it < _ADAPT_WINDOW * params.max_iterations:
             # residual balancing, row by row, at most _ADAPT_CAP times each
             for b, row in enumerate(rows):
@@ -567,11 +727,13 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
                 if row.pri > 10.0 * row.dual:
                     row.rho *= 2.0
                     u[b] /= 2.0
-                    row.n_adapt += 1
                 elif row.dual > 10.0 * row.pri:
                     row.rho /= 2.0
                     u[b] *= 2.0
-                    row.n_adapt += 1
+                else:
+                    continue
+                row.n_adapt += 1
+                anderson.clear(b, row)
     for b, row in enumerate(rows):
         _finish(row, x[b], it, False, outcomes)
 
@@ -597,6 +759,7 @@ def _finish(row, x, iterations, stopped, outcomes):
             feasibility=report,
             penalty_changes=row.n_adapt,
             secular_steps=row.steps,
+            anderson_rejections=row.rejections,
         )
     except Exception as exc:  # noqa: BLE001 - this problem fails alone
         outcomes[row.index] = exc

@@ -1,7 +1,9 @@
 """Solver contract tests: feasibility, optimality, oracle agreement."""
 
 import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +344,90 @@ def _tube(rows, cols, log_cond, rho, radius_rel, seed):
     e = rng.standard_normal(rows)
     c = J @ x0 + e * (rho * R / np.linalg.norm(e))
     return rng, J, c, R, x0
+
+
+# every form at every order but the full form at r = 3: there ||c|| reaches
+# 1e5 R, c_perp2 cancels (the strict xfail above), and the plain solve
+# already fails its own recheck
+_FORMS_AND_ORDERS = [(form, r) for form in ("projected", "encoded", "full_inverse_power")
+                     for r in (1, 2, 3) if (form, r) != ("full_inverse_power", 3)]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(
+    form_and_order=st.sampled_from(_FORMS_AND_ORDERS),
+    eps=st.sampled_from([0.0, 0.5]),
+    n=st.integers(3, 5),
+    lam=st.sampled_from([2, 4]),
+    k=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_accelerated_solve_agrees_with_the_plain_splitting(form_and_order, eps, n, lam, k,
+                                                           seed):
+    # Anderson acceleration changes the path, not the program: with and
+    # without it the solve converges to a feasible point, and the two
+    # estimates agree to 1e-4 of the plain one's norm (or of 1, when the
+    # noise ball lets the estimate shrink to zero)
+    form, r = form_and_order
+    problem, _, _ = pipeline_problem(n, lam * n * n, r, k=k, form=form, seed=seed, eps=eps)
+    accelerated = recovery.recover(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "_ANDERSON_MEMORY", 0)
+        plain = recovery.recover(problem)
+    for solution in (accelerated, plain):
+        assert solution.converged
+        assert recovery.check_feasibility(
+            problem, solution.estimate, solution.noise_estimate).ok
+    gap = np.linalg.norm(accelerated.estimate - plain.estimate)
+    assert gap <= 1e-4 * max(np.linalg.norm(plain.estimate), 1.0)
+
+
+def _tiny_config(path, **overrides):
+    """A 5 x 5 rank-1 sweep config at m = 32 with two trials per point."""
+    base = dict(n1=5, n2=5, rank=1, ell=16, oversampling_grid=(2.0,), orders=(1, 2),
+                trials=2, master_seed=77, encoder_dim=16, output_path=str(path))
+    base.update(overrides)
+    return harness.ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("run, overrides, digest", [
+    (harness.run_noise_sweep, dict(epsilon_grid=(0.0, 0.5)),
+     "17a2dceb60ab811227c341d7d2830b84eca10c8a7e3852270736f84a9b9df5b5"),
+    (harness.run_oversampling_sweep, dict(constraint_form="full_inverse_power"),
+     "72dd883db30ee60db324c0113dd962fe264596a1d90f0cfbca588ca3771094a1"),
+    (harness.run_rate_distortion, dict(),
+     "01f935ef3e1a66bda033487571e823d36a99022c189c34cea09368dc7bb6542b"),
+], ids=["projected", "full", "encoded"])
+def test_memory_zero_is_the_plain_splitting_bit_for_bit(tmp_path, monkeypatch, run, overrides,
+                                                        digest):
+    # at memory 0 the loop is the unaccelerated splitting: each tiny
+    # sweep (r = 1 and 2, and with and without nu in the noise sweep)
+    # writes the CSV bytes the solver wrote before acceleration came in
+    monkeypatch.setattr(recovery, "_ANDERSON_MEMORY", 0)
+    path = run(_tiny_config(tmp_path, **overrides)).csv_path
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+
+def test_accelerated_prox_inputs_stay_as_bounded_as_the_plain_ones(tmp_path, monkeypatch):
+    # the largest |entry| the stacked nuclear prox is handed over the tiny
+    # sweep of test_harness::test_a_trial_whose_solve_fails_fails_alone,
+    # with acceleration on and at memory 0, is within 10x either way; a
+    # correction of any length took it from 1.7 to 2.9e14
+    svd, largest = np.linalg.svd, {}
+
+    def recording_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            largest[memory] = max(largest.get(memory, 0.0), float(np.abs(a).max()))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    on = recovery._ANDERSON_MEMORY
+    for memory in (on, 0):
+        monkeypatch.setattr(recovery, "_ANDERSON_MEMORY", memory)
+        config = _tiny_config(tmp_path / str(memory), orders=(1,), trials=5)
+        assert not harness.run_oversampling_sweep(config).failures
+    accelerated, plain = largest[on], largest[0]
+    assert accelerated <= 10.0 * plain and plain <= 10.0 * accelerated
 
 
 @PROPERTY
