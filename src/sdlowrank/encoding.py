@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sdlowrank import noise_shaping
+from sdlowrank import sensing
 
 __all__ = [
     "EncoderMatrix",
@@ -52,7 +53,7 @@ def draw_encoder(L_enc, m, seed=0):
     if not (1 <= L_enc <= m):
         raise ValueError("need 1 <= L_enc <= m")
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 2, size=(L_enc, m)).astype(float) * 2.0 - 1.0
+    data = sensing.random_signs(rng, L_enc, m)
     return EncoderMatrix(out_dim=int(L_enc), in_dim=int(m), data=data)
 
 

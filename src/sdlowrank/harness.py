@@ -6,17 +6,20 @@ across worker processes), sort the results deterministically, and write
 one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  Every
 sweep runs orders x lambda grid x eps grid at m = lambda * base, with the
-operator and encoder drawn per lambda.  Work is done a unit at a time:
-the trials, in CSV row order, that share all that grid_point and the
-constraint matrix J read, namely the order, m and whether eps is
-positive.  Each unit builds its operator and its basis or encoder once
-with grid_point; each trial is prepared (trial_instance, trial_quantize,
-the encoding and the truth check); the prepared trials are solved
-together by one recovery.recover_batch call, which builds J and its SVD
-once for them; and each trial gets its CSV row from _run_trial.  The
-command line reuses the same stages through trial_operator and
-trial_solve, which solves one trial as a batch of one and so reproduces
-its sweep row.
+operator and encoder drawn per lambda.  Work is done a unit at a time: a
+unit is one (m, eps > 0) point across every order, the trials that share
+one operator and, in the encoded form, one encoder.  A unit draws those
+once, and builds each trial's instance (trial_instance and the true
+noise) once for all its orders.  It then takes its orders in ascending
+order: each builds its basis (projected form), prepares its trials
+(trial_quantize, the encoding and the truth check) and solves them
+together by one recovery.recover_batch call, which builds the order's
+constraint matrix J and its SVD once for them.  A unit returns, per
+trial, the numbers of its CSV row or a failure message, and nothing that
+holds an array; _execute sorts them and makes each row's TrialRecord by
+one _run_trial call, in CSV row order.  The command line reuses the same
+stages through trial_operator, grid_point and trial_solve, which solves
+one trial as a batch of one and so reproduces its sweep row.
 """
 
 from __future__ import annotations
@@ -423,24 +426,37 @@ def trial_operator(task):
     )
 
 
-def grid_point(task):
-    """(operator, basis, encoder), shared by every trial of the task's unit.
+def _trial_encoder(task):
+    """The task's encoder in the encoded form, else None; shared like the operator."""
+    if task.config.constraint_form != "encoded":
+        return None
+    return encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
 
-    Of the basis and the encoder, the one the form does not use is None.
+
+def _trial_basis(task):
+    """The noise-shaping basis of the task's (m, r) in the projected form, else None.
+
     The basis is cached in cache_dir, by default output_path/basis_cache.
     """
     config = task.config
-    basis = encoder = None
-    if config.constraint_form == "projected":
-        cache_dir = config.cache_dir
-        if cache_dir is None:
-            cache_dir = os.path.join(config.output_path, "basis_cache")
-        basis = noise_shaping.compute_basis(
-            task.m, task.r, truncation=min(config.ell, task.m), cache_dir=cache_dir
-        )
-    elif config.constraint_form == "encoded":
-        encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
-    return trial_operator(task), basis, encoder
+    if config.constraint_form != "projected":
+        return None
+    cache_dir = config.cache_dir
+    if cache_dir is None:
+        cache_dir = os.path.join(config.output_path, "basis_cache")
+    return noise_shaping.compute_basis(
+        task.m, task.r, truncation=min(config.ell, task.m), cache_dir=cache_dir
+    )
+
+
+def grid_point(task):
+    """(operator, basis, encoder) of the task's grid point, built for it alone.
+
+    Of the basis and the encoder, the one the form does not use is None.
+    A sweep builds the same parts with the same stages: the operator and
+    encoder once per unit, the basis once per order of it.
+    """
+    return trial_operator(task), _trial_basis(task), _trial_encoder(task)
 
 
 def trial_instance(task, op):
@@ -474,6 +490,17 @@ def trial_quantize(task, y):
     return scheme, sigma_delta.quantize(y, scheme)
 
 
+def _instance_key(task):
+    """What trial_instance reads of a task within a unit; equal for all its orders."""
+    return task.matrix_seed, task.eps, task.noise_seed
+
+
+def _measure(task, op):
+    """trial_instance(task, op) and the true noise y - M(X) the truth check reads."""
+    X, scale, y = trial_instance(task, op)
+    return X, scale, y, y - sensing.apply(op, X)
+
+
 @dataclass(frozen=True)
 class _PreparedTrial:
     """One trial up to its solve: its truth, its problem and what its row reports."""
@@ -486,16 +513,17 @@ class _PreparedTrial:
     problem: recovery.RecoveryProblem
 
 
-def _prepare_trial(task, point):
-    """Draw, quantize and (encoded) encode one trial, and pose its problem.
+def _prepare_trial(task, point, instance):
+    """Quantize and (encoded) encode one trial's instance, and pose its problem.
 
-    point is grid_point(task).  Unless the quantizer overflowed, a true
-    pair (X, y - M(X)) that fails check_feasibility raises RuntimeError
-    naming the violated constraint.
+    point is (operator, basis, encoder) as grid_point(task) returns it and
+    instance is _measure(task, operator).  Unless the quantizer
+    overflowed, a true pair (X, y - M(X)) that fails check_feasibility
+    raises RuntimeError naming the violated constraint.
     """
     m, r = task.m, task.r
     op, basis, encoder = point
-    X, scale, y = trial_instance(task, op)
+    X, scale, y, noise = instance
     scheme, run = trial_quantize(task, y)
 
     rate_bits = rate_bits_fig = None
@@ -514,27 +542,33 @@ def _prepare_trial(task, point):
     )
     if not run.overflow:
         # by stability the true pair (X, y - M(X)) lies inside the ball
-        truth = recovery.check_feasibility(problem, X, y - sensing.apply(op, X))
+        truth = recovery.check_feasibility(problem, X, noise)
         if not truth.ok:
             raise RuntimeError("truth is infeasible: " + "; ".join(truth.messages))
     return _PreparedTrial(X, scale, run.overflow, rate_bits, rate_bits_fig, problem)
 
 
-def _run_trial(task, trial, solution):
-    """One sweep trial's TrialRecord, its CSV row, from its prepared trial and solution."""
-    config = task.config
+def _row(task, trial, solution):
+    """The numbers of one trial's CSV row, as Python scalars, from its solve."""
     X = trial.truth
     err = float(np.linalg.norm(solution.estimate - X))
     truth_norm = float(np.linalg.norm(X))
+    return dict(
+        err_frobenius=err, err_relative=err / truth_norm if truth_norm else 0.0,
+        objective=float(solution.objective),
+        sigma_k_tail=recovery.best_rank_k_error(X, task.config.rank),
+        rate_bits=trial.rate_bits, rate_bits_fig=trial.rate_bits_fig,
+        overflow=bool(trial.overflow), iterations=int(solution.iterations),
+        converged=bool(solution.converged), scale=float(trial.scale),
+    )
+
+
+def _run_trial(task, row):
+    """One sweep trial's TrialRecord, its CSV row, from the numbers _row computed."""
     return TrialRecord(
-        r=task.r, m=task.m, ell=config.ell, lam=task.lam, trial_index=task.trial_index,
-        seed=task.matrix_seed, err_frobenius=err,
-        err_relative=err / truth_norm if truth_norm else 0.0,
-        objective=solution.objective,
-        sigma_k_tail=recovery.best_rank_k_error(X, config.rank), eps=task.eps,
-        rate_bits=trial.rate_bits, rate_bits_fig=trial.rate_bits_fig, overflow=trial.overflow,
-        iterations=solution.iterations, converged=solution.converged, scale=trial.scale,
-        encoder_dim=task.encoder_dim, encoder_seed=task.encoder_seed,
+        r=task.r, m=task.m, ell=task.config.ell, lam=task.lam, trial_index=task.trial_index,
+        seed=task.matrix_seed, eps=task.eps, encoder_dim=task.encoder_dim,
+        encoder_seed=task.encoder_seed, **row,
     )
 
 
@@ -545,61 +579,99 @@ def trial_solve(task, point):
     one, so the record equals the task's row of the sweep's CSV.  Unless
     the quantizer overflowed, an infeasible truth raises RuntimeError.
     """
-    trial = _prepare_trial(task, point)
+    trial = _prepare_trial(task, point, _measure(task, point[0]))
     solution = recovery.recover(trial.problem, task.config.solver_params())
-    return _run_trial(task, trial, solution), solution
+    return _run_trial(task, _row(task, trial, solution)), solution
 
 
 def _failure(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_group(group):
-    """(record, None) or (task, message) per trial of one unit, built once.
+def _run_group(unit):
+    """(task, row numbers) or (task, message) per trial of one unit.
 
-    Every trial is prepared, then all that were are solved in one
-    recovery.recover_batch call, and each row is built by _run_trial, in
-    the group's order.  A trial that fails at any stage fails alone.
+    The unit's tasks share m and whether eps is positive, and may span
+    several orders.  Its operator and encoder are drawn once, and each
+    trial's instance is built once, keyed by _instance_key, for every
+    order.  Then each order, in ascending order, runs in _run_order, so
+    one basis is alive at a time.  A failed operator or encoder draw
+    fails every trial of the unit, a failed instance that trial at every
+    order.  Failures become messages where they are caught, so nothing
+    returned refers to an array or keeps one alive.
     """
     try:
-        point = grid_point(group[0])
+        op, encoder = trial_operator(unit[0]), _trial_encoder(unit[0])
     except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-        return [(task, _failure(exc)) for task in group]
-    trials = []
-    for task in group:
-        try:
-            trials.append(_prepare_trial(task, point))
-        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-            trials.append(exc)
-    ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]
-    try:
-        solutions = iter(recovery.recover_batch(
-            [trial.problem for trial in ready], group[0].config.solver_params()))
-    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-        solutions = itertools.repeat(exc)
+        return [(task, _failure(exc)) for task in unit]
+    instances = {}
+    for task in unit:
+        key = _instance_key(task)
+        if key not in instances:
+            try:
+                instances[key] = _measure(task, op)
+            except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+                instances[key] = _failure(exc)
     outcomes = []
-    for task, trial in zip(group, trials):
-        outcome = trial if isinstance(trial, Exception) else next(solutions)
-        if isinstance(outcome, Exception):
-            outcomes.append((task, _failure(outcome)))
-            continue
-        try:
-            outcomes.append((_run_trial(task, trial, outcome), None))
-        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-            outcomes.append((task, _failure(exc)))
+    for _, tasks in itertools.groupby(sorted(unit, key=_trial_key), key=lambda task: task.r):
+        outcomes += _run_order(list(tasks), op, encoder, instances)
     return outcomes
 
 
-def _execute(groups, workers):
-    """Run each unit's trials; results and failures come back in CSV row order."""
+def _run_order(tasks, op, encoder, instances):
+    """(task, row numbers) or (task, message) per trial of one order of a unit.
+
+    The order builds its basis (projected form), prepares each trial from
+    its instance, and solves all that were prepared in one
+    recovery.recover_batch call.  A failed basis fails the order's
+    trials; a trial that fails at any other stage fails alone.
+    """
+    try:
+        point = op, _trial_basis(tasks[0]), encoder
+    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+        return [(task, _failure(exc)) for task in tasks]
+    trials = []
+    for task in tasks:
+        instance = instances[_instance_key(task)]
+        try:
+            trials.append(instance if isinstance(instance, str)
+                          else _prepare_trial(task, point, instance))
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            trials.append(_failure(exc))
+    ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]
+    try:
+        solutions = iter(recovery.recover_batch(
+            [trial.problem for trial in ready], tasks[0].config.solver_params()))
+    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+        solutions = itertools.repeat(_failure(exc))
+    outcomes = []
+    for task, trial in zip(tasks, trials):
+        outcome = trial if isinstance(trial, str) else next(solutions)
+        if isinstance(outcome, Exception):
+            outcome = _failure(outcome)
+        elif not isinstance(outcome, str):
+            try:
+                outcome = _row(task, trial, outcome)
+            except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+                outcome = _failure(exc)
+        outcomes.append((task, outcome))
+    return outcomes
+
+
+def _execute(units, workers):
+    """Run each unit; records and failures come back in CSV row order.
+
+    Each trial's TrialRecord is made by one _run_trial call, in CSV row
+    order, from the numbers its unit returned.
+    """
     if workers == 1:
-        outcomes = [o for group in map(_run_group, groups) for o in group]
+        outcomes = [o for unit in map(_run_group, units) for o in unit]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for group in pool.map(_run_group, groups) for o in group]
-    results = sorted((rec for rec, msg in outcomes if msg is None), key=_trial_key)
-    failures = sorted(((task, msg) for task, msg in outcomes if msg is not None),
-                      key=lambda failure: _trial_key(failure[0]))
+            outcomes = [o for unit in pool.map(_run_group, units) for o in unit]
+    outcomes.sort(key=lambda outcome: _trial_key(outcome[0]))
+    results = [_run_trial(task, row) for task, row in outcomes if not isinstance(row, str)]
+    failures = [(task, msg) for task, msg in outcomes if isinstance(msg, str)]
     if len(failures) > _FAILURE_ABORT_FRACTION * len(outcomes):
         detail = "; ".join(msg for _, msg in failures[:5])
         raise RuntimeError(
@@ -698,14 +770,17 @@ def _sweep_tasks(config, spec):
 
 
 def _unit_key(task):
-    """What grid_point and J read of a task; in a sweep m fixes the operator and encoder."""
-    return task.r, task.m, task.eps > 0
+    """A task's unit: in a sweep m fixes the operator and encoder, and each
+    order's J has a noise block exactly when eps > 0."""
+    return task.m, task.eps > 0
 
 
 def _sweep_units(config, spec):
-    """The sweep's tasks in CSV row order, cut into units: runs of equal _unit_key."""
-    tasks = sorted(_sweep_tasks(config, spec), key=_trial_key)
-    return [list(unit) for _, unit in itertools.groupby(tasks, key=_unit_key)]
+    """The sweep's tasks grouped by _unit_key, each unit and the units in CSV row order."""
+    units = {}
+    for task in sorted(_sweep_tasks(config, spec), key=_trial_key):
+        units.setdefault(_unit_key(task), []).append(task)
+    return list(units.values())
 
 
 def first_trial(config):

@@ -98,29 +98,33 @@ def apply_difference(a, r):
 
 
 def apply_inverse_power(a, r):
-    """Apply D^{-r} along axis 0 of a vector or matrix: one copy, then r
-    in-place cumulative-sum passes.
+    """Apply D^{-r} along axis 0 of a vector or matrix: r cumulative-sum
+    passes on a copy of a.
 
-    A matrix is swept in blocks of _BLOCK_ROWS rows: all r passes run
-    over one block while it is in cache, each pass starting from the last
-    row it left in the previous block, so a row-major array goes through
-    memory once instead of r times.  Every entry is the same
-    left-to-right running sum as in r whole-array passes, so the result
-    is bit-identical to theirs.  A vector takes the r whole-array passes.
+    A matrix is swept in blocks of _BLOCK_ROWS rows: each block is copied
+    into the output and then takes all r passes while it is in cache,
+    each pass starting from the last row it left in the previous block,
+    so a row-major array goes through memory once instead of r + 1 times.
+    Every entry is the same left-to-right running sum as in r whole-array
+    passes, so the result is bit-identical to theirs.  A vector is copied
+    whole and takes the r whole-array passes.
 
     Exact inverse of apply_difference up to floating-point roundoff; on
     dyadic-rational inputs of moderate size the round trip is exact.
     D^{-r,T} is this map on reversed rows: D^{-r,T} x = rev(D^{-r} rev x).
     """
     _check_order(r)
-    out = np.array(a, dtype=float)
-    if out.ndim < 2:
+    a = np.asarray(a)
+    if a.ndim < 2:
+        out = np.array(a, dtype=float)
         for _ in range(r):
             np.cumsum(out, axis=0, out=out)
         return out
+    out = np.empty_like(a, dtype=float)
     carry = np.empty((r,) + out.shape[1:])
     for start in range(0, out.shape[0], _BLOCK_ROWS):
         block = out[start:start + _BLOCK_ROWS]
+        block[...] = a[start:start + _BLOCK_ROWS]
         for k in range(r):
             if start:
                 block[0] += carry[k]
@@ -251,8 +255,9 @@ def _read_cache(path, m, r, ell):
                 return None
             if int(data["size"][0]) != m or int(data["order"][0]) != r:
                 return None
-            s = np.array(data["singular_values"], dtype=float)
-            V = np.array(data["right_vectors"], dtype=float)
+            # each read makes a new array, so no copy is needed
+            s = np.asarray(data["singular_values"], dtype=float)
+            V = np.asarray(data["right_vectors"], dtype=float)
     except (OSError, KeyError, IndexError, ValueError, EOFError, zipfile.BadZipFile):
         return None
     if s.shape != (ell,) or V.shape != (m, ell):

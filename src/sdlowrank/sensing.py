@@ -18,12 +18,16 @@ __all__ = [
     "apply",
     "empirical_rip",
     "gaussian_rank_k",
+    "random_signs",
 ]
 
 DISTRIBUTIONS = ("gaussian", "rademacher")
 
 # refuse operators whose dense storage would dwarf desk memory
 MAX_OPERATOR_ENTRIES = 200_000_000
+
+# rows of int64 draws random_signs holds at once
+_SIGN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,25 @@ def draw_operator(m, n1, n2, distribution="gaussian", seed=0):
     if distribution == "gaussian":
         data = rng.standard_normal((m, n1 * n2))
     else:
-        data = rng.integers(0, 2, size=(m, n1 * n2)).astype(float) * 2.0 - 1.0
+        data = random_signs(rng, m, n1 * n2)
     return MeasurementOperator(rows=m, shape=(n1, n2), data=data)
+
+
+def random_signs(rng, rows, cols):
+    """A rows x cols float array of i.i.d. +-1 from rng.
+
+    The entries are rng.integers(0, 2, size=(rows, cols)) mapped to
+    2 b - 1, drawn _SIGN_ROWS rows at a time into the float array, so no
+    int64 copy of the whole matrix is made.  The generator consumes the
+    same stream either way, so the array equals the one-draw expression.
+    """
+    data = np.empty((rows, cols))
+    for start in range(0, rows, _SIGN_ROWS):
+        data[start:start + _SIGN_ROWS] = rng.integers(
+            0, 2, size=(min(_SIGN_ROWS, rows - start), cols))
+    data *= 2.0
+    data -= 1.0
+    return data
 
 
 def apply(op, X):

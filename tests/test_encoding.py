@@ -32,6 +32,12 @@ def test_draw_encoder_deterministic():
     assert not np.array_equal(a.data, c.data)
 
 
+def test_draw_encoder_is_one_int_draw_of_signs():
+    rng = np.random.default_rng(5)
+    want = rng.integers(0, 2, size=(17, 41)).astype(float) * 2.0 - 1.0
+    assert np.array_equal(encoding.draw_encoder(17, 41, seed=5).data, want)
+
+
 def test_draw_encoder_rejects_bad_dims():
     with pytest.raises(ValueError):
         encoding.draw_encoder(0, 10)

@@ -8,6 +8,7 @@ import io
 import math
 import os
 import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -450,10 +451,11 @@ def _count_calls(monkeypatch, module, name, calls, fail_at_m=None):
 
 
 def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
-    # a unit is the trials that share one J: one order at one (lambda, m)
-    # in the oversampling and rate sweeps, and in the noise sweep its
-    # eps = 0 point or all its eps > 0 points; a unit's trials share one
-    # operator and one basis (projected form) or one encoder (rate sweep)
+    # a unit is one (m, eps > 0) point across every order: one lambda in
+    # the oversampling and rate sweeps, and in the noise sweep its eps = 0
+    # point or all its eps > 0 points; a unit draws one operator and
+    # (rate sweep) one encoder, and each of its orders builds one basis
+    # (projected form)
     calls = {name: [] for name in ("draw_operator", "compute_basis", "draw_encoder")}
     _count_calls(monkeypatch, sensing, "draw_operator", calls["draw_operator"])
     _count_calls(monkeypatch, noise_shaping, "compute_basis", calls["compute_basis"])
@@ -468,11 +470,13 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
         res = run(cfg)
         points = {(rec.r, rec.m, rec.eps) for rec in res.records}
         assert len(res.records) == len(points) * cfg.trials
-        # two per order: the two lambdas, or the noise sweep's eps = 0 and eps > 0
-        units = sorted({(r, m, eps > 0) for r, m, eps in points})
-        assert len(units) == 2 * len(cfg.orders)
-        assert sorted(calls["draw_operator"]) == sorted(m for _, m, _ in units)
-        assert sorted(calls[built]) == sorted(m for _, m, _ in units)
+        # two units: the two lambdas, or the noise sweep's eps = 0 and eps > 0
+        units = sorted({(m, eps > 0) for _, m, eps in points})
+        assert len(units) == 2
+        assert sorted(calls["draw_operator"]) == sorted(m for m, _ in units)
+        per_order = sorted(m for m, _ in units for _ in cfg.orders)
+        assert sorted(calls[built]) == (per_order if built == "compute_basis"
+                                        else sorted(m for m, _ in units))
         unused = {"compute_basis": "draw_encoder", "draw_encoder": "compute_basis"}[built]
         assert calls[unused] == []
 
@@ -570,7 +574,8 @@ def test_sweep_seeds_follow_lambda_and_eps(tmp_path, form):
 
 def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch):
     # the eps points share the lambda's encoder as they share its
-    # operator: each order's two units (eps = 0 and eps > 0) draw it
+    # operator: the two units (eps = 0 and eps > 0), each holding both
+    # orders, draw it once each
     seeds = []
     draw = encoding.draw_encoder
 
@@ -583,23 +588,24 @@ def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch)
                       constraint_form="encoded", encoder_dim=16)
     res = harness.run_noise_sweep(cfg)
     assert len(res.records) == 2 * 3 * cfg.trials and not res.failures
-    assert len(seeds) == 2 * len(cfg.orders)
+    assert len(seeds) == 2
     assert set(seeds) == {rec.encoder_seed for rec in res.records}
     assert len(set(seeds)) == 1
 
 
 def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch):
     # the benchmark's trace joins one _run_trial call per CSV row, in row
-    # order; the eps > 0 points still form one unit per order
+    # order, although a unit's rows are not contiguous in that order; the
+    # eps > 0 points form one unit, and each unit holds both orders
     keys, groups = [], []
     run_trial, run_group = harness._run_trial, harness._run_group
 
-    def recorded_trial(task, trial, solution):
+    def recorded_trial(task, row):
         keys.append(harness._trial_key(task))
-        return run_trial(task, trial, solution)
+        return run_trial(task, row)
 
     def recorded_group(group):
-        groups.append(sorted({task.eps for task in group}))
+        groups.append((sorted({task.eps for task in group}), sorted({task.r for task in group})))
         return run_group(group)
 
     monkeypatch.setattr(harness, "_run_trial", recorded_trial)
@@ -607,12 +613,25 @@ def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch)
     res = harness.run_noise_sweep(tiny_config(tmp_path, orders=(2, 1),
                                               epsilon_grid=(1.0, 0.0, 0.5)))
     assert keys == [harness._trial_key(rec) for rec in res.records] == sorted(keys)
-    assert groups == [[0.0], [0.5, 1.0]] * 2
+    assert groups == [([0.0], [1, 2]), ([0.5, 1.0], [1, 2])]
+
+
+class ArrayFinder(pickle.Pickler):
+    """Counts the arrays a pickle of an object would hold."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO())
+        self.arrays = 0
+
+    def persistent_id(self, obj):
+        self.arrays += isinstance(obj, np.ndarray)
+        return None
 
 
 def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
-    # only task lists go to a worker and only outcomes come back: the
-    # operator and the basis are built in the worker, never pickled
+    # only task lists go to a worker and only each row's numbers or
+    # failure message come back: the operator and the basis are built in
+    # the worker, never pickled
     sent, returned = [], []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -623,26 +642,64 @@ def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
             returned.extend(outcomes)
             return iter(outcomes)
 
-    class ArrayFinder(pickle.Pickler):
-        def __init__(self):
-            super().__init__(io.BytesIO())
-            self.arrays = 0
-
-        def persistent_id(self, obj):
-            self.arrays += isinstance(obj, np.ndarray)
-            return None
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, workers=2)
     res = harness.run_oversampling_sweep(cfg)
     assert len(res.records) == 12 and not res.failures
     [(fn, [groups])] = sent
     assert fn is harness._run_group
-    assert [len(group) for group in groups] == [cfg.trials] * 4
+    assert [len(group) for group in groups] == [len(cfg.orders) * cfg.trials] * 2
     assert all(isinstance(task, harness._TrialTask) for group in groups for task in group)
-    assert [rec for outcomes in returned for rec, _ in outcomes] == res.records
+    rows = sorted((outcome for outcomes in returned for outcome in outcomes),
+                  key=lambda outcome: harness._trial_key(outcome[0]))
+    assert [harness._run_trial(task, row) for task, row in rows] == res.records
     finder = ArrayFinder()
     finder.dump((groups, returned))
+    assert finder.arrays == 0
+
+
+def test_each_instance_is_built_once_for_every_order(tmp_path, monkeypatch):
+    # a trial's truth, scale and noisy measurements do not depend on the
+    # order, so a unit builds them once per (trial, eps) for all its orders
+    built = []
+    instance = harness.trial_instance
+
+    def counted(task, op):
+        built.append((task.trial_index, task.eps))
+        return instance(task, op)
+
+    monkeypatch.setattr(harness, "trial_instance", counted)
+    cfg = tiny_config(tmp_path, orders=(1, 2, 3), trials=3, epsilon_grid=(0.0, 0.5, 1.0))
+    res = harness.run_noise_sweep(cfg)
+    assert len(res.records) == 3 * 3 * cfg.trials and not res.failures
+    assert sorted(built) == sorted({(rec.trial_index, rec.eps) for rec in res.records})
+
+
+@pytest.mark.parametrize("form", ["projected", "encoded"])
+def test_nothing_outlives_its_unit(tmp_path, monkeypatch, form):
+    # a unit's outcomes hold no array and keep none of its operators,
+    # encoders or bases alive, so units that run one after another never
+    # hold two operators at once
+    alive = []
+    for module, name in ((sensing, "draw_operator"), (encoding, "draw_encoder"),
+                         (noise_shaping, "compute_basis")):
+        def tracked(*args, _original=getattr(module, name), **kwargs):
+            built = _original(*args, **kwargs)
+            alive.append(weakref.ref(built.data if hasattr(built, "data")
+                                     else built.right_vectors))
+            return built
+
+        monkeypatch.setattr(module, name, tracked)
+    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, constraint_form=form,
+                      encoder_dim=16)
+    [unit, _] = harness._sweep_units(cfg, harness._oversampling_spec(cfg))
+    outcomes = harness._run_group(unit)
+    assert len(outcomes) == len(unit) and not any(isinstance(row, str) for _, row in outcomes)
+    # one operator and, per order, one basis or one encoder for them all
+    assert len(alive) == {"projected": 3, "encoded": 2}[form]
+    assert all(ref() is None for ref in alive)
+    finder = ArrayFinder()
+    finder.dump(outcomes)
     assert finder.arrays == 0
 
 

@@ -427,6 +427,22 @@ def test_blocked_inverse_power_is_bit_equal_to_whole_array_passes(m, n, r, fortr
     assert np.array_equal(ns.apply_difference(ns.apply_inverse_power(v, r), r), v)
 
 
+@pytest.mark.parametrize("view", ["reversed_transpose", "reversed_rows", "int"])
+@pytest.mark.parametrize("m", [1, 300, 775])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_blocked_copy_reads_any_view_of_its_input(view, m, r):
+    # the matrix path copies each block as it sweeps it; the input may be
+    # a non-contiguous view, like the reversed transposed encoder the
+    # encoded noise block passes, or not float, and it is left unchanged
+    rng = np.random.default_rng(m + r)
+    a = {"reversed_transpose": lambda: rng.standard_normal((7, m))[:, ::-1].T,
+         "reversed_rows": lambda: rng.standard_normal((m, 5))[::-1],
+         "int": lambda: rng.integers(-9, 10, (m, 4))}[view]()
+    before = a.copy()
+    assert np.array_equal(ns.apply_inverse_power(a, r), _whole_array_passes(a, r))
+    assert np.array_equal(a, before)
+
+
 @PROPERTY
 @given(xy=st.integers(1, 128).flatmap(
            lambda m: st.tuples(*[hnp.arrays(np.int64, m, elements=st.integers(-8, 8))] * 2)),

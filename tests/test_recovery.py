@@ -568,7 +568,8 @@ def _point_trials(base, case):
         )
         [tasks] = harness._sweep_units(config, harness._noise_spec(config))
         point = harness.grid_point(tasks[0])
-        _POINTS[case] = [harness._prepare_trial(task, point) for task in tasks]
+        _POINTS[case] = [harness._prepare_trial(task, point, harness._measure(task, point[0]))
+                         for task in tasks]
     return _POINTS[case]
 
 

@@ -22,6 +22,17 @@ def test_rademacher_support():
     assert set(np.unique(op.data)) == {-1.0, 1.0}
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 1), (7, 9), (16, 3), (33, 17), (400, 1201)])
+def test_random_signs_equal_one_int_draw(rows, cols):
+    # drawn 16 rows at a time, the signs are the one-draw expression's, so
+    # an operator or encoder is the same matrix for the same seed
+    want = np.random.default_rng(9).integers(0, 2, size=(rows, cols)).astype(float) * 2.0 - 1.0
+    got = sensing.random_signs(np.random.default_rng(9), rows, cols)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    op = sensing.draw_operator(rows, 1, cols, "rademacher", seed=9)
+    assert np.array_equal(op.data, want)
+
+
 def test_gaussian_moments():
     op = sensing.draw_operator(200, 5, 4, "gaussian", seed=5)
     flat = op.data.ravel()  # 4000 samples
