@@ -46,7 +46,7 @@ def _load_config(args):
 def cmd_quantize(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    X, scale, y = harness.trial_instance(task, harness.trial_operator(task))
+    X, scale, y, _ = harness.trial_instance(task, harness.trial_operator(task))
     scheme, run = harness.trial_quantize(task, y)
     alphabet = scheme.alphabet
     print(f"order r={task.r} m={task.m} lambda={task.lam:g}")

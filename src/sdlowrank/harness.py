@@ -7,17 +7,18 @@ one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  Every
 sweep runs orders x lambda grid x eps grid at m = lambda * base, with the
 operator and encoder drawn per lambda.  Work is done a unit at a time: a
-unit is one (m, eps > 0) point across every order, the trials that share
-one operator and, in the encoded form, one encoder.  A unit draws those
-once, and builds each trial's instance (trial_instance and the true
-noise) once for all its orders.  It then takes its orders in ascending
-order: each builds its basis (projected form), prepares its trials
-(trial_quantize, the encoding and the truth check) and solves them
-together by one recovery.recover_batch call, which builds the order's
-constraint matrix J and its SVD once for them.  A unit returns, per
-trial, the numbers of its CSV row or a failure message, and nothing that
-holds an array; _execute sorts them and makes each row's TrialRecord by
-one _run_trial call, in CSV row order.  The command line reuses the same
+unit is the trials of one m, across every eps and every order, which
+share one operator and, in the encoded form, one encoder.  A unit draws
+those once, and builds each trial's instance (trial_instance: the truth,
+its scale, the measurements and the true noise) once for all its orders.
+It then takes its orders in ascending order: each builds its basis
+(projected form), prepares its trials (trial_quantize, the encoding and
+the truth check) and hands them all to one recovery.recover_batch call,
+which groups them by the constraint matrix J they share and builds each
+group's J and its SVD once.  A unit returns, per trial, the numbers of
+its CSV row or a failure message, and nothing that holds an array;
+_execute sorts them and makes each row's TrialRecord by one _run_trial
+call, in CSV row order.  The command line reuses the same
 stages through trial_operator, grid_point and trial_solve, which solves
 one trial as a batch of one and so reproduces its sweep row.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -76,6 +78,12 @@ _ROLE_ENCODER = 104
 
 _FAILURE_ABORT_FRACTION = 0.2
 
+# what ExperimentConfig accepts for a field whose default is an int or a
+# float, and the least value of each integer field that has one
+_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
+_INTEGER_FLOORS = {"ell": 1, "orders": 1, "trials": 1, "encoder_dim": 1,
+                   "solver_max_iterations": 1, "workers": 1, "master_seed": 0}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,22 +119,25 @@ class ExperimentConfig:
     cache_dir: object = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
-        if not (1 <= self.rank <= min(self.n1, self.n2)):
-            raise ValueError(f"rank must lie in [1, {min(self.n1, self.n2)}]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         for name in ("orders", "oversampling_grid", "epsilon_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
-        if any(r < 1 for r in self.orders):
-            raise ValueError(f"orders must be >= 1, got {self.orders}")
+        for f in fields(self):
+            # a numeric field takes the type of its default, as load_config
+            # parses it; a bool is an int, but no field means one
+            value, default = getattr(self, f.name), f.default
+            values = value if isinstance(value, tuple) else (value,)
+            kind = type(default[0] if isinstance(default, tuple) else default)
+            if kind in (int, float) and any(
+                    isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES[kind])
+                    for v in values):
+                raise ValueError(f"{f.name} takes {kind.__name__} values, got {value!r}")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name in _INTEGER_FLOORS and min(values) < _INTEGER_FLOORS[f.name]:
+                raise ValueError(f"{f.name} must be >= {_INTEGER_FLOORS[f.name]}, got {value}")
+        if not (1 <= self.rank <= min(self.n1, self.n2)):
+            raise ValueError(f"rank must lie in [1, {min(self.n1, self.n2)}]")
         # each sweep checks that its m = lambda * base is integral (_check_grid)
         for lam in self.oversampling_grid:
             if not lam > 0:
@@ -149,19 +160,10 @@ class ExperimentConfig:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.constraint_form not in CONSTRAINT_FORMS:
             raise ValueError(f"unknown constraint_form {self.constraint_form!r}")
-        if self.encoder_dim < 1:
-            raise ValueError(f"encoder_dim must be >= 1, got {self.encoder_dim}")
         if self.distribution not in sensing.DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.solver_max_iterations < 1:
-            raise ValueError(
-                f"solver_max_iterations must be >= 1, got {self.solver_max_iterations}")
         if not self.solver_tolerance > 0:
             raise ValueError(f"solver_tolerance must be positive, got {self.solver_tolerance}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def levels_for(self, order, observed_max):
         if self.levels == "auto":
@@ -462,19 +464,21 @@ def grid_point(task):
 def trial_instance(task, op):
     """Draw, scale and measure one trial's truth through op, then add its noise.
 
-    Returns (truth, scale, measurements).  mu > 0 scales the truth so the
-    clean measurements peak at mu; eps > 0 adds the task's bounded noise.
+    Returns (truth, scale, measurements, noise), where noise is the
+    measurements less the clean M(truth), the true noise the truth check
+    reads; it is zero when eps = 0.  mu > 0 scales the truth so the clean
+    measurements peak at mu; eps > 0 adds the task's bounded noise.
     """
     config = task.config
     X = make_low_rank(config.n1, config.n2, config.rank, task.matrix_seed)
     scale = 1.0
     if config.mu > 0:
         X, scale = measurement_scaling(X, op, config.mu)
-    y = sensing.apply(op, X)
+    y = clean = sensing.apply(op, X)
     if task.eps > 0 and task.noise_seed is not None:
-        noise = np.random.default_rng(task.noise_seed).uniform(0.0, 1.0, task.m)
-        y = y + noise * (task.eps / np.max(noise))
-    return X, scale, y
+        draw = np.random.default_rng(task.noise_seed).uniform(0.0, 1.0, task.m)
+        y = clean + draw * (task.eps / np.max(draw))
+    return X, scale, y, y - clean
 
 
 def trial_quantize(task, y):
@@ -495,12 +499,6 @@ def _instance_key(task):
     return task.matrix_seed, task.eps, task.noise_seed
 
 
-def _measure(task, op):
-    """trial_instance(task, op) and the true noise y - M(X) the truth check reads."""
-    X, scale, y = trial_instance(task, op)
-    return X, scale, y, y - sensing.apply(op, X)
-
-
 @dataclass(frozen=True)
 class _PreparedTrial:
     """One trial up to its solve: its truth, its problem and what its row reports."""
@@ -517,7 +515,7 @@ def _prepare_trial(task, point, instance):
     """Quantize and (encoded) encode one trial's instance, and pose its problem.
 
     point is (operator, basis, encoder) as grid_point(task) returns it and
-    instance is _measure(task, operator).  Unless the quantizer
+    instance is trial_instance(task, operator).  Unless the quantizer
     overflowed, a true pair (X, y - M(X)) that fails check_feasibility
     raises RuntimeError naming the violated constraint.
     """
@@ -579,7 +577,7 @@ def trial_solve(task, point):
     one, so the record equals the task's row of the sweep's CSV.  Unless
     the quantizer overflowed, an infeasible truth raises RuntimeError.
     """
-    trial = _prepare_trial(task, point, _measure(task, point[0]))
+    trial = _prepare_trial(task, point, trial_instance(task, point[0]))
     solution = recovery.recover(trial.problem, task.config.solver_params())
     return _run_trial(task, _row(task, trial, solution)), solution
 
@@ -591,14 +589,14 @@ def _failure(exc):
 def _run_group(unit):
     """(task, row numbers) or (task, message) per trial of one unit.
 
-    The unit's tasks share m and whether eps is positive, and may span
-    several orders.  Its operator and encoder are drawn once, and each
-    trial's instance is built once, keyed by _instance_key, for every
-    order.  Then each order, in ascending order, runs in _run_order, so
-    one basis is alive at a time.  A failed operator or encoder draw
-    fails every trial of the unit, a failed instance that trial at every
-    order.  Failures become messages where they are caught, so nothing
-    returned refers to an array or keeps one alive.
+    The unit's tasks share m, and may span several eps and several
+    orders.  Its operator and encoder are drawn once, and each trial's
+    instance is built once, keyed by _instance_key, for every order.
+    Then each order, in ascending order, runs in _run_order, so one basis
+    is alive at a time.  A failed operator or encoder draw fails every
+    trial of the unit, a failed instance that trial at every order.
+    Failures become messages where they are caught, so nothing returned
+    refers to an array or keeps one alive.
     """
     try:
         op, encoder = trial_operator(unit[0]), _trial_encoder(unit[0])
@@ -609,7 +607,7 @@ def _run_group(unit):
         key = _instance_key(task)
         if key not in instances:
             try:
-                instances[key] = _measure(task, op)
+                instances[key] = trial_instance(task, op)
             except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
                 instances[key] = _failure(exc)
     outcomes = []
@@ -623,8 +621,9 @@ def _run_order(tasks, op, encoder, instances):
 
     The order builds its basis (projected form), prepares each trial from
     its instance, and solves all that were prepared in one
-    recovery.recover_batch call.  A failed basis fails the order's
-    trials; a trial that fails at any other stage fails alone.
+    recovery.recover_batch call, which groups them by their J.  A failed
+    basis fails the order's trials; a trial that fails at any other stage
+    fails alone.
     """
     try:
         point = op, _trial_basis(tasks[0]), encoder
@@ -770,9 +769,8 @@ def _sweep_tasks(config, spec):
 
 
 def _unit_key(task):
-    """A task's unit: in a sweep m fixes the operator and encoder, and each
-    order's J has a noise block exactly when eps > 0."""
-    return task.m, task.eps > 0
+    """A task's unit: in a sweep m fixes the operator and the encoder."""
+    return task.m
 
 
 def _sweep_units(config, spec):

@@ -22,16 +22,17 @@ conditioned D^{-r} is, which is what breaks down for naive first-order
 schemes once m and r grow.
 
 J and its SVD depend on the operator, the basis or encoder, the order
-and whether nu is present, but not on q.  recover_batch takes problems
-that share all of these, builds J and its SVD once, from the first
-problem that sets up, and forms only each problem's own c; a problem
-whose inputs differ fails alone.  It solves them together: each
-iteration steps every problem still running as one row of (B, n)
-arrays, with one stacked SVD for all the nuclear prox steps, and a
-problem leaves the batch when it stops.  A row's scalars live in its
-_Row record, and one statement of _admm drops finished rows from the
-records and every array together: new per-row state is a _Row field, or
-one more entry in that statement if it is an array.  Each row's
+and whether nu is present, but not on q.  recover_batch groups its
+problems by these and solves the groups one after another, so one J is
+alive at a time.  A group builds J and its SVD once, from its first
+problem that sets up, and forms only each problem's own c.  It solves
+its problems together: each iteration steps every problem still running
+as one row of (B, n) arrays, with one stacked SVD for all the nuclear
+prox steps, and a problem leaves the batch when it stops.  A row's
+scalars live in its _Row record, and one statement of _admm drops
+finished rows from the records and every array together: new per-row
+state is a _Row field, or one more entry in that statement if it is an
+array.  Each row's
 products are taken by kernels that compute a row alone (np.matvec,
 np.vecdot and the stacked SVD run one BLAS or LAPACK call per row), and
 its scalar tests are Python float arithmetic, so every problem gets the
@@ -252,14 +253,6 @@ def _constraint_matrix(problem):
     return J
 
 
-def _shares_constraint(problem, other):
-    """Whether problem's J is other's: the same operator, basis and encoder
-    objects, the same order, and nu present in both or in neither."""
-    return (problem.operator is other.operator and problem.basis is other.basis
-            and problem.encoder is other.encoder and problem.order == other.order
-            and (problem.noise_bound > 0) == (other.noise_bound > 0))
-
-
 def build_constraint(problem):
     """(J, c, radius) for the stacked ball constraint.
 
@@ -469,8 +462,8 @@ class _Tube:
     """Exact Euclidean projection onto {x : ||J x - c_b|| <= R_b}, row by row.
 
     Holds only s and Vh of the economy SVD of J, which recover_batch
-    computes once; each call takes the rows' cbar = U^T c and their _Row
-    records.  With p in singular coordinates the projection solves a
+    computes once per group; each call takes the rows' cbar = U^T c and
+    their _Row records.  With p in singular coordinates the projection solves a
     scalar secular equation for the multiplier theta; components outside
     the row space of J pass through unchanged.
 
@@ -578,20 +571,21 @@ def recover(problem, params=None, start=None):
 
 
 def recover_batch(problems, params=None, starts=None):
-    """Solve problems that share one constraint matrix J, in lockstep.
+    """Solve problems in lockstep, one group of problems that share J at a time.
 
-    J and its SVD are built once, from the first problem that sets up; a
-    later problem whose operator, basis or encoder (by identity), order
-    or noise flag differs from that one's fails with ValueError, so no
-    problem is ever given another's J.  starts, if given, holds one
+    A problem's J is built from its operator, basis and encoder (by
+    identity), its order and whether nu is present.  Problems that agree
+    on these form a group, and the groups are solved one after another,
+    so one J and its SVD are alive at a time; a group builds them once,
+    from its first problem that sets up.  starts, if given, holds one
     (Z0, nu0) pair or None per problem.  Returns one entry per problem,
     in order: its RecoverySolution, or the exception its set-up, its
     solve or its final check raised.  A problem that fails leaves the
     others as they are.
 
-    All problems advance one ADMM iteration at a time, as rows of (B, n)
-    arrays, each with its own penalty, penalty schedule, warm theta and
-    counts in its _Row; a row leaves the batch when it stops.  Every
+    A group's problems advance one ADMM iteration at a time, as rows of
+    (B, n) arrays, each with its own penalty, penalty schedule, warm theta
+    and counts in its _Row; a row leaves the batch when it stops.  Every
     per-row product is a stacked kernel that computes each row alone (a
     matrix-vector product, a dot product or an SVD per row), so a problem
     gets the same bits in any batch as on its own.
@@ -603,29 +597,32 @@ def recover_batch(problems, params=None, starts=None):
     if len(starts) != len(problems):
         raise ValueError(f"{len(starts)} starts for {len(problems)} problems")
     outcomes = [None] * len(problems)
-    owner = None
-    rows, cbars, xp = [], [], []
-    for i, (problem, start) in enumerate(zip(problems, starts)):
-        try:
-            if owner is None:
-                U, s, Vh = np.linalg.svd(_constraint_matrix(problem), full_matrices=False)
-                owner = problem
-            elif not _shares_constraint(problem, owner):
-                raise ValueError("the problem's operator, basis, encoder, order or noise "
-                                 "block differs from the batch's")
-            c = _shape(problem, problem.quantized)
-            x0 = _start_point(problem, start)
-        except Exception as exc:  # noqa: BLE001 - this problem fails alone
-            outcomes[i] = exc
-            continue
-        cbar, c_perp2 = _coordinates(U, c)
-        R = float(problem.radius)
-        rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius))
-        cbars.append(cbar)
-        xp.append(x0)
-    if rows:
-        _admm(rows, np.array(xp), np.array(cbars).reshape(len(rows), -1), _Tube(s, Vh),
-              params, outcomes)
+    groups = {}
+    for i, problem in enumerate(problems):
+        key = (id(problem.operator), id(problem.basis), id(problem.encoder), problem.order,
+               problem.noise_bound > 0)
+        groups.setdefault(key, []).append(i)
+    for group in groups.values():
+        factors = None
+        rows, cbars, xp = [], [], []
+        for i in group:
+            problem = problems[i]
+            try:
+                if factors is None:
+                    factors = np.linalg.svd(_constraint_matrix(problem), full_matrices=False)
+                c = _shape(problem, problem.quantized)
+                x0 = _start_point(problem, starts[i])
+            except Exception as exc:  # noqa: BLE001 - this problem fails alone
+                outcomes[i] = exc
+                continue
+            cbar, c_perp2 = _coordinates(factors[0], c)
+            R = float(problem.radius)
+            rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius))
+            cbars.append(cbar)
+            xp.append(x0)
+        if rows:
+            _admm(rows, np.array(xp), np.array(cbars).reshape(len(rows), -1),
+                  _Tube(*factors[1:]), params, outcomes)
     return outcomes
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdlowrank import encoding
 from sdlowrank import harness
@@ -24,6 +25,9 @@ from oracles import save_config
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
+
+# fixed examples, so the suite stays deterministic from run to run
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 
 def tiny_config(tmp_path, **overrides):
@@ -170,19 +174,41 @@ def test_rank_above_matrix_size_rejected():
     (dict(mu=math.inf), "mu must be finite, got inf"),
     (dict(beta=math.inf), "beta must be finite, got inf"),
     (dict(epsilon_grid=(0.0, math.inf)), r"epsilon_grid must be finite, got \(0.0, inf\)"),
+    # a numeric field takes its default's type, as load_config parses it:
+    # True would run one trial and write trials=True into the summary, a
+    # float trials dies in range(), and a float order fails every trial
+    (dict(trials=True), "trials takes int values, got True"),
+    (dict(trials=2.0), "trials takes int values, got 2.0"),
+    (dict(orders=(1.0,)), r"orders takes int values, got \(1.0,\)"),
+    (dict(n1=4.0), "n1 takes int values, got 4.0"),
+    (dict(n2=True), "n2 takes int values, got True"),
+    (dict(rank=1.0), "rank takes int values, got 1.0"),
+    (dict(ell=8.0), "ell takes int values, got 8.0"),
+    (dict(encoder_dim=16.0), "encoder_dim takes int values, got 16.0"),
+    (dict(solver_max_iterations=True), "solver_max_iterations takes int values, got True"),
+    (dict(workers=2.0), "workers takes int values, got 2.0"),
+    (dict(master_seed=False), "master_seed takes int values, got False"),
+    (dict(beta=True), "beta takes float values, got True"),
+    (dict(oversampling_grid=(2.0, True)),
+     r"oversampling_grid takes float values, got \(2.0, True\)"),
+    (dict(mu=False), "mu takes float values, got False"),
 ], ids=["repeated-lambda", "repeated-eps", "repeated-order", "zero-beta",
         "zero-lambda", "zero-order", "zero-levels", "unknown-distribution",
         "zero-encoder-dim", "encoded-m-below-encoder-dim", "empty-eps",
         "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu",
         "zero-workers", "negative-workers", "negative-seed", "nan-eps", "infinite-tolerance",
-        "bool-levels", "infinite-mu", "infinite-beta", "infinite-eps"])
+        "bool-levels", "infinite-mu", "infinite-beta", "infinite-eps",
+        "bool-trials", "float-trials", "float-order", "float-n1", "bool-n2", "float-rank",
+        "float-ell", "float-encoder-dim", "bool-max-iterations", "float-workers",
+        "bool-seed", "bool-beta", "bool-lambda", "bool-mu"])
 def test_config_rejects_values_no_sweep_can_run(tmp_path, overrides, message):
     # rejected before any trial runs, so no output is written
     out = tmp_path / "out"
+    kwargs = dict(n1=4, n2=4, rank=1, ell=8, output_path=str(out))
+    kwargs.update(overrides)
     for run in (harness.run_oversampling_sweep, harness.run_noise_sweep):
         with pytest.raises(ValueError, match=message):
-            run(harness.ExperimentConfig(n1=4, n2=4, rank=1, ell=8,
-                                         output_path=str(out), **overrides))
+            run(harness.ExperimentConfig(**kwargs))
     assert not out.exists()
 
 
@@ -264,6 +290,21 @@ def test_measurement_scaling_bounds_many_cases():
         X = rng.standard_normal((3, 3))
         Xs, _ = harness.measurement_scaling(X, op, mu=0.9)
         assert np.max(np.abs(sensing.apply(op, Xs))) <= 0.9 * (1 + 1e-9)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.0, 0.25, 2.0]),
+       mu=st.sampled_from([0.0, 0.9]))
+def test_trial_instance_carries_its_true_noise(seed, eps, mu):
+    # the instance's noise is its measurements less M(truth), bit for bit,
+    # as the truth check reads it, and exactly zero without noise
+    config = harness.ExperimentConfig(n1=4, n2=4, rank=1, ell=8, master_seed=seed, mu=mu)
+    task = dataclasses.replace(harness.first_trial(config), eps=eps,
+                               noise_seed=seed if eps > 0 else None)
+    op = harness.trial_operator(task)
+    X, _, y, noise = harness.trial_instance(task, op)
+    assert np.array_equal(noise, y - sensing.apply(op, X))
+    assert noise.any() == (eps > 0)
 
 
 def test_fit_slope_examples():
@@ -451,11 +492,9 @@ def _count_calls(monkeypatch, module, name, calls, fail_at_m=None):
 
 
 def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
-    # a unit is one (m, eps > 0) point across every order: one lambda in
-    # the oversampling and rate sweeps, and in the noise sweep its eps = 0
-    # point or all its eps > 0 points; a unit draws one operator and
-    # (rate sweep) one encoder, and each of its orders builds one basis
-    # (projected form)
+    # a unit is one m across every eps and every order: one lambda, so the
+    # noise sweep is one unit; a unit draws one operator and (rate sweep)
+    # one encoder, and each of its orders builds one basis (projected form)
     calls = {name: [] for name in ("draw_operator", "compute_basis", "draw_encoder")}
     _count_calls(monkeypatch, sensing, "draw_operator", calls["draw_operator"])
     _count_calls(monkeypatch, noise_shaping, "compute_basis", calls["compute_basis"])
@@ -470,27 +509,27 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
         res = run(cfg)
         points = {(rec.r, rec.m, rec.eps) for rec in res.records}
         assert len(res.records) == len(points) * cfg.trials
-        # two units: the two lambdas, or the noise sweep's eps = 0 and eps > 0
-        units = sorted({(m, eps > 0) for _, m, eps in points})
-        assert len(units) == 2
-        assert sorted(calls["draw_operator"]) == sorted(m for m, _ in units)
-        per_order = sorted(m for m, _ in units for _ in cfg.orders)
-        assert sorted(calls[built]) == (per_order if built == "compute_basis"
-                                        else sorted(m for m, _ in units))
+        # the two lambdas, or the noise sweep's one
+        units = sorted({m for _, m, _ in points})
+        assert len(units) == (1 if run is harness.run_noise_sweep else 2)
+        assert sorted(calls["draw_operator"]) == units
+        per_order = sorted(m for m in units for _ in cfg.orders)
+        assert sorted(calls[built]) == (per_order if built == "compute_basis" else units)
         unused = {"compute_basis": "draw_encoder", "draw_encoder": "compute_basis"}[built]
         assert calls[unused] == []
 
 
-@pytest.mark.parametrize("form, epsilon_grid, units", [
+@pytest.mark.parametrize("form, epsilon_grid, constraints", [
     ("projected", (0.0, 0.5, 1.0), 2), ("projected", (0.5, 1.0, 2.0), 1),
     ("encoded", (0.0, 0.5, 1.0), 2), ("full_inverse_power", (0.0, 0.5, 1.0), 2),
 ], ids=["projected", "projected-noise", "encoded", "full"])
 def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, epsilon_grid,
-                                                units):
+                                                constraints):
     # a noise sweep of one order over three eps: the eps > 0 points share
     # J in every form, since they share one operator and one basis or
-    # encoder; each unit shapes the operator and takes the SVD of its J
-    # once
+    # encoder; the sweep's one recover_batch call shapes the operator and
+    # takes the SVD once for each J: one with the noise block, and one
+    # without it when eps = 0 is on the grid
     shaped, factored, built = [], [], []
     shape, svd, constraint = recovery._shape, np.linalg.svd, recovery._constraint_matrix
 
@@ -514,7 +553,7 @@ def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps
                       trials=3, constraint_form=form, encoder_dim=16)
     res = harness.run_noise_sweep(cfg)
     assert len(res.records) == 9 and not res.failures
-    assert len(built) == len(shaped) == units
+    assert len(built) == len(shaped) == constraints
     assert all(sum(a is J for a in factored) == 1 for J in built)
 
 
@@ -574,8 +613,8 @@ def test_sweep_seeds_follow_lambda_and_eps(tmp_path, form):
 
 def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch):
     # the eps points share the lambda's encoder as they share its
-    # operator: the two units (eps = 0 and eps > 0), each holding both
-    # orders, draw it once each
+    # operator: the sweep's one unit, holding every eps and both orders,
+    # draws it once
     seeds = []
     draw = encoding.draw_encoder
 
@@ -588,15 +627,15 @@ def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch)
                       constraint_form="encoded", encoder_dim=16)
     res = harness.run_noise_sweep(cfg)
     assert len(res.records) == 2 * 3 * cfg.trials and not res.failures
-    assert len(seeds) == 2
+    assert len(seeds) == 1
     assert set(seeds) == {rec.encoder_seed for rec in res.records}
-    assert len(set(seeds)) == 1
 
 
 def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch):
     # the benchmark's trace joins one _run_trial call per CSV row, in row
-    # order, although a unit's rows are not contiguous in that order; the
-    # eps > 0 points form one unit, and each unit holds both orders
+    # order, although a unit's rows are not contiguous in that order (each
+    # lambda of the oversampling sweep is a unit holding both orders); the
+    # noise sweep is one unit, of every eps and both orders
     keys, groups = [], []
     run_trial, run_group = harness._run_trial, harness._run_group
 
@@ -605,15 +644,22 @@ def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch)
         return run_trial(task, row)
 
     def recorded_group(group):
-        groups.append((sorted({task.eps for task in group}), sorted({task.r for task in group})))
+        groups.append(tuple(sorted({getattr(task, name) for task in group})
+                            for name in ("m", "eps", "r")))
         return run_group(group)
 
     monkeypatch.setattr(harness, "_run_trial", recorded_trial)
     monkeypatch.setattr(harness, "_run_group", recorded_group)
-    res = harness.run_noise_sweep(tiny_config(tmp_path, orders=(2, 1),
-                                              epsilon_grid=(1.0, 0.0, 0.5)))
-    assert keys == [harness._trial_key(rec) for rec in res.records] == sorted(keys)
-    assert groups == [([0.0], [1, 2]), ([0.5, 1.0], [1, 2])]
+    cfg = tiny_config(tmp_path, orders=(2, 1), oversampling_grid=(4.0, 2.0),
+                      epsilon_grid=(1.0, 0.0, 0.5))
+    for run, units in ((harness.run_noise_sweep, [([64], [0.0, 0.5, 1.0], [1, 2])]),
+                       (harness.run_oversampling_sweep,
+                        [([32], [0.0], [1, 2]), ([64], [0.0], [1, 2])])):
+        keys.clear()
+        groups.clear()
+        res = run(cfg)
+        assert keys == [harness._trial_key(rec) for rec in res.records] == sorted(keys)
+        assert groups == units
 
 
 class ArrayFinder(pickle.Pickler):
@@ -736,8 +782,10 @@ def test_a_trial_whose_solve_fails_fails_alone(tmp_path, monkeypatch):
     instance, svd = harness.trial_instance, np.linalg.svd
 
     def scaled_instance(task, op):
-        X, scale, y = instance(task, op)
-        return (1e6 * X, scale, 1e6 * y) if task.trial_index == 1 else (X, scale, y)
+        X, scale, y, noise = instance(task, op)
+        if task.trial_index == 1:
+            return 1e6 * X, scale, 1e6 * y, 1e6 * noise
+        return X, scale, y, noise
 
     def failing_svd(a, *args, **kwargs):
         if np.abs(a).max() > 1e4:

@@ -97,8 +97,7 @@ def test_truth_is_feasible_for_all_forms(tmp_path_factory, form, r, ell, lam, ep
     )
     task = dataclasses.replace(harness.first_trial(config), eps=eps, noise_seed=seed)
     op, basis, encoder = harness.grid_point(task)
-    X, _, y = harness.trial_instance(task, op)
-    noise = y - sensing.apply(op, X)
+    X, _, y, noise = harness.trial_instance(task, op)
     scheme, run = harness.trial_quantize(task, y)
     assert not run.overflow
     problem = recovery.RecoveryProblem(
@@ -390,20 +389,41 @@ def _tiny_config(path, **overrides):
     return harness.ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize("run, overrides, digest", [
+# three tiny sweeps, r = 1 and 2 in each, and with and without nu in the
+# noise sweep, and the sha256 of the CSV each writes without acceleration
+# and with the solver's own _ANDERSON_MEMORY
+_TINY_SWEEPS = [
     (harness.run_noise_sweep, dict(epsilon_grid=(0.0, 0.5)),
-     "17a2dceb60ab811227c341d7d2830b84eca10c8a7e3852270736f84a9b9df5b5"),
+     "17a2dceb60ab811227c341d7d2830b84eca10c8a7e3852270736f84a9b9df5b5",
+     "0e96b0fbda7353cfa7332d68115d38216e2e9ccf3795c4090e6a81a0284ac183"),
     (harness.run_oversampling_sweep, dict(constraint_form="full_inverse_power"),
-     "72dd883db30ee60db324c0113dd962fe264596a1d90f0cfbca588ca3771094a1"),
+     "72dd883db30ee60db324c0113dd962fe264596a1d90f0cfbca588ca3771094a1",
+     "8530c1124dd074b3a7fcd97c03ab833f582012ffd378d807498844d1049f70c4"),
     (harness.run_rate_distortion, dict(),
-     "01f935ef3e1a66bda033487571e823d36a99022c189c34cea09368dc7bb6542b"),
-], ids=["projected", "full", "encoded"])
+     "01f935ef3e1a66bda033487571e823d36a99022c189c34cea09368dc7bb6542b",
+     "9f84639400a3ff5cc60e382d1c421a02e20d3565e2c1bc9f716a85e29e2fb71e"),
+]
+_TINY_IDS = ["projected", "full", "encoded"]
+
+
+@pytest.mark.parametrize("run, overrides, digest", [sweep[:3] for sweep in _TINY_SWEEPS],
+                         ids=_TINY_IDS)
 def test_memory_zero_is_the_plain_splitting_bit_for_bit(tmp_path, monkeypatch, run, overrides,
                                                         digest):
     # at memory 0 the loop is the unaccelerated splitting: each tiny
-    # sweep (r = 1 and 2, and with and without nu in the noise sweep)
-    # writes the CSV bytes the solver wrote before acceleration came in
+    # sweep writes the CSV bytes the solver wrote before acceleration came in
     monkeypatch.setattr(recovery, "_ANDERSON_MEMORY", 0)
+    path = run(_tiny_config(tmp_path, **overrides)).csv_path
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("run, overrides, digest",
+                         [sweep[:2] + sweep[3:] for sweep in _TINY_SWEEPS], ids=_TINY_IDS)
+def test_accelerated_solver_keeps_its_bytes(tmp_path, run, overrides, digest):
+    # the same sweeps at _ANDERSON_MEMORY = 5 write the bytes recorded for
+    # them, so a change that moves any byte the sweeps write fails here
+    # as well as in the desk-config hashes
+    assert recovery._ANDERSON_MEMORY == 5
     path = run(_tiny_config(tmp_path, **overrides)).csv_path
     assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
@@ -568,7 +588,7 @@ def _point_trials(base, case):
         )
         [tasks] = harness._sweep_units(config, harness._noise_spec(config))
         point = harness.grid_point(tasks[0])
-        _POINTS[case] = [harness._prepare_trial(task, point, harness._measure(task, point[0]))
+        _POINTS[case] = [harness._prepare_trial(task, point, harness.trial_instance(task, point[0]))
                          for task in tasks]
     return _POINTS[case]
 
@@ -647,48 +667,76 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
         assert got.objective == want.objective and got.feasibility == want.feasibility
 
 
-def _another_grid_points_problem(problem, differs):
-    """problem with the input named differs taken from another grid point."""
-    if differs == "operator":
-        return pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)[0]
-    if differs == "basis":
-        return dataclasses.replace(problem, basis=noise_shaping.compute_basis(40, 2, truncation=10))
-    if differs == "order":
-        return dataclasses.replace(
-            problem, order=1, basis=noise_shaping.compute_basis(40, 1, truncation=10))
-    return dataclasses.replace(problem, noise_bound=0.5)
+_MIXED = {}
 
 
-def test_constraint_factor_refuses_another_grid_points_problem():
-    # the batch's J and SVD, built from its first problem, are refused to a
-    # problem of another operator, basis, order or noise flag, whether it
-    # comes first or later; another q of the same point shares them
-    problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
-    for differs in ("operator", "basis", "order", "noise"):
-        other = _another_grid_points_problem(problem, differs)
-        for batch in ([problem, other], [other, problem]):
-            outcomes = recovery.recover_batch(batch)
-            assert isinstance(outcomes[1], ValueError), differs
-            assert "differs from the batch's" in str(outcomes[1])
-            _same_solution(outcomes[0], recovery.recover(batch[0]))
-    same_point = dataclasses.replace(problem, quantized=np.zeros(40))
-    J = recovery.build_constraint(problem)[0]
-    assert np.array_equal(recovery.build_constraint(same_point)[0], J)
-    outcomes = recovery.recover_batch([problem, same_point])
-    _same_solution(outcomes[0], recovery.recover(problem))
-    _same_solution(outcomes[1], recovery.recover(same_point))
+def _mixed_batch():
+    """Seven problems of five constraint matrices J, their groups, and each
+    one's solve alone.
+
+    A point's problem and another q of it share J; so do two problems of
+    its noise block at different eps.  The others have another operator,
+    another basis object (of equal values) or another order.
+    """
+    if not _MIXED:
+        problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
+        noisy = dataclasses.replace(problem, noise_bound=0.5)
+        problems = [
+            problem,
+            dataclasses.replace(problem, quantized=np.zeros(40)),
+            pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)[0],
+            dataclasses.replace(problem, basis=noise_shaping.compute_basis(40, 2, truncation=10)),
+            dataclasses.replace(problem, order=1,
+                                basis=noise_shaping.compute_basis(40, 1, truncation=10)),
+            noisy,
+            dataclasses.replace(noisy, noise_bound=1.0),
+        ]
+        _MIXED.update(problems=problems, groups=[0, 0, 1, 2, 3, 4, 4],
+                      alone=[recovery.recover(p) for p in problems])
+    return _MIXED["problems"], _MIXED["groups"], _MIXED["alone"]
+
+
+@settings(PROPERTY, max_examples=12)
+@given(order=st.permutations(range(7)), size=st.integers(1, 7))
+def test_batch_groups_its_problems_by_their_constraint(order, size):
+    # a batch that mixes problems of another operator, basis, order or
+    # noise flag, in any order, builds J once per group of problems that
+    # share it, from the group's first problem, and every problem gets the
+    # bits it gets alone
+    problems, groups, alone = _mixed_batch()
+    chosen = order[:size]
+    firsts = {}
+    for i in chosen:
+        firsts.setdefault(groups[i], problems[i])
+    built, constraint = [], recovery._constraint_matrix
+
+    def counted(problem):
+        built.append(problem)
+        return constraint(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "_constraint_matrix", counted)
+        outcomes = recovery.recover_batch([problems[i] for i in chosen])
+    assert len(built) == len(firsts)
+    assert all(got is want for got, want in zip(built, firsts.values()))
+    for i, outcome in zip(chosen, outcomes):
+        _same_solution(outcome, alone[i])
 
 
 def test_batch_set_up_failure_fails_its_problem_alone():
-    # a problem of another grid point fails alone; the others solve as
-    # they do alone
-    problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
-    other = _another_grid_points_problem(problem, "operator")
-    outcomes = recovery.recover_batch([problem, other, problem])
+    # a full-form problem with noise beyond DENSE_FULL_FORM_LIMIT cannot
+    # build its J, and a problem whose start does not fit cannot set up:
+    # each fails alone, and the others solve as they do alone, the second
+    # of a group from the J its first problem built
+    problems, _, alone = _mixed_batch()
+    m = recovery.DENSE_FULL_FORM_LIMIT + 8
+    dense, _, _ = pipeline_problem(4, m, 1, form="full_inverse_power", seed=7, eps=0.5)
+    outcomes = recovery.recover_batch([problems[0], dense, problems[1], problems[2]],
+                                      starts=[(np.zeros(3), None), None, None, None])
+    assert isinstance(outcomes[0], ValueError)
     assert isinstance(outcomes[1], ValueError)
-    assert "differs from the batch's" in str(outcomes[1])
-    alone = recovery.recover(problem)
-    for got in (outcomes[0], outcomes[2]):
-        _same_solution(got, alone)
+    assert "materializes" in str(outcomes[1])
+    _same_solution(outcomes[2], alone[1])
+    _same_solution(outcomes[3], alone[2])
     with pytest.raises(ValueError, match="2 starts for 3 problems"):
-        recovery.recover_batch([problem] * 3, starts=[None, None])
+        recovery.recover_batch([problems[0]] * 3, starts=[None, None])
