@@ -78,9 +78,7 @@ _ROLE_ENCODER = 104
 
 _FAILURE_ABORT_FRACTION = 0.2
 
-# what ExperimentConfig accepts for a field whose default is an int or a
-# float, and the least value of each integer field that has one
-_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
+# the least value of each integer field of ExperimentConfig that has one
 _INTEGER_FLOORS = {"ell": 1, "orders": 1, "trials": 1, "encoder_dim": 1,
                    "solver_max_iterations": 1, "workers": 1, "master_seed": 0}
 
@@ -128,9 +126,9 @@ class ExperimentConfig:
             value, default = getattr(self, f.name), f.default
             values = value if isinstance(value, tuple) else (value,)
             kind = type(default[0] if isinstance(default, tuple) else default)
+            accepted = numbers.Integral if kind is int else numbers.Real
             if kind in (int, float) and any(
-                    isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES[kind])
-                    for v in values):
+                    isinstance(v, bool) or not isinstance(v, accepted) for v in values):
                 raise ValueError(f"{f.name} takes {kind.__name__} values, got {value!r}")
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{f.name} must be finite, got {value}")
