@@ -40,6 +40,16 @@ bits it gets on its own; a 2-d gemm over the batch would round
 differently as the batch changed.  recover is recover_batch on a batch
 of one.
 
+In J = [G T] the nu block T is far smaller than G (about sqrt(N) times in
+Frobenius norm at desk size), and a single-penalty splitting crawls in
+such a metric.  So a group with nu scales T by kappa = ||G||_F / ||T||_F
+before its SVD and solves for nu' = nu / kappa, the noise ball's radius
+divided by kappa: an exact change of variables (Giselsson and Boyd, IEEE
+TAC 2017), so the program and its minimizer are those of the unscaled J
+and only the metric ADMM works in changes.  The stopping test reads nu's
+residual and norm times kappa, in the problem's own units, and the
+returned noise estimate is kappa nu'.
+
 The splitting is Douglas-Rachford on the variable t = x + u, and each
 row's t is Anderson-accelerated (type II, after Fu, Zhang and Boyd, SIAM
 J. Sci. Comput. 2020): from the row's last _ANDERSON_MEMORY steps the
@@ -309,7 +319,8 @@ class _Row:
     """One problem's scalars in a lockstep solve, as Python numbers.
 
     index is its place in recover_batch's list.  c_perp2, R and R2 = R**2
-    fix its tube, theta and steps are the tube projection's warm
+    fix its tube, noise_radius is the radius of its noise ball in
+    nu' = nu / kappa (see _noise_scale), theta and steps are the tube projection's warm
     multiplier and count of secular evaluations, pairs, g_norm,
     extrapolated and rejections are its Anderson state (see _Anderson),
     and the rest are the ADMM loop's.  A new per-problem scalar is a new
@@ -322,6 +333,7 @@ class _Row:
     R: float
     R2: float
     noise_radius: float
+    kappa: float = 1.0
     theta: float = 1.0
     steps: int = 0
     rho: float = 1.0
@@ -451,6 +463,13 @@ class _Anderson:
         return delta
 
 
+def _noise_scale(G, T):
+    """kappa = ||G||_F / ||T||_F, by which a group scales J's nu block T
+    to the size of G (1 when G is zero)."""
+    g = math.sqrt(sum(_sumsq(G)))
+    return g / math.sqrt(sum(_sumsq(T))) if g > 0 else 1.0
+
+
 def _coordinates(U, c):
     """(U^T c, c_perp2): c in the singular coordinates of J = U diag(s) Vh,
     and the squared norm of the part of c outside the range of J."""
@@ -577,8 +596,9 @@ def recover_batch(problems, params=None, starts=None):
     identity), its order and whether nu is present.  Problems that agree
     on these form a group, and the groups are solved one after another,
     so one J and its SVD are alive at a time; a group builds them once,
-    from its first problem that sets up.  starts, if given, holds one
-    (Z0, nu0) pair or None per problem.  Returns one entry per problem,
+    from its first problem that sets up, with J's nu block scaled by
+    _noise_scale.  starts, if given, holds one (Z0, nu0) pair or None per
+    problem.  Returns one entry per problem,
     in order: its RecoverySolution, or the exception its set-up, its
     solve or its final check raised.  A problem that fails leaves the
     others as they are.
@@ -603,21 +623,28 @@ def recover_batch(problems, params=None, starts=None):
                problem.noise_bound > 0)
         groups.setdefault(key, []).append(i)
     for group in groups.values():
-        factors = None
+        factors, kappa = None, 1.0
         rows, cbars, xp = [], [], []
         for i in group:
             problem = problems[i]
             try:
                 if factors is None:
-                    factors = np.linalg.svd(_constraint_matrix(problem), full_matrices=False)
+                    J = _constraint_matrix(problem)
+                    if problem.noise_bound > 0:
+                        N = problem.operator.data.shape[1]
+                        kappa = _noise_scale(J[:, :N], J[:, N:])
+                        J[:, N:] *= kappa
+                    factors = np.linalg.svd(J, full_matrices=False)
+                    del J
                 c = _shape(problem, problem.quantized)
-                x0 = _start_point(problem, starts[i])
+                x0 = _start_point(problem, starts[i], kappa)
             except Exception as exc:  # noqa: BLE001 - this problem fails alone
                 outcomes[i] = exc
                 continue
             cbar, c_perp2 = _coordinates(factors[0], c)
             R = float(problem.radius)
-            rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius))
+            rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius / kappa,
+                             kappa))
             cbars.append(cbar)
             xp.append(x0)
         if rows:
@@ -626,8 +653,9 @@ def recover_batch(problems, params=None, starts=None):
     return outcomes
 
 
-def _start_point(problem, start):
-    """The stacked x = (vec Z, nu) a solve starts from: zero, or start."""
+def _start_point(problem, start, kappa):
+    """The stacked x = (vec Z, nu / kappa) a solve starts from: zero, or
+    start."""
     N = problem.operator.data.shape[1]
     with_nu = problem.noise_bound > 0
     xp = np.zeros(N + (problem.operator.rows if with_nu else 0))
@@ -635,7 +663,7 @@ def _start_point(problem, start):
         Z0, nu0 = start
         xp[:N] = np.asarray(Z0, dtype=float).reshape(-1, order="F")
         if with_nu and nu0 is not None:
-            xp[N:] = np.asarray(nu0, dtype=float)
+            xp[N:] = np.asarray(nu0, dtype=float) / kappa
     return xp
 
 
@@ -654,7 +682,9 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
     _Anderson) may add a correction delta to it; delta enters u as
     u + resid + delta, so a row without one, and every row at
     _ANDERSON_MEMORY = 0, takes the plain step.  A penalty change clears
-    the row's history, since it changes the map being accelerated.
+    the row's history, since it changes the map being accelerated.  The
+    nu columns hold nu' = nu / row.kappa; the stopping test reads their
+    residual and norm times kappa.
     """
     first = rows[0].problem
     n1, n2 = first.operator.shape
@@ -691,8 +721,8 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
         moved = map(math.sqrt, _sumsq(xp_new - xp))
         un = map(math.sqrt, _sumsq(u))
         if with_nu:
-            rn = map(math.sqrt, _sumsq(resid[:, N:]))
-            xn = map(math.sqrt, _sumsq(x[:, N:]))
+            rn = [row.kappa * math.sqrt(v) for row, v in zip(rows, _sumsq(resid[:, N:]))]
+            xn = [row.kappa * math.sqrt(v) for row, v in zip(rows, _sumsq(x[:, N:]))]
         else:
             rn = xn = [0.0] * B
         xp = xp_new
@@ -743,7 +773,7 @@ def _finish(row, x, iterations, stopped, outcomes):
         N = n1 * n2
         x = x.copy()
         Z = x[:N].reshape((n1, n2), order="F")
-        nu = x[N:].copy() if problem.noise_bound > 0 else np.zeros(problem.operator.rows)
+        nu = row.kappa * x[N:] if problem.noise_bound > 0 else np.zeros(problem.operator.rows)
         report = check_feasibility(problem, Z, nu)
         outcomes[row.index] = RecoverySolution(
             estimate=Z,

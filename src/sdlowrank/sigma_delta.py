@@ -14,7 +14,7 @@ downstream decoder relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,17 @@ class Alphabet:
         L, half the number of levels.
     step : float
         The gap beta between consecutive levels.
-    values : ndarray
-        The 2L levels {(j - 1/2) * beta : j = -L+1 .. L}, increasing.
     """
 
     num_levels_half: int
     step: float
-    values: np.ndarray = field(repr=False)
+
+    @property
+    def values(self):
+        """The 2L levels {(j - 1/2) * beta : j = -L+1 .. L}, increasing,
+        formed on each access; quantize reads only the levels it needs."""
+        j = np.arange(-self.num_levels_half, self.num_levels_half)
+        return (j + 0.5) * self.step
 
     @property
     def max_level(self):
@@ -91,9 +95,7 @@ def build_alphabet(num_levels_half, step):
         raise ValueError("num_levels_half must be >= 1")
     if not (step > 0):
         raise ValueError("step must be positive")
-    j = np.arange(-num_levels_half, num_levels_half)
-    values = (j + 0.5) * float(step)
-    return Alphabet(num_levels_half=int(num_levels_half), step=float(step), values=values)
+    return Alphabet(num_levels_half=int(num_levels_half), step=float(step))
 
 
 def default_scheme(order, alphabet):
@@ -127,7 +129,7 @@ def quantize(y, scheme):
         v_i = y_i + sum_{j=1}^{min(r, i-1)} (-1)^(j+1) C(r, j) u_{i-j}
     with q_i the nearest alphabet level and u_i = v_i - q_i.  The overflow
     flag records whether any |u_i| exceeded the scheme's stability bound
-    by more than rounding: the stored levels (j + 1/2) beta carry up to
+    by more than rounding: the levels (j + 1/2) beta carry up to
     half an ulp of the largest level, so a state on the bound can read an
     ulp above it when beta is not dyadic.  Quantization always runs to
     completion, saturating at the extreme levels when the input leaves
@@ -142,10 +144,11 @@ def quantize(y, scheme):
     r = scheme.order
     alphabet = scheme.alphabet
     # nearest level on Python floats: a floor candidate, then its
-    # neighbours, with exact ties going to the larger level
-    levels = alphabet.values.tolist()
-    top = len(levels) - 1
+    # neighbours, with exact ties going to the larger level.  Level j is
+    # ((j - L) + 1/2) * beta, the product the alphabet's values form, and
+    # (j - L) + 1/2 +- 1 is exact, so each level keeps those bits
     half = alphabet.num_levels_half
+    top = 2 * half - 1
     step = alphabet.step
     # alternating binomial weights on the last r states, exact in floats;
     # states[j] is u_{i-1-j}.  The zero states before the start add exact
@@ -167,12 +170,20 @@ def quantize(y, scheme):
                 f"quantize: feedback value {v} at sample {i} is out of range"
             ) from None
         j = min(max(j, 0), top)
-        best = j
-        if j > 0 and abs(levels[j - 1] - v) < abs(levels[j] - v):
-            best = j - 1
-        if j < top and abs(levels[j + 1] - v) <= abs(levels[best] - v):
-            best = j + 1
-        q[i] = qi = levels[best]
+        k = (j - half) + 0.5
+        qi = k * step
+        # the levels increase with k, so only the neighbour on v's side
+        # of qi can be nearer
+        if v < qi:
+            if j > 0:
+                below = (k - 1.0) * step
+                if abs(below - v) < qi - v:
+                    qi = below
+        elif j < top:
+            above = (k + 1.0) * step
+            if abs(above - v) <= v - qi:
+                qi = above
+        q[i] = qi
         u[i] = ui = v - qi
         states.pop()
         states.insert(0, ui)

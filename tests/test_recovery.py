@@ -391,7 +391,8 @@ def _tiny_config(path, **overrides):
 
 # three tiny sweeps, r = 1 and 2 in each, and with and without nu in the
 # noise sweep, and the sha256 of the CSV each writes without acceleration
-# and with the solver's own _ANDERSON_MEMORY
+# and with the solver's own _ANDERSON_MEMORY, both with J's nu block
+# unscaled (kappa = 1)
 _TINY_SWEEPS = [
     (harness.run_noise_sweep, dict(epsilon_grid=(0.0, 0.5)),
      "17a2dceb60ab811227c341d7d2830b84eca10c8a7e3852270736f84a9b9df5b5",
@@ -410,22 +411,77 @@ _TINY_IDS = ["projected", "full", "encoded"]
                          ids=_TINY_IDS)
 def test_memory_zero_is_the_plain_splitting_bit_for_bit(tmp_path, monkeypatch, run, overrides,
                                                         digest):
-    # at memory 0 the loop is the unaccelerated splitting: each tiny
-    # sweep writes the CSV bytes the solver wrote before acceleration came in
+    # at memory 0 and kappa = 1 the loop is the unaccelerated splitting:
+    # each tiny sweep writes the CSV bytes the solver wrote before
+    # acceleration came in
     monkeypatch.setattr(recovery, "_ANDERSON_MEMORY", 0)
+    monkeypatch.setattr(recovery, "_noise_scale", lambda G, T: 1.0)
     path = run(_tiny_config(tmp_path, **overrides)).csv_path
     assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("run, overrides, digest",
                          [sweep[:2] + sweep[3:] for sweep in _TINY_SWEEPS], ids=_TINY_IDS)
-def test_accelerated_solver_keeps_its_bytes(tmp_path, run, overrides, digest):
-    # the same sweeps at _ANDERSON_MEMORY = 5 write the bytes recorded for
-    # them, so a change that moves any byte the sweeps write fails here
-    # as well as in the desk-config hashes
+def test_accelerated_solver_keeps_its_bytes(tmp_path, monkeypatch, run, overrides, digest):
+    # the same sweeps at _ANDERSON_MEMORY = 5 and kappa = 1 write the bytes
+    # recorded for them, so a change that moves any byte the sweeps write
+    # fails here as well as in the desk-config hashes
     assert recovery._ANDERSON_MEMORY == 5
+    monkeypatch.setattr(recovery, "_noise_scale", lambda G, T: 1.0)
     path = run(_tiny_config(tmp_path, **overrides)).csv_path
     assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+
+def test_scaled_noise_block_keeps_its_bytes(tmp_path):
+    # the tiny noise sweep with the solver's own kappa writes the bytes
+    # recorded for it; its eps = 0 rows are those of the kappa = 1 pins
+    run, overrides = _TINY_SWEEPS[0][:2]
+    path = run(_tiny_config(tmp_path, **overrides)).csv_path
+    assert (hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            == "e08010db1c2311845c325b3c693fce8026cccc3fd3dc36e9006e6653380b68b7")
+
+
+def test_scaled_noise_block_halves_the_noise_iterations(tmp_path, monkeypatch):
+    # at the desk config's size (N = 100, m = 160), where kappa is about 10,
+    # the eps > 0 rows of a noise sweep take at most half the iterations
+    # they take with J's nu block unscaled
+    totals = []
+    for name in ("scaled", "unscaled"):
+        if name == "unscaled":
+            monkeypatch.setattr(recovery, "_noise_scale", lambda G, T: 1.0)
+        config = _tiny_config(tmp_path / name, n1=10, n2=10, rank=2, ell=80,
+                              epsilon_grid=(0.0, 0.5))
+        records = harness.read_records_csv(harness.run_noise_sweep(config).csv_path)
+        assert all(record.converged for record in records)
+        totals.append(sum(record.iterations for record in records if record.eps > 0))
+    scaled, unscaled = totals
+    assert 2 * scaled <= unscaled
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    form_and_order=st.sampled_from(_FORMS_AND_ORDERS),
+    eps=st.sampled_from([0.25, 2.0]),
+    k=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_scaled_noise_block_solves_the_same_program(form_and_order, eps, k, seed):
+    # scaling J's nu block by kappa is a change of variables, not of the
+    # program: at the desk config's size (n = 10, m = 160, ell = 80) the
+    # scaled and the kappa = 1 solves both converge, their estimates agree
+    # to 1e-4 of the unscaled one's norm (or of 1), and the returned nu,
+    # in the problem's units, lies in the noise ball
+    form, r = form_and_order
+    problem, _, _ = pipeline_problem(10, 160, r, k=k, form=form, seed=seed, eps=eps, ell=80)
+    scaled = recovery.recover(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "_noise_scale", lambda G, T: 1.0)
+        unscaled = recovery.recover(problem)
+    for solution in (scaled, unscaled):
+        assert solution.converged
+        assert np.linalg.norm(solution.noise_estimate) <= problem.noise_radius * (1 + 1e-6)
+    gap = np.linalg.norm(scaled.estimate - unscaled.estimate)
+    assert gap <= 1e-4 * max(np.linalg.norm(unscaled.estimate), 1.0)
 
 
 def test_accelerated_prox_inputs_stay_as_bounded_as_the_plain_ones(tmp_path, monkeypatch):
