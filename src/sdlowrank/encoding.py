@@ -31,9 +31,17 @@ __all__ = [
 class EncoderMatrix:
     """L_enc x m random sign matrix; draw_encoder's seed reproduces it."""
 
-    out_dim: int
-    in_dim: int
     data: np.ndarray = field(repr=False)
+
+    @property
+    def out_dim(self):
+        """L_enc, the sketch length."""
+        return self.data.shape[0]
+
+    @property
+    def in_dim(self):
+        """m, the length of the vector it sketches."""
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,7 @@ def draw_encoder(L_enc, m, seed=0):
         raise ValueError("need 1 <= L_enc <= m")
     rng = np.random.default_rng(seed)
     data = sensing.random_signs(rng, L_enc, m)
-    return EncoderMatrix(out_dim=int(L_enc), in_dim=int(m), data=data)
+    return EncoderMatrix(data=data)
 
 
 def rate_bits_nominal(L_enc, r, alphabet_max, m):

@@ -567,15 +567,8 @@ def nuclear_norm(Z):
     return float(np.linalg.svd(Z, compute_uv=False).sum())
 
 
-def recover(problem, params=None, start=None):
-    """Solve the recovery program and return a RecoverySolution.
-
-    Parameters
-    ----------
-    problem : RecoveryProblem
-    params : SolverParams, optional
-    start : (Z0, nu0) pair, optional
-        Warm-start point; nu0 may be None.
+def recover(problem, params=None):
+    """Solve the recovery program from zero and return a RecoverySolution.
 
     This is recover_batch on a batch of one, and raises what the solve
     raised.  The returned converged flag requires both residual criteria
@@ -583,13 +576,13 @@ def recover(problem, params=None, start=None):
     non-convergence within max_iterations returns the last iterate with
     converged False.
     """
-    [outcome] = recover_batch([problem], params, None if start is None else [start])
+    [outcome] = recover_batch([problem], params)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def recover_batch(problems, params=None, starts=None):
+def recover_batch(problems, params=None):
     """Solve problems in lockstep, one group of problems that share J at a time.
 
     A problem's J is built from its operator, basis and encoder (by
@@ -597,10 +590,9 @@ def recover_batch(problems, params=None, starts=None):
     on these form a group, and the groups are solved one after another,
     so one J and its SVD are alive at a time; a group builds them once,
     from its first problem that sets up, with J's nu block scaled by
-    _noise_scale.  starts, if given, holds one (Z0, nu0) pair or None per
-    problem.  Returns one entry per problem,
-    in order: its RecoverySolution, or the exception its set-up, its
-    solve or its final check raised.  A problem that fails leaves the
+    _noise_scale.  Every problem starts from zero.  Returns one entry per
+    problem, in order: its RecoverySolution, or the exception its set-up,
+    its solve or its final check raised.  A problem that fails leaves the
     others as they are.
 
     A group's problems advance one ADMM iteration at a time, as rows of
@@ -612,10 +604,6 @@ def recover_batch(problems, params=None, starts=None):
     """
     if params is None:
         params = SolverParams()
-    if starts is None:
-        starts = [None] * len(problems)
-    if len(starts) != len(problems):
-        raise ValueError(f"{len(starts)} starts for {len(problems)} problems")
     outcomes = [None] * len(problems)
     groups = {}
     for i, problem in enumerate(problems):
@@ -624,7 +612,7 @@ def recover_batch(problems, params=None, starts=None):
         groups.setdefault(key, []).append(i)
     for group in groups.values():
         factors, kappa = None, 1.0
-        rows, cbars, xp = [], [], []
+        rows, cbars = [], []
         for i in group:
             problem = problems[i]
             try:
@@ -637,7 +625,6 @@ def recover_batch(problems, params=None, starts=None):
                     factors = np.linalg.svd(J, full_matrices=False)
                     del J
                 c = _shape(problem, problem.quantized)
-                x0 = _start_point(problem, starts[i], kappa)
             except Exception as exc:  # noqa: BLE001 - this problem fails alone
                 outcomes[i] = exc
                 continue
@@ -646,31 +633,16 @@ def recover_batch(problems, params=None, starts=None):
             rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius / kappa,
                              kappa))
             cbars.append(cbar)
-            xp.append(x0)
         if rows:
-            _admm(rows, np.array(xp), np.array(cbars).reshape(len(rows), -1),
-                  _Tube(*factors[1:]), params, outcomes)
+            _admm(rows, np.array(cbars).reshape(len(rows), -1), _Tube(*factors[1:]), params,
+                  outcomes)
     return outcomes
 
 
-def _start_point(problem, start, kappa):
-    """The stacked x = (vec Z, nu / kappa) a solve starts from: zero, or
-    start."""
-    N = problem.operator.data.shape[1]
-    with_nu = problem.noise_bound > 0
-    xp = np.zeros(N + (problem.operator.rows if with_nu else 0))
-    if start is not None:
-        Z0, nu0 = start
-        xp[:N] = np.asarray(Z0, dtype=float).reshape(-1, order="F")
-        if with_nu and nu0 is not None:
-            xp[N:] = np.asarray(nu0, dtype=float) / kappa
-    return xp
+def _admm(rows, cbar, tube, params, outcomes):
+    """Two-block consensus ADMM from zero; fills outcomes[row.index].
 
-
-def _admm(rows, xp, cbar, tube, params, outcomes):
-    """Two-block consensus ADMM on the rows of xp; fills outcomes[row.index].
-
-    Row b of the (B, .) arrays xp, u, x and cbar is the problem of
+    Row b of the (B, n) arrays xp, u, x and cbar is the problem of
     rows[b], whose scalars are Python numbers in that _Row; each row's
     tests are the same float expressions whatever the batch.  One
     statement drops the rows that stopped or failed from the list and
@@ -690,6 +662,7 @@ def _admm(rows, xp, cbar, tube, params, outcomes):
     n1, n2 = first.operator.shape
     N = n1 * n2
     with_nu = first.noise_bound > 0
+    xp = np.zeros((len(rows), tube.Vh.shape[1]))
     u = np.zeros_like(xp)
     anderson = _Anderson(*xp.shape)
     tol = params.tolerance
@@ -809,8 +782,11 @@ def check_feasibility(problem, Z, nu):
     recover runs it on the point it returns, trial_solve on the truth.
     Violations beyond 1e-6 relative (plus a 1e-6 absolute floor) are
     flagged, and so is a nan norm; ok is True when neither constraint is
-    flagged.
+    flagged.  nu must have shape (m,).
     """
+    m = problem.operator.rows
+    if np.shape(nu) != (m,):
+        raise ValueError(f"nu must have shape ({m},), got {np.shape(nu)}")
     shaped = shaped_residual_vector(problem, Z, nu)
     shaped_lhs = float(np.linalg.norm(shaped))
     radius = problem.radius

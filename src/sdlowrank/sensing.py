@@ -38,9 +38,13 @@ class MeasurementOperator:
     matrix-vector product.
     """
 
-    rows: int
     shape: tuple
     data: np.ndarray = field(repr=False)
+
+    @property
+    def rows(self):
+        """m, the number of measurements."""
+        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ def draw_operator(m, n1, n2, distribution="gaussian", seed=0):
         data = rng.standard_normal((m, n1 * n2))
     else:
         data = random_signs(rng, m, n1 * n2)
-    return MeasurementOperator(rows=m, shape=(n1, n2), data=data)
+    return MeasurementOperator(shape=(n1, n2), data=data)
 
 
 def random_signs(rng, rows, cols):

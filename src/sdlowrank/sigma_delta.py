@@ -25,6 +25,7 @@ __all__ = [
     "SigmaDeltaScheme",
     "QuantizationRun",
     "build_alphabet",
+    "default_scheme",
     "required_levels",
     "quantize",
     "state_residual",
@@ -45,13 +46,6 @@ class Alphabet:
 
     num_levels_half: int
     step: float
-
-    @property
-    def values(self):
-        """The 2L levels {(j - 1/2) * beta : j = -L+1 .. L}, increasing,
-        formed on each access; quantize reads only the levels it needs."""
-        j = np.arange(-self.num_levels_half, self.num_levels_half)
-        return (j + 0.5) * self.step
 
     @property
     def max_level(self):

@@ -2,15 +2,16 @@
 
 Each is the plain, slow route to something the package computes faster or
 composes from its primitives: the quantizer loop built on a per-sample
-nearest-level search, a high-accuracy solve with a cold/warm agreement
-check, and the measurement operator composed with the scaled singular
-projection.  save_config writes the flat key=value format that
-harness.load_config reads.  FACTOR_CASES names one grid point of each
-decoder form for the tests that compare solves across a point.
+nearest-level search over levels it forms itself, a high-accuracy solve
+checked against a second solve of the doubled problem, and the
+measurement operator composed with the scaled singular projection.
+save_config writes the flat key=value format that harness.load_config
+reads.  FACTOR_CASES names one grid point of each decoder form for the
+tests that compare solves across a point.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,6 +27,12 @@ FACTOR_CASES = [("projected", 0.0), ("projected", 0.5), ("encoded", 0.0),
 FACTOR_IDS = ["projected", "projected-noise", "encoded", "full"]
 
 
+def alphabet_levels(alphabet):
+    """The 2L levels {(j - 1/2) * beta : j = -L+1 .. L}, increasing."""
+    j = np.arange(-alphabet.num_levels_half, alphabet.num_levels_half)
+    return (j + 0.5) * alphabet.step
+
+
 def scalar_quantize(z, alphabet):
     """Nearest alphabet level to z; exact ties resolve to the larger level.
 
@@ -35,7 +42,7 @@ def scalar_quantize(z, alphabet):
     """
     if not np.isfinite(z):
         raise ValueError("scalar_quantize requires a finite input")
-    values = alphabet.values
+    values = alphabet_levels(alphabet)
     top = len(values) - 1
     j = int(np.floor(z / alphabet.step)) + alphabet.num_levels_half
     j = min(max(j, 0), top)
@@ -75,9 +82,14 @@ def reference_solve(problem):
     """High-accuracy solve for small instances.
 
     Restricted to n1 * n2 <= 100 and m <= 200.  Solves at tolerance
-    1e-8 with a tenfold iteration budget, then re-solves warm from the
-    result and insists the objective moves by less than 1e-6.  Raises on
-    non-convergence instead of returning a doubtful answer.
+    1e-8 with a tenfold iteration budget, then solves the doubled problem
+    (q, gamma and eps times 2) the same way and insists that half its
+    objective moves from the first by less than 1e-6.  Doubling is exact
+    in floating point, so the doubled program's minimizer and objective
+    are exactly twice the first's, but the solver's penalty and prox
+    threshold do not scale with the problem, so it reaches them by
+    another path.  Raises on non-convergence instead of returning a
+    doubtful answer.
     """
     n1, n2 = problem.operator.shape
     if n1 * n2 > _REFERENCE_MAX_UNKNOWNS or problem.operator.rows > _REFERENCE_MAX_ROWS:
@@ -86,20 +98,22 @@ def reference_solve(problem):
             f"{_REFERENCE_MAX_UNKNOWNS} and m <= {_REFERENCE_MAX_ROWS}"
         )
     params = recovery.SolverParams(max_iterations=50000, tolerance=1e-8)
-    cold = recovery.recover(problem, params)
-    if not cold.converged:
+    doubled = replace(problem, quantized=2.0 * problem.quantized, gamma=2.0 * problem.gamma,
+                      noise_bound=2.0 * problem.noise_bound)
+    first, second = (recovery.recover(p, params) for p in (problem, doubled))
+    for solution in (first, second):
+        if not solution.converged:
+            raise RuntimeError(
+                "reference_solve did not converge: "
+                f"iterations={solution.iterations}, primal={solution.primal_residual:.3e}, "
+                f"dual={solution.dual_residual:.3e}"
+            )
+    drift = abs(second.objective / 2.0 - first.objective)
+    if drift > 1e-6 * max(1.0, abs(first.objective)):
         raise RuntimeError(
-            "reference_solve did not converge: "
-            f"iterations={cold.iterations}, primal={cold.primal_residual:.3e}, "
-            f"dual={cold.dual_residual:.3e}"
+            f"reference_solve's solve and its doubled solve disagree by {drift:.3e}"
         )
-    warm = recovery.recover(problem, params, start=(cold.estimate, cold.noise_estimate))
-    drift = abs(warm.objective - cold.objective)
-    if drift > 1e-6 * max(1.0, abs(cold.objective)):
-        raise RuntimeError(
-            f"reference_solve cold/warm objectives disagree by {drift:.3e}"
-        )
-    return cold
+    return first
 
 
 @dataclass(frozen=True)

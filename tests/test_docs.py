@@ -55,6 +55,18 @@ def test_pyproject_names_the_package():
     assert project["version"] == sdlowrank.__version__
 
 
+def test_package_exports_are_in_their_modules_all():
+    # a name the package exports is public in the module that defines it
+    missing = []
+    for name in sdlowrank.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(getattr(sdlowrank, name).__module__)
+        if name not in getattr(module, "__all__", ()):
+            missing.append(f"{module.__name__}.{name}")
+    assert missing == []
+
+
 def test_package_modules_read_every_name_they_import():
     # no linter runs with the tests, so this is the check for a dead import
     unused = []

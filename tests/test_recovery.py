@@ -156,6 +156,18 @@ def test_check_feasibility_flags_violation():
     assert report.messages
 
 
+def test_check_feasibility_rejects_a_nu_of_another_shape():
+    # a length-1 or an m x m nu would broadcast against the length-m
+    # residual and report the norm of something else
+    op = sensing.draw_operator(20, 3, 3, seed=2)
+    problem = recovery.RecoveryProblem(
+        operator=op, quantized=np.zeros(20), order=1, gamma=0.25, noise_bound=0.1,
+    )
+    for nu in (np.array([0.3]), np.zeros((20, 20))):
+        with pytest.raises(ValueError, match="nu"):
+            recovery.check_feasibility(problem, np.zeros((3, 3)), nu)
+
+
 def test_check_feasibility_flags_a_nan_point():
     # nan > bound is False, so a nan norm would read as within its radius
     problem, X, noise = pipeline_problem(4, 64, 1, form="projected", seed=5, eps=0.5, ell=16)
@@ -255,6 +267,23 @@ def test_reference_solve_agrees_and_is_idempotent():
     assert abs(fast.objective - ref.objective) <= 1e-3 * max(1.0, ref.objective)
     again = reference_solve(problem)
     assert abs(again.objective - ref.objective) <= 1e-6 * max(1.0, ref.objective)
+
+
+def test_reference_solve_raises_when_its_solves_disagree(monkeypatch):
+    # the doubled problem's objective, raised by a relative 1e-5, fails
+    # the oracle's 1e-6 agreement check
+    problem, _, _ = pipeline_problem(4, 40, 1, seed=17)
+    recover = recovery.recover
+
+    def nudged(p, params=None):
+        solution = recover(p, params)
+        if p is not problem:
+            solution.objective *= 1.0 + 1e-5
+        return solution
+
+    monkeypatch.setattr(recovery, "recover", nudged)
+    with pytest.raises(RuntimeError, match="disagree"):
+        reference_solve(problem)
 
 
 def test_reference_solve_zero_problem():
@@ -661,23 +690,18 @@ def _same_solution(got, want):
     case=st.sampled_from(FACTOR_CASES),
     order=st.permutations(range(4)),
     size=st.integers(1, 4),
-    warm=st.lists(st.booleans(), min_size=4, max_size=4),
     max_iterations=st.sampled_from([4, 60, 5000]),
 )
-def test_lockstep_solve_matches_each_problem_alone(tmp_path_factory, case, order, size, warm,
+def test_lockstep_solve_matches_each_problem_alone(tmp_path_factory, case, order, size,
                                                     max_iterations):
-    # any subset of a point's problems, in any order, some warm-started
-    # (as oracles.reference_solve does), solved together: each gets the
-    # bits it gets alone, and so do its counts
+    # any subset of a point's problems, in any order, solved together:
+    # each gets the bits it gets alone, and so do its counts
     trials = _point_trials(tmp_path_factory.getbasetemp(), case)
-    chosen = [trials[i] for i in order[:size]]
-    problems = [trial.problem for trial in chosen]
-    starts = [(0.5 * trial.truth, np.full(trial.problem.operator.rows, 0.01)) if w else None
-              for trial, w in zip(chosen, warm)]
+    problems = [trials[i].problem for i in order[:size]]
     params = recovery.SolverParams(max_iterations=max_iterations)
-    together = recovery.recover_batch(problems, params, starts)
-    for problem, start, solution in zip(problems, starts, together):
-        _same_solution(solution, recovery.recover(problem, params, start))
+    together = recovery.recover_batch(problems, params)
+    for problem, solution in zip(problems, together):
+        _same_solution(solution, recovery.recover(problem, params))
 
 
 @PROPERTY
@@ -781,18 +805,14 @@ def test_batch_groups_its_problems_by_their_constraint(order, size):
 
 def test_batch_set_up_failure_fails_its_problem_alone():
     # a full-form problem with noise beyond DENSE_FULL_FORM_LIMIT cannot
-    # build its J, and a problem whose start does not fit cannot set up:
-    # each fails alone, and the others solve as they do alone, the second
-    # of a group from the J its first problem built
+    # build its J: it fails alone, and the others solve as they do alone,
+    # the second of a group from the J its first problem built
     problems, _, alone = _mixed_batch()
     m = recovery.DENSE_FULL_FORM_LIMIT + 8
     dense, _, _ = pipeline_problem(4, m, 1, form="full_inverse_power", seed=7, eps=0.5)
-    outcomes = recovery.recover_batch([problems[0], dense, problems[1], problems[2]],
-                                      starts=[(np.zeros(3), None), None, None, None])
-    assert isinstance(outcomes[0], ValueError)
+    outcomes = recovery.recover_batch([problems[0], dense, problems[1], problems[2]])
     assert isinstance(outcomes[1], ValueError)
     assert "materializes" in str(outcomes[1])
+    _same_solution(outcomes[0], alone[0])
     _same_solution(outcomes[2], alone[1])
     _same_solution(outcomes[3], alone[2])
-    with pytest.raises(ValueError, match="2 starts for 3 problems"):
-        recovery.recover_batch([problems[0]] * 3, starts=[None, None])

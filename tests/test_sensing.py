@@ -97,14 +97,14 @@ def test_gaussian_rank_k_rank_bound(rng):
 def test_empirical_rip_isometry_case(rng):
     # orthonormal rows: ||op(X)|| = ||X||_F exactly, delta ~ 0
     q, _ = np.linalg.qr(rng.standard_normal((25, 25)))
-    op = sensing.MeasurementOperator(rows=25, shape=(5, 5), data=q)
+    op = sensing.MeasurementOperator(shape=(5, 5), data=q)
     est = sensing.empirical_rip(op, 2, 100, seed=1)
     assert est.delta_hat <= 0.05
 
 
 def test_empirical_rip_monotone_in_trials():
     op = sensing.draw_operator(60, 5, 5, seed=21)
-    scaled = sensing.MeasurementOperator(rows=60, shape=(5, 5), data=op.data / np.sqrt(60))
+    scaled = sensing.MeasurementOperator(shape=(5, 5), data=op.data / np.sqrt(60))
     d_small = sensing.empirical_rip(scaled, 2, 50, seed=3).delta_hat
     d_large = sensing.empirical_rip(scaled, 2, 200, seed=3).delta_hat
     assert d_large >= d_small

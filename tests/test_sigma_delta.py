@@ -8,21 +8,28 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdlowrank import sigma_delta as sdq
 
-from oracles import reference_quantize, scalar_quantize
+from oracles import alphabet_levels, reference_quantize, scalar_quantize
 
 # fixed examples, so the suite stays deterministic from run to run
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
+def _quantized_levels(alphabet):
+    # at order 1 a level input leaves zero state, so quantize returns it
+    return sdq.quantize(alphabet_levels(alphabet), sdq.default_scheme(1, alphabet)).output
+
+
 def test_alphabet_values_one_bit():
     a = sdq.build_alphabet(1, 0.5)
-    assert np.array_equal(a.values, [-0.25, 0.25])
+    assert np.array_equal(alphabet_levels(a), [-0.25, 0.25])
+    assert np.array_equal(_quantized_levels(a), [-0.25, 0.25])
     assert a.max_level == 0.25
 
 
 def test_alphabet_values_two_levels_unit_step():
     a = sdq.build_alphabet(2, 1.0)
-    assert np.array_equal(a.values, [-1.5, -0.5, 0.5, 1.5])
+    assert np.array_equal(alphabet_levels(a), [-1.5, -0.5, 0.5, 1.5])
+    assert np.array_equal(_quantized_levels(a), [-1.5, -0.5, 0.5, 1.5])
     assert a.max_level == 1.5
 
 
