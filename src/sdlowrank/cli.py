@@ -27,7 +27,8 @@ def _common_flags(parser):
     parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
     parser.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
     parser.add_argument("--out", metavar="DIR", help="override output_path")
-    parser.add_argument("--workers", type=int, metavar="N", help="parallel trial workers")
+    parser.add_argument("--workers", type=int, metavar="N",
+                        help="worker processes; 0 (the default) means one per usable core")
 
 
 def _load_config(args):

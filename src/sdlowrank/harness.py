@@ -7,29 +7,36 @@ one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  Every
 sweep runs orders x lambda grid x eps grid at m = lambda * base, with the
 operator and encoder drawn per lambda.  Work is done a unit at a time: a
-unit is the trials of one m, across every eps and every order, which
-share one operator and, in the encoded form, one encoder.  A unit draws
-those once, and builds each trial's instance (trial_instance: the truth,
-its scale, the measurements and the true noise) once for all its orders.
-It then takes its orders in ascending order: each builds its basis
-(projected form), prepares its trials (trial_quantize, the encoding and
-the truth check) and hands them all to one recovery.recover_batch call,
-which groups them by the constraint matrix J they share and builds each
-group's J and its SVD once.  A unit returns, per trial, the numbers of
-its CSV row or a failure message, and nothing that holds an array;
-_execute sorts them and makes each row's TrialRecord by one _run_trial
-call, in CSV row order.  The command line reuses the same
-stages through trial_operator, grid_point and trial_solve, which solves
-one trial as a batch of one and so reproduces its sweep row.
+unit is the trials that share one constraint matrix J, those of one
+(m, r) with eps = 0 or with eps > 0.  A unit builds its grid point (the
+operator, its basis in the projected form, its encoder in the encoded
+form) once, prepares each trial (trial_instance, trial_quantize, the
+encoding and the truth check) and hands them all to one
+recovery.recover_batch call, which builds J and its SVD once.  A unit
+returns, per trial, the numbers of its CSV row or a failure message, and
+nothing that holds an array; _execute runs the units on a pool of forked
+workers, largest first, sorts what they return and makes each row's
+TrialRecord by one _run_trial call, in CSV row order.  Every path that
+computes a row runs with numpy's OpenBLAS pinned to one thread, since the
+last digits of a solve follow the thread count.  The command line reuses
+the same stages through trial_operator, grid_point and trial_solve, which
+solves one trial as a batch of one and so reproduces its sweep row.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
+import multiprocessing
 import numbers
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,9 +85,12 @@ _ROLE_ENCODER = 104
 
 _FAILURE_ABORT_FRACTION = 0.2
 
+# OpenBLAS threads of every computation that makes a CSV row
+_BLAS_THREADS = 1
+
 # the least value of each integer field of ExperimentConfig that has one
 _INTEGER_FLOORS = {"ell": 1, "orders": 1, "trials": 1, "encoder_dim": 1,
-                   "solver_max_iterations": 1, "workers": 1, "master_seed": 0}
+                   "solver_max_iterations": 1, "workers": 0, "master_seed": 0}
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,8 @@ class ExperimentConfig:
     lets the alphabet grow to cover the observed range.  The natural
     scale is the default because the fixed step beta is then small
     relative to the signal, which is the regime the error-decay
-    experiments live in.
+    experiments live in.  workers = 0 runs one worker process per usable
+    core, and workers = 1 runs every unit in this process.
     """
 
     n1: int = 10
@@ -112,7 +123,7 @@ class ExperimentConfig:
     mu: float = 0.0
     solver_max_iterations: int = 5000
     solver_tolerance: float = 1e-6
-    workers: int = 1
+    workers: int = 0
     output_path: str = "results/desk"
     cache_dir: object = None
 
@@ -394,6 +405,49 @@ def read_records_csv(path):
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None where numpy carries none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _set_blas_threads(count):
+    """Give numpy's OpenBLAS count threads; return the count it had, or None without it.
+
+    A count it already has is not set again: in a forked child, setting
+    any count starts an OpenBLAS thread that spins for about 0.1 s.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    if previous != count:
+        lib.scipy_openblas_set_num_threads64_(count)
+    return previous
+
+
+@contextlib.contextmanager
+def _blas_pinned():
+    """Run the block with OpenBLAS at _BLAS_THREADS threads, then restore its count."""
+    previous = _set_blas_threads(_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
+# ---------------------------------------------------------------------------
 # trial execution
 
 @dataclass(frozen=True)
@@ -453,8 +507,7 @@ def grid_point(task):
     """(operator, basis, encoder) of the task's grid point, built for it alone.
 
     Of the basis and the encoder, the one the form does not use is None.
-    A sweep builds the same parts with the same stages: the operator and
-    encoder once per unit, the basis once per order of it.
+    A sweep's unit builds its grid point with this same call.
     """
     return trial_operator(task), _trial_basis(task), _trial_encoder(task)
 
@@ -490,11 +543,6 @@ def trial_quantize(task, y):
     alphabet = sigma_delta.build_alphabet(L, config.beta)
     scheme = sigma_delta.default_scheme(task.r, alphabet)
     return scheme, sigma_delta.quantize(y, scheme)
-
-
-def _instance_key(task):
-    """What trial_instance reads of a task within a unit; equal for all its orders."""
-    return task.matrix_seed, task.eps, task.noise_seed
 
 
 @dataclass(frozen=True)
@@ -572,12 +620,14 @@ def trial_solve(task, point):
     """Run one trial through decoding; return (TrialRecord, RecoverySolution).
 
     point is grid_point(task).  The solve is the sweep's on a batch of
-    one, so the record equals the task's row of the sweep's CSV.  Unless
-    the quantizer overflowed, an infeasible truth raises RuntimeError.
+    one, with OpenBLAS pinned as in a sweep, so the record equals the
+    task's row of the sweep's CSV.  Unless the quantizer overflowed, an
+    infeasible truth raises RuntimeError.
     """
-    trial = _prepare_trial(task, point, trial_instance(task, point[0]))
-    solution = recovery.recover(trial.problem, task.config.solver_params())
-    return _run_trial(task, _row(task, trial, solution)), solution
+    with _blas_pinned():
+        trial = _prepare_trial(task, point, trial_instance(task, point[0]))
+        solution = recovery.recover(trial.problem, task.config.solver_params())
+        return _run_trial(task, _row(task, trial, solution)), solution
 
 
 def _failure(exc):
@@ -587,62 +637,32 @@ def _failure(exc):
 def _run_group(unit):
     """(task, row numbers) or (task, message) per trial of one unit.
 
-    The unit's tasks share m, and may span several eps and several
-    orders.  Its operator and encoder are drawn once, and each trial's
-    instance is built once, keyed by _instance_key, for every order.
-    Then each order, in ascending order, runs in _run_order, so one basis
-    is alive at a time.  A failed operator or encoder draw fails every
-    trial of the unit, a failed instance that trial at every order.
-    Failures become messages where they are caught, so nothing returned
-    refers to an array or keeps one alive.
+    The unit's tasks share one J: one m, one order, and eps = 0 or
+    eps > 0.  Its grid point is built once; each trial is prepared from
+    its own instance, and all that were prepared are solved in one
+    recovery.recover_batch call.  A failed build fails every trial of the
+    unit; a trial that fails at any other stage fails alone.  Failures
+    become messages where they are caught, so nothing returned refers to
+    an array or keeps one alive.
     """
     try:
-        op, encoder = trial_operator(unit[0]), _trial_encoder(unit[0])
+        point = grid_point(unit[0])
     except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
         return [(task, _failure(exc)) for task in unit]
-    instances = {}
-    for task in unit:
-        key = _instance_key(task)
-        if key not in instances:
-            try:
-                instances[key] = trial_instance(task, op)
-            except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-                instances[key] = _failure(exc)
-    outcomes = []
-    for _, tasks in itertools.groupby(sorted(unit, key=_trial_key), key=lambda task: task.r):
-        outcomes += _run_order(list(tasks), op, encoder, instances)
-    return outcomes
-
-
-def _run_order(tasks, op, encoder, instances):
-    """(task, row numbers) or (task, message) per trial of one order of a unit.
-
-    The order builds its basis (projected form), prepares each trial from
-    its instance, and solves all that were prepared in one
-    recovery.recover_batch call, which groups them by their J.  A failed
-    basis fails the order's trials; a trial that fails at any other stage
-    fails alone.
-    """
-    try:
-        point = op, _trial_basis(tasks[0]), encoder
-    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-        return [(task, _failure(exc)) for task in tasks]
     trials = []
-    for task in tasks:
-        instance = instances[_instance_key(task)]
+    for task in unit:
         try:
-            trials.append(instance if isinstance(instance, str)
-                          else _prepare_trial(task, point, instance))
+            trials.append(_prepare_trial(task, point, trial_instance(task, point[0])))
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             trials.append(_failure(exc))
     ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]
     try:
         solutions = iter(recovery.recover_batch(
-            [trial.problem for trial in ready], tasks[0].config.solver_params()))
+            [trial.problem for trial in ready], unit[0].config.solver_params()))
     except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
         solutions = itertools.repeat(_failure(exc))
     outcomes = []
-    for task, trial in zip(tasks, trials):
+    for task, trial in zip(unit, trials):
         outcome = trial if isinstance(trial, str) else next(solutions)
         if isinstance(outcome, Exception):
             outcome = _failure(outcome)
@@ -655,17 +675,85 @@ def _run_order(tasks, op, encoder, instances):
     return outcomes
 
 
+class _WorkerContext(type(multiprocessing.get_context("fork"))):
+    """The fork start method, keeping each worker it starts so a dead one's exit can be read."""
+
+    def __init__(self):
+        super().__init__()
+        self.workers = []
+
+    def Process(self, *args, **kwargs):  # noqa: N802 - the name the pool calls
+        worker = super().Process(*args, **kwargs)
+        self.workers.append(worker)
+        return worker
+
+
+def _worker_exit(workers):
+    """How the first of a broken pool's workers to die exited, read once all are joined.
+
+    Once one worker has died the pool sends SIGTERM to the others, so a
+    SIGTERM is named only when no worker ended any other way.
+    """
+    codes = [worker.exitcode for worker in workers if worker.exitcode]
+    code = next((c for c in codes if c != -signal.SIGTERM), codes[0] if codes else None)
+    if code is None:
+        return "worker exited"
+    return f"worker exited with signal {-code}" if code < 0 else f"worker exited with code {code}"
+
+
+def _run_pooled(units, workers):
+    """Outcomes of the units, run on at most workers forked processes.
+
+    Each worker pins OpenBLAS (a no-op where the caller pinned it before
+    the fork) and runs one unit at a time, the largest units first.  When a worker dies, every trial of the units then in
+    flight fails with how it exited, what finished is kept, and the
+    units not yet run go to a fresh pool.
+    """
+    queue = sorted(units, key=lambda unit: len(unit) * unit[0].m, reverse=True)
+    outcomes = []
+    while queue:
+        context, running = _WorkerContext(), {}
+        with concurrent.futures.ProcessPoolExecutor(
+                min(workers, len(queue)), mp_context=context,
+                initializer=_set_blas_threads, initargs=(_BLAS_THREADS,)) as pool:
+            try:
+                while queue or running:
+                    while queue and len(running) < workers:
+                        future = pool.submit(_run_group, queue[0])
+                        running[future] = queue.pop(0)
+                    done, _ = concurrent.futures.wait(
+                        running, return_when=concurrent.futures.FIRST_COMPLETED)
+                    for future in done:
+                        outcomes += future.result()
+                        del running[future]
+            except BrokenProcessPool:
+                pass
+        # the pool is shut down and its workers joined; a unit still
+        # running finished before the pool broke or was lost with it
+        for future, unit in running.items():
+            if isinstance(future.exception(), BrokenProcessPool):
+                crash = _failure(BrokenProcessPool(_worker_exit(context.workers)))
+                outcomes += [(task, crash) for task in unit]
+            else:
+                outcomes += future.result()
+    return outcomes
+
+
 def _execute(units, workers):
     """Run each unit; records and failures come back in CSV row order.
 
-    Each trial's TrialRecord is made by one _run_trial call, in CSV row
-    order, from the numbers its unit returned.
+    workers = 0 means one per usable core.  With one worker, or one unit,
+    the units run in this process; otherwise on a worker pool.  Each
+    trial's TrialRecord is made by one _run_trial call, in CSV row order,
+    from the numbers its unit returned.
     """
-    if workers == 1:
-        outcomes = [o for unit in map(_run_group, units) for o in unit]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for unit in pool.map(_run_group, units) for o in unit]
+    workers = min(workers or len(os.sched_getaffinity(0)), len(units))
+    # pinned here too, so that forked workers find OpenBLAS pinned already
+    with _blas_pinned():
+        if workers <= 1:
+            outcomes = [o for unit in units for o in _run_group(unit)]
+        else:
+            outcomes = _run_pooled(units, workers)
     outcomes.sort(key=lambda outcome: _trial_key(outcome[0]))
     results = [_run_trial(task, row) for task, row in outcomes if not isinstance(row, str)]
     failures = [(task, msg) for task, msg in outcomes if isinstance(msg, str)]
@@ -767,8 +855,8 @@ def _sweep_tasks(config, spec):
 
 
 def _unit_key(task):
-    """A task's unit: in a sweep m fixes the operator and the encoder."""
-    return task.m
+    """A task's unit, the trials that share its J: its m, its order and whether eps > 0."""
+    return task.m, task.r, task.eps > 0
 
 
 def _sweep_units(config, spec):
@@ -811,7 +899,8 @@ def _run_sweep(config, spec):
     summary = [
         f"config: master_seed={config.master_seed} form={config.constraint_form}"
         f" n={config.n1}x{config.n2} rank={config.rank} ell={config.ell}"
-        f" beta={config.beta:g} mu={config.mu:g} trials={config.trials}",
+        f" beta={config.beta:g} mu={config.mu:g} trials={config.trials}"
+        f" blas_threads={_BLAS_THREADS if _openblas() else 'unpinned'}",
         f"{spec.name.replace('_', '-')} sweep: {len(results)} trials,"
         f" {len(failures)} failures, {not_converged} not converged, {overflowed} overflowed",
     ]

@@ -1,6 +1,12 @@
 """Command-line entry points, exercised through main() with tiny configs."""
 
+import hashlib
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,13 +217,100 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_zero_workers_exits_one(tiny_cfg_file, tmp_path, capsys):
+def test_negative_workers_exits_one(tiny_cfg_file, tmp_path, capsys):
+    # 0 means one worker per usable core; below that no count is meant
     out_dir = tmp_path / "out"
     code = cli.main(["sweep-oversampling", "--config", tiny_cfg_file,
-                     "--workers", "0", "--out", str(out_dir)])
+                     "--workers", "-1", "--out", str(out_dir)])
     assert code == 1
-    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert "workers must be >= 0, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _start_cli(argv, **env):
+    """The command line in a fresh interpreter, with env added to this one's."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
+    return subprocess.Popen([sys.executable, "-m", "sdlowrank.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _children(pid):
+    """Pids whose parent is pid, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                parent = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if parent == pid:
+            found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="finds the workers through /proc")
+def test_a_killed_worker_fails_its_units_and_the_sweep_finishes(tmp_path):
+    # twelve units of three trials: SIGKILL one worker of the first pool;
+    # the trials of the units it and its neighbour held fail with how it
+    # exited, every other unit runs on a fresh pool, and 1 or 2 failed
+    # units of 12 stay under the abort line
+    path = write_tiny_cfg(tmp_path, orders=(1, 2, 3), trials=3, workers=2,
+                          oversampling_grid=(2.0, 3.0, 4.0, 5.0))
+    out_dir = tmp_path / "out"
+    proc = _start_cli(["sweep-oversampling", "--config", path])
+    workers, killed = set(), None
+    while proc.poll() is None:
+        workers.update(_children(proc.pid))
+        if killed is None and workers:
+            killed = min(workers)
+            os.kill(killed, signal.SIGKILL)
+    stdout, stderr = proc.communicate()
+    assert killed is not None
+    assert proc.returncode == 0, stderr
+    assert "trial failures (see summary)" in stderr
+    records = harness.read_records_csv(out_dir / "oversampling.csv")
+    summary = (out_dir / "oversampling_summary.txt").read_text().splitlines()
+    failed = [line for line in summary if line.startswith("FAILED ")]
+    assert all(line.endswith(": BrokenProcessPool: worker exited with signal 9")
+               for line in failed)
+    units = {tuple(line.split()[1:3]) for line in failed}
+    assert len(failed) == 3 * len(units) and 1 <= len(units) <= 2
+    assert len(records) + len(failed) == 36
+    assert summary[1] == (f"oversampling sweep: {len(records)} trials, {len(failed)} failures,"
+                          " 0 not converged, 0 overflowed")
+    # no worker outlives the sweep
+    deadline = time.monotonic() + 5
+    while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in workers)
+
+
+def test_csv_bytes_follow_neither_workers_nor_blas_threads(tmp_path):
+    # at m = 160 the last digits of a solve follow the OpenBLAS thread
+    # count, so every row is computed with OpenBLAS pinned
+    path = write_tiny_cfg(tmp_path, n1=10, n2=10, rank=2, ell=80, oversampling_grid=(2.0,),
+                          orders=(1, 2), epsilon_grid=(0.0, 0.5))
+    digests = set()
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}_workers{workers}"
+            proc = _start_cli(["sweep-noise", "--config", path, "--workers", workers,
+                               "--out", str(out_dir)], OPENBLAS_NUM_THREADS=threads)
+            _, stderr = proc.communicate()
+            assert proc.returncode == 0, stderr
+            digests.add(hashlib.sha256((out_dir / "noise.csv").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_no_subcommand_is_usage_error():

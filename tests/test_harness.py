@@ -159,9 +159,8 @@ def test_rank_above_matrix_size_rejected():
     (dict(solver_tolerance=-1e-6), "solver_tolerance must be positive, got -1e-06"),
     # mu <= 0 leaves the natural scale, so a negative mu would be ignored
     (dict(mu=-1.0), "mu must be nonnegative, got -1.0"),
-    # a sweep would run serially as if workers were 1
-    (dict(workers=0), "workers must be >= 1, got 0"),
-    (dict(workers=-3), "workers must be >= 1, got -3"),
+    # a sweep would run serially as if workers were 1 (0 means one per core)
+    (dict(workers=-3), "workers must be >= 0, got -3"),
     # numpy's seed sequence refuses it with a message that names no key
     (dict(master_seed=-1), "master_seed must be >= 0, got -1"),
     # a nan eps writes rows with the noise-free error; every solve stops
@@ -196,7 +195,7 @@ def test_rank_above_matrix_size_rejected():
         "zero-lambda", "zero-order", "zero-levels", "unknown-distribution",
         "zero-encoder-dim", "encoded-m-below-encoder-dim", "empty-eps",
         "zero-max-iterations", "zero-tolerance", "negative-tolerance", "negative-mu",
-        "zero-workers", "negative-workers", "negative-seed", "nan-eps", "infinite-tolerance",
+        "negative-workers", "negative-seed", "nan-eps", "infinite-tolerance",
         "bool-levels", "infinite-mu", "infinite-beta", "infinite-eps",
         "bool-trials", "float-trials", "float-order", "float-n1", "bool-n2", "float-rank",
         "float-ell", "float-encoder-dim", "bool-max-iterations", "float-workers",
@@ -492,15 +491,17 @@ def _count_calls(monkeypatch, module, name, calls, fail_at_m=None):
 
 
 def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
-    # a unit is one m across every eps and every order: one lambda, so the
-    # noise sweep is one unit; a unit draws one operator and (rate sweep)
-    # one encoder, and each of its orders builds one basis (projected form)
+    # a unit is the trials that share one J, those of one (m, r) with
+    # eps = 0 or with eps > 0; it draws one operator and builds one basis
+    # (projected form) or draws one encoder (rate sweep), so the noise
+    # sweep's eps > 0 points build theirs once for all of them; the calls
+    # are counted in this process, so the units run in it
     calls = {name: [] for name in ("draw_operator", "compute_basis", "draw_encoder")}
     _count_calls(monkeypatch, sensing, "draw_operator", calls["draw_operator"])
     _count_calls(monkeypatch, noise_shaping, "compute_basis", calls["compute_basis"])
     _count_calls(monkeypatch, encoding, "draw_encoder", calls["draw_encoder"])
     cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, epsilon_grid=(0.0, 0.5, 1.0),
-                      encoder_dim=16)
+                      encoder_dim=16, workers=1)
     for run, built in ((harness.run_oversampling_sweep, "compute_basis"),
                        (harness.run_noise_sweep, "compute_basis"),
                        (harness.run_rate_distortion, "draw_encoder")):
@@ -509,12 +510,11 @@ def test_sweeps_build_each_grid_point_once(tmp_path, monkeypatch):
         res = run(cfg)
         points = {(rec.r, rec.m, rec.eps) for rec in res.records}
         assert len(res.records) == len(points) * cfg.trials
-        # the two lambdas, or the noise sweep's one
-        units = sorted({m for _, m, _ in points})
-        assert len(units) == (1 if run is harness.run_noise_sweep else 2)
-        assert sorted(calls["draw_operator"]) == units
-        per_order = sorted(m for m in units for _ in cfg.orders)
-        assert sorted(calls[built]) == (per_order if built == "compute_basis" else units)
+        # two lambdas x two orders, or the noise sweep's one lambda x two
+        # orders x (eps = 0, eps > 0)
+        units = sorted({(m, r, eps > 0) for r, m, eps in points})
+        assert len(units) == 4
+        assert sorted(calls["draw_operator"]) == sorted(calls[built]) == [m for m, _, _ in units]
         unused = {"compute_basis": "draw_encoder", "draw_encoder": "compute_basis"}[built]
         assert calls[unused] == []
 
@@ -527,9 +527,9 @@ def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps
                                                 constraints):
     # a noise sweep of one order over three eps: the eps > 0 points share
     # J in every form, since they share one operator and one basis or
-    # encoder; the sweep's one recover_batch call shapes the operator and
-    # takes the SVD once for each J: one with the noise block, and one
-    # without it when eps = 0 is on the grid
+    # encoder; each unit's recover_batch call shapes the operator and
+    # takes the SVD once for its J: one with the noise block, and one
+    # without it when eps = 0 is on the grid (counted in this process)
     shaped, factored, built = [], [], []
     shape, svd, constraint = recovery._shape, np.linalg.svd, recovery._constraint_matrix
 
@@ -550,7 +550,7 @@ def test_grid_point_factors_its_constraint_once(tmp_path, monkeypatch, form, eps
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(recovery, "_constraint_matrix", counted_constraint)
     cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), epsilon_grid=epsilon_grid,
-                      trials=3, constraint_form=form, encoder_dim=16)
+                      trials=3, constraint_form=form, encoder_dim=16, workers=1)
     res = harness.run_noise_sweep(cfg)
     assert len(res.records) == 9 and not res.failures
     assert len(built) == len(shaped) == constraints
@@ -613,8 +613,9 @@ def test_sweep_seeds_follow_lambda_and_eps(tmp_path, form):
 
 def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch):
     # the eps points share the lambda's encoder as they share its
-    # operator: the sweep's one unit, holding every eps and both orders,
-    # draws it once
+    # operator: each of the sweep's four units, one order with eps = 0 or
+    # with eps > 0, draws it from the lambda's one seed (counted in this
+    # process)
     seeds = []
     draw = encoding.draw_encoder
 
@@ -624,18 +625,19 @@ def test_encoded_noise_sweep_draws_one_encoder_per_lambda(tmp_path, monkeypatch)
 
     monkeypatch.setattr(encoding, "draw_encoder", counted)
     cfg = tiny_config(tmp_path, orders=(1, 2), epsilon_grid=(0.0, 0.5, 1.0),
-                      constraint_form="encoded", encoder_dim=16)
+                      constraint_form="encoded", encoder_dim=16, workers=1)
     res = harness.run_noise_sweep(cfg)
     assert len(res.records) == 2 * 3 * cfg.trials and not res.failures
-    assert len(seeds) == 1
+    assert len(seeds) == 4
+    assert len(set(seeds)) == 1
     assert set(seeds) == {rec.encoder_seed for rec in res.records}
 
 
 def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch):
     # the benchmark's trace joins one _run_trial call per CSV row, in row
-    # order, although a unit's rows are not contiguous in that order (each
-    # lambda of the oversampling sweep is a unit holding both orders); the
-    # noise sweep is one unit, of every eps and both orders
+    # order, although the grid is listed out of order; a unit is one
+    # order at one m with eps = 0 or with eps > 0, and in this process
+    # the units run in CSV row order
     keys, groups = [], []
     run_trial, run_group = harness._run_trial, harness._run_group
 
@@ -651,10 +653,13 @@ def test_trials_run_in_csv_row_order_for_an_unsorted_grid(tmp_path, monkeypatch)
     monkeypatch.setattr(harness, "_run_trial", recorded_trial)
     monkeypatch.setattr(harness, "_run_group", recorded_group)
     cfg = tiny_config(tmp_path, orders=(2, 1), oversampling_grid=(4.0, 2.0),
-                      epsilon_grid=(1.0, 0.0, 0.5))
-    for run, units in ((harness.run_noise_sweep, [([64], [0.0, 0.5, 1.0], [1, 2])]),
+                      epsilon_grid=(1.0, 0.0, 0.5), workers=1)
+    for run, units in ((harness.run_noise_sweep,
+                        [([64], [0.0], [1]), ([64], [0.5, 1.0], [1]),
+                         ([64], [0.0], [2]), ([64], [0.5, 1.0], [2])]),
                        (harness.run_oversampling_sweep,
-                        [([32], [0.0], [1, 2]), ([64], [0.0], [1, 2])])):
+                        [([32], [0.0], [1]), ([64], [0.0], [1]),
+                         ([32], [0.0], [2]), ([64], [0.0], [2])])):
         keys.clear()
         groups.clear()
         res = run(cfg)
@@ -675,26 +680,28 @@ class ArrayFinder(pickle.Pickler):
 
 
 def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
-    # only task lists go to a worker and only each row's numbers or
-    # failure message come back: the operator and the basis are built in
-    # the worker, never pickled
+    # only task lists go to a worker, one unit (one J) each and the
+    # largest first, and only each row's numbers or failure message come
+    # back: the operator and the basis are built in the worker, never
+    # pickled
     sent, returned = [], []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, **kwargs):
-            iterables = [list(items) for items in iterables]
-            sent.append((fn, iterables))
-            outcomes = list(super().map(fn, *iterables, **kwargs))
-            returned.extend(outcomes)
-            return iter(outcomes)
+        def submit(self, fn, /, *args, **kwargs):
+            sent.append((fn, args))
+            future = super().submit(fn, *args, **kwargs)
+            future.add_done_callback(lambda done: returned.append(done.result()))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, workers=2)
     res = harness.run_oversampling_sweep(cfg)
     assert len(res.records) == 12 and not res.failures
-    [(fn, [groups])] = sent
-    assert fn is harness._run_group
-    assert [len(group) for group in groups] == [len(cfg.orders) * cfg.trials] * 2
+    assert all(fn is harness._run_group for fn, _ in sent)
+    groups = [group for _, (group,) in sent]
+    assert [{(task.m, task.r) for task in group} for group in groups] == [
+        {(64, 1)}, {(64, 2)}, {(32, 1)}, {(32, 2)}]
+    assert [len(group) for group in groups] == [cfg.trials] * 4
     assert all(isinstance(task, harness._TrialTask) for group in groups for task in group)
     rows = sorted((outcome for outcomes in returned for outcome in outcomes),
                   key=lambda outcome: harness._trial_key(outcome[0]))
@@ -705,26 +712,28 @@ def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
 
 
 def test_each_instance_is_built_once_for_every_order(tmp_path, monkeypatch):
-    # a trial's truth, scale and noisy measurements do not depend on the
-    # order, so a unit builds them once per (trial, eps) for all its orders
+    # a unit is one order, so each order's unit builds its trials'
+    # truth, scale and noisy measurements itself: once per (order, trial,
+    # eps), counted in this process
     built = []
     instance = harness.trial_instance
 
     def counted(task, op):
-        built.append((task.trial_index, task.eps))
+        built.append((task.r, task.trial_index, task.eps))
         return instance(task, op)
 
     monkeypatch.setattr(harness, "trial_instance", counted)
-    cfg = tiny_config(tmp_path, orders=(1, 2, 3), trials=3, epsilon_grid=(0.0, 0.5, 1.0))
+    cfg = tiny_config(tmp_path, orders=(1, 2, 3), trials=3, epsilon_grid=(0.0, 0.5, 1.0),
+                      workers=1)
     res = harness.run_noise_sweep(cfg)
     assert len(res.records) == 3 * 3 * cfg.trials and not res.failures
-    assert sorted(built) == sorted({(rec.trial_index, rec.eps) for rec in res.records})
+    assert sorted(built) == sorted((rec.r, rec.trial_index, rec.eps) for rec in res.records)
 
 
 @pytest.mark.parametrize("form", ["projected", "encoded"])
 def test_nothing_outlives_its_unit(tmp_path, monkeypatch, form):
-    # a unit's outcomes hold no array and keep none of its operators,
-    # encoders or bases alive, so units that run one after another never
+    # a unit's outcomes hold no array and keep none of its operator,
+    # encoder or basis alive, so units that run one after another never
     # hold two operators at once
     alive = []
     for module, name in ((sensing, "draw_operator"), (encoding, "draw_encoder"),
@@ -738,11 +747,13 @@ def test_nothing_outlives_its_unit(tmp_path, monkeypatch, form):
         monkeypatch.setattr(module, name, tracked)
     cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, constraint_form=form,
                       encoder_dim=16)
-    [unit, _] = harness._sweep_units(cfg, harness._oversampling_spec(cfg))
-    outcomes = harness._run_group(unit)
-    assert len(outcomes) == len(unit) and not any(isinstance(row, str) for _, row in outcomes)
-    # one operator and, per order, one basis or one encoder for them all
-    assert len(alive) == {"projected": 3, "encoded": 2}[form]
+    units = harness._sweep_units(cfg, harness._oversampling_spec(cfg))
+    assert [(unit[0].m, unit[0].r, len(unit)) for unit in units] == [
+        (32, 1, 3), (64, 1, 3), (32, 2, 3), (64, 2, 3)]
+    outcomes = harness._run_group(units[0])
+    assert len(outcomes) == 3 and not any(isinstance(row, str) for _, row in outcomes)
+    # one operator, and one basis or one encoder, for all its trials
+    assert len(alive) == 2
     assert all(ref() is None for ref in alive)
     finder = ArrayFinder()
     finder.dump(outcomes)
@@ -761,7 +772,7 @@ def test_failed_grid_point_fails_all_its_trials(tmp_path, monkeypatch, module, n
     calls = []
     _count_calls(monkeypatch, module, name, calls, fail_at_m=64)
     cfg = tiny_config(tmp_path, oversampling_grid=(2.0, 3.0, 4.0, 5.0, 6.0),
-                      constraint_form=form, encoder_dim=16)
+                      constraint_form=form, encoder_dim=16, workers=1)
     res = harness.run_oversampling_sweep(cfg)
     assert calls.count(64) == 1
     assert [(t.m, t.trial_index, msg) for t, msg in res.failures] == [
@@ -816,6 +827,35 @@ def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):
         (2, 64, 0, message), (2, 64, 1, message)]
     assert [(rec.r, rec.m) for rec in res.records] == [
         (1, 16), (1, 16), (1, 32), (1, 32), (1, 64), (1, 64), (2, 16), (2, 16), (2, 32), (2, 32)]
+
+
+@pytest.mark.skipif(harness._openblas() is None, reason="numpy carries no OpenBLAS")
+def test_rows_are_computed_on_one_blas_thread_and_the_count_restored(tmp_path, monkeypatch):
+    # a serial sweep and a single-instance solve pin OpenBLAS to one
+    # thread while they compute and give back the count they found; the
+    # summary records the pinned count
+    threads = harness._openblas().scipy_openblas_get_num_threads64_
+    seen = []
+    recover_batch = recovery.recover_batch
+
+    def counted(problems, params=None):
+        seen.append(threads())
+        return recover_batch(problems, params)
+
+    monkeypatch.setattr(recovery, "recover_batch", counted)
+    cfg = tiny_config(tmp_path, workers=1)
+    previous = harness._set_blas_threads(2)
+    try:
+        res = harness.run_oversampling_sweep(cfg)
+        assert threads() == 2
+        task = harness.first_trial(cfg)
+        harness.trial_solve(task, harness.grid_point(task))
+        assert threads() == 2
+    finally:
+        harness._set_blas_threads(previous)
+    assert seen == [1] * (len(cfg.oversampling_grid) + 1)
+    assert Path(res.summary_path).read_text().splitlines()[0].endswith(
+        f"trials={cfg.trials} blas_threads=1")
 
 
 def test_noise_sweep_rows_and_monotone_grid(tmp_path):
