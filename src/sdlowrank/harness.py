@@ -417,22 +417,21 @@ def _openblas():
         except OSError:
             continue
         if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
             return lib
     return None
 
 
 def _set_blas_threads(count):
-    """Give numpy's OpenBLAS count threads; return the count it had, or None without it.
-
-    A count it already has is not set again: in a forked child, setting
-    any count starts an OpenBLAS thread that spins for about 0.1 s.
-    """
+    """Give numpy's OpenBLAS count threads; return the count it had, or None without it."""
     lib = _openblas()
     if lib is None:
         return None
     previous = lib.scipy_openblas_get_num_threads64_()
-    if previous != count:
-        lib.scipy_openblas_set_num_threads64_(count)
+    lib.scipy_openblas_set_num_threads64_(count)
     return previous
 
 
@@ -704,18 +703,17 @@ def _worker_exit(workers):
 def _run_pooled(units, workers):
     """Outcomes of the units, run on at most workers forked processes.
 
-    Each worker pins OpenBLAS (a no-op where the caller pinned it before
-    the fork) and runs one unit at a time, the largest units first.  When a worker dies, every trial of the units then in
-    flight fails with how it exited, what finished is kept, and the
-    units not yet run go to a fresh pool.
+    Each worker runs one unit at a time, the largest units first.  When a
+    worker dies, every trial of the units then in flight fails with how
+    it exited, what finished is kept, and the units not yet run go to a
+    fresh pool.
     """
     queue = sorted(units, key=lambda unit: len(unit) * unit[0].m, reverse=True)
     outcomes = []
     while queue:
         context, running = _WorkerContext(), {}
         with concurrent.futures.ProcessPoolExecutor(
-                min(workers, len(queue)), mp_context=context,
-                initializer=_set_blas_threads, initargs=(_BLAS_THREADS,)) as pool:
+                min(workers, len(queue)), mp_context=context) as pool:
             try:
                 while queue or running:
                     while queue and len(running) < workers:
@@ -748,7 +746,8 @@ def _execute(units, workers):
     from the numbers its unit returned.
     """
     workers = min(workers or len(os.sched_getaffinity(0)), len(units))
-    # pinned here too, so that forked workers find OpenBLAS pinned already
+    # forked workers inherit the pinned count; setting a count in a forked
+    # child would start an OpenBLAS thread there that spins for about 0.1 s
     with _blas_pinned():
         if workers <= 1:
             outcomes = [o for unit in units for o in _run_group(unit)]

@@ -270,12 +270,13 @@ def test_a_killed_worker_fails_its_units_and_the_sweep_finishes(tmp_path):
     out_dir = tmp_path / "out"
     proc = _start_cli(["sweep-oversampling", "--config", path])
     workers, killed = set(), None
-    while proc.poll() is None:
+    deadline = time.monotonic() + 120
+    while proc.poll() is None and time.monotonic() < deadline:
         workers.update(_children(proc.pid))
         if killed is None and workers:
             killed = min(workers)
             os.kill(killed, signal.SIGKILL)
-    stdout, stderr = proc.communicate()
+    _, stderr = proc.communicate(timeout=120)
     assert killed is not None
     assert proc.returncode == 0, stderr
     assert "trial failures (see summary)" in stderr
@@ -307,7 +308,7 @@ def test_csv_bytes_follow_neither_workers_nor_blas_threads(tmp_path):
             out_dir = tmp_path / f"threads{threads}_workers{workers}"
             proc = _start_cli(["sweep-noise", "--config", path, "--workers", workers,
                                "--out", str(out_dir)], OPENBLAS_NUM_THREADS=threads)
-            _, stderr = proc.communicate()
+            _, stderr = proc.communicate(timeout=120)
             assert proc.returncode == 0, stderr
             digests.add(hashlib.sha256((out_dir / "noise.csv").read_bytes()).hexdigest())
     assert len(digests) == 1
