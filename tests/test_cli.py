@@ -276,6 +276,8 @@ def test_a_killed_worker_fails_its_units_and_the_sweep_finishes(tmp_path):
         if killed is None and workers:
             killed = min(workers)
             os.kill(killed, signal.SIGKILL)
+        elif killed is not None:
+            time.sleep(0.01)
     _, stderr = proc.communicate(timeout=120)
     assert killed is not None
     assert proc.returncode == 0, stderr
