@@ -23,21 +23,13 @@ from sdlowrank import sigma_delta
 __all__ = ["main", "build_parser"]
 
 
-def _common_flags(parser):
-    parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
-    parser.add_argument("--out", metavar="DIR", help="override output_path")
-    parser.add_argument("--workers", type=int, metavar="N",
-                        help="worker processes; 0 (the default) means one per usable core")
-
-
 def _load_config(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         overrides["output_path"] = args.out
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if args.config:
         return harness.load_config(args.config, **overrides)
@@ -118,23 +110,34 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # beyond --config and --seed, each command takes only the flags it reads
+    flags = {
+        "--out": dict(metavar="DIR", help="override output_path"),
+        "--workers": dict(type=int, metavar="N",
+                          help="worker processes; 0 (the default) means one per usable core"),
+        "--trials": dict(type=int, default=200,
+                         help="sample matrices for the isometry estimate"),
+    }
+    sweep = ("--out", "--workers")
     commands = [
-        ("quantize", cmd_quantize, "quantize one seeded instance and report state bounds"),
-        ("recover", cmd_recover, "run the full pipeline on one seeded instance"),
+        ("quantize", cmd_quantize, "quantize one seeded instance and report state bounds",
+         ("--out",)),
+        ("recover", cmd_recover, "run the full pipeline on one seeded instance", ("--out",)),
         ("sweep-oversampling", partial(_run_sweep, runner=harness.run_oversampling_sweep),
-         "error vs oversampling factor for each order"),
+         "error vs oversampling factor for each order", sweep),
         ("sweep-noise", partial(_run_sweep, runner=harness.run_noise_sweep),
-         "error vs measurement noise level"),
+         "error vs measurement noise level", sweep),
         ("rate-distortion", partial(_run_sweep, runner=harness.run_rate_distortion),
-         "error vs bit rate via encoding"),
-        ("rip-check", cmd_rip_check, "estimate the restricted isometry constant"),
+         "error vs bit rate via encoding", sweep),
+        ("rip-check", cmd_rip_check, "estimate the restricted isometry constant",
+         ("--trials",)),
     ]
-    for name, fn, help_text in commands:
+    for name, fn, help_text, extra in commands:
         p = sub.add_parser(name, help=help_text)
-        _common_flags(p)
-        if name == "rip-check":
-            p.add_argument("--trials", type=int, default=200,
-                           help="sample matrices for the isometry estimate")
+        p.add_argument("--config", metavar="FILE", help="flat key=value config file")
+        p.add_argument("--seed", type=int, metavar="U64", help="override master_seed")
+        for flag in extra:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(func=fn)
     return parser
 

@@ -14,8 +14,8 @@ form) once, prepares each trial (trial_instance, trial_quantize, the
 encoding and the truth check) and hands them all to one
 recovery.recover_batch call, which builds J and its SVD once.  A unit
 returns, per trial, the numbers of its CSV row or a failure message, and
-nothing that holds an array; _execute runs the units on a pool of forked
-workers, largest first, sorts what they return and makes each row's
+nothing that holds an array; _execute runs the units on forked workers,
+one pipe each, largest first, sorts what they return and makes each row's
 TrialRecord by one _run_trial call, in CSV row order.  Every path that
 computes a row runs with numpy's OpenBLAS pinned to one thread, since the
 last digits of a solve follow the thread count.  The command line reuses
@@ -25,18 +25,15 @@ solves one trial as a batch of one and so reproduces its sweep row.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import ctypes
 import functools
 import glob
 import itertools
 import math
-import multiprocessing
+import multiprocessing.connection
 import numbers
 import os
-import signal
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -674,66 +671,66 @@ def _run_group(unit):
     return outcomes
 
 
-class _WorkerContext(type(multiprocessing.get_context("fork"))):
-    """The fork start method, keeping each worker it starts so a dead one's exit can be read."""
-
-    def __init__(self):
-        super().__init__()
-        self.workers = []
-
-    def Process(self, *args, **kwargs):  # noqa: N802 - the name the pool calls
-        worker = super().Process(*args, **kwargs)
-        self.workers.append(worker)
-        return worker
+def _worker(conn, parent_end):
+    """Run each unit sent over conn and send back its outcomes, until sent None."""
+    parent_end.close()  # the fork's copy: conn reads end of file once the parent is gone
+    for unit in iter(conn.recv, None):
+        conn.send(_run_group(unit))
 
 
-def _worker_exit(workers):
-    """How the first of a broken pool's workers to die exited, read once all are joined.
-
-    Once one worker has died the pool sends SIGTERM to the others, so a
-    SIGTERM is named only when no worker ended any other way.
-    """
-    codes = [worker.exitcode for worker in workers if worker.exitcode]
-    code = next((c for c in codes if c != -signal.SIGTERM), codes[0] if codes else None)
-    if code is None:
-        return "worker exited"
-    return f"worker exited with signal {-code}" if code < 0 else f"worker exited with code {code}"
+def _start_worker():
+    """A forked process running _worker, and this process's end of its pipe."""
+    conn, child = multiprocessing.Pipe()
+    process = multiprocessing.get_context("fork").Process(target=_worker, args=(child, conn))
+    process.start()
+    child.close()
+    return conn, process
 
 
 def _run_pooled(units, workers):
-    """Outcomes of the units, run on at most workers forked processes.
+    """Outcomes of the units, run largest first on at most workers forked processes.
 
-    Each worker runs one unit at a time, the largest units first.  When a
-    worker dies, every trial of the units then in flight fails with how
-    it exited, what finished is kept, and the units not yet run go to a
-    fresh pool.
+    Each worker has its own pipe and holds one unit at a time.  One that
+    dies holding a unit fails that unit's trials with how it exited, and
+    one that dies idle costs no trial; the next unit goes to a fresh
+    worker.  No worker outlives this call, whether it returns or raises.
     """
     queue = sorted(units, key=lambda unit: len(unit) * unit[0].m, reverse=True)
-    outcomes = []
-    while queue:
-        context, running = _WorkerContext(), {}
-        with concurrent.futures.ProcessPoolExecutor(
-                min(workers, len(queue)), mp_context=context) as pool:
-            try:
-                while queue or running:
-                    while queue and len(running) < workers:
-                        future = pool.submit(_run_group, queue[0])
-                        running[future] = queue.pop(0)
-                    done, _ = concurrent.futures.wait(
-                        running, return_when=concurrent.futures.FIRST_COMPLETED)
-                    for future in done:
-                        outcomes += future.result()
-                        del running[future]
-            except BrokenProcessPool:
-                pass
-        # the pool is shut down and its workers joined; a unit still
-        # running finished before the pool broke or was lost with it
-        for future, unit in running.items():
-            if isinstance(future.exception(), BrokenProcessPool):
-                crash = _failure(BrokenProcessPool(_worker_exit(context.workers)))
-                outcomes += [(task, crash) for task in unit]
-            else:
-                outcomes += future.result()
+    live, held, outcomes = {}, {}, []  # pipe -> worker, pipe -> its unit
+    try:
+        while queue or held:
+            while queue and len(held) < workers:
+                conn = next((c for c in live if c not in held), None)
+                if conn is None:
+                    conn, process = _start_worker()
+                    live[conn] = process
+                try:
+                    conn.send(queue[0])
+                except OSError:  # it died while idle; the unit goes to another
+                    conn.close()
+                    live.pop(conn).join()
+                    continue
+                held[conn] = queue.pop(0)
+            for conn in multiprocessing.connection.wait(held):
+                unit = held.pop(conn)
+                try:
+                    outcomes += conn.recv()
+                except (EOFError, OSError):  # it died holding the unit
+                    conn.close()
+                    process = live.pop(conn)
+                    process.join()
+                    code = process.exitcode
+                    how = f"signal {-code}" if code < 0 else f"code {code}"
+                    crash = _failure(ChildProcessError(f"worker exited with {how}"))
+                    outcomes += [(task, crash) for task in unit]
+    finally:
+        for conn, process in live.items():
+            if conn in held:  # only when raising, so its unit is not waited for
+                process.kill()
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            conn.close()
+            process.join()
     return outcomes
 
 
@@ -741,7 +738,7 @@ def _execute(units, workers):
     """Run each unit; records and failures come back in CSV row order.
 
     workers = 0 means one per usable core.  With one worker, or one unit,
-    the units run in this process; otherwise on a worker pool.  Each
+    the units run in this process; otherwise on forked workers.  Each
     trial's TrialRecord is made by one _run_trial call, in CSV row order,
     from the numbers its unit returned.
     """

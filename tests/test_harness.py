@@ -1,13 +1,14 @@
 """Experiment configs, seeds, slope fits, CSV round trips, tiny sweeps."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
 import io
 import math
+import multiprocessing.connection
 import os
 import pickle
+import signal
 import weakref
 from pathlib import Path
 
@@ -679,36 +680,146 @@ class ArrayFinder(pickle.Pickler):
         return None
 
 
+def _in_row_order(outcomes):
+    return sorted(outcomes, key=lambda outcome: harness._trial_key(outcome[0]))
+
+
+class RecordingPipe:
+    """This process's end of a worker's pipe, keeping what crosses it."""
+
+    def __init__(self, conn, sent, returned):
+        self.conn, self.sent, self.returned = conn, sent, returned
+
+    def send(self, obj):
+        self.sent.append(obj)
+        self.conn.send(obj)
+
+    def recv(self):
+        self.returned.append(self.conn.recv())
+        return self.returned[-1]
+
+    def fileno(self):
+        return self.conn.fileno()
+
+    def close(self):
+        self.conn.close()
+
+
 def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
     # only task lists go to a worker, one unit (one J) each and the
     # largest first, and only each row's numbers or failure message come
     # back: the operator and the basis are built in the worker, never
     # pickled
-    sent, returned = [], []
+    sent, returned, start = [], [], harness._start_worker
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            sent.append((fn, args))
-            future = super().submit(fn, *args, **kwargs)
-            future.add_done_callback(lambda done: returned.append(done.result()))
-            return future
+    def recording_start():
+        conn, process = start()
+        return RecordingPipe(conn, sent, returned), process
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_start_worker", recording_start)
     cfg = tiny_config(tmp_path, orders=(1, 2), trials=3, workers=2)
     res = harness.run_oversampling_sweep(cfg)
     assert len(res.records) == 12 and not res.failures
-    assert all(fn is harness._run_group for fn, _ in sent)
-    groups = [group for _, (group,) in sent]
+    groups = [obj for obj in sent if obj is not None]
+    assert len(sent) == len(groups) + 2  # and a stop to each worker
     assert [{(task.m, task.r) for task in group} for group in groups] == [
         {(64, 1)}, {(64, 2)}, {(32, 1)}, {(32, 2)}]
     assert [len(group) for group in groups] == [cfg.trials] * 4
     assert all(isinstance(task, harness._TrialTask) for group in groups for task in group)
-    rows = sorted((outcome for outcomes in returned for outcome in outcomes),
-                  key=lambda outcome: harness._trial_key(outcome[0]))
+    rows = _in_row_order(outcome for outcomes in returned for outcome in outcomes)
+    with harness._blas_pinned():
+        assert rows == _in_row_order(
+            outcome for group in groups for outcome in harness._run_group(group))
     assert [harness._run_trial(task, row) for task, row in rows] == res.records
     finder = ArrayFinder()
     finder.dump((groups, returned))
     assert finder.arrays == 0
+
+
+def _four_units(tmp_path):
+    """The four units of a tiny oversampling sweep, with 3 trials each."""
+    cfg = tiny_config(tmp_path, orders=(1, 2), trials=3)
+    return harness._sweep_units(cfg, harness._oversampling_spec(cfg))
+
+
+def test_a_worker_that_dies_fails_only_the_unit_it_held(tmp_path, monkeypatch):
+    # the unit (m = 64, r = 2), one of six, kills the worker that runs it;
+    # forked workers inherit the patched _run_group.  Its trials fail with
+    # how the worker died, and every other row is the in-process sweep's
+    cfg = tiny_config(tmp_path, orders=(1, 2, 3), trials=3, workers=1)
+    serial = harness.run_oversampling_sweep(cfg)
+    run_group, parent = harness._run_group, os.getpid()
+
+    def fatal(unit):
+        if os.getpid() != parent and (unit[0].m, unit[0].r) == (64, 2):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_group(unit)
+
+    monkeypatch.setattr(harness, "_run_group", fatal)
+    pooled = harness.run_oversampling_sweep(dataclasses.replace(
+        cfg, workers=2, output_path=str(tmp_path / "pooled")))
+    assert [(t.m, t.r, t.trial_index, msg) for t, msg in pooled.failures] == [
+        (64, 2, i, "ChildProcessError: worker exited with signal 9") for i in range(3)]
+    kept = [line for line in Path(serial.csv_path).read_text().splitlines()
+            if not line.startswith("2,64,")]
+    assert Path(pooled.csv_path).read_text().splitlines() == kept
+    assert len(kept) == len(pooled.records) + 2  # the format line and the header
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_that_dies_idle_costs_no_trial(tmp_path, monkeypatch):
+    # the first worker to return a unit is killed once its outcomes are
+    # sent and before it is sent another; the unit it would have run goes
+    # to a fresh worker, and nothing fails
+    units = _four_units(tmp_path)
+    started, start, wait = {}, harness._start_worker, multiprocessing.connection.wait
+
+    def recording_start():
+        conn, process = start()
+        started[conn] = process
+        return conn, process
+
+    def wait_then_kill(conns, timeout=None):
+        ready = wait(conns, timeout)
+        if len(started) == 2:
+            # joined, so its end of the pipe is closed before the next
+            # send (a join with a timeout would call this wait again)
+            victim = started[ready[0]]
+            victim.kill()
+            victim.join()
+        return ready
+
+    monkeypatch.setattr(harness, "_start_worker", recording_start)
+    monkeypatch.setattr(multiprocessing.connection, "wait", wait_then_kill)
+    with harness._blas_pinned():
+        outcomes = harness._run_pooled(units, 2)
+        assert _in_row_order(outcomes) == _in_row_order(
+            outcome for unit in units for outcome in harness._run_group(unit))
+    assert len(started) == 3
+    assert [process.exitcode for process in started.values()].count(-signal.SIGKILL) == 1
+    assert not multiprocessing.active_children()
+
+
+def test_no_worker_outlives_a_raising_pool(tmp_path, monkeypatch):
+    # waiting fails once both workers hold a unit: both are stopped and
+    # joined before the error leaves _run_pooled
+    started, start = [], harness._start_worker
+
+    def recording_start():
+        conn, process = start()
+        started.append(process)
+        return conn, process
+
+    def broken_wait(conns, timeout=None):
+        raise RuntimeError("wait failed")
+
+    monkeypatch.setattr(harness, "_start_worker", recording_start)
+    monkeypatch.setattr(multiprocessing.connection, "wait", broken_wait)
+    with pytest.raises(RuntimeError, match="wait failed"):
+        harness._run_pooled(_four_units(tmp_path), 2)
+    assert len(started) == 2
+    assert all(process.exitcode is not None for process in started)
+    assert not multiprocessing.active_children()
 
 
 def test_each_instance_is_built_once_for_every_order(tmp_path, monkeypatch):
