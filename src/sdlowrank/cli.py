@@ -61,7 +61,7 @@ def cmd_quantize(args):
 def cmd_recover(args):
     config = _load_config(args)
     task = harness.first_trial(config)
-    record, solution = harness.trial_solve(task, harness.grid_point(task))
+    record, solution = harness.trial_solve(task)
     print(f"order r={record.r} m={record.m} lambda={record.lam:g} "
           f"form={config.constraint_form}")
     print(f"relative error {record.err_relative:.6e} "

@@ -19,8 +19,9 @@ one pipe each, largest first, sorts what they return and makes each row's
 TrialRecord by one _run_trial call, in CSV row order.  Every path that
 computes a row runs with numpy's OpenBLAS pinned to one thread, since the
 last digits of a solve follow the thread count.  The command line reuses
-the same stages through trial_operator, grid_point and trial_solve, which
-solves one trial as a batch of one and so reproduces its sweep row.
+the same stages through trial_operator and trial_solve, which builds one
+trial's grid point and solves the trial as a batch of one, both with
+OpenBLAS pinned, and so reproduces its sweep row.
 """
 
 from __future__ import annotations
@@ -503,7 +504,7 @@ def grid_point(task):
     """(operator, basis, encoder) of the task's grid point, built for it alone.
 
     Of the basis and the encoder, the one the form does not use is None.
-    A sweep's unit builds its grid point with this same call.
+    A sweep's unit and trial_solve build their grid point with this call.
     """
     return trial_operator(task), _trial_basis(task), _trial_encoder(task)
 
@@ -612,15 +613,18 @@ def _run_trial(task, row):
     )
 
 
-def trial_solve(task, point):
+def trial_solve(task):
     """Run one trial through decoding; return (TrialRecord, RecoverySolution).
 
-    point is grid_point(task).  The solve is the sweep's on a batch of
-    one, with OpenBLAS pinned as in a sweep, so the record equals the
-    task's row of the sweep's CSV.  Unless the quantizer overflowed, an
-    infeasible truth raises RuntimeError.
+    The trial's grid point is built by grid_point and its solve is the
+    sweep's on a batch of one, both with OpenBLAS pinned as in a sweep (a
+    cold basis built at another thread count has other bits, and the
+    cache keeps them), so the record equals the task's row of the sweep's
+    CSV.  Unless the quantizer overflowed, an infeasible truth raises
+    RuntimeError.
     """
     with _blas_pinned():
+        point = grid_point(task)
         trial = _prepare_trial(task, point, trial_instance(task, point[0]))
         solution = recovery.recover(trial.problem, task.config.solver_params())
         return _run_trial(task, _row(task, trial, solution)), solution
@@ -636,10 +640,10 @@ def _run_group(unit):
     The unit's tasks share one J: one m, one order, and eps = 0 or
     eps > 0.  Its grid point is built once; each trial is prepared from
     its own instance, and all that were prepared are solved in one
-    recovery.recover_batch call.  A failed build fails every trial of the
-    unit; a trial that fails at any other stage fails alone.  Failures
-    become messages where they are caught, so nothing returned refers to
-    an array or keeps one alive.
+    recovery.recover_batch call.  A failed build of the grid point or of
+    J fails every trial of the unit; a trial that fails at any other
+    stage fails alone.  Failures become messages where they are caught,
+    so nothing returned refers to an array or keeps one alive.
     """
     try:
         point = grid_point(unit[0])

@@ -22,33 +22,30 @@ conditioned D^{-r} is, which is what breaks down for naive first-order
 schemes once m and r grow.
 
 J and its SVD depend on the operator, the basis or encoder, the order
-and whether nu is present, but not on q.  recover_batch groups its
-problems by these and solves the groups one after another, so one J is
-alive at a time.  A group builds J and its SVD once, from its first
-problem that sets up, and forms only each problem's own c.  It solves
-its problems together: each iteration steps every problem still running
-as one row of (B, n) arrays, with one stacked SVD for all the nuclear
-prox steps, and a problem leaves the batch when it stops.  A row's
-scalars live in its _Row record, and one statement of _admm drops
-finished rows from the records and every array together: new per-row
-state is a _Row field, or one more entry in that statement if it is an
-array.  Each row's
-products are taken by kernels that compute a row alone (np.matvec,
-np.vecdot and the stacked SVD run one BLAS or LAPACK call per row), and
-its scalar tests are Python float arithmetic, so every problem gets the
-bits it gets on its own; a 2-d gemm over the batch would round
-differently as the batch changed.  recover is recover_batch on a batch
-of one.
+and whether nu is present, but not on q.  recover_batch takes problems
+that share these, so one J, builds J and its SVD once and forms only
+each problem's own c.  It solves its problems together: each iteration
+steps every problem still running as one row of (B, n) arrays, with one
+stacked SVD for all the nuclear prox steps, and a problem leaves the
+batch when it stops.  A row's scalars live in its _Row record, and one
+statement of _admm drops finished rows from the records and every array
+together: new per-row state is a _Row field, or one more entry in that
+statement if it is an array.  Each row's products are taken by kernels
+that compute a row alone (np.matvec, np.vecdot and the stacked SVD run
+one BLAS or LAPACK call per row), and its scalar tests are Python float
+arithmetic, so every problem gets the bits it gets on its own; a 2-d
+gemm over the batch would round differently as the batch changed.
+recover is recover_batch on a batch of one.
 
 In J = [G T] the nu block T is far smaller than G (about sqrt(N) times in
 Frobenius norm at desk size), and a single-penalty splitting crawls in
-such a metric.  So a group with nu scales T by kappa = ||G||_F / ||T||_F
-before its SVD and solves for nu' = nu / kappa, the noise ball's radius
-divided by kappa: an exact change of variables (Giselsson and Boyd, IEEE
-TAC 2017), so the program and its minimizer are those of the unscaled J
-and only the metric ADMM works in changes.  The stopping test reads nu's
-residual and norm times kappa, in the problem's own units, and the
-returned noise estimate is kappa nu'.
+such a metric.  So with nu present recover_batch scales T by
+kappa = ||G||_F / ||T||_F before its SVD and solves for nu' = nu / kappa,
+the noise ball's radius divided by kappa: an exact change of variables
+(Giselsson and Boyd, IEEE TAC 2017), so the program and its minimizer are
+those of the unscaled J and only the metric ADMM works in changes.  The
+stopping test reads nu's residual and norm times kappa, in the problem's
+own units, and the returned noise estimate is kappa nu'.
 
 The splitting is Douglas-Rachford on the variable t = x + u, and each
 row's t is Anderson-accelerated (type II, after Fu, Zhang and Boyd, SIAM
@@ -464,8 +461,8 @@ class _Anderson:
 
 
 def _noise_scale(G, T):
-    """kappa = ||G||_F / ||T||_F, by which a group scales J's nu block T
-    to the size of G (1 when G is zero)."""
+    """kappa = ||G||_F / ||T||_F, by which recover_batch scales J's nu
+    block T to the size of G (1 when G is zero)."""
     g = math.sqrt(sum(_sumsq(G)))
     return g / math.sqrt(sum(_sumsq(T))) if g > 0 else 1.0
 
@@ -481,7 +478,7 @@ class _Tube:
     """Exact Euclidean projection onto {x : ||J x - c_b|| <= R_b}, row by row.
 
     Holds only s and Vh of the economy SVD of J, which recover_batch
-    computes once per group; each call takes the rows' cbar = U^T c and
+    computes once; each call takes the rows' cbar = U^T c and
     their _Row records.  With p in singular coordinates the projection solves a
     scalar secular equation for the multiplier theta; components outside
     the row space of J pass through unchanged.
@@ -583,59 +580,55 @@ def recover(problem, params=None):
 
 
 def recover_batch(problems, params=None):
-    """Solve problems in lockstep, one group of problems that share J at a time.
+    """Solve problems of one constraint matrix J in lockstep.
 
-    A problem's J is built from its operator, basis and encoder (by
-    identity), its order and whether nu is present.  Problems that agree
-    on these form a group, and the groups are solved one after another,
-    so one J and its SVD are alive at a time; a group builds them once,
-    from its first problem that sets up, with J's nu block scaled by
-    _noise_scale.  Every problem starts from zero.  Returns one entry per
-    problem, in order: its RecoverySolution, or the exception its set-up,
-    its solve or its final check raised.  A problem that fails leaves the
-    others as they are.
+    J is built from a problem's operator, basis and encoder (by
+    identity), its order and whether nu is present; a batch whose problems
+    differ in any of these raises ValueError, and an empty one returns [].
+    J and its SVD are built once, with J's nu block scaled by
+    _noise_scale, and what that build raises propagates.  Every problem
+    starts from zero.  Returns one entry per problem, in order: its
+    RecoverySolution, or the exception its shaped vector c, its solve or
+    its final check raised.  A problem that fails leaves the others as
+    they are.
 
-    A group's problems advance one ADMM iteration at a time, as rows of
-    (B, n) arrays, each with its own penalty, penalty schedule, warm theta
-    and counts in its _Row; a row leaves the batch when it stops.  Every
+    The problems advance one ADMM iteration at a time, as rows of (B, n)
+    arrays, each with its own penalty, penalty schedule, warm theta and
+    counts in its _Row; a row leaves the batch when it stops.  Every
     per-row product is a stacked kernel that computes each row alone (a
     matrix-vector product, a dot product or an SVD per row), so a problem
     gets the same bits in any batch as on its own.
     """
+    if not problems:
+        return []
+    if len({(id(p.operator), id(p.basis), id(p.encoder), p.order, p.noise_bound > 0)
+            for p in problems}) > 1:
+        raise ValueError("recover_batch takes problems of one constraint matrix: one "
+                         "operator, basis and encoder, one order, and nu in all or none")
     if params is None:
         params = SolverParams()
+    first = problems[0]
+    J, kappa = _constraint_matrix(first), 1.0
+    if first.noise_bound > 0:
+        N = first.operator.data.shape[1]
+        kappa = _noise_scale(J[:, :N], J[:, N:])
+        J[:, N:] *= kappa
+    U, s, Vh = np.linalg.svd(J, full_matrices=False)
+    del J
     outcomes = [None] * len(problems)
-    groups = {}
+    rows, cbars = [], []
     for i, problem in enumerate(problems):
-        key = (id(problem.operator), id(problem.basis), id(problem.encoder), problem.order,
-               problem.noise_bound > 0)
-        groups.setdefault(key, []).append(i)
-    for group in groups.values():
-        factors, kappa = None, 1.0
-        rows, cbars = [], []
-        for i in group:
-            problem = problems[i]
-            try:
-                if factors is None:
-                    J = _constraint_matrix(problem)
-                    if problem.noise_bound > 0:
-                        N = problem.operator.data.shape[1]
-                        kappa = _noise_scale(J[:, :N], J[:, N:])
-                        J[:, N:] *= kappa
-                    factors = np.linalg.svd(J, full_matrices=False)
-                    del J
-                c = _shape(problem, problem.quantized)
-            except Exception as exc:  # noqa: BLE001 - this problem fails alone
-                outcomes[i] = exc
-                continue
-            cbar, c_perp2 = _coordinates(factors[0], c)
-            R = float(problem.radius)
-            rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius / kappa,
-                             kappa))
-            cbars.append(cbar)
-        if rows:
-            _admm(rows, np.array(cbars).reshape(len(rows), -1), _Tube(*factors[1:]), params,
-                  outcomes)
+        try:
+            c = _shape(problem, problem.quantized)
+        except Exception as exc:  # noqa: BLE001 - this problem fails alone
+            outcomes[i] = exc
+            continue
+        cbar, c_perp2 = _coordinates(U, c)
+        R = float(problem.radius)
+        rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius / kappa, kappa))
+        cbars.append(cbar)
+    if rows:
+        _admm(rows, np.array(cbars).reshape(len(rows), -1), _Tube(s, Vh), params, outcomes)
     return outcomes
 
 
@@ -779,10 +772,11 @@ def shaped_residual_vector(problem, Z, nu):
 def check_feasibility(problem, Z, nu):
     """Evaluate both constraints at the point (Z, nu) and report slack.
 
-    recover runs it on the point it returns, trial_solve on the truth.
-    Violations beyond 1e-6 relative (plus a 1e-6 absolute floor) are
-    flagged, and so is a nan norm; ok is True when neither constraint is
-    flagged.  nu must have shape (m,).
+    recover runs it on the point it returns, and harness, as it prepares a
+    trial, on the true pair (X, y - M(X)).  Violations beyond 1e-6
+    relative (plus a 1e-6 absolute floor) are flagged, and so is a nan
+    norm; ok is True when neither constraint is flagged.  nu must have
+    shape (m,).
     """
     m = problem.operator.rows
     if np.shape(nu) != (m,):

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_quantize_reports_the_sweeps_overflow(tmp_path, capsys):
     assert "(certified bound 0.25)" in out
     assert "overflow: True" in out
     task = harness.first_trial(harness.load_config(path))
-    assert harness.trial_solve(task, harness.grid_point(task))[0].overflow
+    assert harness.trial_solve(task)[0].overflow
 
 
 def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
@@ -68,17 +69,32 @@ def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
     assert "converged True" in out
     # the solver counts line carries the solve's own numbers
     task = harness.first_trial(harness.load_config(tiny_cfg_file))
-    _, solution = harness.trial_solve(task, harness.grid_point(task))
+    _, solution = harness.trial_solve(task)
     assert (f"penalty changes {solution.penalty_changes}, "
             f"secular steps {solution.secular_steps}, "
             f"anderson rejections {solution.anderson_rejections}\n") in out
 
 
-def test_recover_instance_matches_sweep_first_row(tiny_cfg_file, tmp_path):
-    cfg = harness.load_config(tiny_cfg_file, output_path=str(tmp_path / "sw"))
+@pytest.mark.parametrize("overrides, blas_threads", [
+    ({}, None),
+    # a cold r = 2 basis at m = 320 has other bits on two OpenBLAS threads
+    pytest.param(dict(ell=80, oversampling_grid=(4.0,), orders=(2,), trials=1), 2,
+                 marks=pytest.mark.skipif(harness._openblas() is None,
+                                          reason="numpy carries no OpenBLAS")),
+], ids=["tiny", "projected-r2-two-threads"])
+def test_recover_instance_matches_sweep_first_row(tmp_path, overrides, blas_threads):
+    # the single-instance solve and the sweep each build their basis in
+    # their own cold cache, the former at the caller's thread count
+    cfg = harness.load_config(write_tiny_cfg(tmp_path, **overrides),
+                              output_path=str(tmp_path / "single"))
     task = harness.first_trial(cfg)
-    record, _ = harness.trial_solve(task, harness.grid_point(task))
-    sweep = harness.run_oversampling_sweep(cfg)
+    previous = harness._set_blas_threads(blas_threads) if blas_threads else None
+    try:
+        record, _ = harness.trial_solve(task)
+    finally:
+        if previous is not None:
+            harness._set_blas_threads(previous)
+    sweep = harness.run_oversampling_sweep(replace(cfg, output_path=str(tmp_path / "sw")))
     first = [
         t for t in sweep.records
         if t.r == cfg.orders[0]

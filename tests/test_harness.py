@@ -893,6 +893,29 @@ def test_failed_grid_point_fails_all_its_trials(tmp_path, monkeypatch, module, n
     assert len(res.records) == 8
 
 
+def test_a_failed_constraint_fails_its_units_trials(tmp_path, monkeypatch):
+    # a unit's J is built once, for all its trials; an SVD that refuses it
+    # fails each of them with its message, and J is not built again
+    built, constraint, svd = [], recovery._constraint_matrix, np.linalg.svd
+
+    def counted_constraint(problem):
+        built.append(constraint(problem))
+        return built[-1]
+
+    def failing_svd(a, *args, **kwargs):
+        if any(a is J for J in built):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "_constraint_matrix", counted_constraint)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), epsilon_grid=(0.5,), trials=3)
+    [unit] = harness._sweep_units(cfg, harness._noise_spec(cfg))
+    outcomes = harness._run_group(unit)
+    assert len(built) == 1
+    assert [msg for _, msg in outcomes] == ["LinAlgError: SVD did not converge"] * 3
+
+
 def test_a_trial_whose_solve_fails_fails_alone(tmp_path, monkeypatch):
     # trial 1's instance scaled by 1e6 (the same program, 1e6 times as
     # large) meets an SVD that refuses matrices that large: it fails with
@@ -943,28 +966,32 @@ def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):
 @pytest.mark.skipif(harness._openblas() is None, reason="numpy carries no OpenBLAS")
 def test_rows_are_computed_on_one_blas_thread_and_the_count_restored(tmp_path, monkeypatch):
     # a serial sweep and a single-instance solve pin OpenBLAS to one
-    # thread while they compute and give back the count they found; the
-    # summary records the pinned count
+    # thread while they build their bases and solve, and give back the
+    # count they found; the summary records the pinned count
     threads = harness._openblas().scipy_openblas_get_num_threads64_
-    seen = []
-    recover_batch = recovery.recover_batch
+    seen = {}
 
-    def counted(problems, params=None):
-        seen.append(threads())
-        return recover_batch(problems, params)
+    def counted(original, calls):
+        def call(*args, **kwargs):
+            calls.append(threads())
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(recovery, "recover_batch", counted)
+    for module, name in ((noise_shaping, "compute_basis"), (recovery, "recover_batch")):
+        seen[name] = []
+        monkeypatch.setattr(module, name, counted(getattr(module, name), seen[name]))
     cfg = tiny_config(tmp_path, workers=1)
     previous = harness._set_blas_threads(2)
     try:
         res = harness.run_oversampling_sweep(cfg)
         assert threads() == 2
         task = harness.first_trial(cfg)
-        harness.trial_solve(task, harness.grid_point(task))
+        harness.trial_solve(task)
         assert threads() == 2
     finally:
         harness._set_blas_threads(previous)
-    assert seen == [1] * (len(cfg.oversampling_grid) + 1)
+    calls = [1] * (len(cfg.oversampling_grid) + 1)
+    assert seen == {"compute_basis": calls, "recover_batch": calls}
     assert Path(res.summary_path).read_text().splitlines()[0].endswith(
         f"trials={cfg.trials} blas_threads=1")
 

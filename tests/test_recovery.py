@@ -126,6 +126,11 @@ def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
         assert J.shape == want.shape
         assert np.max(np.abs(J - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(c - S @ problem.quantized)) <= 1e-12 * np.max(np.abs(c))
+    # beyond DENSE_FULL_FORM_LIMIT the full form's S is not written out:
+    # building J raises, and recover raises it
+    dense, _, _ = pipeline_problem(4, recovery.DENSE_FULL_FORM_LIMIT + 8, 1, seed=7, eps=0.5)
+    with pytest.raises(ValueError, match="materializes"):
+        recovery.recover(dense)
 
 
 def test_objective_not_above_truth():
@@ -628,7 +633,7 @@ def test_warm_started_secular_solve_stays_cheap(tmp_path):
     # about 3 Newton evaluations per ADMM iteration, a cold bracket about 8
     config = harness.ExperimentConfig(output_path=str(tmp_path))
     task = harness.first_trial(config)
-    _, solution = harness.trial_solve(task, harness.grid_point(task))
+    _, solution = harness.trial_solve(task)
     assert solution.converged
     assert solution.secular_steps <= 4 * solution.iterations
 
@@ -747,72 +752,19 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
         assert got.objective == want.objective and got.feasibility == want.feasibility
 
 
-_MIXED = {}
-
-
-def _mixed_batch():
-    """Seven problems of five constraint matrices J, their groups, and each
-    one's solve alone.
-
-    A point's problem and another q of it share J; so do two problems of
-    its noise block at different eps.  The others have another operator,
-    another basis object (of equal values) or another order.
-    """
-    if not _MIXED:
-        problem, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, ell=10)
-        noisy = dataclasses.replace(problem, noise_bound=0.5)
-        problems = [
-            problem,
-            dataclasses.replace(problem, quantized=np.zeros(40)),
-            pipeline_problem(4, 40, 2, form="projected", seed=6, ell=10)[0],
-            dataclasses.replace(problem, basis=noise_shaping.compute_basis(40, 2, truncation=10)),
-            dataclasses.replace(problem, order=1,
-                                basis=noise_shaping.compute_basis(40, 1, truncation=10)),
-            noisy,
-            dataclasses.replace(noisy, noise_bound=1.0),
-        ]
-        _MIXED.update(problems=problems, groups=[0, 0, 1, 2, 3, 4, 4],
-                      alone=[recovery.recover(p) for p in problems])
-    return _MIXED["problems"], _MIXED["groups"], _MIXED["alone"]
-
-
-@settings(PROPERTY, max_examples=12)
-@given(order=st.permutations(range(7)), size=st.integers(1, 7))
-def test_batch_groups_its_problems_by_their_constraint(order, size):
-    # a batch that mixes problems of another operator, basis, order or
-    # noise flag, in any order, builds J once per group of problems that
-    # share it, from the group's first problem, and every problem gets the
-    # bits it gets alone
-    problems, groups, alone = _mixed_batch()
-    chosen = order[:size]
-    firsts = {}
-    for i in chosen:
-        firsts.setdefault(groups[i], problems[i])
-    built, constraint = [], recovery._constraint_matrix
-
-    def counted(problem):
-        built.append(problem)
-        return constraint(problem)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recovery, "_constraint_matrix", counted)
-        outcomes = recovery.recover_batch([problems[i] for i in chosen])
-    assert len(built) == len(firsts)
-    assert all(got is want for got, want in zip(built, firsts.values()))
-    for i, outcome in zip(chosen, outcomes):
-        _same_solution(outcome, alone[i])
-
-
-def test_batch_set_up_failure_fails_its_problem_alone():
-    # a full-form problem with noise beyond DENSE_FULL_FORM_LIMIT cannot
-    # build its J: it fails alone, and the others solve as they do alone,
-    # the second of a group from the J its first problem built
-    problems, _, alone = _mixed_batch()
-    m = recovery.DENSE_FULL_FORM_LIMIT + 8
-    dense, _, _ = pipeline_problem(4, m, 1, form="full_inverse_power", seed=7, eps=0.5)
-    outcomes = recovery.recover_batch([problems[0], dense, problems[1], problems[2]])
-    assert isinstance(outcomes[1], ValueError)
-    assert "materializes" in str(outcomes[1])
-    _same_solution(outcomes[0], alone[0])
-    _same_solution(outcomes[2], alone[1])
-    _same_solution(outcomes[3], alone[2])
+@pytest.mark.parametrize("form, change", [
+    ("projected", lambda problem: dict(operator=dataclasses.replace(problem.operator))),
+    ("projected", lambda problem: dict(basis=noise_shaping.compute_basis(40, 2, truncation=10))),
+    ("encoded", lambda problem: dict(encoder=dataclasses.replace(problem.encoder))),
+    ("full_inverse_power", lambda problem: dict(order=1)),
+    ("projected", lambda problem: dict(noise_bound=0.5)),
+], ids=["operator", "basis", "encoder", "order", "noise"])
+def test_a_batch_of_two_constraints_is_refused(form, change):
+    # a batch is the problems of one J: one that differs in any input of
+    # J, by another object of equal values too, is refused, and a batch
+    # of none returns no outcomes
+    problem, _, _ = pipeline_problem(4, 40, 2, form=form, seed=5, ell=10)
+    other = dataclasses.replace(problem, **change(problem))
+    with pytest.raises(ValueError, match="one constraint matrix"):
+        recovery.recover_batch([problem, other])
+    assert recovery.recover_batch([]) == []
