@@ -27,9 +27,6 @@ OpenBLAS pinned, and so reproduces its sweep row.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
-import glob
 import itertools
 import math
 import multiprocessing.connection
@@ -39,6 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from sdlowrank import _blas
 from sdlowrank import encoding
 from sdlowrank import noise_shaping
 from sdlowrank import recovery
@@ -82,9 +80,6 @@ _ROLE_NOISE = 103
 _ROLE_ENCODER = 104
 
 _FAILURE_ABORT_FRACTION = 0.2
-
-# OpenBLAS threads of every computation that makes a CSV row
-_BLAS_THREADS = 1
 
 # the least value of each integer field of ExperimentConfig that has one
 _INTEGER_FLOORS = {"ell": 1, "orders": 1, "trials": 1, "encoder_dim": 1,
@@ -403,48 +398,6 @@ def read_records_csv(path):
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS through ctypes, or None where numpy carries none."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
-    return None
-
-
-def _set_blas_threads(count):
-    """Give numpy's OpenBLAS count threads; return the count it had, or None without it."""
-    lib = _openblas()
-    if lib is None:
-        return None
-    previous = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(count)
-    return previous
-
-
-@contextlib.contextmanager
-def _blas_pinned():
-    """Run the block with OpenBLAS at _BLAS_THREADS threads, then restore its count."""
-    previous = _set_blas_threads(_BLAS_THREADS)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
-
-
-# ---------------------------------------------------------------------------
 # trial execution
 
 @dataclass(frozen=True)
@@ -617,13 +570,13 @@ def trial_solve(task):
     """Run one trial through decoding; return (TrialRecord, RecoverySolution).
 
     The trial's grid point is built by grid_point and its solve is the
-    sweep's on a batch of one, both with OpenBLAS pinned as in a sweep (a
-    cold basis built at another thread count has other bits, and the
-    cache keeps them), so the record equals the task's row of the sweep's
-    CSV.  Unless the quantizer overflowed, an infeasible truth raises
-    RuntimeError.
+    sweep's on a batch of one, with OpenBLAS pinned as in a sweep (the
+    last digits of a solve follow the thread count; a cold basis has the
+    same bits at any count, since compute_basis pins its own build), so
+    the record equals the task's row of the sweep's CSV.  Unless the
+    quantizer overflowed, an infeasible truth raises RuntimeError.
     """
-    with _blas_pinned():
+    with _blas._blas_pinned():
         point = grid_point(task)
         trial = _prepare_trial(task, point, trial_instance(task, point[0]))
         solution = recovery.recover(trial.problem, task.config.solver_params())
@@ -749,7 +702,7 @@ def _execute(units, workers):
     workers = min(workers or len(os.sched_getaffinity(0)), len(units))
     # forked workers inherit the pinned count; setting a count in a forked
     # child would start an OpenBLAS thread there that spins for about 0.1 s
-    with _blas_pinned():
+    with _blas._blas_pinned():
         if workers <= 1:
             outcomes = [o for unit in units for o in _run_group(unit)]
         else:
@@ -900,7 +853,7 @@ def _run_sweep(config, spec):
         f"config: master_seed={config.master_seed} form={config.constraint_form}"
         f" n={config.n1}x{config.n2} rank={config.rank} ell={config.ell}"
         f" beta={config.beta:g} mu={config.mu:g} trials={config.trials}"
-        f" blas_threads={_BLAS_THREADS if _openblas() else 'unpinned'}",
+        f" blas_threads={_blas._BLAS_THREADS if _blas._openblas() else 'unpinned'}",
         f"{spec.name.replace('_', '-')} sweep: {len(results)} trials,"
         f" {len(failures)} failures, {not_converged} not converged, {overflowed} overflowed",
     ]

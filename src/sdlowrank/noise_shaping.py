@@ -9,13 +9,16 @@ only the leading ell singular values sigma_1..sigma_ell of D^{-r} and
 its leading right singular vectors V_ell.  compute_basis finds them in
 O(m ell) memory, never forming the m x m matrix: in closed form at
 r = 1, by block subspace iteration with Rayleigh-Ritz for r >= 2.  The
-iteration factors its tall m x 2 ell blocks by Cholesky QR twice
-(CholeskyQR2; Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014):
-a small Gram matrix, its Cholesky factor and one matrix product, in
-place of LAPACK's Householder QR and thin SVD.  Only the first
-Rayleigh-Ritz step keeps a thin SVD, because its block is too
-ill-conditioned for Cholesky QR (see _subspace_iteration).  The pair can
-be cached on disk, keyed by (m, r, ell).
+iteration factors its tall m x 2 ell blocks by Cholesky QR: a small Gram
+matrix, its Cholesky factor and one matrix product, in place of LAPACK's
+Householder QR and thin SVD.  A second pass (CholeskyQR2; Fukaya,
+Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014) runs only when the
+first pass's Gram matrix is far from the identity, which no block after
+the first has been seen to be.  Only the first Rayleigh-Ritz step keeps a
+thin SVD, because its block is too ill-conditioned for Cholesky QR (see
+_subspace_iteration).  The build runs with numpy's OpenBLAS pinned to one
+thread, so its bits do not follow the caller's thread count.  The pair
+can be cached on disk, keyed by (m, r, ell).
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sdlowrank import _blas
+
 __all__ = [
     "NoiseShapingBasis",
     "BasisNotCertified",
@@ -37,17 +42,23 @@ __all__ = [
     "project_shaped",
 ]
 
-# 3: bases built with Cholesky QR; their last digits differ from version 2's
-_CACHE_FORMAT_VERSION = 3
+# 4: bases built with one Cholesky QR pass where it suffices; their last
+# digits differ from version 3's
+_CACHE_FORMAT_VERSION = 4
 
 # subspace iteration stops once sigma_ell ||D^{r,T} V_ell||_2 is within
 # this of 1, and gives up after _MAX_STEPS power steps
 _CERTIFICATE_SLACK = 1e-9
 _MAX_STEPS = 30
 
-# rows per block of apply_inverse_power on a matrix: 256 rows of 400
-# float64 columns are 800 KB
+# rows per block of apply_inverse_power and apply_difference on a matrix:
+# 256 rows of 400 float64 columns are 800 KB
 _BLOCK_ROWS = 256
+
+# _cholesky_qr takes one pass when the Frobenius distance of the first
+# Gram matrix from the identity is at most this, which bounds its
+# condition number by 3
+_ONE_PASS_GRAM_DEVIATION = 0.5
 
 
 class BasisNotCertified(RuntimeError):
@@ -89,11 +100,19 @@ def _check_order(r):
 
 def apply_difference(a, r):
     """Apply D^r along axis 0 of a vector or matrix: r backward-difference
-    passes, O(r m) per column."""
+    passes on a copy of a, O(r m) per column.
+
+    Each pass runs in place, a block of _BLOCK_ROWS rows at a time from
+    the last rows up, so it needs a block-sized temporary rather than a
+    copy of the array; every entry is the same difference of two entries
+    as in a whole-array pass.
+    """
     _check_order(r)
-    out = np.asarray(a, dtype=float)
+    out = np.array(a, dtype=float)
     for _ in range(r):
-        out = np.diff(out, prepend=0.0, axis=0)
+        for stop in range(out.shape[0], 1, -_BLOCK_ROWS):
+            start = max(stop - _BLOCK_ROWS, 1)
+            out[start:stop] -= out[start - 1:stop - 1]
     return out
 
 
@@ -157,18 +176,29 @@ def _certificate(s, V, r):
 
 def _cholesky_qr(Y):
     """Y = Q R with orthonormal Q and upper-triangular R, by Cholesky QR
-    twice on Y with its columns scaled to unit norm.
+    on Y with its columns scaled to unit norm.
 
-    One pass takes the Cholesky factor C of the Gram matrix Q^T Q and sets
-    Q = Q C^{-1}; it loses orthogonality like cond^2 eps, where cond is
-    the scaled block's condition number, and the second pass restores it
-    to eps while cond stays well below 1e8.  The unit columns keep the
-    Gram matrix from overflowing whatever Y's column norms.  Raises
-    LinAlgError when the Gram matrix is not numerically positive definite.
+    One pass takes the Cholesky factor C of the Gram matrix G = Q^T Q and
+    sets Q = Q C^{-1}; it loses orthogonality like cond^2 eps, where cond
+    is the scaled block's condition number (Yamamoto, Nakatsukasa,
+    Yanagisawa and Fukaya, ETNA 2015).  A second pass restores it to eps
+    while cond stays well below 1e8; it runs only when ||G - I||_F
+    exceeds _ONE_PASS_GRAM_DEVIATION, since at or below it
+    cond^2 = cond(G) is at most 3 and one pass already leaves
+    orthogonality near eps.  The unit columns keep the Gram matrix from
+    overflowing whatever Y's column norms.  Y is not modified; the
+    function drops its reference to Y once the scaled copy exists, so a
+    temporary passed in is freed there.  Raises LinAlgError when the Gram
+    matrix is not numerically positive definite.
     """
     d = np.linalg.norm(Y, axis=0)
-    Q, R = Y / d, np.diag(d)
-    for _ in range(2):
+    Q = Y / d
+    del Y
+    G = Q.T @ Q
+    C = np.linalg.cholesky(G).T
+    Q = Q @ np.linalg.inv(C)
+    R = C * d
+    if np.linalg.norm(G - np.eye(len(G))) > _ONE_PASS_GRAM_DEVIATION:
         C = np.linalg.cholesky(Q.T @ Q).T
         Q = Q @ np.linalg.inv(C)
         R = C @ R
@@ -191,28 +221,38 @@ def _subspace_iteration(m, r, ell):
     r = 2, 8.9e4 at r = 3, 2.3e7 at r = 4 and 4.5e9 at r = 5 (m = 1280,
     ell = 80), where Cholesky QR, which needs it well below 1e8, breaks
     down.  Every later block, power step or Rayleigh-Ritz, measured below
-    3 for r <= 6 (m = 1280, ell = 80) and is factored
-    by _cholesky_qr: the power step's block directly, and the
-    Rayleigh-Ritz block as D^{-r} Q = Q_s R, whose p x p SVD
-    R = U_R S W^T gives U = Q_s U_R.  A Cholesky breakdown raises
-    BasisNotCertified.
+    3 for r <= 6 (m = 1280, ell = 80) and is factored by _cholesky_qr,
+    whose first Gram matrix has been within its one-pass bound on every
+    such block, so each takes one Cholesky factorization: the power
+    step's block directly, and the Rayleigh-Ritz block as
+    D^{-r} Q = Q_s R, whose p x p SVD R = U_R S W^T gives U = Q_s U_R.
+    Each m x p block is dropped as soon as the next one exists, so at
+    most three are alive at once, besides the thin SVD's workspace at
+    step 0.  A Cholesky breakdown raises BasisNotCertified.
     """
-    Q = _first_order_pair(m, min(2 * ell, m))[1]
+    p = min(2 * ell, m)
     for step in range(_MAX_STEPS + 1):
         try:
-            Y = apply_inverse_power(Q, r)
             if step == 0:
-                U, s, Wh = np.linalg.svd(Y, full_matrices=False)
+                # the start Q is closed form, so it is formed again after
+                # the SVD rather than held through LAPACK's copies
+                U, s, Wh = np.linalg.svd(apply_inverse_power(_first_order_pair(m, p)[1], r),
+                                         full_matrices=False)
+                Q = _first_order_pair(m, p)[1]
             else:
-                Q_s, R = _cholesky_qr(Y)
-                U, s, Wh = np.linalg.svd(R)
-                U = Q_s @ U
+                # U holds Q_s until Q_s U_R replaces it
+                U, R = _cholesky_qr(apply_inverse_power(Q, r))
+                U_R, s, Wh = np.linalg.svd(R)
+                U = U @ U_R
             s, V = s[:ell], Q @ Wh[:ell].T
+            del Q
             certificate = _certificate(s, V, r)
             if certificate <= 1.0 + _CERTIFICATE_SLACK:
                 return s, V
+            del V
             # D^{-r,T} U: D^{-r} on reversed rows
             Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])[0]
+            del U
         except np.linalg.LinAlgError as exc:
             raise BasisNotCertified(f"m={m} r={r} ell={ell}: step {step}: {exc}") from exc
     raise BasisNotCertified(
@@ -285,6 +325,10 @@ def compute_basis(m, r, truncation, cache_dir=None):
         overwritten.  Writes are atomic, so concurrent readers never
         observe partial files.
 
+    A build runs with numpy's OpenBLAS pinned to one thread, so a basis
+    has the same bits whatever the caller's thread count; the count is
+    set only when it differs, and restored afterwards.
+
     Raises BasisNotCertified if subspace iteration (r >= 2) cannot
     certify its result within its step budget.
     """
@@ -297,7 +341,8 @@ def compute_basis(m, r, truncation, cache_dir=None):
     if cached is not None:
         s, V = cached
     else:
-        s, V = _first_order_pair(m, ell) if r == 1 else _subspace_iteration(m, r, ell)
+        with _blas._blas_pinned():
+            s, V = _first_order_pair(m, ell) if r == 1 else _subspace_iteration(m, r, ell)
         if path is not None:
             _write_cache(path, m, r, s, V)
     return NoiseShapingBasis(order=r, singular_values=s, right_vectors=V)

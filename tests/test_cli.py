@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdlowrank import _blas
 from sdlowrank import cli
 from sdlowrank import encoding
 from sdlowrank import harness
@@ -77,23 +78,24 @@ def test_recover_reports_converged_instance(tiny_cfg_file, capsys):
 
 @pytest.mark.parametrize("overrides, blas_threads", [
     ({}, None),
-    # a cold r = 2 basis at m = 320 has other bits on two OpenBLAS threads
+    # a caller on two OpenBLAS threads: the solve is pinned to one, and a
+    # cold r = 2 basis at m = 320 gets the same bits at either count
     pytest.param(dict(ell=80, oversampling_grid=(4.0,), orders=(2,), trials=1), 2,
-                 marks=pytest.mark.skipif(harness._openblas() is None,
+                 marks=pytest.mark.skipif(_blas._openblas() is None,
                                           reason="numpy carries no OpenBLAS")),
 ], ids=["tiny", "projected-r2-two-threads"])
 def test_recover_instance_matches_sweep_first_row(tmp_path, overrides, blas_threads):
     # the single-instance solve and the sweep each build their basis in
-    # their own cold cache, the former at the caller's thread count
+    # their own cold cache
     cfg = harness.load_config(write_tiny_cfg(tmp_path, **overrides),
                               output_path=str(tmp_path / "single"))
     task = harness.first_trial(cfg)
-    previous = harness._set_blas_threads(blas_threads) if blas_threads else None
+    previous = _blas._set_blas_threads(blas_threads) if blas_threads else None
     try:
         record, _ = harness.trial_solve(task)
     finally:
         if previous is not None:
-            harness._set_blas_threads(previous)
+            _blas._set_blas_threads(previous)
     sweep = harness.run_oversampling_sweep(replace(cfg, output_path=str(tmp_path / "sw")))
     first = [
         t for t in sweep.records

@@ -1,12 +1,15 @@
-"""The README quick start and the demo run as documented, the README,
+"""The README quick start and the demos run as documented, the README,
 configs/desk.cfg and pyproject.toml match the program they describe, and
 no package module imports a name it never reads."""
 
 import argparse
 import ast
 import importlib
+import os
 import re
 import runpy
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,6 +32,19 @@ def test_quantizer_walkthrough_runs(capsys):
     demo = runpy.run_path(str(ROOT / "demos" / "quantizer_walkthrough.py"))
     demo["run_demo"]()
     assert "relative error" in capsys.readouterr().out
+
+
+def test_basis_build_demo_runs_in_its_own_process():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    demo = str(ROOT / "demos" / "basis_build.py")
+    done = subprocess.run([sys.executable, demo, "320", "2", "80"], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("compute_basis(m=320, r=2, ell=80): ")
+    assert lines[1].startswith("sigma_ell = ")
+    certificate = float(lines[2].split()[2])
+    assert 0.99 < certificate <= 1 + 1e-9
+    assert lines[3].startswith("peak RSS = ")
 
 
 def test_readme_lists_every_subcommand():

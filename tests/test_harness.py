@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdlowrank import _blas
 from sdlowrank import encoding
 from sdlowrank import harness
 from sdlowrank import noise_shaping
@@ -727,7 +728,7 @@ def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
     assert [len(group) for group in groups] == [cfg.trials] * 4
     assert all(isinstance(task, harness._TrialTask) for group in groups for task in group)
     rows = _in_row_order(outcome for outcomes in returned for outcome in outcomes)
-    with harness._blas_pinned():
+    with _blas._blas_pinned():
         assert rows == _in_row_order(
             outcome for group in groups for outcome in harness._run_group(group))
     assert [harness._run_trial(task, row) for task, row in rows] == res.records
@@ -791,7 +792,7 @@ def test_a_worker_that_dies_idle_costs_no_trial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_start_worker", recording_start)
     monkeypatch.setattr(multiprocessing.connection, "wait", wait_then_kill)
-    with harness._blas_pinned():
+    with _blas._blas_pinned():
         outcomes = harness._run_pooled(units, 2)
         assert _in_row_order(outcomes) == _in_row_order(
             outcome for unit in units for outcome in harness._run_group(unit))
@@ -963,12 +964,12 @@ def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):
         (1, 16), (1, 16), (1, 32), (1, 32), (1, 64), (1, 64), (2, 16), (2, 16), (2, 32), (2, 32)]
 
 
-@pytest.mark.skipif(harness._openblas() is None, reason="numpy carries no OpenBLAS")
+@pytest.mark.skipif(_blas._openblas() is None, reason="numpy carries no OpenBLAS")
 def test_rows_are_computed_on_one_blas_thread_and_the_count_restored(tmp_path, monkeypatch):
     # a serial sweep and a single-instance solve pin OpenBLAS to one
     # thread while they build their bases and solve, and give back the
     # count they found; the summary records the pinned count
-    threads = harness._openblas().scipy_openblas_get_num_threads64_
+    threads = _blas._openblas().scipy_openblas_get_num_threads64_
     seen = {}
 
     def counted(original, calls):
@@ -981,7 +982,7 @@ def test_rows_are_computed_on_one_blas_thread_and_the_count_restored(tmp_path, m
         seen[name] = []
         monkeypatch.setattr(module, name, counted(getattr(module, name), seen[name]))
     cfg = tiny_config(tmp_path, workers=1)
-    previous = harness._set_blas_threads(2)
+    previous = _blas._set_blas_threads(2)
     try:
         res = harness.run_oversampling_sweep(cfg)
         assert threads() == 2
@@ -989,7 +990,7 @@ def test_rows_are_computed_on_one_blas_thread_and_the_count_restored(tmp_path, m
         harness.trial_solve(task)
         assert threads() == 2
     finally:
-        harness._set_blas_threads(previous)
+        _blas._set_blas_threads(previous)
     calls = [1] * (len(cfg.oversampling_grid) + 1)
     assert seen == {"compute_basis": calls, "recover_batch": calls}
     assert Path(res.summary_path).read_text().splitlines()[0].endswith(

@@ -12,12 +12,14 @@ probes meet the 1e-10 bound only while m^(r-1/2) * eps allows it.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sdlowrank import _blas
 from sdlowrank import noise_shaping as ns
 
 from dense_oracle import dense_basis, difference_power, inverse_power_entries
@@ -208,6 +210,53 @@ def test_basis_build_takes_one_tall_svd_and_no_householder_qr(monkeypatch):
     assert tall_svds == [(m, 2 * ell)]
 
 
+def test_basis_build_holds_at_most_five_blocks():
+    # m = 1280, r = 3 takes four Rayleigh-Ritz steps; each m x p block is
+    # dropped once the next exists (about 3.8 blocks of numpy memory at
+    # the peak; 8.1 when each step kept its blocks)
+    m, r, ell = 1280, 3, 80
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ns.compute_basis(m, r, truncation=ell)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * m * 2 * ell * 8
+
+
+def test_basis_build_factors_each_block_once(monkeypatch):
+    # every block after step 0 is near orthogonal once its columns are
+    # scaled, so Cholesky QR takes one pass: three power steps and three
+    # later Rayleigh-Ritz steps at m = 1280, r = 3
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(ns.np.linalg, "cholesky", counted)
+    ns.compute_basis(1280, 3, truncation=80)
+    assert factored == [(160, 160)] * 6
+
+
+@pytest.mark.skipif(_blas._openblas() is None, reason="numpy carries no OpenBLAS")
+@pytest.mark.parametrize("m, r", [(320, 2), (320, 3), (1280, 2), (1280, 3)])
+def test_basis_bits_do_not_follow_the_blas_thread_count(m, r):
+    # a cold build pins OpenBLAS to one thread, so a basis cached by a
+    # caller on two threads is the one a pinned sweep builds
+    previous = _blas._set_blas_threads(2)
+    try:
+        two = ns.compute_basis(m, r, truncation=80)
+        _blas._set_blas_threads(1)
+        one = ns.compute_basis(m, r, truncation=80)
+    finally:
+        _blas._set_blas_threads(previous)
+    assert np.array_equal(two.singular_values, one.singular_values)
+    assert np.array_equal(two.right_vectors, one.right_vectors)
+
+
 @st.composite
 def _tall_blocks(draw):
     """An m x p block Q0 T diag(d): orthonormal Q0, a p x p factor T with
@@ -321,9 +370,9 @@ def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypa
     # which marks an older algorithm's last digits, is rebuilt, not read
     m, r, ell = 320, 2, 40
     arrays = _good_cache_arrays(m, r, ell)
-    assert ns._CACHE_FORMAT_VERSION == 3
+    assert ns._CACHE_FORMAT_VERSION == 4
     path = os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}_l{ell}.npz")
-    np.savez(path, **{**arrays, "format_version": np.array([2])})
+    np.savez(path, **{**arrays, "format_version": np.array([3])})
     built = []
     iteration = ns._subspace_iteration
 
@@ -336,7 +385,7 @@ def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypa
     assert built == [(m, r, ell)]
     assert np.array_equal(basis.right_vectors, arrays["right_vectors"])
     with np.load(path) as data:
-        assert int(data["format_version"][0]) == 3
+        assert int(data["format_version"][0]) == 4
         for key, want in arrays.items():
             assert np.array_equal(data[key], want)
 
