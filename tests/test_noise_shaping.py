@@ -212,8 +212,8 @@ def test_basis_build_takes_one_tall_svd_and_no_householder_qr(monkeypatch):
 
 def test_basis_build_holds_at_most_five_blocks():
     # m = 1280, r = 3 takes four Rayleigh-Ritz steps; each m x p block is
-    # dropped once the next exists (about 3.8 blocks of numpy memory at
-    # the peak; 8.1 when each step kept its blocks)
+    # dropped once the next exists, so about 3.8 blocks of numpy memory
+    # are alive at the peak
     m, r, ell = 1280, 3, 80
     tracemalloc.start()
     try:
