@@ -3,9 +3,11 @@
     python3 demos/basis_build.py M R ELL
 
 builds the leading ELL singular pairs of D^{-R} at size M with no cache,
-and prints the build's wall time, sigma_ell, the certificate
-sigma_ell ||D^{R,T} V_ell||_2 of the pair it returned, and this
-process's resident peak (ru_maxrss) before and after the build.  Each
+and prints the build's wall time, the route that certified it
+("structured", or "subspace iteration after k power steps"; "closed
+form" at R = 1), sigma_ell, the certificate sigma_ell ||D^{R,T} V_ell||_2
+of the pair it returned, and this process's resident peak (ru_maxrss)
+before and after the build.  Each
 run is its own interpreter, so the peak belongs to that build alone.
 """
 
@@ -29,6 +31,7 @@ def main(argv=None):
     certificate = noise_shaping._certificate(basis.singular_values, basis.right_vectors, r)
     slack = noise_shaping._CERTIFICATE_SLACK
     print(f"compute_basis(m={m}, r={r}, ell={ell}): {seconds:.2f} s")
+    print(f"route = {basis.source}")
     print(f"sigma_ell = {basis.sigma_truncation:.17g}")
     print(f"certificate = {certificate:.17g} (certified at <= 1 + {slack:g})")
     print(f"peak RSS = {_peak_mb():.1f} MB ({before:.1f} MB before the build)")

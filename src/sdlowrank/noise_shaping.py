@@ -7,18 +7,29 @@ apply_inverse_power are the package's only implementations of the two;
 every other module calls them.  The stabilized decoder constraint reads
 only the leading ell singular values sigma_1..sigma_ell of D^{-r} and
 its leading right singular vectors V_ell.  compute_basis finds them in
-O(m ell) memory, never forming the m x m matrix: in closed form at
-r = 1, by block subspace iteration with Rayleigh-Ritz for r >= 2.  The
-iteration factors its tall m x 2 ell blocks by Cholesky QR: a small Gram
-matrix, its Cholesky factor and one matrix product, in place of LAPACK's
-Householder QR and thin SVD.  A second pass (CholeskyQR2; Fukaya,
-Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014) runs only when the
-first pass's Gram matrix is far from the identity, which no block after
-the first has been seen to be.  Only the first Rayleigh-Ritz step keeps a
-thin SVD, because its block is too ill-conditioned for Cholesky QR (see
-_subspace_iteration).  The build runs with numpy's OpenBLAS pinned to one
-thread, so its bits do not follow the caller's thread count.  The pair
-can be cached on disk, keyed by (m, r, ell).
+O(m ell) memory, never forming the m x m matrix, by one of three routes.
+At r = 1 they are closed form: the cosines V1 that diagonalize D D^T.
+At r = 2 and 3 with m > 2 ell they come from the structure of D^r:
+K = D^r D^{r,T} equals (D D^T)^r, diagonal in V1, plus an integer
+boundary term of rank k = 2 and 3, so the ell smallest eigenpairs of K
+(the pairs sigma^{-2}, v) solve a k x k secular equation (Golub, SIAM
+Review 1973; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 1994).  Its
+roots are bracketed by inertia counts and polished by Newton steps, the
+vectors are mapped by V1 as a DCT-VIII through numpy.fft, and one
+Rayleigh-Ritz step with D^{-r} follows.  Otherwise, and whenever that
+pair fails its certificate, block subspace iteration with Rayleigh-Ritz
+runs.  It factors its tall m x 2 ell blocks by Cholesky QR: a small
+Gram matrix, its Cholesky factor and one matrix product, in place of
+LAPACK's Householder QR and thin SVD.  A second pass (CholeskyQR2;
+Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014) runs only when
+the first pass's Gram matrix is far from the identity, which no block
+after the iteration's first has been seen to be.  Only the iteration's
+first Rayleigh-Ritz step keeps a thin SVD, because its block is too
+ill-conditioned for Cholesky QR (see _subspace_iteration).  Every pair
+returned for r >= 2 has passed the certificate
+sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9.  The build runs with numpy's
+OpenBLAS pinned to one thread, so its bits do not follow the caller's
+thread count.  The pair can be cached on disk, keyed by (m, r, ell).
 """
 
 from __future__ import annotations
@@ -42,12 +53,12 @@ __all__ = [
     "project_shaped",
 ]
 
-# 4: bases built with one Cholesky QR pass where it suffices; their last
-# digits differ from version 3's
-_CACHE_FORMAT_VERSION = 4
+# 5: bases of orders 2 and 3 with m > 2 ell built by the structured route;
+# their last digits differ from version 4's
+_CACHE_FORMAT_VERSION = 5
 
-# subspace iteration stops once sigma_ell ||D^{r,T} V_ell||_2 is within
-# this of 1, and gives up after _MAX_STEPS power steps
+# a pair is certified once sigma_ell ||D^{r,T} V_ell||_2 is within this
+# of 1; subspace iteration gives up after _MAX_STEPS power steps
 _CERTIFICATE_SLACK = 1e-9
 _MAX_STEPS = 30
 
@@ -60,9 +71,26 @@ _BLOCK_ROWS = 256
 # condition number by 3
 _ONE_PASS_GRAM_DEVIATION = 0.5
 
+# the structured route serves orders up to this one; at r = 4 its span is
+# already 1.9e-5 from the dense SVD's at m = 1280, ell = 80, so higher
+# orders take subspace iteration
+_STRUCTURED_MAX_ORDER = 3
+
+# _secular_roots brackets each root by this many bisection steps on its
+# inertia count, then takes this many Newton steps
+_BISECTION_STEPS = 24
+_NEWTON_STEPS = 3
+
+# the structured route solves its roots in this many chunks, so a chunk's
+# length-(2m + 1) complex FFT rows take about as much memory as the m x ell
+# block they fill, and less than the Rayleigh-Ritz step after them
+_CHUNKS = 4
+
 
 class BasisNotCertified(RuntimeError):
-    """Subspace iteration ended without certifying its singular pairs."""
+    """No route certified its singular pairs: subspace iteration, which runs
+    when the structured route does not certify, ran out of steps or broke
+    down."""
 
 
 @dataclass(frozen=True)
@@ -71,12 +99,15 @@ class NoiseShapingBasis:
 
     singular_values holds sigma_1 >= ... >= sigma_ell and right_vectors
     the matching columns of V, an m x ell array; ell is the number of
-    directions the stabilized constraint keeps.
+    directions the stabilized constraint keeps.  source says where the
+    pair came from: "cache", "closed form" (r = 1), "structured", or
+    "subspace iteration after k power steps".
     """
 
     order: int
     singular_values: np.ndarray = field(repr=False)
     right_vectors: np.ndarray = field(repr=False)
+    source: str
 
     @property
     def size(self):
@@ -152,15 +183,163 @@ def apply_inverse_power(a, r):
     return out
 
 
+def _angles(m, count):
+    """theta_n = (2n + 1) pi / (2m + 1) for n < count: the r = 1 basis's
+    columns are cos((i + 1/2) theta_n), with eigenvalue (2 sin(theta_n / 2))^2
+    of D D^T."""
+    return (2 * np.arange(count) + 1) * np.pi / (2 * m + 1)
+
+
 def _first_order_pair(m, ell):
     """Closed form at r = 1: V_ell and sigma_ell from the eigenvectors of
     D D^T, the tridiagonal matrix with diagonal (1, 2, ..., 2)."""
-    theta = (2 * np.arange(1, ell + 1) - 1) * np.pi / (2 * m + 1)
+    theta = _angles(m, ell)
     s = 1.0 / (2.0 * np.sin(theta / 2))
     V = np.outer(np.arange(m) + 0.5, theta)
     np.cos(V, out=V)
     V *= math.sqrt(4.0 / (2 * m + 1))
     return s, V
+
+
+def _boundary_term(m, r):
+    """E = D^r D^{r,T} - (D D^T)^r as (S, e, W), with E = P_S W diag(e) W^T P_S^T.
+
+    E is an integer matrix on the first r and the last r - 1 indices, and
+    its entries there do not depend on m once m >= 4r; so it is formed
+    exactly, in float64 integers, at size n = min(m, 4r), and its support
+    indices past n / 2 are moved to the end of R^m.  e holds the nonzero
+    eigenvalues of the support block, k = 2 and 3 of them at r = 2 and 3,
+    and the columns of W their eigenvectors.
+    """
+    n = min(m, 4 * r)
+    D, Dr = (apply_difference(np.eye(n), order) for order in (1, r))
+    E = Dr @ Dr.T - np.linalg.matrix_power(D @ D.T, r)
+    S = np.flatnonzero(np.any(E != 0, axis=0))
+    e, W = np.linalg.eigh(E[np.ix_(S, S)])
+    keep = np.abs(e) > 1e-9 * np.max(np.abs(e))
+    return np.where(S < n // 2, S, S + (m - n)), e[keep], W[:, keep]
+
+
+def _cosine_rows(theta, rows):
+    """The given rows of the full r = 1 basis V1, the m x m orthogonal
+    matrix c cos((i + 1/2) theta_n) with theta = _angles(m, m) and
+    c = sqrt(4 / (2m + 1)).
+
+    A row i past m / 2 is taken in its sine form,
+    V1[i, n] = c (-1)^n sin((m - i) theta_n), so its small entries near
+    n = 0 keep their relative accuracy.
+    """
+    m = len(theta)
+    c = math.sqrt(4.0 / (2 * m + 1))
+    alternating = c * (1 - 2 * (np.arange(m) % 2))
+    return np.array([c * np.cos((i + 0.5) * theta) if i < m // 2
+                     else alternating * np.sin((m - i) * theta) for i in rows])
+
+
+def _apply_cosines(X, out):
+    """out = (V1 X^T)^T for the rows of X, never forming V1.
+
+    V1[i, n] = c cos(pi (2i + 1)(2n + 1) / (2N)) with N = 2m + 1 and
+    c = sqrt(4 / N) is a DCT-VIII, so
+    (V1 x)_i = c Re(e^{-i pi (2i + 1) / (2N)} F_i), where F is the length-N
+    DFT of x_n e^{-i pi n / N}, zero-padded past n = m - 1: one numpy.fft
+    call for all the rows, in place in one complex array.
+    """
+    m = X.shape[1]
+    N = 2 * m + 1
+    n = np.arange(m)
+    F = np.zeros((len(X), N), dtype=complex)
+    np.multiply(X, np.exp(-1j * np.pi * n / N), out=F[:, :m])
+    np.fft.fft(F, axis=1, out=F)
+    F = F[:, :m]
+    F *= math.sqrt(4.0 / N) * np.exp(-1j * np.pi * (2 * n + 1) / (2 * N))
+    out[...] = F.real
+
+
+def _secular_roots(j, d, bound, Z, e):
+    """Rows (diag(d) - lambda_j)^{-1} Z w_j of unit norm for the eigenvalues
+    lambda_j of K = diag(d) + Z diag(e) Z^T (0-based indices j, ascending),
+    with d ascending: in the basis V1 they are K's eigenvectors.
+
+    lambda_j is a root of the k x k secular matrix
+    M(lambda) = -diag(1/e) - Z^T (diag(d) - lambda)^{-1} Z, and w_j the null
+    vector of M(lambda_j) (Golub, SIAM Review 1973).  By Sylvester's law of
+    inertia K has #{d < lambda} + #neg M(lambda) - #{e > 0} eigenvalues
+    below lambda, which brackets each root alone: the bracket starts at
+    [d_{j - #{e < 0}}, d_{j + #{e > 0}}] by interlacing, takes
+    _BISECTION_STEPS geometric bisection steps, and then _NEWTON_STEPS
+    Newton steps on the eigenvalue eta of M nearest zero, whose derivative
+    is -||(diag(d) - lambda)^{-1} Z w||^2; a step that leaves the bracket
+    is replaced by its midpoint.  bound is d with an upper bound of K's
+    spectrum appended.  The roots are solved together, one (len(j), m)
+    array per temporary.
+    """
+    k = len(e)
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(len(d), k * k)
+    minus_inverse_e = -np.diag(1.0 / e)
+    positive = int(np.sum(e > 0))
+    lo = d[np.maximum(j - (k - positive), 0)]
+    hi = bound[np.minimum(j + positive, len(bound) - 1)]
+    lam = np.sqrt(lo * hi)
+    roots = np.arange(len(j))
+    steps = _BISECTION_STEPS + _NEWTON_STEPS
+    for step in range(steps + 1):
+        g = 1.0 / (d - lam[:, None])
+        eta, U = np.linalg.eigh(minus_inverse_e - (g @ ZZ).reshape(-1, k, k))
+        if step < _BISECTION_STEPS:
+            # fewer than j + 1 eigenvalues of K below lam: lam <= lambda_j
+            below = np.searchsorted(d, lam) + np.sum(eta < 0, axis=1) - positive
+            lo, hi = np.where(below <= j, lam, lo), np.where(below <= j, hi, lam)
+            lam = np.sqrt(lo * hi)
+            continue
+        nearest = np.argmin(np.abs(eta), axis=1)
+        w = U[roots, :, nearest]
+        if step < steps:
+            slope = np.sum(np.square(g * (w @ Z.T)), axis=1)
+            newton = lam + eta[roots, nearest] / slope
+            lam = np.where((lo < newton) & (newton < hi), newton, np.sqrt(lo * hi))
+    X = g * (w @ Z.T)
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    return X
+
+
+def _structured_block(m, r, ell):
+    """An ell x m array whose rows are the eigenvectors of K = D^r D^{r,T}
+    for its ell smallest eigenvalues sigma_1^{-2} <= ... <= sigma_ell^{-2}.
+
+    In the r = 1 basis V1, K = V1 (diag(d) + Z diag(e) Z^T) V1^T with
+    d = (2 sin(theta / 2))^{2r}, the eigenvalues of (D D^T)^r, and
+    Z = V1[S, :]^T W from the boundary term (S, e, W) of _boundary_term.
+    The roots are solved (_secular_roots) and their vectors mapped by V1
+    (_apply_cosines) in _CHUNKS chunks of roots.
+    """
+    S, e, W = _boundary_term(m, r)
+    theta = _angles(m, m)
+    d = (2.0 * np.sin(theta / 2)) ** (2 * r)
+    # ||K|| = ||D^r||^2 < 4^r closes the brackets past the end of d
+    bound = np.append(d, 4.0 ** r)
+    Z = _cosine_rows(theta, S).T @ W
+    block = np.empty((ell, m))
+    rows = -(-ell // _CHUNKS)
+    for start in range(0, ell, rows):
+        j = np.arange(start, min(start + rows, ell))
+        _apply_cosines(_secular_roots(j, d, bound, Z, e), block[start:start + rows])
+    return block
+
+
+def _structured_pair(m, r, ell):
+    """sigma_ell and V_ell of D^{-r} by one Rayleigh-Ritz step with D^{-r}
+    on _structured_block: Q from _cholesky_qr of the block, D^{-r} Q = Q_s R
+    by _cholesky_qr, and the ell x ell SVD R = U_R S W^T give sigma = S and
+    V = Q W.  compute_basis certifies the pair.
+
+    The block is a temporary, so _cholesky_qr frees it once its scaled
+    copy exists.
+    """
+    Q = _cholesky_qr(_structured_block(m, r, ell).T)[0]
+    R = _cholesky_qr(apply_inverse_power(Q, r))[1]
+    s, Wh = np.linalg.svd(R)[1:]
+    return s, Q @ Wh.T
 
 
 def _certificate(s, V, r):
@@ -206,7 +385,8 @@ def _cholesky_qr(Y):
 
 
 def _subspace_iteration(m, r, ell):
-    """Block subspace iteration on D^{-r,T} D^{-r} with Rayleigh-Ritz.
+    """Block subspace iteration on D^{-r,T} D^{-r} with Rayleigh-Ritz:
+    (sigma_ell, V_ell, k), certified after k power steps.
 
     The block has p = min(2 ell, m) columns.  It starts from the
     first-order basis V_p of D^{-1}, an orthonormal function of (m, p)
@@ -248,7 +428,7 @@ def _subspace_iteration(m, r, ell):
             del Q
             certificate = _certificate(s, V, r)
             if certificate <= 1.0 + _CERTIFICATE_SLACK:
-                return s, V
+                return s, V, step
             del V
             # D^{-r,T} U: D^{-r} on reversed rows
             Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])[0]
@@ -309,6 +489,30 @@ def _read_cache(path, m, r, ell):
     return s, V
 
 
+def _build(m, r, ell):
+    """(sigma_ell, V_ell, source) of D^{-r}, certified.
+
+    r = 1 is closed form.  For r <= _STRUCTURED_MAX_ORDER and m > 2 ell
+    the structured route runs first, and its pair is returned when its
+    certificate holds; when it does not, or a factorization breaks down,
+    subspace iteration runs from its own start.  At m <= 2 ell the
+    iteration's block spans R^m and its first Rayleigh-Ritz step is exact.
+    """
+    if r == 1:
+        return *_first_order_pair(m, ell), "closed form"
+    if r <= _STRUCTURED_MAX_ORDER and m > 2 * ell:
+        try:
+            s, V = _structured_pair(m, r, ell)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if _certificate(s, V, r) <= 1.0 + _CERTIFICATE_SLACK:
+                return s, V, "structured"
+            del s, V
+    s, V, steps = _subspace_iteration(m, r, ell)
+    return s, V, f"subspace iteration after {steps} power steps"
+
+
 def compute_basis(m, r, truncation, cache_dir=None):
     """The leading singular pairs of D^{-r} at size m, optionally cached.
 
@@ -325,12 +529,20 @@ def compute_basis(m, r, truncation, cache_dir=None):
         overwritten.  Writes are atomic, so concurrent readers never
         observe partial files.
 
+    A cold build is closed form at r = 1.  At r = 2 and 3 with m > 2 ell
+    it is the structured route: a k x k secular solve on the r = 1
+    cosines and one Rayleigh-Ritz step (_structured_pair).  Otherwise,
+    or when the structured pair fails its certificate, it is block
+    subspace iteration (_subspace_iteration).  Every pair returned for
+    r >= 2 satisfies sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9, and the
+    basis's source names the route that gave it.
+
     A build runs with numpy's OpenBLAS pinned to one thread, so a basis
     has the same bits whatever the caller's thread count; the count is
     set only when it differs, and restored afterwards.
 
-    Raises BasisNotCertified if subspace iteration (r >= 2) cannot
-    certify its result within its step budget.
+    Raises BasisNotCertified if subspace iteration cannot certify its
+    result within its step budget or a Cholesky factor breaks down.
     """
     if not (1 <= truncation <= m):
         raise ValueError("truncation must lie in [1, m]")
@@ -340,12 +552,13 @@ def compute_basis(m, r, truncation, cache_dir=None):
     cached = None if path is None else _read_cache(path, m, r, ell)
     if cached is not None:
         s, V = cached
+        source = "cache"
     else:
         with _blas._blas_pinned():
-            s, V = _first_order_pair(m, ell) if r == 1 else _subspace_iteration(m, r, ell)
+            s, V, source = _build(m, r, ell)
         if path is not None:
             _write_cache(path, m, r, s, V)
-    return NoiseShapingBasis(order=r, singular_values=s, right_vectors=V)
+    return NoiseShapingBasis(order=r, singular_values=s, right_vectors=V, source=source)
 
 
 def project_shaped(v, basis):

@@ -41,10 +41,11 @@ def test_basis_build_demo_runs_in_its_own_process():
                           capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.splitlines()
     assert lines[0].startswith("compute_basis(m=320, r=2, ell=80): ")
-    assert lines[1].startswith("sigma_ell = ")
-    certificate = float(lines[2].split()[2])
+    assert lines[1] == "route = structured"
+    assert lines[2].startswith("sigma_ell = ")
+    certificate = float(lines[3].split()[2])
     assert 0.99 < certificate <= 1 + 1e-9
-    assert lines[3].startswith("peak RSS = ")
+    assert lines[4].startswith("peak RSS = ")
 
 
 def test_readme_lists_every_subcommand():

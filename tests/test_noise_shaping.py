@@ -142,16 +142,21 @@ def test_basis_invariants(cache_dir):
 @pytest.mark.parametrize("r, m", [(r, m) for r in (1, 2, 3) for m in (160, 320, 640, 1280)]
                          + [(4, m) for m in (160, 320, 640)])
 def test_basis_matches_dense_oracle(r, m):
-    """sigma_1..sigma_ell to 1e-8 relative, the span of V_ell to a largest
-    principal-angle sine of 1e-4, and the decoder's certificate
-    sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9, computed with dense D^r."""
+    """sigma_1..sigma_ell and the span of V_ell against the dense SVD, and
+    the decoder's certificate sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9,
+    computed with dense D^r.  The structured route (r = 2, 3 at m > 2 ell)
+    holds sigma to 1e-11 relative and the span to a largest principal-angle
+    sine of 1e-8; every other build to 1e-8 and 1e-4."""
     ell = 80
     basis = ns.compute_basis(m, r, truncation=ell)
+    structured = r in (2, 3) and m > 2 * ell
+    assert (basis.source == "structured") == structured
+    sigma_bound, sine_bound = (1e-11, 1e-8) if structured else (1e-8, 1e-4)
     _, s, V = dense_basis(m, r)
     s, V = s[:ell], V[:, :ell]
-    assert np.max(np.abs(basis.singular_values - s) / s) <= 1e-8
+    assert np.max(np.abs(basis.singular_values - s) / s) <= sigma_bound
     W = basis.right_vectors
-    assert np.linalg.norm(W - V @ (V.T @ W), 2) <= 1e-4
+    assert np.linalg.norm(W - V @ (V.T @ W), 2) <= sine_bound
     certificate = basis.sigma_truncation * np.linalg.norm(difference_power(m, r).T @ W, 2)
     assert certificate <= 1 + 1e-9
 
@@ -163,6 +168,8 @@ def test_basis_certified_at_any_size(m_ell, r):
     # block sizes on both sides of p = m, down to m = 1 and ell = 1
     m, ell = m_ell
     basis = ns.compute_basis(m, r, truncation=ell)
+    # the structured route certifies on its own, with no fallback
+    assert (basis.source == "structured") == (r in (2, 3) and m > 2 * ell)
     _, s, _ = dense_basis(m, r)
     assert np.max(np.abs(basis.singular_values - s[:ell]) / s[:ell]) <= 1e-8
     W = basis.right_vectors
@@ -171,22 +178,61 @@ def test_basis_certified_at_any_size(m_ell, r):
     assert certificate <= 1 + 1e-9
 
 
+def _first_order_block(m, r, ell):
+    """A structured block that fails the certificate at m = 320, r = 2:
+    the r = 1 basis, which one Rayleigh-Ritz step does not make certify."""
+    return ns._first_order_pair(m, ell)[1].T
+
+
+def test_uncertified_structured_pair_falls_back_to_the_iteration(monkeypatch):
+    m, r, ell = 320, 2, 80
+    s, V = ns._structured_pair(m, r, ell)
+    assert ns._certificate(s, V, r) <= 1 + ns._CERTIFICATE_SLACK
+    monkeypatch.setattr(ns, "_structured_block", _first_order_block)
+    s, V = ns._structured_pair(m, r, ell)
+    assert ns._certificate(s, V, r) > 1 + ns._CERTIFICATE_SLACK
+    basis = ns.compute_basis(m, r, truncation=ell)
+    with _blas._blas_pinned():
+        s, V, steps = ns._subspace_iteration(m, r, ell)
+    assert basis.source == f"subspace iteration after {steps} power steps"
+    assert np.array_equal(basis.singular_values, s)
+    assert np.array_equal(basis.right_vectors, V)
+
+
 def test_basis_uncertified_raises_typed_error(monkeypatch):
-    # m = 320 > 2 ell needs power steps; with none allowed the certificate fails
+    # the structured pair fails its certificate, so the iteration runs; at
+    # m = 320 > 2 ell it needs power steps, and with none allowed it fails
+    monkeypatch.setattr(ns, "_structured_block", _first_order_block)
     monkeypatch.setattr(ns, "_MAX_STEPS", 0)
     with pytest.raises(ns.BasisNotCertified):
         ns.compute_basis(320, 2, truncation=80)
     ns.compute_basis(160, 2, truncation=80)  # p = m: exact at step 0
 
 
+def _breakdown(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def test_cholesky_breakdown_raises_typed_error(monkeypatch):
     # p = 160 < m: the first power step needs a Cholesky factor
+    monkeypatch.setattr(ns.np.linalg, "cholesky", _breakdown)
+    with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=2 ell=80: step 0: Matrix is not"):
+        ns._subspace_iteration(320, 2, 80)
+
+
+def test_cholesky_breakdown_on_both_routes_raises_typed_error(monkeypatch):
+    # the structured route's breakdown sends the build to the iteration,
+    # whose own breakdown is the typed error
+    calls = []
+
     def breakdown(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+        calls.append(a.shape)
+        _breakdown(a)
 
     monkeypatch.setattr(ns.np.linalg, "cholesky", breakdown)
     with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=2 ell=80: step 0: Matrix is not"):
         ns.compute_basis(320, 2, truncation=80)
+    assert calls == [(80, 80), (160, 160)]
 
 
 def test_basis_build_takes_one_tall_svd_and_no_householder_qr(monkeypatch):
@@ -205,7 +251,7 @@ def test_basis_build_takes_one_tall_svd_and_no_householder_qr(monkeypatch):
 
     monkeypatch.setattr(ns.np.linalg, "qr", counted_qr)
     monkeypatch.setattr(ns.np.linalg, "svd", counted_svd)
-    ns.compute_basis(m, r, truncation=ell)
+    ns._subspace_iteration(m, r, ell)
     assert qr_calls == []
     assert tall_svds == [(m, 2 * ell)]
 
@@ -226,9 +272,10 @@ def test_basis_build_holds_at_most_five_blocks():
 
 
 def test_basis_build_factors_each_block_once(monkeypatch):
-    # every block after step 0 is near orthogonal once its columns are
-    # scaled, so Cholesky QR takes one pass: three power steps and three
-    # later Rayleigh-Ritz steps at m = 1280, r = 3
+    # every block of the iteration after step 0 is near orthogonal once
+    # its columns are scaled, so Cholesky QR takes one pass: three power
+    # steps and three later Rayleigh-Ritz steps at m = 1280, r = 3.  The
+    # structured route factors its two m x ell blocks once each
     factored = []
     cholesky = np.linalg.cholesky
 
@@ -237,8 +284,11 @@ def test_basis_build_factors_each_block_once(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(ns.np.linalg, "cholesky", counted)
-    ns.compute_basis(1280, 3, truncation=80)
+    ns._subspace_iteration(1280, 3, 80)
     assert factored == [(160, 160)] * 6
+    factored.clear()
+    ns.compute_basis(1280, 3, truncation=80)
+    assert factored == [(80, 80)] * 2
 
 
 @pytest.mark.skipif(_blas._openblas() is None, reason="numpy carries no OpenBLAS")
@@ -370,22 +420,25 @@ def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypa
     # which marks an older algorithm's last digits, is rebuilt, not read
     m, r, ell = 320, 2, 40
     arrays = _good_cache_arrays(m, r, ell)
-    assert ns._CACHE_FORMAT_VERSION == 4
+    assert ns._CACHE_FORMAT_VERSION == 5
     path = os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}_l{ell}.npz")
-    np.savez(path, **{**arrays, "format_version": np.array([3])})
+    np.savez(path, **{**arrays, "format_version": np.array([4])})
     built = []
-    iteration = ns._subspace_iteration
+    build = ns._build
 
     def counted(*args):
         built.append(args)
-        return iteration(*args)
+        return build(*args)
 
-    monkeypatch.setattr(ns, "_subspace_iteration", counted)
+    monkeypatch.setattr(ns, "_build", counted)
     basis = ns.compute_basis(m, r, truncation=ell, cache_dir=cache_dir)
     assert built == [(m, r, ell)]
+    assert basis.source == "structured"
     assert np.array_equal(basis.right_vectors, arrays["right_vectors"])
+    assert ns.compute_basis(m, r, truncation=ell, cache_dir=cache_dir).source == "cache"
+    assert built == [(m, r, ell)]
     with np.load(path) as data:
-        assert int(data["format_version"][0]) == 4
+        assert int(data["format_version"][0]) == 5
         for key, want in arrays.items():
             assert np.array_equal(data[key], want)
 
