@@ -3,12 +3,12 @@
     python3 demos/basis_build.py M R ELL
 
 builds the leading ELL singular pairs of D^{-R} at size M with no cache,
-and prints the build's wall time, the route that certified it
-("structured", or "subspace iteration after k power steps"; "closed
-form" at R = 1), sigma_ell, the certificate sigma_ell ||D^{R,T} V_ell||_2
-of the pair it returned, and this process's resident peak (ru_maxrss)
-before and after the build.  Each
-run is its own interpreter, so the peak belongs to that build alone.
+and prints the build's wall time, the one route that (M, R, ELL) takes
+("closed form" at R = 1, "structured" at R = 2 and 3 with M > 2 ELL, and
+otherwise "subspace iteration after k power steps"), sigma_ell, the
+certificate sigma_ell ||D^{R,T} V_ell||_2 of the pair it returned, and
+this process's resident peak (ru_maxrss) before and after the build.
+Each run is its own interpreter, so the peak belongs to that build alone.
 """
 
 import resource

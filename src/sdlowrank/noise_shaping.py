@@ -7,29 +7,23 @@ apply_inverse_power are the package's only implementations of the two;
 every other module calls them.  The stabilized decoder constraint reads
 only the leading ell singular values sigma_1..sigma_ell of D^{-r} and
 its leading right singular vectors V_ell.  compute_basis finds them in
-O(m ell) memory, never forming the m x m matrix, by one of three routes.
-At r = 1 they are closed form: the cosines V1 that diagonalize D D^T.
-At r = 2 and 3 with m > 2 ell they come from the structure of D^r:
-K = D^r D^{r,T} equals (D D^T)^r, diagonal in V1, plus an integer
-boundary term of rank k = 2 and 3, so the ell smallest eigenpairs of K
-(the pairs sigma^{-2}, v) solve a k x k secular equation (Golub, SIAM
-Review 1973; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 1994).  Its
-roots are bracketed by inertia counts and polished by Newton steps, the
-vectors are mapped by V1 as a DCT-VIII through numpy.fft, and one
-Rayleigh-Ritz step with D^{-r} follows.  Otherwise, and whenever that
-pair fails its certificate, block subspace iteration with Rayleigh-Ritz
-runs.  It factors its tall m x 2 ell blocks by Cholesky QR: a small
-Gram matrix, its Cholesky factor and one matrix product, in place of
-LAPACK's Householder QR and thin SVD.  A second pass (CholeskyQR2;
-Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014) runs only when
-the first pass's Gram matrix is far from the identity, which no block
-after the iteration's first has been seen to be.  Only the iteration's
-first Rayleigh-Ritz step keeps a thin SVD, because its block is too
-ill-conditioned for Cholesky QR (see _subspace_iteration).  Every pair
-returned for r >= 2 has passed the certificate
-sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9.  The build runs with numpy's
-OpenBLAS pinned to one thread, so its bits do not follow the caller's
-thread count.  The pair can be cached on disk, keyed by (m, r, ell).
+O(m ell) memory, never forming the m x m matrix, and each input takes
+exactly one of three routes.  At r = 1 they are closed form: the cosines
+V1 that diagonalize D D^T.  At r = 2 and 3 with m > 2 ell they come from
+the structure of D^r: K = D^r D^{r,T} equals (D D^T)^r, diagonal in V1,
+plus an integer boundary term of rank k = 2 and 3, so the ell smallest
+eigenpairs of K (the pairs sigma^{-2}, v) solve a k x k secular equation
+(Golub, SIAM Review 1973; Gu and Eisenstat, SIAM J. Matrix Anal. Appl.
+1994).  Its roots are bracketed by inertia counts and polished by Newton
+steps, the vectors are mapped by V1 as a DCT-VIII through numpy.fft, and
+one Rayleigh-Ritz step with D^{-r} follows.  Every other input (r >= 4,
+and m <= 2 ell, where the first step is exact) takes block subspace
+iteration with Rayleigh-Ritz.  Every pair returned for r >= 2 has passed
+the certificate sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9; a route whose
+pair fails it, or whose Cholesky factor breaks down, raises
+BasisNotCertified.  The build runs with numpy's OpenBLAS pinned to one
+thread, so its bits do not follow the caller's thread count.  The pair
+can be cached on disk, keyed by (m, r, ell).
 """
 
 from __future__ import annotations
@@ -53,9 +47,9 @@ __all__ = [
     "project_shaped",
 ]
 
-# 5: bases of orders 2 and 3 with m > 2 ell built by the structured route;
-# their last digits differ from version 4's
-_CACHE_FORMAT_VERSION = 5
+# 6: bases of order 4 and above with m > 2 ell built by the uniform
+# subspace iteration; their last digits differ from version 5's
+_CACHE_FORMAT_VERSION = 6
 
 # a pair is certified once sigma_ell ||D^{r,T} V_ell||_2 is within this
 # of 1; subspace iteration gives up after _MAX_STEPS power steps
@@ -88,9 +82,9 @@ _CHUNKS = 4
 
 
 class BasisNotCertified(RuntimeError):
-    """No route certified its singular pairs: subspace iteration, which runs
-    when the structured route does not certify, ran out of steps or broke
-    down."""
+    """The input's route did not certify its singular pairs: the structured
+    pair failed its certificate, subspace iteration ran out of steps, or a
+    factorization broke down."""
 
 
 @dataclass(frozen=True)
@@ -100,8 +94,9 @@ class NoiseShapingBasis:
     singular_values holds sigma_1 >= ... >= sigma_ell and right_vectors
     the matching columns of V, an m x ell array; ell is the number of
     directions the stabilized constraint keeps.  source says where the
-    pair came from: "cache", "closed form" (r = 1), "structured", or
-    "subspace iteration after k power steps".
+    pair came from: "cache", "closed form" (r = 1), "structured" (r = 2
+    and 3 at m > 2 ell), or "subspace iteration after k power steps"
+    (every other input).
     """
 
     order: int
@@ -122,6 +117,13 @@ class NoiseShapingBasis:
     def left_vectors(self):
         """U_ell = D^{-r} V_ell / sigma, formed on every access and never stored."""
         return apply_inverse_power(self.right_vectors, self.order) / self.singular_values
+
+
+def _integer(name, value):
+    """value as an int: a Python or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_order(r):
@@ -328,18 +330,29 @@ def _structured_block(m, r, ell):
 
 
 def _structured_pair(m, r, ell):
-    """sigma_ell and V_ell of D^{-r} by one Rayleigh-Ritz step with D^{-r}
-    on _structured_block: Q from _cholesky_qr of the block, D^{-r} Q = Q_s R
-    by _cholesky_qr, and the ell x ell SVD R = U_R S W^T give sigma = S and
-    V = Q W.  compute_basis certifies the pair.
+    """Certified sigma_ell and V_ell of D^{-r} by one Rayleigh-Ritz step
+    with D^{-r} on _structured_block: Q from _cholesky_qr of the block,
+    D^{-r} Q = Q_s R by _cholesky_qr, and the ell x ell SVD R = U_R S W^T
+    give sigma = S and V = Q W.
 
     The block is a temporary, so _cholesky_qr frees it once its scaled
-    copy exists.
+    copy exists, and Q is released before the certificate is formed.
+    Raises BasisNotCertified when a factorization breaks down or the pair
+    fails its certificate.
     """
-    Q = _cholesky_qr(_structured_block(m, r, ell).T)[0]
-    R = _cholesky_qr(apply_inverse_power(Q, r))[1]
-    s, Wh = np.linalg.svd(R)[1:]
-    return s, Q @ Wh.T
+    try:
+        Q = _cholesky_qr(_structured_block(m, r, ell).T)[0]
+        R = _cholesky_qr(apply_inverse_power(Q, r))[1]
+        s, Wh = np.linalg.svd(R)[1:]
+    except np.linalg.LinAlgError as exc:
+        raise BasisNotCertified(f"m={m} r={r} ell={ell}: step 0: {exc}") from exc
+    V = Q @ Wh.T
+    del Q
+    certificate = _certificate(s, V, r)
+    if certificate > 1.0 + _CERTIFICATE_SLACK:
+        raise BasisNotCertified(
+            f"m={m} r={r} ell={ell}: step 0: sigma_ell ||D^(r,T) V_ell|| = {certificate!r}")
+    return s, V
 
 
 def _certificate(s, V, r):
@@ -394,42 +407,20 @@ def _subspace_iteration(m, r, ell):
     wanted subspace and saves power steps over a random one.  When p = m
     the block spans R^m and the first Ritz step is exact.
 
-    Each Rayleigh-Ritz step takes the SVD U S W^T of D^{-r} Q; each power
-    step orthonormalizes D^{-r,T} U.  Step 0 takes a thin LAPACK SVD of
-    D^{-r} Q, because on the r = 1 start that block is ill-conditioned
-    even with its columns scaled to unit norm: condition number 2.5e2 at
-    r = 2, 8.9e4 at r = 3, 2.3e7 at r = 4 and 4.5e9 at r = 5 (m = 1280,
-    ell = 80), where Cholesky QR, which needs it well below 1e8, breaks
-    down.  Every later block, power step or Rayleigh-Ritz, measured below
-    3 for r <= 6 (m = 1280, ell = 80) and is factored by _cholesky_qr,
-    whose first Gram matrix has been within its one-pass bound on every
-    such block, so each takes one Cholesky factorization: the power
-    step's block directly, and the Rayleigh-Ritz block as
-    D^{-r} Q = Q_s R, whose p x p SVD R = U_R S W^T gives U = Q_s U_R.
-    Each m x p block is dropped as soon as the next one exists, so at
-    most three are alive at once, besides the thin SVD's workspace at
-    step 0.  A Cholesky breakdown raises BasisNotCertified.
+    Every step is the same: the Rayleigh-Ritz step takes a thin SVD
+    U S W^T of D^{-r} Q and V = Q W, and the power step orthonormalizes
+    D^{-r,T} U by _cholesky_qr.  A breakdown raises BasisNotCertified.
     """
     p = min(2 * ell, m)
+    Q = _first_order_pair(m, p)[1]
     for step in range(_MAX_STEPS + 1):
         try:
-            if step == 0:
-                # the start Q is closed form, so it is formed again after
-                # the SVD rather than held through LAPACK's copies
-                U, s, Wh = np.linalg.svd(apply_inverse_power(_first_order_pair(m, p)[1], r),
-                                         full_matrices=False)
-                Q = _first_order_pair(m, p)[1]
-            else:
-                # U holds Q_s until Q_s U_R replaces it
-                U, R = _cholesky_qr(apply_inverse_power(Q, r))
-                U_R, s, Wh = np.linalg.svd(R)
-                U = U @ U_R
+            U, s, Wh = np.linalg.svd(apply_inverse_power(Q, r), full_matrices=False)
             s, V = s[:ell], Q @ Wh[:ell].T
-            del Q
             certificate = _certificate(s, V, r)
             if certificate <= 1.0 + _CERTIFICATE_SLACK:
                 return s, V, step
-            del V
+            del Q, V
             # D^{-r,T} U: D^{-r} on reversed rows
             Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])[0]
             del U
@@ -490,25 +481,16 @@ def _read_cache(path, m, r, ell):
 
 
 def _build(m, r, ell):
-    """(sigma_ell, V_ell, source) of D^{-r}, certified.
+    """(sigma_ell, V_ell, source) of D^{-r}, certified, by the input's one route.
 
-    r = 1 is closed form.  For r <= _STRUCTURED_MAX_ORDER and m > 2 ell
-    the structured route runs first, and its pair is returned when its
-    certificate holds; when it does not, or a factorization breaks down,
-    subspace iteration runs from its own start.  At m <= 2 ell the
-    iteration's block spans R^m and its first Rayleigh-Ritz step is exact.
+    r = 1 is closed form; r <= _STRUCTURED_MAX_ORDER with m > 2 ell takes
+    _structured_pair; every other input takes _subspace_iteration, whose
+    block spans R^m at m <= 2 ell, so its first Rayleigh-Ritz step is exact.
     """
     if r == 1:
         return *_first_order_pair(m, ell), "closed form"
     if r <= _STRUCTURED_MAX_ORDER and m > 2 * ell:
-        try:
-            s, V = _structured_pair(m, r, ell)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if _certificate(s, V, r) <= 1.0 + _CERTIFICATE_SLACK:
-                return s, V, "structured"
-            del s, V
+        return *_structured_pair(m, r, ell), "structured"
     s, V, steps = _subspace_iteration(m, r, ell)
     return s, V, f"subspace iteration after {steps} power steps"
 
@@ -529,25 +511,29 @@ def compute_basis(m, r, truncation, cache_dir=None):
         overwritten.  Writes are atomic, so concurrent readers never
         observe partial files.
 
-    A cold build is closed form at r = 1.  At r = 2 and 3 with m > 2 ell
-    it is the structured route: a k x k secular solve on the r = 1
-    cosines and one Rayleigh-Ritz step (_structured_pair).  Otherwise,
-    or when the structured pair fails its certificate, it is block
-    subspace iteration (_subspace_iteration).  Every pair returned for
-    r >= 2 satisfies sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9, and the
-    basis's source names the route that gave it.
+    A cold build takes one route, chosen by (m, r, ell) alone: closed form
+    at r = 1; at r = 2 and 3 with m > 2 ell the structured route, a k x k
+    secular solve on the r = 1 cosines and one Rayleigh-Ritz step
+    (_structured_pair); otherwise block subspace iteration
+    (_subspace_iteration).  Every pair returned for r >= 2 satisfies
+    sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9, and the basis's source
+    names the route that gave it.
 
     A build runs with numpy's OpenBLAS pinned to one thread, so a basis
     has the same bits whatever the caller's thread count; the count is
     set only when it differs, and restored afterwards.
 
-    Raises BasisNotCertified if subspace iteration cannot certify its
-    result within its step budget or a Cholesky factor breaks down.
+    Raises ValueError if m, r or truncation is a bool or not an integer
+    (Python or numpy), or out of range.  Raises BasisNotCertified if the
+    structured pair fails its certificate, subspace iteration cannot
+    certify its result within its step budget, or a factorization breaks
+    down.
     """
-    if not (1 <= truncation <= m):
+    m, r, ell = (_integer(name, value)
+                 for name, value in (("m", m), ("r", r), ("truncation", truncation)))
+    if not (1 <= ell <= m):
         raise ValueError("truncation must lie in [1, m]")
     _check_order(r)
-    ell = int(truncation)
     path = None if cache_dir is None else _cache_path(cache_dir, m, r, ell)
     cached = None if path is None else _read_cache(path, m, r, ell)
     if cached is not None:

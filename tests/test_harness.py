@@ -948,8 +948,9 @@ def test_a_trial_whose_solve_fails_fails_alone(tmp_path, monkeypatch):
 
 def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):
     # r = 1 and the r = 2 points with m <= 2 ell need no Cholesky factor;
-    # at m = 64 the first power step breaks down, and both of its trials
-    # carry the typed message (2 of 12 failures stays under the abort line)
+    # at m = 64 > 2 ell the structured route's first factor breaks down,
+    # and both of its trials carry the typed message (2 of 12 failures
+    # stays under the abort line)
     def breakdown(a):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 

@@ -13,13 +13,14 @@ probes meet the 1e-10 bound only while m^(r-1/2) * eps allows it.
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdlowrank import _blas
+from sdlowrank import _blas, harness
 from sdlowrank import noise_shaping as ns
 
 from dense_oracle import dense_basis, difference_power, inverse_power_entries
@@ -146,11 +147,15 @@ def test_basis_matches_dense_oracle(r, m):
     the decoder's certificate sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9,
     computed with dense D^r.  The structured route (r = 2, 3 at m > 2 ell)
     holds sigma to 1e-11 relative and the span to a largest principal-angle
-    sine of 1e-8; every other build to 1e-8 and 1e-4."""
+    sine of 1e-8; every other build to 1e-8 and 1e-4.  At (320, 4) the
+    iteration takes power steps, so they stay exercised here."""
     ell = 80
     basis = ns.compute_basis(m, r, truncation=ell)
     structured = r in (2, 3) and m > 2 * ell
     assert (basis.source == "structured") == structured
+    if (m, r) == (320, 4):
+        assert basis.source.startswith("subspace iteration after ")
+        assert int(basis.source.split()[3]) >= 1
     sigma_bound, sine_bound = (1e-11, 1e-8) if structured else (1e-8, 1e-4)
     _, s, V = dense_basis(m, r)
     s, V = s[:ell], V[:, :ell]
@@ -168,7 +173,7 @@ def test_basis_certified_at_any_size(m_ell, r):
     # block sizes on both sides of p = m, down to m = 1 and ell = 1
     m, ell = m_ell
     basis = ns.compute_basis(m, r, truncation=ell)
-    # the structured route certifies on its own, with no fallback
+    # each input takes its one route, and the structured one certifies
     assert (basis.source == "structured") == (r in (2, 3) and m > 2 * ell)
     _, s, _ = dense_basis(m, r)
     assert np.max(np.abs(basis.singular_values - s[:ell]) / s[:ell]) <= 1e-8
@@ -178,35 +183,105 @@ def test_basis_certified_at_any_size(m_ell, r):
     assert certificate <= 1 + 1e-9
 
 
+@pytest.mark.parametrize("m", [2560, 5120])
+@pytest.mark.parametrize("r", [2, 3])
+def test_structured_pair_matches_the_iteration_beyond_the_dense_oracle(m, r):
+    # past the sizes a dense SVD checks, the structured pair agrees with
+    # the iteration's to the iteration's own error: sigma within 1e-10
+    # relative, the spans within a principal-angle sine of 1e-4
+    ell = 80
+    s, V = ns._structured_pair(m, r, ell)
+    s_iteration, V_iteration, _ = ns._subspace_iteration(m, r, ell)
+    assert np.max(np.abs(s - s_iteration) / s_iteration) <= 1e-10
+    assert np.linalg.norm(V_iteration - V @ (V.T @ V_iteration), 2) <= 1e-4
+
+
+REPO = Path(__file__).resolve().parent.parent
+PROJECTED_ELLS = {
+    path: config.ell
+    for path in sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
+    if (config := harness.load_config(path)).constraint_form == "projected"}
+DESK_CONFIGS = [path for path, ell in PROJECTED_ELLS.items() if ell <= 80]
+PAPER_CONFIGS = [path for path, ell in PROJECTED_ELLS.items() if ell > 80]
+
+
+def _swept_bases(path):
+    """(m, r, ell) of every basis the config's oversampling and noise sweeps build."""
+    config = harness.load_config(path)
+    return sorted({(task.m, task.r, min(config.ell, task.m))
+                   for spec in (harness._oversampling_spec(config), harness._noise_spec(config))
+                   for task in harness._sweep_tasks(config, spec)})
+
+
+@pytest.mark.parametrize("path", DESK_CONFIGS, ids=[str(p.relative_to(REPO)) for p in DESK_CONFIGS])
+def test_desk_config_bases_take_no_power_step(path):
+    # every basis a desk sweep builds is closed form, structured, or exact
+    # at the iteration's step 0
+    for m, r, ell in _swept_bases(path):
+        source = ns.compute_basis(m, r, truncation=ell).source
+        assert source in ("closed form", "structured",
+                          "subspace iteration after 0 power steps"), (m, r, ell, source)
+
+
+@pytest.mark.parametrize("path", PAPER_CONFIGS, ids=[str(p.relative_to(REPO)) for p in PAPER_CONFIGS])
+def test_paper_config_bases_never_take_the_iteration(path, monkeypatch):
+    # m up to 24000 at ell = 400 is too large to build in a unit test, so
+    # the routes are recorded, not run; r = 1 is closed form and reaches
+    # neither
+    routes = []
+    monkeypatch.setattr(ns, "_structured_pair",
+                        lambda *args: routes.append(("structured", args)) or (None, None))
+    monkeypatch.setattr(ns, "_subspace_iteration",
+                        lambda *args: routes.append(("iteration", args)) or (None, None, 0))
+    bases = [(m, r, ell) for m, r, ell in _swept_bases(path) if r > 1]
+    for m, r, ell in bases:
+        ns._build(m, r, ell)
+    assert routes == [("structured", basis) for basis in bases]
+
+
+@pytest.mark.parametrize("m, r, truncation", [
+    (160, 2, 80.5), (160, 2, True), (160, 2.0, 80), (160.0, 2, 80), (True, 1, 1),
+    (160, True, 80), (160, 2, np.float64(80)),
+])
+def test_basis_rejects_non_integer_arguments(m, r, truncation):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ns.compute_basis(m, r, truncation=truncation)
+
+
+def test_basis_accepts_numpy_integers():
+    basis = ns.compute_basis(np.int64(160), np.int32(2), truncation=np.uint16(80))
+    want = ns.compute_basis(160, 2, truncation=80)
+    assert (basis.size, basis.order) == (160, 2)
+    assert np.array_equal(basis.singular_values, want.singular_values)
+    assert np.array_equal(basis.right_vectors, want.right_vectors)
+
+
 def _first_order_block(m, r, ell):
     """A structured block that fails the certificate at m = 320, r = 2:
     the r = 1 basis, which one Rayleigh-Ritz step does not make certify."""
     return ns._first_order_pair(m, ell)[1].T
 
 
-def test_uncertified_structured_pair_falls_back_to_the_iteration(monkeypatch):
-    m, r, ell = 320, 2, 80
-    s, V = ns._structured_pair(m, r, ell)
-    assert ns._certificate(s, V, r) <= 1 + ns._CERTIFICATE_SLACK
+def _never(*args):
+    raise AssertionError(f"a second route ran: {args}")
+
+
+def test_uncertified_structured_pair_raises_typed_error(monkeypatch):
+    # the failed certificate is the typed error; no other route runs
     monkeypatch.setattr(ns, "_structured_block", _first_order_block)
-    s, V = ns._structured_pair(m, r, ell)
-    assert ns._certificate(s, V, r) > 1 + ns._CERTIFICATE_SLACK
-    basis = ns.compute_basis(m, r, truncation=ell)
-    with _blas._blas_pinned():
-        s, V, steps = ns._subspace_iteration(m, r, ell)
-    assert basis.source == f"subspace iteration after {steps} power steps"
-    assert np.array_equal(basis.singular_values, s)
-    assert np.array_equal(basis.right_vectors, V)
+    monkeypatch.setattr(ns, "_subspace_iteration", _never)
+    with pytest.raises(ns.BasisNotCertified,
+                       match=r"^m=320 r=2 ell=80: step 0: sigma_ell \|\|D\^\(r,T\) V_ell\|\| = 1\."):
+        ns.compute_basis(320, 2, truncation=80)
 
 
 def test_basis_uncertified_raises_typed_error(monkeypatch):
-    # the structured pair fails its certificate, so the iteration runs; at
-    # m = 320 > 2 ell it needs power steps, and with none allowed it fails
-    monkeypatch.setattr(ns, "_structured_block", _first_order_block)
+    # at r = 4 and m = 320 > 2 ell the iteration needs power steps, and
+    # with none allowed it fails
     monkeypatch.setattr(ns, "_MAX_STEPS", 0)
-    with pytest.raises(ns.BasisNotCertified):
-        ns.compute_basis(320, 2, truncation=80)
-    ns.compute_basis(160, 2, truncation=80)  # p = m: exact at step 0
+    with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=4 ell=80: .* after 0 steps$"):
+        ns.compute_basis(320, 4, truncation=80)
+    ns.compute_basis(160, 4, truncation=80)  # p = m: exact at step 0
 
 
 def _breakdown(a):
@@ -214,15 +289,14 @@ def _breakdown(a):
 
 
 def test_cholesky_breakdown_raises_typed_error(monkeypatch):
-    # p = 160 < m: the first power step needs a Cholesky factor
+    # p = 160 < m: the iteration's first power step needs a Cholesky factor
     monkeypatch.setattr(ns.np.linalg, "cholesky", _breakdown)
-    with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=2 ell=80: step 0: Matrix is not"):
-        ns._subspace_iteration(320, 2, 80)
+    with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=4 ell=80: step 0: Matrix is not"):
+        ns.compute_basis(320, 4, truncation=80)
 
 
-def test_cholesky_breakdown_on_both_routes_raises_typed_error(monkeypatch):
-    # the structured route's breakdown sends the build to the iteration,
-    # whose own breakdown is the typed error
+def test_structured_cholesky_breakdown_raises_typed_error(monkeypatch):
+    # the structured route's first factor breaks down, and no other route runs
     calls = []
 
     def breakdown(a):
@@ -230,52 +304,34 @@ def test_cholesky_breakdown_on_both_routes_raises_typed_error(monkeypatch):
         _breakdown(a)
 
     monkeypatch.setattr(ns.np.linalg, "cholesky", breakdown)
+    monkeypatch.setattr(ns, "_subspace_iteration", _never)
     with pytest.raises(ns.BasisNotCertified, match=r"^m=320 r=2 ell=80: step 0: Matrix is not"):
         ns.compute_basis(320, 2, truncation=80)
-    assert calls == [(80, 80), (160, 160)]
+    assert calls == [(80, 80)]
 
 
-def test_basis_build_takes_one_tall_svd_and_no_householder_qr(monkeypatch):
-    m, r, ell = 1280, 3, 80
-    qr_calls, tall_svds = [], []
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def counted_qr(a, *args, **kwargs):
-        qr_calls.append(a.shape)
-        return qr(a, *args, **kwargs)
-
-    def counted_svd(a, *args, **kwargs):
-        if a.shape[0] == m:
-            tall_svds.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(ns.np.linalg, "qr", counted_qr)
-    monkeypatch.setattr(ns.np.linalg, "svd", counted_svd)
-    ns._subspace_iteration(m, r, ell)
-    assert qr_calls == []
-    assert tall_svds == [(m, 2 * ell)]
-
-
-def test_basis_build_holds_at_most_five_blocks():
-    # m = 1280, r = 3 takes four Rayleigh-Ritz steps; each m x p block is
-    # dropped once the next exists, so about 3.8 blocks of numpy memory
-    # are alive at the peak
-    m, r, ell = 1280, 3, 80
+@pytest.mark.parametrize("r", [2, 3])
+def test_structured_build_holds_at_most_two_blocks(r):
+    # the structured route at m = 1280 frees each m x ell block once the
+    # next exists, and forms the certificate after Q is gone: its traced
+    # numpy peak is 1.68 (r = 2) and 1.60 (r = 3) m x 2 ell blocks
+    m, ell = 1280, 80
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        ns.compute_basis(m, r, truncation=ell)
+        basis = ns.compute_basis(m, r, truncation=ell)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * m * 2 * ell * 8
+    assert basis.source == "structured"
+    assert peak <= 2 * m * 2 * ell * 8
 
 
 def test_basis_build_factors_each_block_once(monkeypatch):
-    # every block of the iteration after step 0 is near orthogonal once
-    # its columns are scaled, so Cholesky QR takes one pass: three power
-    # steps and three later Rayleigh-Ritz steps at m = 1280, r = 3.  The
-    # structured route factors its two m x ell blocks once each
+    # each power step's block is near orthogonal once its columns are
+    # scaled, so Cholesky QR takes one pass: three power steps at
+    # m = 1280, r = 3.  The structured route factors its two m x ell
+    # blocks once each
     factored = []
     cholesky = np.linalg.cholesky
 
@@ -284,8 +340,8 @@ def test_basis_build_factors_each_block_once(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(ns.np.linalg, "cholesky", counted)
-    ns._subspace_iteration(1280, 3, 80)
-    assert factored == [(160, 160)] * 6
+    assert ns._subspace_iteration(1280, 3, 80)[2] == 3
+    assert factored == [(160, 160)] * 3
     factored.clear()
     ns.compute_basis(1280, 3, truncation=80)
     assert factored == [(80, 80)] * 2
@@ -420,9 +476,9 @@ def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypa
     # which marks an older algorithm's last digits, is rebuilt, not read
     m, r, ell = 320, 2, 40
     arrays = _good_cache_arrays(m, r, ell)
-    assert ns._CACHE_FORMAT_VERSION == 5
+    assert ns._CACHE_FORMAT_VERSION == 6
     path = os.path.join(cache_dir, f"noise_shaping_basis_m{m}_r{r}_l{ell}.npz")
-    np.savez(path, **{**arrays, "format_version": np.array([4])})
+    np.savez(path, **{**arrays, "format_version": np.array([5])})
     built = []
     build = ns._build
 
@@ -438,7 +494,7 @@ def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypa
     assert ns.compute_basis(m, r, truncation=ell, cache_dir=cache_dir).source == "cache"
     assert built == [(m, r, ell)]
     with np.load(path) as data:
-        assert int(data["format_version"][0]) == 5
+        assert int(data["format_version"][0]) == 6
         for key, want in arrays.items():
             assert np.array_equal(data[key], want)
 
