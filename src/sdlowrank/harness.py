@@ -7,16 +7,19 @@ one CSV plus a text summary with fitted slopes.  Reordering or
 parallelizing trial execution never changes the output bytes.  Every
 sweep runs orders x lambda grid x eps grid at m = lambda * base, with the
 operator and encoder drawn per lambda.  Work is done a unit at a time: a
-unit is the trials that share one constraint matrix J, those of one
-(m, r) with eps = 0 or with eps > 0.  A unit builds its grid point (the
-operator, its basis in the projected form, its encoder in the encoded
-form) once, prepares each trial (trial_instance, trial_quantize, the
-encoding and the truth check) and hands them all to one
-recovery.recover_batch call, which builds J and its SVD once.  A unit
-returns, per trial, the numbers of its CSV row or a failure message, and
-nothing that holds an array; _execute runs the units on forked workers,
-one pipe each, largest first, sorts what they return and makes each row's
-TrialRecord by one _run_trial call, in CSV row order.  Every path that
+unit is the trials of one (m, r) with eps = 0 or with eps > 0, which
+share one constraint matrix J.  In the projected form, which folds the
+noise ball into its radius, the two also share J, but they stay two
+units, so that a noise sweep's work divides among the workers.  A unit
+builds its grid point (the operator, its basis in the projected form,
+its encoder in the encoded form) once, prepares each trial
+(trial_instance, trial_quantize, the rate accounting and the truth
+check) and hands them all to one recovery.recover_batch call, which
+builds J and its SVD once.  A unit returns, per trial, the numbers of
+its CSV row or a failure message, and nothing that holds an array;
+_execute runs the units on forked workers, one pipe each, largest first,
+sorts what they return and makes each row's TrialRecord by one
+_run_trial call, in CSV row order.  Every path that
 computes a row runs with numpy's OpenBLAS pinned to one thread, since the
 last digits of a solve follow the thread count.  The command line reuses
 the same stages through trial_operator and trial_solve, which builds one
@@ -508,7 +511,7 @@ class _PreparedTrial:
 
 
 def _prepare_trial(task, point, instance):
-    """Quantize and (encoded) encode one trial's instance, and pose its problem.
+    """Quantize one trial's instance, account its rate and pose its problem.
 
     point is (operator, basis, encoder) as grid_point(task) returns it and
     instance is trial_instance(task, operator).  Unless the quantizer
@@ -522,8 +525,9 @@ def _prepare_trial(task, point, instance):
 
     rate_bits = rate_bits_fig = None
     if encoder is not None:
-        coded = encoding.encode(run.output, r, encoder, scheme.alphabet.max_level)
-        rate_bits = coded.rate_bits
+        # the nominal rate of encoding.encode's payload, which the decoder
+        # forms itself as its c
+        rate_bits = encoding.rate_bits_nominal(encoder.out_dim, r, scheme.alphabet.max_level, m)
         rate_bits_fig = encoding.rate_bits_plotted(task.encoder_dim, r, m)
     problem = recovery.RecoveryProblem(
         operator=op,
@@ -591,11 +595,11 @@ def _run_group(unit):
     """(task, row numbers) or (task, message) per trial of one unit.
 
     The unit's tasks share one J: one m, one order, and eps = 0 or
-    eps > 0.  Its grid point is built once; each trial is prepared from
-    its own instance, and all that were prepared are solved in one
-    recovery.recover_batch call.  A failed build of the grid point or of
-    J fails every trial of the unit; a trial that fails at any other
-    stage fails alone.  Failures become messages where they are caught,
+    eps > 0 (see _unit_key).  Its grid point is built once; each trial
+    is prepared from its own instance, and all that were prepared are
+    solved in one recovery.recover_batch call.  A failed build of the
+    grid point or of J fails every trial of the unit; a trial that fails
+    at any other stage fails alone.  Failures become messages where they are caught,
     so nothing returned refers to an array or keeps one alive.
     """
     try:
@@ -808,7 +812,13 @@ def _sweep_tasks(config, spec):
 
 
 def _unit_key(task):
-    """A task's unit, the trials that share its J: its m, its order and whether eps > 0."""
+    """A task's unit, trials that share its J: its m, its order and whether eps > 0.
+
+    The projected form's eps = 0 and eps > 0 trials share one J, since
+    the form folds the noise ball into its radius, but they stay split
+    by eps > 0 to divide the work: merged, the desk noise sweep would be
+    3 units on 2 workers.
+    """
     return task.m, task.r, task.eps > 0
 
 

@@ -60,7 +60,7 @@ _MAX_STEPS = 30
 # 256 rows of 400 float64 columns are 800 KB
 _BLOCK_ROWS = 256
 
-# _cholesky_qr takes one pass when the Frobenius distance of the first
+# _cholesky_passes takes one pass when the Frobenius distance of the first
 # Gram matrix from the identity is at most this, which bounds its
 # condition number by 3
 _ONE_PASS_GRAM_DEVIATION = 0.5
@@ -332,8 +332,9 @@ def _structured_block(m, r, ell):
 def _structured_pair(m, r, ell):
     """Certified sigma_ell and V_ell of D^{-r} by one Rayleigh-Ritz step
     with D^{-r} on _structured_block: Q from _cholesky_qr of the block,
-    D^{-r} Q = Q_s R by _cholesky_qr, and the ell x ell SVD R = U_R S W^T
-    give sigma = S and V = Q W.
+    the R of D^{-r} Q = Q_s R from _cholesky_passes, which leaves Q_s
+    unformed, and the ell x ell SVD R = U_R S W^T give sigma = S and
+    V = Q W.
 
     The block is a temporary, so _cholesky_qr frees it once its scaled
     copy exists, and Q is released before the certificate is formed.
@@ -342,7 +343,7 @@ def _structured_pair(m, r, ell):
     """
     try:
         Q = _cholesky_qr(_structured_block(m, r, ell).T)[0]
-        R = _cholesky_qr(apply_inverse_power(Q, r))[1]
+        R = _cholesky_passes(apply_inverse_power(Q, r))[2]
         s, Wh = np.linalg.svd(R)[1:]
     except np.linalg.LinAlgError as exc:
         raise BasisNotCertified(f"m={m} r={r} ell={ell}: step 0: {exc}") from exc
@@ -366,35 +367,42 @@ def _certificate(s, V, r):
     return float(s[-1]) * math.sqrt(np.linalg.eigvalsh(X.T @ X)[-1])
 
 
-def _cholesky_qr(Y):
-    """Y = Q R with orthonormal Q and upper-triangular R, by Cholesky QR
-    on Y with its columns scaled to unit norm.
+def _cholesky_passes(Y):
+    """(P, C, R): Cholesky QR of Y with its columns scaled to unit norm,
+    up to its last product, so Y = Q R for Q = P C^{-1}, with orthonormal
+    Q and upper-triangular R.
 
-    One pass takes the Cholesky factor C of the Gram matrix G = Q^T Q and
-    sets Q = Q C^{-1}; it loses orthogonality like cond^2 eps, where cond
-    is the scaled block's condition number (Yamamoto, Nakatsukasa,
-    Yanagisawa and Fukaya, ETNA 2015).  A second pass restores it to eps
-    while cond stays well below 1e8; it runs only when ||G - I||_F
+    One pass takes the Cholesky factor C of the Gram matrix G = P^T P of
+    the scaled block P; Q = P C^{-1} loses orthogonality like cond^2 eps,
+    where cond is the scaled block's condition number (Yamamoto,
+    Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015).  A second pass, with
+    P = P C^{-1} and C the Cholesky factor of its Gram matrix, restores it
+    to eps while cond stays well below 1e8; it runs only when ||G - I||_F
     exceeds _ONE_PASS_GRAM_DEVIATION, since at or below it
     cond^2 = cond(G) is at most 3 and one pass already leaves
     orthogonality near eps.  The unit columns keep the Gram matrix from
     overflowing whatever Y's column norms.  Y is not modified; the
     function drops its reference to Y once the scaled copy exists, so a
-    temporary passed in is freed there.  Raises LinAlgError when the Gram
+    temporary passed in is freed there.  Raises LinAlgError when a Gram
     matrix is not numerically positive definite.
     """
     d = np.linalg.norm(Y, axis=0)
-    Q = Y / d
+    P = Y / d
     del Y
-    G = Q.T @ Q
+    G = P.T @ P
     C = np.linalg.cholesky(G).T
-    Q = Q @ np.linalg.inv(C)
     R = C * d
     if np.linalg.norm(G - np.eye(len(G))) > _ONE_PASS_GRAM_DEVIATION:
-        C = np.linalg.cholesky(Q.T @ Q).T
-        Q = Q @ np.linalg.inv(C)
+        P = P @ np.linalg.inv(C)
+        C = np.linalg.cholesky(P.T @ P).T
         R = C @ R
-    return Q, R
+    return P, C, R
+
+
+def _cholesky_qr(Y):
+    """Y = Q R with orthonormal Q and upper-triangular R (_cholesky_passes)."""
+    P, C, R = _cholesky_passes(Y)
+    return P @ np.linalg.inv(C), R
 
 
 def _subspace_iteration(m, r, ell):

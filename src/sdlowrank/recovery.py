@@ -7,22 +7,36 @@ The program being solved is
 
 where "shaped" is one of three linear maps, picked by the problem's
 inputs: the full inverse power D^{-r} (neither), its truncated singular
-projection sigma_ell P_ell V^T (a basis), or a Bernoulli-sketched B D^{-r}
+projection sigma_ell V_ell^T (a basis), or a Bernoulli-sketched B D^{-r}
 (an encoder).  All three reduce to a single Euclidean ball constraint on
-a stacked variable x = (vec Z, nu):
+a stacked variable x, (vec Z, nu) or vec Z alone:
 
-    S = { x : ||J x - c||_2 <= radius }.
+    S = { x : ||J x - c||_2 <= R }.
 
 The solver is a two-block consensus splitting.  One block projects onto
 S exactly through the SVD of J (a one-dimensional secular equation in
 the singular coordinates), the other applies the nuclear-norm prox
-(singular value soft-thresholding) and the noise-ball projection.  The
-projection view keeps every iterate feasible for S no matter how badly
-conditioned D^{-r} is, which is what breaks down for naive first-order
-schemes once m and r grow.
+(singular value soft-thresholding) and, with nu, the noise-ball
+projection.  The projection view keeps every iterate feasible for S no
+matter how badly conditioned D^{-r} is, which is what breaks down for
+naive first-order schemes once m and r grow.
+
+In the projected form the noise ball needs no variable.  Its shaping
+map T = sigma_ell V_ell^T has T T^T = sigma_ell^2 I, so T maps the ball
+||nu|| <= eps sqrt(m) onto the whole ell-ball of radius
+sigma_ell eps sqrt(m), and a Z is feasible for some nu exactly when
+||G vec Z - c|| <= radius + sigma_ell eps sqrt(m), with G the shaped
+operator.  So there J is G alone and R is that folded radius, and a
+noisy projected solve is the eps = 0 solve at a larger R.  The returned
+noise estimate is then the least-norm nu of the noise ball that brings
+the shaped residual to its least norm (_certifying_noise), and
+check_feasibility verifies it against both constraints as written
+above.  The full and encoded maps D^{-r} and B D^{-r} take the noise
+ball to an ellipsoid, not a ball, so they keep nu in J = [G T].
+_has_nu_block alone decides which problems carry it.
 
 J and its SVD depend on the operator, the basis or encoder, the order
-and whether nu is present, but not on q.  recover_batch takes problems
+and whether J carries nu, but not on q.  recover_batch takes problems
 that share these, so one J, builds J and its SVD once and forms only
 each problem's own c.  It solves its problems together: each iteration
 steps every problem still running as one row of (B, n) arrays, with one
@@ -37,15 +51,16 @@ arithmetic, so every problem gets the bits it gets on its own; a 2-d
 gemm over the batch would round differently as the batch changed.
 recover is recover_batch on a batch of one.
 
-In J = [G T] the nu block T is far smaller than G (about sqrt(N) times in
-Frobenius norm at desk size), and a single-penalty splitting crawls in
-such a metric.  So with nu present recover_batch scales T by
-kappa = ||G||_F / ||T||_F before its SVD and solves for nu' = nu / kappa,
-the noise ball's radius divided by kappa: an exact change of variables
-(Giselsson and Boyd, IEEE TAC 2017), so the program and its minimizer are
-those of the unscaled J and only the metric ADMM works in changes.  The
-stopping test reads nu's residual and norm times kappa, in the problem's
-own units, and the returned noise estimate is kappa nu'.
+In the full and encoded forms' J = [G T] the nu block T is far smaller
+than G (about sqrt(N) times in Frobenius norm at desk size), and a
+single-penalty splitting crawls in such a metric.  So there
+recover_batch scales T by kappa = ||G||_F / ||T||_F before its SVD and
+solves for nu' = nu / kappa, the noise ball's radius divided by kappa:
+an exact change of variables (Giselsson and Boyd, IEEE TAC 2017), so the
+program and its minimizer are those of the unscaled J and only the
+metric ADMM works in changes.  The stopping test reads nu's residual and
+norm times kappa, in the problem's own units, and the returned noise
+estimate is kappa nu'.
 
 The splitting is Douglas-Rachford on the variable t = x + u, and each
 row's t is Anderson-accelerated (type II, after Fu, Zhang and Boyd, SIAM
@@ -131,7 +146,8 @@ class RecoveryProblem:
         The quantizer's stability bound; radius derives from it.
     noise_bound : float
         eps >= 0; the noise ball has radius eps * sqrt(m).  Zero
-        eliminates nu from the program entirely.
+        eliminates nu from the program entirely, and so does the
+        projected form, which folds the ball into its tube radius.
     basis : NoiseShapingBasis, optional; selects the projected form.
     encoder : EncoderMatrix, optional; selects the encoded form.  With
         neither, the constraint is the full inverse power D^{-r}.
@@ -189,11 +205,15 @@ class RecoveryProblem:
 class RecoverySolution:
     """Result of recover.
 
-    feasibility is check_feasibility's report on the returned point;
-    penalty_changes counts the residual-balancing updates of the penalty;
-    secular_steps counts the tube projection's Newton evaluations of its
-    secular function, summed over the solve; anderson_rejections counts
-    the accelerated steps the solver undid, because the fixed-point
+    noise_estimate is the solve's nu: in the full and encoded forms the
+    nu of the returned point; in the projected form, whose solve carries
+    no nu, the minimum-norm nu of the noise ball that certifies the
+    estimate (_certifying_noise), and zero when eps = 0.  feasibility is
+    check_feasibility's report on the returned point; penalty_changes
+    counts the residual-balancing updates of the penalty; secular_steps
+    counts the tube projection's Newton evaluations of its secular
+    function, summed over the solve; anderson_rejections counts the
+    accelerated steps the solver undid, because the fixed-point
     residual grew, or did not take, because the correction was too long.
     """
 
@@ -233,11 +253,25 @@ def _shape(problem, M):
     return shaped
 
 
+def _has_nu_block(problem):
+    """Whether J carries a nu block: with noise, in the full and encoded
+    forms.  The projected form folds the noise ball into its radius
+    (_tube_radius) and solves for vec Z alone."""
+    return problem.noise_bound > 0 and problem.basis is None
+
+
+def _tube_radius(problem):
+    """R of the tube ||J x - c|| <= R: the shaped ball's radius, plus, in
+    the projected form, sigma_ell eps sqrt(m), the radius of the noise
+    ball's image under sigma_ell V_ell^T."""
+    if problem.basis is None:
+        return problem.radius
+    return problem.radius + problem.basis.sigma_truncation * problem.noise_radius
+
+
 def _noise_block(problem):
-    """The shaping map as a matrix T, the constraint's block acting on nu."""
+    """The full or encoded shaping map as a matrix T, J's block acting on nu."""
     r = problem.order
-    if problem.basis is not None:
-        return problem.basis.sigma_truncation * problem.basis.right_vectors.T
     if problem.encoder is not None:
         # B D^{-r} = (D^{-r,T} B^T)^T, and D^{-r,T} is D^{-r} on reversed rows
         B = problem.encoder.data
@@ -252,23 +286,25 @@ def _noise_block(problem):
 
 
 def _constraint_matrix(problem):
-    """The constraint matrix J = [G T]: the shaped operator G, and the nu
-    block T when noise_bound is positive."""
+    """The constraint matrix J: the shaped operator G, and beside it the
+    nu block T when _has_nu_block."""
     J = _shape(problem, problem.operator.data)
-    if problem.noise_bound > 0:
+    if _has_nu_block(problem):
         J = np.concatenate([J, _noise_block(problem)], axis=1)
     return J
 
 
 def build_constraint(problem):
-    """(J, c, radius) for the stacked ball constraint.
+    """(J, c, R) for the stacked ball constraint.
 
     J = [G T] acts on (vec Z, nu) with G the shaped operator; the nu block
-    T is omitted when noise_bound is zero.  c is the shaped quantized
-    vector.  The full inverse power form with noise requires a dense
-    m x m block and is refused beyond DENSE_FULL_FORM_LIMIT.
+    T is omitted when noise_bound is zero, and in the projected form,
+    whose R is folded (_tube_radius).  c is the shaped quantized vector.
+    The full inverse power form with noise requires a dense m x m block
+    and is refused beyond DENSE_FULL_FORM_LIMIT.
     """
-    return _constraint_matrix(problem), _shape(problem, problem.quantized), problem.radius
+    return (_constraint_matrix(problem), _shape(problem, problem.quantized),
+            _tube_radius(problem))
 
 
 def _sumsq(A):
@@ -583,11 +619,11 @@ def recover_batch(problems, params=None):
     """Solve problems of one constraint matrix J in lockstep.
 
     J is built from a problem's operator, basis and encoder (by
-    identity), its order and whether nu is present; a batch whose problems
-    differ in any of these raises ValueError, and an empty one returns [].
-    J and its SVD are built once, with J's nu block scaled by
-    _noise_scale, and what that build raises propagates.  Every problem
-    starts from zero.  Returns one entry per problem, in order: its
+    identity), its order and whether it has a nu block (_has_nu_block); a
+    batch whose problems differ in any of these raises ValueError, and an
+    empty one returns [].  J and its SVD are built once, with J's nu
+    block scaled by _noise_scale, and what that build raises propagates.
+    Every problem starts from zero.  Returns one entry per problem, in order: its
     RecoverySolution, or the exception its shaped vector c, its solve or
     its final check raised.  A problem that fails leaves the others as
     they are.
@@ -601,15 +637,16 @@ def recover_batch(problems, params=None):
     """
     if not problems:
         return []
-    if len({(id(p.operator), id(p.basis), id(p.encoder), p.order, p.noise_bound > 0)
+    if len({(id(p.operator), id(p.basis), id(p.encoder), p.order, _has_nu_block(p))
             for p in problems}) > 1:
         raise ValueError("recover_batch takes problems of one constraint matrix: one "
-                         "operator, basis and encoder, one order, and nu in all or none")
+                         "operator, basis and encoder, one order, and a nu block in all "
+                         "or none")
     if params is None:
         params = SolverParams()
     first = problems[0]
     J, kappa = _constraint_matrix(first), 1.0
-    if first.noise_bound > 0:
+    if _has_nu_block(first):
         N = first.operator.data.shape[1]
         kappa = _noise_scale(J[:, :N], J[:, N:])
         J[:, N:] *= kappa
@@ -624,7 +661,7 @@ def recover_batch(problems, params=None):
             outcomes[i] = exc
             continue
         cbar, c_perp2 = _coordinates(U, c)
-        R = float(problem.radius)
+        R = float(_tube_radius(problem))
         rows.append(_Row(i, problem, c_perp2, R, R ** 2, problem.noise_radius / kappa, kappa))
         cbars.append(cbar)
     if rows:
@@ -647,14 +684,14 @@ def _admm(rows, cbar, tube, params, outcomes):
     _Anderson) may add a correction delta to it; delta enters u as
     u + resid + delta, so a row without one, and every row at
     _ANDERSON_MEMORY = 0, takes the plain step.  A penalty change clears
-    the row's history, since it changes the map being accelerated.  The
-    nu columns hold nu' = nu / row.kappa; the stopping test reads their
-    residual and norm times kappa.
+    the row's history, since it changes the map being accelerated.  When
+    J has a nu block, its columns hold nu' = nu / row.kappa; the stopping
+    test reads their residual and norm times kappa.
     """
     first = rows[0].problem
     n1, n2 = first.operator.shape
     N = n1 * n2
-    with_nu = first.noise_bound > 0
+    with_nu = _has_nu_block(first)
     xp = np.zeros((len(rows), tube.Vh.shape[1]))
     u = np.zeros_like(xp)
     anderson = _Anderson(*xp.shape)
@@ -739,7 +776,7 @@ def _finish(row, x, iterations, stopped, outcomes):
         N = n1 * n2
         x = x.copy()
         Z = x[:N].reshape((n1, n2), order="F")
-        nu = row.kappa * x[N:] if problem.noise_bound > 0 else np.zeros(problem.operator.rows)
+        nu = row.kappa * x[N:] if _has_nu_block(problem) else _certifying_noise(problem, Z)
         report = check_feasibility(problem, Z, nu)
         outcomes[row.index] = RecoverySolution(
             estimate=Z,
@@ -756,6 +793,26 @@ def _finish(row, x, iterations, stopped, outcomes):
         )
     except Exception as exc:  # noqa: BLE001 - this problem fails alone
         outcomes[row.index] = exc
+
+
+def _certifying_noise(problem, Z):
+    """The nu returned with Z when J has no nu block: zero when eps = 0,
+    and in the projected form with noise the least-norm nu of the noise
+    ball that brings the shaped residual to its least norm.
+
+    With a = sigma_ell V_ell^T (M(Z) - q) and rho = sigma_ell eps sqrt(m)
+    this is nu = -(t / sigma_ell) V_ell a, t = min(1, rho / ||a||): its
+    shaped residual is (1 - t) a, of norm max(||a|| - rho, 0), and its
+    norm is t ||a|| / sigma_ell <= eps sqrt(m).
+    """
+    if problem.noise_bound == 0:
+        return np.zeros(problem.operator.rows)
+    basis = problem.basis
+    a = _shape(problem, sensing.apply(problem.operator, Z) - problem.quantized)
+    sigma, norm = basis.sigma_truncation, float(np.linalg.norm(a))
+    reach = sigma * problem.noise_radius
+    t = 1.0 if norm <= reach else reach / norm
+    return (-t / sigma) * (basis.right_vectors @ a)
 
 
 def shaped_residual_vector(problem, Z, nu):

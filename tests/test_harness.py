@@ -1013,9 +1013,16 @@ def test_noise_sweep_rows_and_monotone_grid(tmp_path):
         assert len(seeds) == 1
 
 
-def test_rate_sweep_rows_and_rate_fields(tmp_path):
+def test_rate_sweep_rows_and_rate_fields(tmp_path, monkeypatch):
+    # a trial's rate is the nominal formula's; the decoder forms its own
+    # shaped vector c, so preparing a trial never forms the payload
+    def no_payload(*args, **kwargs):
+        raise AssertionError("encoding.encode called")
+
+    monkeypatch.setattr(encoding, "encode", no_payload)
     cfg = tiny_config(tmp_path, orders=(2,), encoder_dim=16)
     res = harness.run_rate_distortion(cfg)
+    assert not res.failures
     assert len(res.records) == len(cfg.oversampling_grid) * cfg.trials
     for rec in res.records:
         assert rec.m == int(rec.lam * cfg.encoder_dim)

@@ -331,20 +331,28 @@ def test_basis_build_factors_each_block_once(monkeypatch):
     # each power step's block is near orthogonal once its columns are
     # scaled, so Cholesky QR takes one pass: three power steps at
     # m = 1280, r = 3.  The structured route factors its two m x ell
-    # blocks once each
-    factored = []
-    cholesky = np.linalg.cholesky
+    # blocks once each, and inverts only the first one's factor, since it
+    # keeps only the R of the second
+    factored, inverted = [], []
+    cholesky, inv = np.linalg.cholesky, np.linalg.inv
 
     def counted(a):
         factored.append(a.shape)
         return cholesky(a)
 
+    def counted_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
     monkeypatch.setattr(ns.np.linalg, "cholesky", counted)
+    monkeypatch.setattr(ns.np.linalg, "inv", counted_inv)
     assert ns._subspace_iteration(1280, 3, 80)[2] == 3
     assert factored == [(160, 160)] * 3
     factored.clear()
+    inverted.clear()
     ns.compute_basis(1280, 3, truncation=80)
     assert factored == [(80, 80)] * 2
+    assert inverted == [(80, 80)]
 
 
 @pytest.mark.skipif(_blas._openblas() is None, reason="numpy carries no OpenBLAS")

@@ -110,19 +110,26 @@ def test_truth_is_feasible_for_all_forms(tmp_path_factory, form, r, ell, lam, ep
 
 
 def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
-    # J = [S A, S] and c = S q, with the form's map S written out densely
+    # J = [S A, S], c = S q and R the shaped ball's radius, with the
+    # form's map S written out densely; the projected form folds the noise
+    # ball into R instead, so its J is S A alone and R grows by
+    # sigma_ell eps sqrt(m)
     m, r = 40, 3
     inverse_power = inverse_power_entries(m, r).astype(float)
     for form in harness.CONSTRAINT_FORMS:
         problem, _, _ = pipeline_problem(4, m, r, form=form, seed=8, eps=0.5, ell=10)
-        S = inverse_power
+        S, fold = inverse_power, 0.0
         if form == "projected":
             basis = problem.basis
             S = basis.sigma_truncation * basis.right_vectors[:, :len(basis.singular_values)].T
+            fold = basis.sigma_truncation * 0.5 * math.sqrt(m)
         if form == "encoded":
             S = problem.encoder.data @ inverse_power
-        J, c, _ = recovery.build_constraint(problem)
-        want = np.concatenate([S @ problem.operator.data, S], axis=1)
+        J, c, R = recovery.build_constraint(problem)
+        want = S @ problem.operator.data
+        if form != "projected":
+            want = np.concatenate([want, S], axis=1)
+        assert R == problem.radius + fold
         assert J.shape == want.shape
         assert np.max(np.abs(J - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(c - S @ problem.quantized)) <= 1e-12 * np.max(np.abs(c))
@@ -423,14 +430,15 @@ def _tiny_config(path, **overrides):
     return harness.ExperimentConfig(**base)
 
 
-# three tiny sweeps, r = 1 and 2 in each, and with and without nu in the
-# noise sweep, and the sha256 of the CSV each writes without acceleration
-# and with the solver's own _ANDERSON_MEMORY, both with J's nu block
-# unscaled (kappa = 1)
+# three tiny sweeps, r = 1 and 2 in each, and with and without noise in
+# the noise sweep, and the sha256 of the CSV each writes without
+# acceleration and with the solver's own _ANDERSON_MEMORY, both with J's
+# nu block unscaled (kappa = 1); the projected noise sweep's eps > 0 rows
+# are those of its folded radius, which has no nu block to scale
 _TINY_SWEEPS = [
     (harness.run_noise_sweep, dict(epsilon_grid=(0.0, 0.5)),
-     "17a2dceb60ab811227c341d7d2830b84eca10c8a7e3852270736f84a9b9df5b5",
-     "0e96b0fbda7353cfa7332d68115d38216e2e9ccf3795c4090e6a81a0284ac183"),
+     "ebe466f42ccb057459a3062892edac26fc1c10201dac0c84b3cb61f310d4c5f7",
+     "8907dbedafb35fb0f7c64b9c044541b7dfc2d98994973a23c6e41b44d6e89b4b"),
     (harness.run_oversampling_sweep, dict(constraint_form="full_inverse_power"),
      "72dd883db30ee60db324c0113dd962fe264596a1d90f0cfbca588ca3771094a1",
      "8530c1124dd074b3a7fcd97c03ab833f582012ffd378d807498844d1049f70c4"),
@@ -467,24 +475,29 @@ def test_accelerated_solver_keeps_its_bytes(tmp_path, monkeypatch, run, override
 
 
 def test_scaled_noise_block_keeps_its_bytes(tmp_path):
-    # the tiny noise sweep with the solver's own kappa writes the bytes
-    # recorded for it; its eps = 0 rows are those of the kappa = 1 pins
+    # the tiny noise sweeps with the solver's own kappa write the bytes
+    # recorded for them: the projected one those of the kappa = 1 pin, as
+    # its J has no nu block, and the encoded one, whose J has, its own
     run, overrides = _TINY_SWEEPS[0][:2]
-    path = run(_tiny_config(tmp_path, **overrides)).csv_path
-    assert (hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            == "e08010db1c2311845c325b3c693fce8026cccc3fd3dc36e9006e6653380b68b7")
+    for form, digest in (
+            ("projected", _TINY_SWEEPS[0][3]),
+            ("encoded", "9ceca3496910b59c332d402fe70c3fa5afb181974a1e7211df27370d9041f01a")):
+        config = _tiny_config(tmp_path / form, constraint_form=form, **overrides)
+        path = run(config).csv_path
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
 
 def test_scaled_noise_block_halves_the_noise_iterations(tmp_path, monkeypatch):
-    # at the desk config's size (N = 100, m = 160), where kappa is about 10,
-    # the eps > 0 rows of a noise sweep take at most half the iterations
-    # they take with J's nu block unscaled
+    # at the desk config's size (N = 100, m = 160), in the full form, whose
+    # J keeps its nu block, the eps > 0 rows of a noise sweep take at most
+    # half the iterations they take with that block unscaled (about a
+    # fifth: 140 against 716)
     totals = []
     for name in ("scaled", "unscaled"):
         if name == "unscaled":
             monkeypatch.setattr(recovery, "_noise_scale", lambda G, T: 1.0)
         config = _tiny_config(tmp_path / name, n1=10, n2=10, rank=2, ell=80,
-                              epsilon_grid=(0.0, 0.5))
+                              epsilon_grid=(0.0, 0.5), constraint_form="full_inverse_power")
         records = harness.read_records_csv(harness.run_noise_sweep(config).csv_path)
         assert all(record.converged for record in records)
         totals.append(sum(record.iterations for record in records if record.eps > 0))
@@ -494,17 +507,20 @@ def test_scaled_noise_block_halves_the_noise_iterations(tmp_path, monkeypatch):
 
 @settings(PROPERTY, max_examples=30)
 @given(
-    form_and_order=st.sampled_from(_FORMS_AND_ORDERS),
+    form_and_order=st.sampled_from([case for case in _FORMS_AND_ORDERS
+                                    if case[0] != "projected"]),
     eps=st.sampled_from([0.25, 2.0]),
     k=st.integers(1, 2),
     seed=st.integers(0, 2**16),
 )
 def test_scaled_noise_block_solves_the_same_program(form_and_order, eps, k, seed):
     # scaling J's nu block by kappa is a change of variables, not of the
-    # program: at the desk config's size (n = 10, m = 160, ell = 80) the
-    # scaled and the kappa = 1 solves both converge, their estimates agree
-    # to 1e-4 of the unscaled one's norm (or of 1), and the returned nu,
-    # in the problem's units, lies in the noise ball
+    # program, in the forms whose J has one (the projected form folds the
+    # noise ball into its radius): at the desk config's size (n = 10,
+    # m = 160, ell = 80) the scaled and the kappa = 1 solves both
+    # converge, their estimates agree to 1e-4 of the unscaled one's norm
+    # (or of 1), and the returned nu, in the problem's units, lies in the
+    # noise ball
     form, r = form_and_order
     problem, _, _ = pipeline_problem(10, 160, r, k=k, form=form, seed=seed, eps=eps, ell=80)
     scaled = recovery.recover(problem)
@@ -516,6 +532,87 @@ def test_scaled_noise_block_solves_the_same_program(form_and_order, eps, k, seed
         assert np.linalg.norm(solution.noise_estimate) <= problem.noise_radius * (1 + 1e-6)
     gap = np.linalg.norm(scaled.estimate - unscaled.estimate)
     assert gap <= 1e-4 * max(np.linalg.norm(unscaled.estimate), 1.0)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    r=st.integers(1, 3),
+    eps=st.floats(0.05, 2.0),
+    n=st.integers(3, 5),
+    lam=st.sampled_from([2, 4]),
+    k=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_projected_noise_fold_certifies_its_estimate(r, eps, n, lam, k, seed):
+    # the projected form solves with the noise ball folded into its radius
+    # and no nu: the solve converges, its returned nu lies in the noise
+    # ball and passes check_feasibility with the estimate against both
+    # constraints, and since the truth is feasible the objective is at
+    # most ||X||_* plus the solver's tolerance
+    problem, X, _ = pipeline_problem(n, lam * n * n, r, k=k, form="projected", seed=seed,
+                                     eps=eps)
+    solution = recovery.recover(problem)
+    assert solution.converged
+    assert recovery.check_feasibility(problem, solution.estimate, solution.noise_estimate).ok
+    assert np.linalg.norm(solution.noise_estimate) <= problem.noise_radius * (1 + 1e-12)
+    truth = recovery.nuclear_norm(X)
+    assert solution.objective <= truth + recovery.SolverParams().tolerance * max(1.0, truth)
+
+
+def _explicit_noise_problem(problem):
+    """The projected problem's program with its nu explicit: an encoded
+    problem whose encoder sigma_ell V_ell^T D^r makes B D^{-r} the
+    projected map sigma_ell V_ell^T, with gamma rescaled so its radius
+    3 m gamma is the projected gamma sqrt(m)."""
+    basis, r, m = problem.basis, problem.order, problem.operator.rows
+    # V_ell^T D^r = (D^{r,T} V_ell)^T, and D^{r,T} is D^r on reversed rows
+    B = noise_shaping.apply_difference(basis.right_vectors[::-1], r)[::-1].T
+    return recovery.RecoveryProblem(
+        operator=problem.operator, quantized=problem.quantized, order=r,
+        gamma=problem.radius / (3.0 * m), noise_bound=problem.noise_bound,
+        encoder=encoding.EncoderMatrix(data=basis.sigma_truncation * B))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.05, 0.25])
+def test_projected_noise_fold_matches_the_explicit_nu_solve(r, eps):
+    # folding the noise ball into the radius changes the variables, not
+    # the program: at tolerance 1e-10 the folded solve and the solve with
+    # nu in J (the same program posed as an encoded one) reach objectives
+    # that agree to 1e-8; at these eps the ball excludes Z = 0, so the
+    # objectives are not both zero
+    problem, _, _ = pipeline_problem(4, 48, r, form="projected", seed=r, eps=eps, ell=12)
+    explicit = _explicit_noise_problem(problem)
+    assert math.isclose(explicit.radius, problem.radius, rel_tol=1e-15)
+    params = recovery.SolverParams(max_iterations=50000, tolerance=1e-10)
+    folded, unfolded = recovery.recover(problem, params), recovery.recover(explicit, params)
+    assert folded.converged and unfolded.converged
+    assert unfolded.objective > 0.0
+    assert abs(folded.objective - unfolded.objective) <= 1e-8 * max(1.0, unfolded.objective)
+
+
+def test_certifying_noise_leaves_the_least_shaped_residual():
+    # with a = sigma_ell V_ell^T (M(Z) - q) and reach = sigma_ell eps sqrt(m)
+    # the returned nu leaves a shaped residual of norm
+    # max(||a|| - reach, 0), the least any nu of the noise ball leaves,
+    # at the least norm that does, min(||a||, reach) / sigma_ell; Z = 0,
+    # X and 2 X at two eps take both branches of the min
+    branches = set()
+    for eps in (0.05, 50.0):
+        problem, X, _ = pipeline_problem(4, 48, 2, form="projected", seed=3, eps=eps, ell=12)
+        basis = problem.basis
+        reach = basis.sigma_truncation * problem.noise_radius
+        for Z in (np.zeros_like(X), X, 2.0 * X):
+            a = noise_shaping.project_shaped(
+                sensing.apply(problem.operator, Z) - problem.quantized, basis)
+            nu = recovery._certifying_noise(problem, Z)
+            left = np.linalg.norm(recovery.shaped_residual_vector(problem, Z, nu))
+            norm = np.linalg.norm(a)
+            assert abs(left - max(norm - reach, 0.0)) <= 1e-12 * norm
+            assert math.isclose(np.linalg.norm(nu), min(norm, reach) / basis.sigma_truncation,
+                                rel_tol=1e-12)
+            branches.add(bool(norm <= reach))
+    assert branches == {True, False}
 
 
 def test_accelerated_prox_inputs_stay_as_bounded_as_the_plain_ones(tmp_path, monkeypatch):
@@ -757,7 +854,7 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
     ("projected", lambda problem: dict(basis=noise_shaping.compute_basis(40, 2, truncation=10))),
     ("encoded", lambda problem: dict(encoder=dataclasses.replace(problem.encoder))),
     ("full_inverse_power", lambda problem: dict(order=1)),
-    ("projected", lambda problem: dict(noise_bound=0.5)),
+    ("encoded", lambda problem: dict(noise_bound=0.5)),
 ], ids=["operator", "basis", "encoder", "order", "noise"])
 def test_a_batch_of_two_constraints_is_refused(form, change):
     # a batch is the problems of one J: one that differs in any input of
@@ -768,3 +865,14 @@ def test_a_batch_of_two_constraints_is_refused(form, change):
     with pytest.raises(ValueError, match="one constraint matrix"):
         recovery.recover_batch([problem, other])
     assert recovery.recover_batch([]) == []
+
+
+def test_projected_problems_with_and_without_noise_share_a_batch():
+    # the projected form folds the noise ball into its radius, so its
+    # eps = 0 and eps > 0 problems have one J: a batch takes both, and
+    # each gets the bits it gets alone
+    noisy, _, _ = pipeline_problem(4, 40, 2, form="projected", seed=5, eps=0.5, ell=10)
+    quiet = dataclasses.replace(noisy, noise_bound=0.0)
+    together = recovery.recover_batch([noisy, quiet])
+    for got, problem in zip(together, (noisy, quiet)):
+        _same_solution(got, recovery.recover(problem))
