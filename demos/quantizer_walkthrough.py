@@ -47,7 +47,7 @@ def run_demo():
           f"converged = {sol.converged}")
     print(f"relative error = {rel:.4e}")
     print(f"nuclear norms: estimate {sol.objective:.4f} vs truth "
-          f"{recovery.nuclear_norm(X):.4f}")
+          f"{np.linalg.norm(X, 'nuc'):.4f}")
     report = sol.feasibility
     print(f"constraint: |shaped residual| = {report.shaped_lhs:.4f} "
           f"<= radius {report.shaped_radius:.4f} (slack {report.shaped_slack:.4f})")

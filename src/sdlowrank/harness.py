@@ -11,20 +11,20 @@ unit is the trials of one (m, r) with eps = 0 or with eps > 0, which
 share one constraint matrix J.  In the projected form, which folds the
 noise ball into its radius, the two also share J, but they stay two
 units, so that a noise sweep's work divides among the workers.  A unit
-builds its grid point (the operator, its basis in the projected form,
-its encoder in the encoded form) once, prepares each trial
-(trial_instance, trial_quantize, the rate accounting and the truth
-check) and hands them all to one recovery.recover_batch call, which
-builds J and its SVD once.  A unit returns, per trial, the numbers of
-its CSV row or a failure message, and nothing that holds an array;
-_execute runs the units on forked workers, one pipe each, largest first,
-sorts what they return and makes each row's TrialRecord by one
-_run_trial call, in CSV row order.  Every path that
-computes a row runs with numpy's OpenBLAS pinned to one thread, since the
-last digits of a solve follow the thread count.  The command line reuses
-the same stages through trial_operator and trial_solve, which builds one
-trial's grid point and solves the trial as a batch of one, both with
-OpenBLAS pinned, and so reproduces its sweep row.
+builds its grid point once, in grid_point (the operator, its basis in
+the projected form, its encoder in the encoded form), prepares each
+trial in _prepare_trial (trial_instance, trial_quantize, the rate
+accounting and the truth check) and hands them all to one
+recovery.recover_batch call, which builds J and its SVD once.  A unit
+returns, per trial, the numbers of its CSV row or a failure message, and
+nothing that holds an array; _execute runs the units on forked workers,
+one pipe each, largest first, sorts what they return and makes each
+row's TrialRecord by one _run_trial call, in CSV row order.  Every path
+that computes a row runs with numpy's OpenBLAS pinned to one thread,
+since the last digits of a solve follow the thread count.  The command
+line reuses the same stages through trial_operator and trial_solve,
+which runs grid_point and _prepare_trial for one trial and solves it as
+a batch of one, with OpenBLAS pinned, and so reproduces its sweep row.
 """
 
 from __future__ import annotations
@@ -433,36 +433,26 @@ def trial_operator(task):
     )
 
 
-def _trial_encoder(task):
-    """The task's encoder in the encoded form, else None; shared like the operator."""
-    if task.config.constraint_form != "encoded":
-        return None
-    return encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
-
-
-def _trial_basis(task):
-    """The noise-shaping basis of the task's (m, r) in the projected form, else None.
-
-    The basis is cached in cache_dir, by default output_path/basis_cache.
-    """
-    config = task.config
-    if config.constraint_form != "projected":
-        return None
-    cache_dir = config.cache_dir
-    if cache_dir is None:
-        cache_dir = os.path.join(config.output_path, "basis_cache")
-    return noise_shaping.compute_basis(
-        task.m, task.r, truncation=min(config.ell, task.m), cache_dir=cache_dir
-    )
-
-
 def grid_point(task):
     """(operator, basis, encoder) of the task's grid point, built for it alone.
 
-    Of the basis and the encoder, the one the form does not use is None.
-    A sweep's unit and trial_solve build their grid point with this call.
+    The projected form builds the noise-shaping basis of the task's
+    (m, r), cached in cache_dir (by default output_path/basis_cache), and
+    the encoded form draws the encoder; the one the form does not use is
+    None.  A sweep's unit and trial_solve build their grid point with this
+    call alone.
     """
-    return trial_operator(task), _trial_basis(task), _trial_encoder(task)
+    config = task.config
+    op, basis, encoder = trial_operator(task), None, None
+    if config.constraint_form == "projected":
+        cache_dir = config.cache_dir
+        if cache_dir is None:
+            cache_dir = os.path.join(config.output_path, "basis_cache")
+        basis = noise_shaping.compute_basis(
+            task.m, task.r, truncation=min(config.ell, task.m), cache_dir=cache_dir)
+    elif config.constraint_form == "encoded":
+        encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
+    return op, basis, encoder
 
 
 def trial_instance(task, op):
@@ -510,17 +500,17 @@ class _PreparedTrial:
     problem: recovery.RecoveryProblem
 
 
-def _prepare_trial(task, point, instance):
-    """Quantize one trial's instance, account its rate and pose its problem.
+def _prepare_trial(task, point):
+    """Draw and quantize one trial's instance, account its rate, pose its problem.
 
-    point is (operator, basis, encoder) as grid_point(task) returns it and
-    instance is trial_instance(task, operator).  Unless the quantizer
+    point is (operator, basis, encoder) as grid_point(task) returns it;
+    the instance is trial_instance(task, operator).  Unless the quantizer
     overflowed, a true pair (X, y - M(X)) that fails check_feasibility
     raises RuntimeError naming the violated constraint.
     """
     m, r = task.m, task.r
     op, basis, encoder = point
-    X, scale, y, noise = instance
+    X, scale, y, noise = trial_instance(task, op)
     scheme, run = trial_quantize(task, y)
 
     rate_bits = rate_bits_fig = None
@@ -581,8 +571,7 @@ def trial_solve(task):
     quantizer overflowed, an infeasible truth raises RuntimeError.
     """
     with _blas._blas_pinned():
-        point = grid_point(task)
-        trial = _prepare_trial(task, point, trial_instance(task, point[0]))
+        trial = _prepare_trial(task, grid_point(task))
         solution = recovery.recover(trial.problem, task.config.solver_params())
         return _run_trial(task, _row(task, trial, solution)), solution
 
@@ -596,11 +585,12 @@ def _run_group(unit):
 
     The unit's tasks share one J: one m, one order, and eps = 0 or
     eps > 0 (see _unit_key).  Its grid point is built once; each trial
-    is prepared from its own instance, and all that were prepared are
-    solved in one recovery.recover_batch call.  A failed build of the
-    grid point or of J fails every trial of the unit; a trial that fails
-    at any other stage fails alone.  Failures become messages where they are caught,
-    so nothing returned refers to an array or keeps one alive.
+    draws its own instance at it in _prepare_trial, and all that were
+    prepared are solved in one recovery.recover_batch call.  A failed
+    build of the grid point or of J fails every trial of the unit; a
+    trial that fails at any other stage fails alone.  Failures become
+    messages where they are caught, so nothing returned refers to an
+    array or keeps one alive.
     """
     try:
         point = grid_point(unit[0])
@@ -609,7 +599,7 @@ def _run_group(unit):
     trials = []
     for task in unit:
         try:
-            trials.append(_prepare_trial(task, point, trial_instance(task, point[0])))
+            trials.append(_prepare_trial(task, point))
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             trials.append(_failure(exc))
     ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]

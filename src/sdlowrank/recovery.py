@@ -68,10 +68,11 @@ J. Sci. Comput. 2020): from the row's last _ANDERSON_MEMORY steps the
 solver fits the fixed-point residual by least squares and moves the prox
 input by the correction it implies.  A row forgets that history when its
 penalty changes, undoes a corrected step after which its residual grew,
-and skips a correction far longer than the residual.  The memory is a
+and skips a correction far longer than the residual; a row that takes
+none gets a zero correction, so the loop has one path.  The memory is a
 module constant, not a SolverParams field: no sweep varies it, and the
-tests that pin the plain splitting set it to 0, at which the loop is the
-plain one bit for bit.
+tests that pin the plain splitting set it to 0, at which every
+correction is zero and the loop is the plain one bit for bit.
 """
 
 from __future__ import annotations
@@ -388,11 +389,12 @@ class _Anderson:
     tube point less the prox point (Walker and Ni, SIAM J. Numer. Anal.
     2011; Fu, Zhang and Boyd, SIAM J. Sci. Comput. 2020).  Each row keeps
     g and F(t) at its last step, in g and f, and a ring of its last mem
-    secant pairs: differences of g in dG, those of F(t) = t + g in dF, and
-    the Gram matrix dG dG^T in gram, which takes one new row and column a
-    step.  The row's correction to its next t, F(t), is -dF^T gamma, for
-    the gamma that fits g by dG^T gamma in least squares with a Tikhonov
-    term of _ANDERSON_RIDGE times the Gram's trace.
+    secant pairs: differences of g in dG and those of F(t) = t + g in dF.
+    The row's correction to its next t, F(t), is -dF^T gamma, for the
+    gamma that fits g by dG^T gamma in least squares with a Tikhonov term
+    of _ANDERSON_RIDGE times the trace of the Gram matrix dG dG^T.  Each
+    step forms that Gram afresh from dG, so the pairs are the row's only
+    history.
 
     Safeguards, per row.  _admm clears the history when the row's penalty
     changes, since that changes F.  A corrected step after which the
@@ -401,20 +403,20 @@ class _Anderson:
     than _ANDERSON_CAP times the residual is not taken, so the prox never
     sees a blown-up input.  rejections counts both.  Every product is a
     per-row kernel (np.vecdot, np.vecmat and a stacked np.linalg.solve),
-    so a row's bits do not depend on the batch.
+    so a row's bits do not depend on the batch, and a Gram entry formed
+    afresh has the bits of the dot product that once patched it in.
     """
 
     def __init__(self, B, n):
         mem = _ANDERSON_MEMORY
         self.dG, self.dF = np.zeros((B, mem, n)), np.zeros((B, mem, n))
-        self.gram = np.zeros((B, mem, mem))
         self.g, self.f = np.zeros((B, n)), np.zeros((B, n))
 
     def take(self, keep):
         """Keep the rows keep, an ascending list, moving them up in place
         (a copy would hold a second history at the batch's largest), and
         return self."""
-        for name in ("dG", "dF", "gram", "g", "f"):
+        for name in ("dG", "dF", "g", "f"):
             a = getattr(self, name)
             for i, b in enumerate(keep):
                 a[i] = a[b]
@@ -424,22 +426,20 @@ class _Anderson:
     def clear(self, b, row):
         """Forget row b's secant pairs and its last step."""
         row.pairs, row.extrapolated = -1, False
-        self._forget(b)
-
-    def _forget(self, b):
-        self.dG[b] = self.dF[b] = self.gram[b] = 0.0
+        self.dG[b] = self.dF[b] = 0.0
 
     def __call__(self, rows, f, x, xp):
-        """The correction to each row's next t, f = F(t), or None.
+        """The correction to each row's next t, f = F(t), as a (B, n) array.
 
         x - xp is each row's residual g(t).  A row with no correction gets
-        a zero row, which leaves its t and u as the plain step has them.
+        a zero row, which leaves its t and u as the plain step has them;
+        at _ANDERSON_MEMORY = 0 every row does.
         """
         mem = self.dG.shape[1]
-        if not mem:
-            return None
-        B = len(rows)
         g = x - xp
+        if not mem:
+            return np.zeros_like(g)
+        B = len(rows)
         norms = list(map(math.sqrt, _sumsq(g)))
         back, fresh, slots = [], [], []
         for b, row in enumerate(rows):
@@ -459,22 +459,19 @@ class _Anderson:
         dg, every = g - self.g, np.arange(B)
         self.dG[every, slots] = dg
         self.dF[every, slots] = f - self.f
-        col = np.vecdot(self.dG, dg[:, None, :])
-        self.gram[every, slots] = col
-        self.gram[every, :, slots] = col
-        for b in back + fresh:
-            self._forget(b)
+        self.dG[back + fresh] = self.dF[back + fresh] = 0.0
         if back:
             ref = [b for b in range(B) if b not in back]
             self.g[ref], self.f[ref] = g[ref], f[ref]
         else:
             self.g, self.f = g, f
-        traces = [sum(d) for d in np.diagonal(self.gram, axis1=1, axis2=2).tolist()]
+        gram = np.vecdot(self.dG[:, :, None, :], self.dG[:, None, :, :])
+        traces = [sum(d) for d in np.diagonal(gram, axis1=1, axis2=2).tolist()]
         fit = [b for b, row in enumerate(rows) if row.pairs > 0 and 0.0 < traces[b] < math.inf]
         if not (fit or back):
-            return None
+            return np.zeros_like(g)
         ridge = np.array([_ANDERSON_RIDGE * tr for tr in traces])
-        A = self.gram + ridge[:, None, None] * np.eye(mem)
+        A = gram + ridge[:, None, None] * np.eye(mem)
         rhs = np.vecdot(self.dG, g[:, None, :])
         fitted = set(fit)
         plain = [b for b in range(B) if b not in fitted]
@@ -596,10 +593,6 @@ class _Tube:
         return thetas
 
 
-def nuclear_norm(Z):
-    return float(np.linalg.svd(Z, compute_uv=False).sum())
-
-
 def recover(problem, params=None):
     """Solve the recovery program from zero and return a RecoverySolution.
 
@@ -680,13 +673,14 @@ def _admm(rows, cbar, tube, params, outcomes):
     array is one more entry in it.
 
     Each iteration forms t = x + u, the Douglas-Rachford variable whose
-    prox gives the next (xp, u), and the rows' Anderson history (see
-    _Anderson) may add a correction delta to it; delta enters u as
-    u + resid + delta, so a row without one, and every row at
-    _ANDERSON_MEMORY = 0, takes the plain step.  A penalty change clears
-    the row's history, since it changes the map being accelerated.  When
-    J has a nu block, its columns hold nu' = nu / row.kappa; the stopping
-    test reads their residual and norm times kappa.
+    prox gives the next (xp, u), and adds to it the rows' Anderson
+    correction delta (see _Anderson), which enters u as u + resid + delta.
+    A row without a correction, and every row at _ANDERSON_MEMORY = 0,
+    has a zero row of delta and so takes the plain step.  A penalty
+    change clears the row's history, since it changes the map being
+    accelerated.  When J has a nu block, its columns hold
+    nu' = nu / row.kappa; the stopping test reads their residual and norm
+    times kappa.
     """
     first = rows[0].problem
     n1, n2 = first.operator.shape
@@ -702,8 +696,7 @@ def _admm(rows, cbar, tube, params, outcomes):
         x = tube(xp - u, cbar, rows)
         t = x + u
         delta = anderson(rows, t, x, xp)
-        if delta is not None:
-            t = t + delta
+        t = t + delta
         B = len(t)
         tau = 1.0 / np.array([row.rho for row in rows])
         Zp, errors = _nuclear_prox(t[:, :N].reshape(B, n2, n1).transpose(0, 2, 1), tau)
@@ -718,7 +711,7 @@ def _admm(rows, cbar, tube, params, outcomes):
         else:
             xp_new = zp
         resid = x - xp_new
-        u = u + resid if delta is None else u + resid + delta
+        u = u + resid + delta
         rz = map(math.sqrt, _sumsq(resid[:, :N]))
         xz = map(math.sqrt, _sumsq(x[:, :N]))
         moved = map(math.sqrt, _sumsq(xp_new - xp))
@@ -781,7 +774,7 @@ def _finish(row, x, iterations, stopped, outcomes):
         outcomes[row.index] = RecoverySolution(
             estimate=Z,
             noise_estimate=nu,
-            objective=nuclear_norm(Z),
+            objective=float(np.linalg.norm(Z, "nuc")),
             iterations=iterations,
             converged=stopped and report.ok,
             primal_residual=row.pri,

@@ -144,7 +144,7 @@ def test_objective_not_above_truth():
     problem, X, _ = pipeline_problem(3, 48, 1, seed=11)
     sol = recovery.recover(problem)
     assert sol.converged
-    assert sol.objective <= recovery.nuclear_norm(X) + 1e-4
+    assert sol.objective <= np.linalg.norm(X, "nuc") + 1e-4
 
 
 def test_converged_solutions_pass_feasibility():
@@ -555,7 +555,7 @@ def test_projected_noise_fold_certifies_its_estimate(r, eps, n, lam, k, seed):
     assert solution.converged
     assert recovery.check_feasibility(problem, solution.estimate, solution.noise_estimate).ok
     assert np.linalg.norm(solution.noise_estimate) <= problem.noise_radius * (1 + 1e-12)
-    truth = recovery.nuclear_norm(X)
+    truth = np.linalg.norm(X, "nuc")
     assert solution.objective <= truth + recovery.SolverParams().tolerance * max(1.0, truth)
 
 
@@ -713,7 +713,7 @@ def test_nuclear_prox_is_the_proximal_point(n1, n2, rank, log_scale, tau_rel, se
     P = stack[0]
 
     def f(X):
-        return tau * recovery.nuclear_norm(X) + 0.5 * np.sum((X - Z) ** 2)
+        return tau * np.linalg.norm(X, "nuc") + 0.5 * np.sum((X - Z) ** 2)
 
     fP = f(P)
     candidates = [np.zeros_like(Z), Z]
@@ -775,8 +775,7 @@ def _point_trials(base, case):
         )
         [tasks] = harness._sweep_units(config, harness._noise_spec(config))
         point = harness.grid_point(tasks[0])
-        _POINTS[case] = [harness._prepare_trial(task, point, harness.trial_instance(task, point[0]))
-                         for task in tasks]
+        _POINTS[case] = [harness._prepare_trial(task, point) for task in tasks]
     return _POINTS[case]
 
 
