@@ -278,7 +278,7 @@ def make_low_rank(n1, n2, k, seed):
     return sensing.gaussian_rank_k(rng, n1, n2, k)
 
 
-def measurement_scaling(X, op, mu=0.9):
+def measurement_scaling(X, op, mu):
     """Rescale X so the measurement vector has max magnitude mu.
 
     Keeps the quantizer inside its certified input range.  Returns

@@ -521,6 +521,10 @@ class _Tube:
     1983), started from the theta of the row's previous active
     projection: consecutive ADMM inputs are close, so theta moves little
     and two or three evaluations usually meet the 1e-13 R stopping rule.
+    A row that meets it ends on the Newton step of that same evaluation,
+    at no further evaluation: the rule bounds phi, not the point, which
+    near the shell moves about cond(J) times as much, and the step makes
+    theta the root to second order, so a warm and a cold start agree.
     A row's steps counts its evaluations of phi in the Newton loop, not
     the feasibility test at theta = 0.  The per-row scalars are Python
     floats, as cheap for one row as for many.
@@ -575,11 +579,15 @@ class _Tube:
                         continue  # empty set; land on the closest reachable shell
                 else:
                     hi[j] = theta
-                if abs(phi - R) <= 1e-13 * R:
-                    continue
                 # Newton on g = 1/phi - 1/R, with g' = -phi'/phi^2
                 gprime = slopes[j] / (phi * phi2)
                 step = theta - (1.0 / phi - 1.0 / R) / gprime if gprime > 0 else math.inf
+                if abs(phi - R) <= 1e-13 * R:
+                    # a row at the rule ends on this evaluation's step, so
+                    # its theta, warm or cold, is the root to second order
+                    if step < math.inf:
+                        thetas[j] = row.theta = min(step, _THETA_CAP)
+                    continue
                 if not (lo[j] < step < hi[j]):
                     if hi[j] == math.inf:
                         step = 16.0 * lo[j]

@@ -279,7 +279,7 @@ def test_measurement_scaling_hits_target():
 
 def test_measurement_scaling_zero_input():
     op = sensing.draw_operator(8, 3, 3, seed=1)
-    Xs, scale = harness.measurement_scaling(np.zeros((3, 3)), op)
+    Xs, scale = harness.measurement_scaling(np.zeros((3, 3)), op, mu=0.9)
     assert scale == 1.0
     assert np.array_equal(Xs, np.zeros((3, 3)))
 
