@@ -65,9 +65,11 @@ _BLOCK_ROWS = 256
 # condition number by 3
 _ONE_PASS_GRAM_DEVIATION = 0.5
 
-# the structured route serves orders up to this one; at r = 4 its span is
-# already 1.9e-5 from the dense SVD's at m = 1280, ell = 80, so higher
-# orders take subspace iteration
+# the structured route serves orders up to this one; higher orders take
+# subspace iteration.  At ell = 80 its span sine from the dense SVD's is,
+# at m = 320, 640 and 1280: r = 4 3.6e-9, 2.2e-7 and 5.5e-3 (certified);
+# r = 5 2.5e-5, 3.9e-4, and a failed certificate (2.19); r = 6 2.5e-3,
+# then Cholesky breakdowns
 _STRUCTURED_MAX_ORDER = 3
 
 # _secular_roots brackets each root by this many bisection steps on its

@@ -403,8 +403,7 @@ class _Anderson:
     than _ANDERSON_CAP times the residual is not taken, so the prox never
     sees a blown-up input.  rejections counts both.  Every product is a
     per-row kernel (np.vecdot, np.vecmat and a stacked np.linalg.solve),
-    so a row's bits do not depend on the batch, and a Gram entry formed
-    afresh has the bits of the dot product that once patched it in.
+    so a row's bits do not depend on the batch.
     """
 
     def __init__(self, B, n):

@@ -35,17 +35,19 @@ def test_quantizer_walkthrough_runs(capsys):
 
 
 def test_basis_build_demo_runs_in_its_own_process():
+    # one build on each route that takes more than a closed form
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     demo = str(ROOT / "demos" / "basis_build.py")
-    done = subprocess.run([sys.executable, demo, "320", "2", "80"], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    lines = done.stdout.splitlines()
-    assert lines[0].startswith("compute_basis(m=320, r=2, ell=80): ")
-    assert lines[1] == "route = structured"
-    assert lines[2].startswith("sigma_ell = ")
-    certificate = float(lines[3].split()[2])
-    assert 0.99 < certificate <= 1 + 1e-9
-    assert lines[4].startswith("peak RSS = ")
+    for r, route in (("2", r"structured"), ("4", r"subspace iteration after \d+ power steps")):
+        done = subprocess.run([sys.executable, demo, "320", r, "80"], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith(f"compute_basis(m=320, r={r}, ell=80): ")
+        assert re.fullmatch("route = " + route, lines[1])
+        assert lines[2].startswith("sigma_ell = ")
+        certificate = float(lines[3].split()[2])
+        assert 0.99 < certificate <= 1 + 1e-9
+        assert lines[4].startswith("peak RSS = ")
 
 
 def test_readme_lists_every_subcommand():

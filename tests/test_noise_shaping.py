@@ -141,14 +141,17 @@ def test_basis_invariants(cache_dir):
 
 
 @pytest.mark.parametrize("r, m", [(r, m) for r in (1, 2, 3) for m in (160, 320, 640, 1280)]
-                         + [(4, m) for m in (160, 320, 640)])
+                         + [(4, m) for m in (160, 320, 640, 1280)])
 def test_basis_matches_dense_oracle(r, m):
     """sigma_1..sigma_ell and the span of V_ell against the dense SVD, and
     the decoder's certificate sigma_ell ||D^{r,T} V_ell||_2 <= 1 + 1e-9,
     computed with dense D^r.  The structured route (r = 2, 3 at m > 2 ell)
     holds sigma to 1e-11 relative and the span to a largest principal-angle
     sine of 1e-8; every other build to 1e-8 and 1e-4.  At (320, 4) the
-    iteration takes power steps, so they stay exercised here."""
+    iteration takes power steps, so they stay exercised here.  (1280, 4)
+    guards _STRUCTURED_MAX_ORDER: the structured pair there passes its
+    certificate yet its span is 5.5e-3 off, where at (320, 4) it would
+    pass these bounds."""
     ell = 80
     basis = ns.compute_basis(m, r, truncation=ell)
     structured = r in (2, 3) and m > 2 * ell
