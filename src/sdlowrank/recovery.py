@@ -520,13 +520,13 @@ class _Tube:
     1983), started from the theta of the row's previous active
     projection: consecutive ADMM inputs are close, so theta moves little
     and two or three evaluations usually meet the 1e-13 R stopping rule.
-    A row that meets it ends on the Newton step of that same evaluation,
-    at no further evaluation: the rule bounds phi, not the point, which
-    near the shell moves about cond(J) times as much, and the step makes
-    theta the root to second order, so a warm and a cold start agree.
-    A row's steps counts its evaluations of phi in the Newton loop, not
-    the feasibility test at theta = 0.  The per-row scalars are Python
-    floats, as cheap for one row as for many.
+    A row that meets it ends on the Newton step of that evaluation: the
+    rule bounds phi, not the point, which near the shell moves about
+    cond(J) times as much, and the step makes theta the root to second
+    order, so a warm and a cold start agree.  A row's steps counts its
+    evaluations of phi in the Newton loop, not the feasibility test at
+    theta = 0.  The per-row scalars are Python floats, as cheap for one
+    row as for many.
     """
 
     def __init__(self, s, Vh):
@@ -582,8 +582,6 @@ class _Tube:
                 gprime = slopes[j] / (phi * phi2)
                 step = theta - (1.0 / phi - 1.0 / R) / gprime if gprime > 0 else math.inf
                 if abs(phi - R) <= 1e-13 * R:
-                    # a row at the rule ends on this evaluation's step, so
-                    # its theta, warm or cold, is the root to second order
                     if step < math.inf:
                         thetas[j] = row.theta = min(step, _THETA_CAP)
                     continue
