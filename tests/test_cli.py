@@ -123,6 +123,24 @@ def test_sweep_noise_cli(tiny_cfg_file, tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "noise.csv"))
 
 
+def test_a_sweep_with_a_failed_trial_says_so(tmp_path, monkeypatch, capsys):
+    # one of ten trials cannot draw its instance: the sweep finishes, its
+    # summary names the trial, and stderr points there
+    path = write_tiny_cfg(tmp_path, trials=5, workers=1)
+    instance = harness.trial_instance
+
+    def failing_instance(task, op):
+        if (task.m, task.trial_index) == (64, 3):
+            raise ValueError("no instance")
+        return instance(task, op)
+
+    monkeypatch.setattr(harness, "trial_instance", failing_instance)
+    assert cli.main(["sweep-oversampling", "--config", path]) == 0
+    assert capsys.readouterr().err == "1 trial failures (see summary)\n"
+    summary = (tmp_path / "out" / "oversampling_summary.txt").read_text().splitlines()
+    assert summary[-1] == "FAILED r=1 m=64 eps=0 trial=3: ValueError: no instance"
+
+
 def test_rate_distortion_cli(tmp_path, capsys):
     cfg = harness.ExperimentConfig(
         n1=5, n2=5, rank=1, ell=16, oversampling_grid=(2.0, 4.0),

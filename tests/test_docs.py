@@ -1,6 +1,7 @@
 """The README quick start and the demos run as documented, the README,
-configs/desk.cfg and pyproject.toml match the program they describe, and
-no package module imports a name it never reads."""
+configs/desk.cfg and pyproject.toml match the program they describe, no
+package module imports a name it never reads, and no exported name is read
+only by the tests."""
 
 import argparse
 import ast
@@ -102,3 +103,35 @@ def test_package_modules_read_every_name_they_import():
                     if name not in read and name not in exported:
                         unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def _names_read(path):
+    """The names a file reads, as a name or as an attribute of anything,
+    outside the definition of a function or class of that name."""
+
+    def walk(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name and isinstance(getattr(node, "ctx", None), ast.Load) and name not in defining:
+            yield name
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, defining)
+
+    return set(walk(ast.parse(path.read_text(encoding="utf-8")), frozenset()))
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # no public API that only tests call: each name in a module's __all__,
+    # and in the package's, is read somewhere in src/, bench/ or demos/.
+    # A read is matched by name alone; dunder metadata such as __version__
+    # is exempt
+    read = set().union(*(_names_read(path) for folder in ("src", "bench", "demos")
+                         for path in sorted((ROOT / folder).rglob("*.py"))))
+    unread = []
+    for path in sorted((ROOT / "src" / "sdlowrank").glob("*.py")):
+        module = "sdlowrank" if path.stem == "__init__" else f"sdlowrank.{path.stem}"
+        unread += [f"{module}.{name}"
+                   for name in getattr(importlib.import_module(module), "__all__", ())
+                   if not name.startswith("__") and name not in read]
+    assert unread == []

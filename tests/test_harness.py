@@ -946,6 +946,25 @@ def test_a_trial_whose_solve_fails_fails_alone(tmp_path, monkeypatch):
     assert res.records == [rec for rec in clean if rec.trial_index != 1]
 
 
+def test_a_trial_whose_row_fails_fails_alone(tmp_path, monkeypatch):
+    # trial 1 is solved with its four neighbours, and building its row
+    # raises: it fails with that message, and the others write the rows
+    # they write without it (1 of 5 failures stays under the abort line)
+    cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), trials=5)
+    clean = harness.run_oversampling_sweep(cfg).records
+    row = harness._row
+
+    def failing_row(task, trial, solution):
+        if task.trial_index == 1:
+            raise FloatingPointError("no row")
+        return row(task, trial, solution)
+
+    monkeypatch.setattr(harness, "_row", failing_row)
+    res = harness.run_oversampling_sweep(cfg)
+    assert [(t.trial_index, msg) for t, msg in res.failures] == [(1, "FloatingPointError: no row")]
+    assert res.records == [rec for rec in clean if rec.trial_index != 1]
+
+
 def test_cholesky_breakdown_fails_its_grid_points_trials(tmp_path, monkeypatch):
     # r = 1 and the r = 2 points with m <= 2 ell need no Cholesky factor;
     # at m = 64 > 2 ell the structured route's first factor breaks down,

@@ -482,6 +482,25 @@ def _write_truncated(path, arrays):
         fh.write(head[: len(head) // 2])
 
 
+def _write_other_size(path, arrays):
+    # a basis of another m under this file's name, with the arrays it holds
+    np.savez(path, **{**arrays, "size": arrays["size"] + 1})
+
+
+def _write_other_order(path, arrays):
+    np.savez(path, **{**arrays, "order": arrays["order"] + 1})
+
+
+def _write_zero_sigma(path, arrays):
+    s = arrays["singular_values"].copy()
+    s[-1] = 0.0
+    np.savez(path, **{**arrays, "singular_values": s})
+
+
+def _write_increasing_sigma(path, arrays):
+    np.savez(path, **{**arrays, "singular_values": arrays["singular_values"][::-1]})
+
+
 def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypatch):
     # a file with a fresh build's arrays but the previous format's stamp,
     # which marks an older algorithm's last digits, is rebuilt, not read
@@ -512,6 +531,7 @@ def test_basis_cache_older_format_recomputed_and_overwritten(cache_dir, monkeypa
 
 @pytest.mark.parametrize("write_bad", [
     _write_wrong_version, _write_wrong_shape, _write_non_finite, _write_truncated,
+    _write_other_size, _write_other_order, _write_zero_sigma, _write_increasing_sigma,
 ])
 def test_basis_cache_bad_file_recomputed_and_overwritten(cache_dir, write_bad):
     m, r, ell = 48, 2, 12
@@ -524,6 +544,19 @@ def test_basis_cache_bad_file_recomputed_and_overwritten(cache_dir, write_bad):
     with np.load(path) as data:
         for key, want in arrays.items():
             assert np.array_equal(data[key], want)
+
+
+def test_a_failed_cache_write_leaves_no_file(cache_dir, monkeypatch):
+    # the write dies after part of the file is on disk: the error reaches
+    # the caller, and neither the temp file nor the cache file is left
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK partial")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(ns.np, "savez", failing_savez)
+    with pytest.raises(OSError, match="No space left"):
+        ns.compute_basis(32, 2, truncation=16, cache_dir=cache_dir)
+    assert os.listdir(cache_dir) == []
 
 
 def test_project_shaped_dominated_by_full_norm(rng):

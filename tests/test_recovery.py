@@ -250,6 +250,15 @@ def test_invalid_problems_rejected():
         with pytest.raises(ValueError, match="quantized must be finite"):
             recovery.RecoveryProblem(operator=op, quantized=np.r_[np.zeros(9), value], order=1,
                                      gamma=0.25)
+    # a basis or an encoder built for another grid point
+    for basis in (noise_shaping.compute_basis(12, 1, truncation=5),
+                  noise_shaping.compute_basis(10, 2, truncation=5)):
+        with pytest.raises(ValueError, match="basis size/order do not match"):
+            recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
+                                     gamma=0.25, basis=basis)
+    with pytest.raises(ValueError, match="encoder input dimension does not match"):
+        recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1, gamma=0.25,
+                                 encoder=encoding.draw_encoder(5, 12, seed=0))
 
 
 def test_problem_with_basis_and_encoder_rejected():
@@ -848,6 +857,64 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
     for got, want in zip(together[:2] + together[3:], alone):
         _same_solution(got, want)
         assert got.objective == want.objective and got.feasibility == want.feasibility
+
+
+def _one_fails_alone(tmp_path, monkeypatch, name, fails):
+    """Solve a point's problems together with recovery.<name> patched to
+    raise where fails(problem, *args) holds for the second problem: it
+    alone comes back as the error, and the others keep their bits."""
+    problems = [trial.problem for trial in _point_trials(tmp_path, ("projected", 0.5))]
+    alone = [recovery.recover(p) for p in problems]
+    original = getattr(recovery, name)
+
+    def failing(problem, *args):
+        if problem is problems[1] and fails(problem, *args):
+            raise ValueError(f"no {name}")
+        return original(problem, *args)
+
+    monkeypatch.setattr(recovery, name, failing)
+    together = recovery.recover_batch(problems)
+    assert isinstance(together[1], ValueError) and str(together[1]) == f"no {name}"
+    for got, want in zip(together[:1] + together[2:], alone[:1] + alone[2:]):
+        _same_solution(got, want)
+
+
+def test_a_problem_whose_shaped_vector_fails_fails_alone(tmp_path, monkeypatch):
+    # the shaped vector c of the second problem raises before the solve
+    _one_fails_alone(tmp_path, monkeypatch, "_shape",
+                     lambda problem, M: M is problem.quantized)
+
+
+def test_a_problem_whose_final_check_fails_fails_alone(tmp_path, monkeypatch):
+    # the second problem is solved, and the check of its returned point raises
+    _one_fails_alone(tmp_path, monkeypatch, "check_feasibility", lambda problem, Z, nu: True)
+
+
+def test_a_row_at_the_penalty_cap_keeps_its_penalty(monkeypatch):
+    # scaled by 1e-4, this problem changes its penalty 11 times; with the
+    # cap at 5 it changes it 5 times and ends the solve on the fifth value
+    problem, _, _ = pipeline_problem(4, 40, 1, seed=5, ell=10)
+    problem = dataclasses.replace(problem, quantized=1e-4 * problem.quantized,
+                                  gamma=1e-4 * problem.gamma)
+    assert recovery.recover(problem).penalty_changes == 11
+    changed, finished = [], []
+    clear, finish = recovery._Anderson.clear, recovery._finish
+
+    def recorded_clear(self, b, row):
+        changed.append(row.rho)
+        return clear(self, b, row)
+
+    def recorded_finish(row, *args):
+        finished.append(row.rho)
+        return finish(row, *args)
+
+    monkeypatch.setattr(recovery, "_ADAPT_CAP", 5)
+    monkeypatch.setattr(recovery._Anderson, "clear", recorded_clear)
+    monkeypatch.setattr(recovery, "_finish", recorded_finish)
+    solution = recovery.recover(problem)
+    assert solution.penalty_changes == len(changed) == 5
+    assert finished == changed[-1:]
+    assert solution.converged
 
 
 @pytest.mark.parametrize("form, change", [
