@@ -50,7 +50,7 @@ def run_demo():
           f"{np.linalg.norm(X, 'nuc'):.4f}")
     report = sol.feasibility
     print(f"constraint: |shaped residual| = {report.shaped_lhs:.4f} "
-          f"<= radius {report.shaped_radius:.4f} (slack {report.shaped_slack:.4f})")
+          f"<= radius {problem.radius:.4f} (slack {report.shaped_slack:.4f})")
 
     # same instance through the sketched path: ship L_enc numbers, not m
     L_enc = ell

@@ -16,15 +16,16 @@ the projected form, its encoder in the encoded form), prepares each
 trial in _prepare_trial (trial_instance, trial_quantize, the rate
 accounting and the truth check) and hands them all to one
 recovery.recover_batch call, which builds J and its SVD once.  A unit
-returns, per trial, the numbers of its CSV row or a failure message, and
-nothing that holds an array; _execute runs the units on forked workers,
-one pipe each, largest first, sorts what they return and makes each
-row's TrialRecord by one _run_trial call, in CSV row order.  Every path
-that computes a row runs with numpy's OpenBLAS pinned to one thread,
-since the last digits of a solve follow the thread count.  The command
-line reuses the same stages through trial_operator and trial_solve,
-which runs grid_point and _prepare_trial for one trial and solves it as
-a batch of one, with OpenBLAS pinned, and so reproduces its sweep row.
+returns, per trial in its order, the numbers of its CSV row or a failure
+message, and nothing that holds an array; _execute runs the units on
+forked workers, one pipe each, largest first, pairs what each returns
+with the unit's tasks, sorts the pairs and makes each row's TrialRecord
+by one _run_trial call, in CSV row order.  Every path that computes a
+row runs with numpy's OpenBLAS pinned to one thread, since the last
+digits of a solve follow the thread count.  The command line reuses the
+same stages through trial_operator and trial_solve, which runs
+grid_point and _prepare_trial for one trial and solves it as a batch of
+one, with OpenBLAS pinned, and so reproduces its sweep row.
 """
 
 from __future__ import annotations
@@ -581,7 +582,7 @@ def _failure(exc):
 
 
 def _run_group(unit):
-    """(task, row numbers) or (task, message) per trial of one unit.
+    """Row numbers or a failure message per trial of one unit, in the unit's order.
 
     The unit's tasks share one J: one m, one order, and eps = 0 or
     eps > 0 (see _unit_key).  Its grid point is built once; each trial
@@ -592,34 +593,26 @@ def _run_group(unit):
     messages where they are caught, so nothing returned refers to an
     array or keeps one alive.
     """
+    trials = {}  # index in unit -> its prepared trial
+    outcomes = {}  # index in unit -> its row numbers or failure message
     try:
         point = grid_point(unit[0])
-    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-        return [(task, _failure(exc)) for task in unit]
-    trials = []
-    for task in unit:
-        try:
-            trials.append(_prepare_trial(task, point))
-        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-            trials.append(_failure(exc))
-    ready = [trial for trial in trials if isinstance(trial, _PreparedTrial)]
-    try:
-        solutions = iter(recovery.recover_batch(
-            [trial.problem for trial in ready], unit[0].config.solver_params()))
-    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
-        solutions = itertools.repeat(_failure(exc))
-    outcomes = []
-    for task, trial in zip(unit, trials):
-        outcome = trial if isinstance(trial, str) else next(solutions)
-        if isinstance(outcome, Exception):
-            outcome = _failure(outcome)
-        elif not isinstance(outcome, str):
+        for i, task in enumerate(unit):
             try:
-                outcome = _row(task, trial, outcome)
+                trials[i] = _prepare_trial(task, point)
             except Exception as exc:  # noqa: BLE001 - recorded, not hidden
-                outcome = _failure(exc)
-        outcomes.append((task, outcome))
-    return outcomes
+                outcomes[i] = _failure(exc)
+        solutions = recovery.recover_batch(
+            [trial.problem for trial in trials.values()], unit[0].config.solver_params())
+    except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
+        return [outcomes.get(i, _failure(exc)) for i in range(len(unit))]
+    for (i, trial), solution in zip(trials.items(), solutions):
+        try:
+            outcomes[i] = (_failure(solution) if isinstance(solution, Exception)
+                           else _row(unit[i], trial, solution))
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            outcomes[i] = _failure(exc)
+    return [outcomes[i] for i in range(len(unit))]
 
 
 def _worker(conn, parent_end):
@@ -639,12 +632,15 @@ def _start_worker():
 
 
 def _run_pooled(units, workers):
-    """Outcomes of the units, run largest first on at most workers forked processes.
+    """(task, outcome) per trial of the units, run largest first on at most
+    workers forked processes.
 
-    Each worker has its own pipe and holds one unit at a time.  One that
-    dies holding a unit fails that unit's trials with how it exited, and
-    one that dies idle costs no trial; the next unit goes to a fresh
-    worker.  No worker outlives this call, whether it returns or raises.
+    Each worker has its own pipe and holds one unit at a time; it sends
+    back the unit's outcomes alone, which are paired here with the tasks
+    of the unit it held.  One that dies holding a unit fails that unit's
+    trials with how it exited, and one that dies idle costs no trial; the
+    next unit goes to a fresh worker.  No worker outlives this call,
+    whether it returns or raises.
     """
     queue = sorted(units, key=lambda unit: len(unit) * unit[0].m, reverse=True)
     live, held, outcomes = {}, {}, []  # pipe -> worker, pipe -> its unit
@@ -665,7 +661,7 @@ def _run_pooled(units, workers):
             for conn in multiprocessing.connection.wait(held):
                 unit = held.pop(conn)
                 try:
-                    outcomes += conn.recv()
+                    outcomes += zip(unit, conn.recv())
                 except (EOFError, OSError):  # it died holding the unit
                     conn.close()
                     process = live.pop(conn)
@@ -698,7 +694,7 @@ def _execute(units, workers):
     # child would start an OpenBLAS thread there that spins for about 0.1 s
     with _blas._blas_pinned():
         if workers <= 1:
-            outcomes = [o for unit in units for o in _run_group(unit)]
+            outcomes = [o for unit in units for o in zip(unit, _run_group(unit))]
         else:
             outcomes = _run_pooled(units, workers)
     outcomes.sort(key=lambda outcome: _trial_key(outcome[0]))
@@ -829,14 +825,6 @@ def first_trial(config):
     return next(_sweep_tasks(config, _oversampling_spec(config)))
 
 
-def _mean_errors(records, key):
-    """Group err_relative by key(record) and average within groups."""
-    groups = {}
-    for rec in records:
-        groups.setdefault(key(rec), []).append(rec.err_relative)
-    return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
-
-
 def _health(records):
     """Counts of records that did not converge and that overflowed."""
     return sum(not t.converged for t in records), sum(t.overflow for t in records)
@@ -857,9 +845,12 @@ def _run_sweep(config, spec):
         f"{spec.name.replace('_', '-')} sweep: {len(results)} trials,"
         f" {len(failures)} failures, {not_converged} not converged, {overflowed} overflowed",
     ]
+    groups = {}  # (r, group value) -> its records, in CSV row order
+    for rec in results:
+        groups.setdefault((rec.r, getattr(rec, spec.group_by)), []).append(rec)
     for r in config.orders:
-        records = [t for t in results if t.r == r]
-        means = _mean_errors(records, key=lambda t: getattr(t, spec.group_by))
+        means = {x: float(np.mean([t.err_relative for t in group]))
+                 for (order, x), group in sorted(groups.items()) if order == r}
         fitted = [(x, err) for x, err in means.items() if x > 0]
         if len(fitted) >= 2:
             slope, intercept, r2 = fit_slope(fitted, spec.fit_mode)
@@ -869,8 +860,7 @@ def _run_sweep(config, spec):
                 f" intercept {intercept:.6g} R2 {r2:.4f} over {len(fitted)} points"
             )
         for x, err in means.items():
-            not_converged, overflowed = _health(
-                [t for t in records if getattr(t, spec.group_by) == x])
+            not_converged, overflowed = _health(groups[r, x])
             flagged = (f" ({not_converged} not converged, {overflowed} overflowed)"
                        if not_converged or overflowed else "")
             summary.append(f"  {column}={x:g}: mean relative error {err:.6e}{flagged}")

@@ -233,11 +233,11 @@ class RecoverySolution:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Each constraint's norm at a point, and its slack: the radius less the norm."""
+
     shaped_lhs: float
-    shaped_radius: float
     shaped_slack: float
     noise_lhs: float
-    noise_radius: float
     noise_slack: float
     ok: bool
     messages: tuple = ()
@@ -852,10 +852,8 @@ def check_feasibility(problem, Z, nu):
         )
     return FeasibilityReport(
         shaped_lhs=shaped_lhs,
-        shaped_radius=float(radius),
         shaped_slack=float(radius - shaped_lhs),
         noise_lhs=noise_lhs,
-        noise_radius=float(noise_radius),
         noise_slack=float(noise_radius - noise_lhs),
         ok=not messages,
         messages=tuple(messages),

@@ -177,7 +177,8 @@ def test_criterion_04_error_decay_slopes(sweep_full_r1, sweep_proj_r23):
 
 def test_criterion_05_noise_growth(sweep_noise):
     cfg, res = sweep_noise
-    means = harness._mean_errors(res.records, key=lambda t: t.eps)
+    means = {eps: float(np.mean([t.err_relative for t in res.records if t.eps == eps]))
+             for eps in cfg.epsilon_grid}
     grid = sorted(means)
     inversions = [
         (a, b) for a, b in zip(grid, grid[1:]) if means[b] < means[a]

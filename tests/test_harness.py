@@ -686,18 +686,21 @@ def _in_row_order(outcomes):
 
 
 class RecordingPipe:
-    """This process's end of a worker's pipe, keeping what crosses it."""
+    """This process's end of a worker's pipe, keeping what crosses it: what
+    is sent, and each reply with the unit it answers, the last one sent
+    on this pipe."""
 
     def __init__(self, conn, sent, returned):
         self.conn, self.sent, self.returned = conn, sent, returned
 
     def send(self, obj):
         self.sent.append(obj)
+        self.held = obj
         self.conn.send(obj)
 
     def recv(self):
-        self.returned.append(self.conn.recv())
-        return self.returned[-1]
+        self.returned.append((self.held, self.conn.recv()))
+        return self.returned[-1][1]
 
     def fileno(self):
         return self.conn.fileno()
@@ -709,8 +712,8 @@ class RecordingPipe:
 def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
     # only task lists go to a worker, one unit (one J) each and the
     # largest first, and only each row's numbers or failure message come
-    # back: the operator and the basis are built in the worker, never
-    # pickled
+    # back, in the unit's order and without its tasks: the operator and
+    # the basis are built in the worker, never pickled
     sent, returned, start = [], [], harness._start_worker
 
     def recording_start():
@@ -727,13 +730,16 @@ def test_worker_pool_gets_whole_grid_points(tmp_path, monkeypatch):
         {(64, 1)}, {(64, 2)}, {(32, 1)}, {(32, 2)}]
     assert [len(group) for group in groups] == [cfg.trials] * 4
     assert all(isinstance(task, harness._TrialTask) for group in groups for task in group)
-    rows = _in_row_order(outcome for outcomes in returned for outcome in outcomes)
+    replies = [reply for _, reply in returned]
+    assert [len(reply) for reply in replies] == [cfg.trials] * 4
+    assert all(isinstance(row, dict) for reply in replies for row in reply)
+    rows = _in_row_order(pair for group, reply in returned for pair in zip(group, reply))
     with _blas._blas_pinned():
         assert rows == _in_row_order(
-            outcome for group in groups for outcome in harness._run_group(group))
+            pair for group in groups for pair in zip(group, harness._run_group(group)))
     assert [harness._run_trial(task, row) for task, row in rows] == res.records
     finder = ArrayFinder()
-    finder.dump((groups, returned))
+    finder.dump((groups, replies))
     assert finder.arrays == 0
 
 
@@ -795,7 +801,7 @@ def test_a_worker_that_dies_idle_costs_no_trial(tmp_path, monkeypatch):
     with _blas._blas_pinned():
         outcomes = harness._run_pooled(units, 2)
         assert _in_row_order(outcomes) == _in_row_order(
-            outcome for unit in units for outcome in harness._run_group(unit))
+            pair for unit in units for pair in zip(unit, harness._run_group(unit)))
     assert len(started) == 3
     assert [process.exitcode for process in started.values()].count(-signal.SIGKILL) == 1
     assert not multiprocessing.active_children()
@@ -863,7 +869,7 @@ def test_nothing_outlives_its_unit(tmp_path, monkeypatch, form):
     assert [(unit[0].m, unit[0].r, len(unit)) for unit in units] == [
         (32, 1, 3), (64, 1, 3), (32, 2, 3), (64, 2, 3)]
     outcomes = harness._run_group(units[0])
-    assert len(outcomes) == 3 and not any(isinstance(row, str) for _, row in outcomes)
+    assert len(outcomes) == 3 and not any(isinstance(row, str) for row in outcomes)
     # one operator, and one basis or one encoder, for all its trials
     assert len(alive) == 2
     assert all(ref() is None for ref in alive)
@@ -914,7 +920,7 @@ def test_a_failed_constraint_fails_its_units_trials(tmp_path, monkeypatch):
     [unit] = harness._sweep_units(cfg, harness._noise_spec(cfg))
     outcomes = harness._run_group(unit)
     assert len(built) == 1
-    assert [msg for _, msg in outcomes] == ["LinAlgError: SVD did not converge"] * 3
+    assert outcomes == ["LinAlgError: SVD did not converge"] * 3
 
 
 def test_a_trial_whose_solve_fails_fails_alone(tmp_path, monkeypatch):
