@@ -77,7 +77,8 @@ def rate_bits_plotted(L_enc, r, m):
 
 
 def encode(q, r, encoder, alphabet_max):
-    """Sketch the shaped quantized vector and account its rate."""
+    """Sketch the shaped quantized vector and account its rate.  No sweep
+    calls it; bench/tracing.py keeps it until its tracer is retired."""
     q = np.asarray(q, dtype=float)
     if q.shape != (encoder.in_dim,):
         raise ValueError(f"expected length {encoder.in_dim}, got {q.shape}")

@@ -69,7 +69,9 @@ _ONE_PASS_GRAM_DEVIATION = 0.5
 # subspace iteration.  At ell = 80 its span sine from the dense SVD's is,
 # at m = 320, 640 and 1280: r = 4 3.6e-9, 2.2e-7 and 5.5e-3 (certified);
 # r = 5 2.5e-5, 3.9e-4, and a failed certificate (2.19); r = 6 2.5e-3,
-# then Cholesky breakdowns
+# then Cholesky breakdowns.  The cause at (1280, 4): at root 0, eigh's floor
+# eps ||M|| = 6.7e-4 on the 5 x 5 secular matrix lies above the |eigenvalue|
+# 3.6e-4 whose sign the inertia count reads, and ||B B^T - I||_F = 2.5
 _STRUCTURED_MAX_ORDER = 3
 
 # _secular_roots brackets each root by this many bisection steps on its
@@ -117,7 +119,8 @@ class NoiseShapingBasis:
 
     @property
     def left_vectors(self):
-        """U_ell = D^{-r} V_ell / sigma, formed on every access and never stored."""
+        """U_ell = D^{-r} V_ell / sigma, formed on every access and never stored;
+        no sweep reads it, and bench/tracing.py keeps it until its tracer is retired."""
         return apply_inverse_power(self.right_vectors, self.order) / self.singular_values
 
 

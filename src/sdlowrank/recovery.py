@@ -302,7 +302,8 @@ def build_constraint(problem):
     T is omitted when noise_bound is zero, and in the projected form,
     whose R is folded (_tube_radius).  c is the shaped quantized vector.
     The full inverse power form with noise requires a dense m x m block
-    and is refused beyond DENSE_FULL_FORM_LIMIT.
+    and is refused beyond DENSE_FULL_FORM_LIMIT.  No sweep calls it;
+    bench/tracing.py traces it, and keeps it until that tracer is retired.
     """
     return (_constraint_matrix(problem), _shape(problem, problem.quantized),
             _tube_radius(problem))
