@@ -569,6 +569,12 @@ def test_project_shaped_dominated_by_full_norm(rng):
         assert np.linalg.norm(proj) <= np.linalg.norm(ns.apply_inverse_power(w, r)) + 1e-9
 
 
+def test_project_shaped_rejects_a_vector_of_another_length():
+    basis = ns.compute_basis(20, 1, truncation=5)
+    with pytest.raises(ValueError, match="expected length 20, got 19"):
+        ns.project_shaped(np.zeros(19), basis)
+
+
 def test_apply_inverse_power_matrix_input(rng):
     # columns processed independently
     W = rng.standard_normal((10, 3))

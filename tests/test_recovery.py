@@ -238,6 +238,9 @@ def test_invalid_problems_rejected():
     with pytest.raises(ValueError):
         recovery.RecoveryProblem(operator=op, quantized=np.zeros(9), order=1,
                                  gamma=0.25)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=0,
+                                 gamma=0.25)
     # an infinite radius returns zero as converged, and a nan noise_bound
     # would read as no noise
     for name, value in (("gamma", math.inf), ("gamma", math.nan), ("noise_bound", math.inf),
@@ -354,6 +357,22 @@ class _projector:
     @property
     def theta(self):
         return self.row.theta
+
+
+def test_an_empty_tube_with_no_residual_in_range_grows_theta_to_the_cap():
+    # c has no part in the range of J to move toward, and its part outside
+    # (c_perp2 = 4 > R^2) keeps every theta outside the tube: phi has no
+    # slope, so no Newton step exists and the bracket grows 16-fold from
+    # theta = 1 until theta reaches the cap, 35 evaluations; the point
+    # lands on the closest reachable shell, which is where it already is
+    rng = np.random.default_rng(4)
+    _, s, Vh = np.linalg.svd(rng.standard_normal((5, 8)), full_matrices=False)
+    P = rng.standard_normal((1, 8))
+    cbar = s * np.matvec(Vh, P)
+    row = recovery._Row(0, None, 4.0, 1.0, 1.0, 0.0)
+    X = recovery._Tube(s, Vh)(P, cbar, [row])
+    assert row.theta == recovery._THETA_CAP and row.steps == 35
+    assert np.max(np.abs(X - P)) <= 1e-15 * np.max(np.abs(P))
 
 
 # The projector reads the part of c outside the range of J as

@@ -110,6 +110,21 @@ def test_empirical_rip_monotone_in_trials():
     assert d_large >= d_small
 
 
+def test_apply_rejects_a_matrix_of_another_shape():
+    op = sensing.draw_operator(12, 3, 4, seed=0)
+    with pytest.raises(ValueError, match=r"expected shape \(3, 4\), got \(4, 3\)"):
+        sensing.apply(op, np.zeros((4, 3)))
+
+
+def test_empirical_rip_rejects_no_trials_and_ranks_out_of_range():
+    op = sensing.draw_operator(12, 3, 4, seed=0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sensing.empirical_rip(op, 1, 0)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 3\]"):
+            sensing.empirical_rip(op, k, 5)
+
+
 def test_operator_entry_budget():
     with pytest.raises(ValueError):
         sensing.draw_operator(10**6, 500, 500, seed=0)

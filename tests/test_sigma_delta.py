@@ -229,6 +229,16 @@ def test_state_residual_detects_corruption(rng):
     assert sdq.state_residual(bad, 2) > 0.1
 
 
+def test_state_residual_rejects_fields_of_different_shapes(rng):
+    scheme = sdq.default_scheme(1, sdq.build_alphabet(3, 0.5))
+    run = sdq.quantize(rng.uniform(-1, 1, 20), scheme)
+    bad = sdq.QuantizationRun(
+        input=run.input, output=run.output, state=run.state[:-1], overflow=False
+    )
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        sdq.state_residual(bad, 1)
+
+
 def test_scheme_validation():
     a = sdq.build_alphabet(1, 0.5)
     with pytest.raises(ValueError):
@@ -247,3 +257,7 @@ def test_required_levels_tracks_input_bound():
         prev = L
     with pytest.raises(ValueError):
         sdq.required_levels(-1.0, 0.5, 1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        sdq.required_levels(1.0, 0.0, 1)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        sdq.required_levels(1.0, 0.5, 0)
