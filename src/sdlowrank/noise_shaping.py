@@ -347,7 +347,7 @@ def _structured_pair(m, r, ell):
     fails its certificate.
     """
     try:
-        Q = _cholesky_qr(_structured_block(m, r, ell).T)[0]
+        Q = _cholesky_qr(_structured_block(m, r, ell).T)
         R = _cholesky_passes(apply_inverse_power(Q, r))[2]
         s, Wh = np.linalg.svd(R)[1:]
     except np.linalg.LinAlgError as exc:
@@ -405,9 +405,9 @@ def _cholesky_passes(Y):
 
 
 def _cholesky_qr(Y):
-    """Y = Q R with orthonormal Q and upper-triangular R (_cholesky_passes)."""
-    P, C, R = _cholesky_passes(Y)
-    return P @ np.linalg.inv(C), R
+    """The orthonormal Q of Y = Q R (_cholesky_passes)."""
+    P, C = _cholesky_passes(Y)[:2]
+    return P @ np.linalg.inv(C)
 
 
 def _subspace_iteration(m, r, ell):
@@ -435,7 +435,7 @@ def _subspace_iteration(m, r, ell):
                 return s, V, step
             del Q, V
             # D^{-r,T} U: D^{-r} on reversed rows
-            Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])[0]
+            Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])
             del U
         except np.linalg.LinAlgError as exc:
             raise BasisNotCertified(f"m={m} r={r} ell={ell}: step {step}: {exc}") from exc

@@ -393,7 +393,7 @@ def _tall_blocks(draw):
 @PROPERTY
 @given(Y=_tall_blocks())
 def test_cholesky_qr_factors_tall_blocks(Y):
-    Q, R = ns._cholesky_qr(Y)
+    Q, R = ns._cholesky_qr(Y), ns._cholesky_passes(Y)[2]
     p = Y.shape[1]
     assert Q.shape == Y.shape and R.shape == (p, p)
     assert np.max(np.abs(Q.T @ Q - np.eye(p))) <= 1e-12
