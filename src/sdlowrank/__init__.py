@@ -49,7 +49,6 @@ from sdlowrank.recovery import (
 )
 from sdlowrank.encoding import (
     EncodedMeasurements,
-    EncoderMatrix,
     draw_encoder,
     encode,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "recover",
     "check_feasibility",
     "best_rank_k_error",
-    "EncoderMatrix",
     "EncodedMeasurements",
     "draw_encoder",
     "encode",

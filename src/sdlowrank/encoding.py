@@ -18,30 +18,12 @@ from sdlowrank import noise_shaping
 from sdlowrank import sensing
 
 __all__ = [
-    "EncoderMatrix",
     "EncodedMeasurements",
     "draw_encoder",
     "encode",
     "rate_bits_nominal",
     "rate_bits_plotted",
 ]
-
-
-@dataclass(frozen=True)
-class EncoderMatrix:
-    """L_enc x m random sign matrix; draw_encoder's seed reproduces it."""
-
-    data: np.ndarray = field(repr=False)
-
-    @property
-    def out_dim(self):
-        """L_enc, the sketch length."""
-        return self.data.shape[0]
-
-    @property
-    def in_dim(self):
-        """m, the length of the vector it sketches."""
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -57,12 +39,10 @@ class EncodedMeasurements:
 
 
 def draw_encoder(L_enc, m, seed=0):
-    """Draw a reproducible ±1 encoder."""
+    """The L_enc x m ±1 encoder B; the seed reproduces it."""
     if not (1 <= L_enc <= m):
         raise ValueError("need 1 <= L_enc <= m")
-    rng = np.random.default_rng(seed)
-    data = sensing.random_signs(rng, L_enc, m)
-    return EncoderMatrix(data=data)
+    return sensing.random_signs(np.random.default_rng(seed), L_enc, m)
 
 
 def rate_bits_nominal(L_enc, r, alphabet_max, m):
@@ -80,10 +60,10 @@ def encode(q, r, encoder, alphabet_max):
     """Sketch the shaped quantized vector and account its rate.  No sweep
     calls it; bench/tracing.py keeps it until its tracer is retired."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (encoder.in_dim,):
-        raise ValueError(f"expected length {encoder.in_dim}, got {q.shape}")
-    payload = encoder.data @ noise_shaping.apply_inverse_power(q, r)
+    L_enc, m = encoder.shape
+    if q.shape != (m,):
+        raise ValueError(f"expected length {m}, got {q.shape}")
     return EncodedMeasurements(
-        payload=payload,
-        rate_bits=rate_bits_nominal(encoder.out_dim, r, alphabet_max, encoder.in_dim),
+        payload=encoder @ noise_shaping.apply_inverse_power(q, r),
+        rate_bits=rate_bits_nominal(L_enc, r, alphabet_max, m),
     )

@@ -418,7 +418,6 @@ class _TrialTask:
     eps: float = 0.0
     noise_seed: object = None
     encoder_seed: object = None
-    encoder_dim: object = None
 
 
 def _trial_key(item):
@@ -452,7 +451,7 @@ def grid_point(task):
         basis = noise_shaping.compute_basis(
             task.m, task.r, truncation=min(config.ell, task.m), cache_dir=cache_dir)
     elif config.constraint_form == "encoded":
-        encoder = encoding.draw_encoder(task.encoder_dim, task.m, task.encoder_seed)
+        encoder = encoding.draw_encoder(config.encoder_dim, task.m, task.encoder_seed)
     return op, basis, encoder
 
 
@@ -489,23 +488,13 @@ def trial_quantize(task, y):
     return scheme, sigma_delta.quantize(y, scheme)
 
 
-@dataclass(frozen=True)
-class _PreparedTrial:
-    """One trial up to its solve: its truth, its problem and what its row reports."""
-
-    truth: np.ndarray
-    scale: float
-    overflow: bool
-    rate_bits: object
-    rate_bits_fig: object
-    problem: recovery.RecoveryProblem
-
-
 def _prepare_trial(task, point):
     """Draw and quantize one trial's instance, account its rate, pose its problem.
 
     point is (operator, basis, encoder) as grid_point(task) returns it;
-    the instance is trial_instance(task, operator).  Unless the quantizer
+    the instance is trial_instance(task, operator).  Returns (problem,
+    truth, row), where row holds the numbers of the trial's CSV row known
+    before its solve, as Python scalars.  Unless the quantizer
     overflowed, a true pair (X, y - M(X)) that fails check_feasibility
     raises RuntimeError naming the violated constraint.
     """
@@ -513,13 +502,15 @@ def _prepare_trial(task, point):
     op, basis, encoder = point
     X, scale, y, noise = trial_instance(task, op)
     scheme, run = trial_quantize(task, y)
-
-    rate_bits = rate_bits_fig = None
+    row = dict(scale=float(scale), overflow=bool(run.overflow),
+               sigma_k_tail=recovery.best_rank_k_error(X, task.config.rank),
+               rate_bits=None, rate_bits_fig=None)
     if encoder is not None:
         # the nominal rate of encoding.encode's payload, which the decoder
         # forms itself as its c
-        rate_bits = encoding.rate_bits_nominal(encoder.out_dim, r, scheme.alphabet.max_level, m)
-        rate_bits_fig = encoding.rate_bits_plotted(task.encoder_dim, r, m)
+        L_enc = encoder.shape[0]
+        row.update(rate_bits=encoding.rate_bits_nominal(L_enc, r, scheme.alphabet.max_level, m),
+                   rate_bits_fig=encoding.rate_bits_plotted(L_enc, r, m))
     problem = recovery.RecoveryProblem(
         operator=op,
         quantized=run.output,
@@ -534,29 +525,28 @@ def _prepare_trial(task, point):
         truth = recovery.check_feasibility(problem, X, noise)
         if not truth.ok:
             raise RuntimeError("truth is infeasible: " + "; ".join(truth.messages))
-    return _PreparedTrial(X, scale, run.overflow, rate_bits, rate_bits_fig, problem)
+    return problem, X, row
 
 
-def _row(task, trial, solution):
-    """The numbers of one trial's CSV row, as Python scalars, from its solve."""
-    X = trial.truth
-    err = float(np.linalg.norm(solution.estimate - X))
-    truth_norm = float(np.linalg.norm(X))
+def _row(truth, row, solution):
+    """The numbers of one trial's CSV row, as Python scalars: row, the
+    numbers _prepare_trial knew before the solve, and the solve's."""
+    err = float(np.linalg.norm(solution.estimate - truth))
+    truth_norm = float(np.linalg.norm(truth))
     return dict(
-        err_frobenius=err, err_relative=err / truth_norm if truth_norm else 0.0,
-        objective=float(solution.objective),
-        sigma_k_tail=recovery.best_rank_k_error(X, task.config.rank),
-        rate_bits=trial.rate_bits, rate_bits_fig=trial.rate_bits_fig,
-        overflow=bool(trial.overflow), iterations=int(solution.iterations),
-        converged=bool(solution.converged), scale=float(trial.scale),
+        row, err_frobenius=err, err_relative=err / truth_norm if truth_norm else 0.0,
+        objective=float(solution.objective), iterations=int(solution.iterations),
+        converged=bool(solution.converged),
     )
 
 
 def _run_trial(task, row):
     """One sweep trial's TrialRecord, its CSV row, from the numbers _row computed."""
+    config = task.config
     return TrialRecord(
-        r=task.r, m=task.m, ell=task.config.ell, lam=task.lam, trial_index=task.trial_index,
-        seed=task.matrix_seed, eps=task.eps, encoder_dim=task.encoder_dim,
+        r=task.r, m=task.m, ell=config.ell, lam=task.lam, trial_index=task.trial_index,
+        seed=task.matrix_seed, eps=task.eps,
+        encoder_dim=config.encoder_dim if config.constraint_form == "encoded" else None,
         encoder_seed=task.encoder_seed, **row,
     )
 
@@ -572,9 +562,9 @@ def trial_solve(task):
     quantizer overflowed, an infeasible truth raises RuntimeError.
     """
     with _blas._blas_pinned():
-        trial = _prepare_trial(task, grid_point(task))
-        solution = recovery.recover(trial.problem, task.config.solver_params())
-        return _run_trial(task, _row(task, trial, solution)), solution
+        problem, truth, row = _prepare_trial(task, grid_point(task))
+        solution = recovery.recover(problem, task.config.solver_params())
+        return _run_trial(task, _row(truth, row, solution)), solution
 
 
 def _failure(exc):
@@ -593,7 +583,7 @@ def _run_group(unit):
     messages where they are caught, so nothing returned refers to an
     array or keeps one alive.
     """
-    trials = {}  # index in unit -> its prepared trial
+    trials = {}  # index in unit -> its (problem, truth, row) from _prepare_trial
     outcomes = {}  # index in unit -> its row numbers or failure message
     try:
         point = grid_point(unit[0])
@@ -603,13 +593,13 @@ def _run_group(unit):
             except Exception as exc:  # noqa: BLE001 - recorded, not hidden
                 outcomes[i] = _failure(exc)
         solutions = recovery.recover_batch(
-            [trial.problem for trial in trials.values()], unit[0].config.solver_params())
+            [problem for problem, _, _ in trials.values()], unit[0].config.solver_params())
     except Exception as exc:  # noqa: BLE001 - recorded per trial, not hidden
         return [outcomes.get(i, _failure(exc)) for i in range(len(unit))]
-    for (i, trial), solution in zip(trials.items(), solutions):
+    for (i, (_, truth, row)), solution in zip(trials.items(), solutions):
         try:
             outcomes[i] = (_failure(solution) if isinstance(solution, Exception)
-                           else _row(unit[i], trial, solution))
+                           else _row(truth, row, solution))
         except Exception as exc:  # noqa: BLE001 - recorded, not hidden
             outcomes[i] = _failure(exc)
     return [outcomes[i] for i in range(len(unit))]
@@ -793,7 +783,6 @@ def _sweep_tasks(config, spec):
             eps=eps,
             noise_seed=seed(_ROLE_NOISE, j, trial) if eps > 0 else None,
             encoder_seed=seed(_ROLE_ENCODER, i) if encoded else None,
-            encoder_dim=config.encoder_dim if encoded else None,
         )
 
 

@@ -150,8 +150,9 @@ class RecoveryProblem:
         eliminates nu from the program entirely, and so does the
         projected form, which folds the ball into its tube radius.
     basis : NoiseShapingBasis, optional; selects the projected form.
-    encoder : EncoderMatrix, optional; selects the encoded form.  With
-        neither, the constraint is the full inverse power D^{-r}.
+    encoder : ndarray, optional; the L_enc x m sign matrix B, which
+        selects the encoded form.  With neither, the constraint is the
+        full inverse power D^{-r}.
     """
 
     operator: sensing.MeasurementOperator
@@ -184,9 +185,9 @@ class RecoveryProblem:
         if self.basis is not None:
             if self.basis.size != m or self.basis.order != self.order:
                 raise ValueError("basis size/order do not match the problem")
-        if self.encoder is not None:
-            if self.encoder.in_dim != m:
-                raise ValueError("encoder input dimension does not match m")
+        if self.encoder is not None and np.shape(self.encoder)[1:] != (m,):
+            raise ValueError(f"encoder must be a 2-d array with {m} columns, "
+                             f"got shape {np.shape(self.encoder)}")
 
     @property
     def radius(self):
@@ -250,7 +251,7 @@ def _shape(problem, M):
         return noise_shaping.project_shaped(M, problem.basis)
     shaped = noise_shaping.apply_inverse_power(M, problem.order)
     if problem.encoder is not None:
-        return problem.encoder.data @ shaped
+        return problem.encoder @ shaped
     return shaped
 
 
@@ -275,8 +276,7 @@ def _noise_block(problem):
     r = problem.order
     if problem.encoder is not None:
         # B D^{-r} = (D^{-r,T} B^T)^T, and D^{-r,T} is D^{-r} on reversed rows
-        B = problem.encoder.data
-        return noise_shaping.apply_inverse_power(B[:, ::-1].T, r)[::-1].T
+        return noise_shaping.apply_inverse_power(problem.encoder[:, ::-1].T, r)[::-1].T
     m = problem.operator.rows
     if m > DENSE_FULL_FORM_LIMIT:
         raise ValueError(

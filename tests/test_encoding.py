@@ -19,23 +19,23 @@ def invpow(v, r):
 
 def test_draw_encoder_shape_and_support():
     enc = encoding.draw_encoder(12, 40, seed=3)
-    assert enc.data.shape == (12, 40)
-    assert set(np.unique(enc.data)) == {-1.0, 1.0}
-    assert enc.out_dim == 12 and enc.in_dim == 40
+    assert isinstance(enc, np.ndarray) and enc.dtype == np.float64
+    assert enc.shape == (12, 40)
+    assert set(np.unique(enc)) == {-1.0, 1.0}
 
 
 def test_draw_encoder_deterministic():
     a = encoding.draw_encoder(8, 30, seed=11)
     b = encoding.draw_encoder(8, 30, seed=11)
     c = encoding.draw_encoder(8, 30, seed=12)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_draw_encoder_is_one_int_draw_of_signs():
     rng = np.random.default_rng(5)
     want = rng.integers(0, 2, size=(17, 41)).astype(float) * 2.0 - 1.0
-    assert np.array_equal(encoding.draw_encoder(17, 41, seed=5).data, want)
+    assert np.array_equal(encoding.draw_encoder(17, 41, seed=5), want)
 
 
 def test_draw_encoder_rejects_bad_dims():
@@ -80,8 +80,8 @@ def test_encode_payload_matches_direct_path():
     q = rng.choice([-0.75, -0.25, 0.25, 0.75], size=m)
     out = encoding.encode(q, r, enc, alphabet_max=0.75)
     assert out.payload.shape == (24,)
-    assert np.allclose(out.payload, enc.data @ invpow(q, r), atol=1e-9)
-    assert out.rate_bits == encoding.rate_bits_nominal(enc.out_dim, r, 0.75, enc.in_dim)
+    assert np.allclose(out.payload, enc @ invpow(q, r), atol=1e-9)
+    assert out.rate_bits == encoding.rate_bits_nominal(24, r, 0.75, m)
 
 
 def test_encode_is_linear_in_the_input():
@@ -117,7 +117,7 @@ def test_sketched_state_within_decoder_radius():
         assert not run.overflow
         enc = encoding.draw_encoder(80, m, seed=seed)
         gamma = beta / 2
-        sketched = enc.data @ invpow(y - run.output, r)
+        sketched = enc @ invpow(y - run.output, r)
         # D^{-r}(y - q) is the state sequence itself, up to rounding
         assert np.allclose(invpow(y - run.output, r), run.state, atol=1e-8)
         assert np.linalg.norm(sketched) <= 3 * m * gamma

@@ -854,12 +854,14 @@ def test_nothing_outlives_its_unit(tmp_path, monkeypatch, form):
     # encoder or basis alive, so units that run one after another never
     # hold two operators at once
     alive = []
-    for module, name in ((sensing, "draw_operator"), (encoding, "draw_encoder"),
-                         (noise_shaping, "compute_basis")):
-        def tracked(*args, _original=getattr(module, name), **kwargs):
+    # the array each builds: the operator's entries, the encoder itself,
+    # the basis's vectors
+    for module, name, array in ((sensing, "draw_operator", lambda op: op.data),
+                                (encoding, "draw_encoder", lambda encoder: encoder),
+                                (noise_shaping, "compute_basis", lambda b: b.right_vectors)):
+        def tracked(*args, _original=getattr(module, name), _array=array, **kwargs):
             built = _original(*args, **kwargs)
-            alive.append(weakref.ref(built.data if hasattr(built, "data")
-                                     else built.right_vectors))
+            alive.append(weakref.ref(_array(built)))
             return built
 
         monkeypatch.setattr(module, name, tracked)
@@ -958,12 +960,15 @@ def test_a_trial_whose_row_fails_fails_alone(tmp_path, monkeypatch):
     # they write without it (1 of 5 failures stays under the abort line)
     cfg = tiny_config(tmp_path, oversampling_grid=(2.0,), trials=5)
     clean = harness.run_oversampling_sweep(cfg).records
+    task = next(t for t in harness._sweep_tasks(cfg, harness._oversampling_spec(cfg))
+                if t.trial_index == 1)
+    second = harness.trial_instance(task, harness.trial_operator(task))[0]
     row = harness._row
 
-    def failing_row(task, trial, solution):
-        if task.trial_index == 1:
+    def failing_row(truth, numbers, solution):
+        if np.array_equal(truth, second):
             raise FloatingPointError("no row")
-        return row(task, trial, solution)
+        return row(truth, numbers, solution)
 
     monkeypatch.setattr(harness, "_row", failing_row)
     res = harness.run_oversampling_sweep(cfg)

@@ -124,7 +124,7 @@ def test_constraint_is_the_dense_shaping_matrix_for_all_forms():
             S = basis.sigma_truncation * basis.right_vectors[:, :len(basis.singular_values)].T
             fold = basis.sigma_truncation * 0.5 * math.sqrt(m)
         if form == "encoded":
-            S = problem.encoder.data @ inverse_power
+            S = problem.encoder @ inverse_power
         J, c, R = recovery.build_constraint(problem)
         want = S @ problem.operator.data
         if form != "projected":
@@ -259,9 +259,13 @@ def test_invalid_problems_rejected():
         with pytest.raises(ValueError, match="basis size/order do not match"):
             recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1,
                                      gamma=0.25, basis=basis)
-    with pytest.raises(ValueError, match="encoder input dimension does not match"):
-        recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1, gamma=0.25,
-                                 encoder=encoding.draw_encoder(5, 12, seed=0))
+    # an encoder of another m, and one that is not a 2-d array
+    for encoder, shape in ((encoding.draw_encoder(5, 12, seed=0), r"\(5, 12\)"),
+                           (np.ones(10), r"\(10,\)")):
+        with pytest.raises(ValueError, match=f"encoder must be a 2-d array with 10 columns, "
+                                             f"got shape {shape}"):
+            recovery.RecoveryProblem(operator=op, quantized=np.zeros(10), order=1, gamma=0.25,
+                                     encoder=encoder)
 
 
 def test_problem_with_basis_and_encoder_rejected():
@@ -597,7 +601,7 @@ def _explicit_noise_problem(problem):
     return recovery.RecoveryProblem(
         operator=problem.operator, quantized=problem.quantized, order=r,
         gamma=problem.radius / (3.0 * m), noise_bound=problem.noise_bound,
-        encoder=encoding.EncoderMatrix(data=basis.sigma_truncation * B))
+        encoder=basis.sigma_truncation * B)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -790,8 +794,8 @@ def test_against_convex_programming_oracle():
 _POINTS = {}
 
 
-def _point_trials(base, case):
-    """The prepared trials of one grid point of case = (form, eps).
+def _point_problems(base, case):
+    """The problems of one grid point of case = (form, eps).
 
     The point is (r, m) = (2, 32) with 4 trials, built once per case and
     shared by every test that reads it.
@@ -805,7 +809,7 @@ def _point_trials(base, case):
         )
         [tasks] = harness._sweep_units(config, harness._noise_spec(config))
         point = harness.grid_point(tasks[0])
-        _POINTS[case] = [harness._prepare_trial(task, point) for task in tasks]
+        _POINTS[case] = [harness._prepare_trial(task, point)[0] for task in tasks]
     return _POINTS[case]
 
 
@@ -827,8 +831,8 @@ def test_lockstep_solve_matches_each_problem_alone(tmp_path_factory, case, order
                                                     max_iterations):
     # any subset of a point's problems, in any order, solved together:
     # each gets the bits it gets alone, and so do its counts
-    trials = _point_trials(tmp_path_factory.getbasetemp(), case)
-    problems = [trials[i].problem for i in order[:size]]
+    point = _point_problems(tmp_path_factory.getbasetemp(), case)
+    problems = [point[i] for i in order[:size]]
     params = recovery.SolverParams(max_iterations=max_iterations)
     together = recovery.recover_batch(problems, params)
     for problem, solution in zip(problems, together):
@@ -854,8 +858,7 @@ def test_a_failing_svd_fails_its_problem_alone(tmp_path, monkeypatch):
     # large; an SVD that refuses matrices that large fails it, in the
     # stacked call and alone, with the same error, and the other three
     # keep the bits they get alone
-    trials = _point_trials(tmp_path, ("projected", 0.5))
-    problems = [trial.problem for trial in trials]
+    problems = list(_point_problems(tmp_path, ("projected", 0.5)))
     big = problems[2]
     problems[2] = dataclasses.replace(big, quantized=1e6 * big.quantized, gamma=1e6 * big.gamma)
     alone = [recovery.recover(p) for p in problems[:2] + problems[3:]]
@@ -882,7 +885,7 @@ def _one_fails_alone(tmp_path, monkeypatch, name, fails):
     """Solve a point's problems together with recovery.<name> patched to
     raise where fails(problem, *args) holds for the second problem: it
     alone comes back as the error, and the others keep their bits."""
-    problems = [trial.problem for trial in _point_trials(tmp_path, ("projected", 0.5))]
+    problems = _point_problems(tmp_path, ("projected", 0.5))
     alone = [recovery.recover(p) for p in problems]
     original = getattr(recovery, name)
 
@@ -939,7 +942,7 @@ def test_a_row_at_the_penalty_cap_keeps_its_penalty(monkeypatch):
 @pytest.mark.parametrize("form, change", [
     ("projected", lambda problem: dict(operator=dataclasses.replace(problem.operator))),
     ("projected", lambda problem: dict(basis=noise_shaping.compute_basis(40, 2, truncation=10))),
-    ("encoded", lambda problem: dict(encoder=dataclasses.replace(problem.encoder))),
+    ("encoded", lambda problem: dict(encoder=problem.encoder.copy())),
     ("full_inverse_power", lambda problem: dict(order=1)),
     ("encoded", lambda problem: dict(noise_bound=0.5)),
 ], ids=["operator", "basis", "encoder", "order", "noise"])
