@@ -36,6 +36,7 @@ import math
 import multiprocessing.connection
 import numbers
 import os
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -185,7 +186,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One pipeline run.  Field order fixes the CSV column order."""
+    """One pipeline run, a CSV row: the fields, in order, are its columns and their types."""
 
     r: int
     m: int
@@ -198,14 +199,14 @@ class TrialRecord:
     objective: float
     sigma_k_tail: float
     eps: float
-    rate_bits: object = None
-    rate_bits_fig: object = None
+    rate_bits: int | None = None
+    rate_bits_fig: int | None = None
     overflow: bool = False
     iterations: int = 0
     converged: bool = False
     scale: float = 1.0
-    encoder_dim: object = None
-    encoder_seed: object = None
+    encoder_dim: int | None = None
+    encoder_seed: int | None = None
 
 
 @dataclass
@@ -343,13 +344,16 @@ def _column(name):
     return "lambda" if name == "lam" else name
 
 
+_SCHEMA = typing.get_type_hints(TrialRecord)  # name -> declared type, in CSV column order
+_CSV_HEADER = ",".join(_column(name) for name in _SCHEMA)
+
+
 def write_records_csv(records, path):
     """Write records sorted and formatted deterministically."""
     ordered = sorted(records, key=_trial_key)
-    names = [f.name for f in fields(TrialRecord)]
-    lines = [CSV_FORMAT_LINE, ",".join(_column(n) for n in names)]
+    lines = [CSV_FORMAT_LINE, _CSV_HEADER]
     for rec in ordered:
-        lines.append(",".join(_format_cell(getattr(rec, n)) for n in names))
+        lines.append(",".join(_format_cell(getattr(rec, n)) for n in _SCHEMA))
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -359,19 +363,18 @@ def write_records_csv(records, path):
 
 
 def _parse_cell(name, text):
-    if text == "":
-        # only the fields that default to None are written empty
-        if getattr(TrialRecord, name, "required") is not None:
-            raise ValueError(f"empty {name}")
-        return None
-    if name in ("r", "m", "ell", "trial_index", "seed", "iterations",
-                "rate_bits", "rate_bits_fig", "encoder_dim", "encoder_seed"):
-        return int(text)
-    if name in ("overflow", "converged"):
+    """A cell as its TrialRecord field's declared type: an int | None field
+    is written empty for None, and a bool one as 0 or 1."""
+    kind = _SCHEMA[name]
+    if kind == int | None:
+        return int(text) if text else None
+    if not text:
+        raise ValueError(f"empty {name}")
+    if kind is bool:
         if text not in ("0", "1"):
             raise ValueError(f"{name} must be 0 or 1, got {text!r}")
         return text == "1"
-    return float(text)
+    return kind(text)
 
 
 def read_records_csv(path):
@@ -385,17 +388,15 @@ def read_records_csv(path):
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CSV_FORMAT_LINE:
         raise ValueError(f"{path}:1: missing format line {CSV_FORMAT_LINE!r}")
-    names = [f.name for f in fields(TrialRecord)]
-    header = ",".join(_column(n) for n in names)
-    if len(lines) < 2 or lines[1] != header:
-        raise ValueError(f"{path}:2: expected the header {header!r}")
+    if len(lines) < 2 or lines[1] != _CSV_HEADER:
+        raise ValueError(f"{path}:2: expected the header {_CSV_HEADER!r}")
     records = []
     for lineno, row in enumerate(lines[2:], 3):
         cells = row.split(",")
-        if len(cells) != len(names):
-            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {len(names)}")
+        if len(cells) != len(_SCHEMA):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, expected {len(_SCHEMA)}")
         try:
-            records.append(TrialRecord(**{n: _parse_cell(n, c) for n, c in zip(names, cells)}))
+            records.append(TrialRecord(*map(_parse_cell, _SCHEMA, cells)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records

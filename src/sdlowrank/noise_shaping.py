@@ -158,13 +158,13 @@ def apply_inverse_power(a, r):
     """Apply D^{-r} along axis 0 of a vector or matrix: r cumulative-sum
     passes on a copy of a.
 
-    A matrix is swept in blocks of _BLOCK_ROWS rows: each block is copied
-    into the output and then takes all r passes while it is in cache,
-    each pass starting from the last row it left in the previous block,
-    so a row-major array goes through memory once instead of r + 1 times.
-    Every entry is the same left-to-right running sum as in r whole-array
-    passes, so the result is bit-identical to theirs.  A vector is copied
-    whole and takes the r whole-array passes.
+    A matrix is swept in blocks of _BLOCK_ROWS rows, and a vector as one
+    block: each block is copied into the output and then takes all r
+    passes while it is in cache, each pass starting from the last row it
+    left in the previous block, so a row-major array goes through memory
+    once instead of r + 1 times.  Every entry is the same left-to-right
+    running sum as in r whole-array passes, so the result is
+    bit-identical to theirs.
 
     Exact inverse of apply_difference up to floating-point roundoff; on
     dyadic-rational inputs of moderate size the round trip is exact.
@@ -172,16 +172,14 @@ def apply_inverse_power(a, r):
     """
     _check_order(r)
     a = np.asarray(a)
-    if a.ndim < 2:
-        out = np.array(a, dtype=float)
-        for _ in range(r):
-            np.cumsum(out, axis=0, out=out)
-        return out
     out = np.empty_like(a, dtype=float)
+    # each block costs a few numpy calls: by 256 rows, a vector at m = 24000,
+    # r = 2 took 0.78 ms against 0.18 ms as one block (2-core Xeon, numpy 2.4)
+    rows = _BLOCK_ROWS if a.ndim > 1 else max(len(a), 1)
     carry = np.empty((r,) + out.shape[1:])
-    for start in range(0, out.shape[0], _BLOCK_ROWS):
-        block = out[start:start + _BLOCK_ROWS]
-        block[...] = a[start:start + _BLOCK_ROWS]
+    for start in range(0, out.shape[0], rows):
+        block = out[start:start + rows]
+        block[...] = a[start:start + rows]
         for k in range(r):
             if start:
                 block[0] += carry[k]
@@ -341,8 +339,9 @@ def _structured_pair(m, r, ell):
     unformed, and the ell x ell SVD R = U_R S W^T give sigma = S and
     V = Q W.
 
-    The block is a temporary, so _cholesky_qr frees it once its scaled
-    copy exists, and Q is released before the certificate is formed.
+    _cholesky_qr's parameter holds the block while P and Q are formed; the
+    peak is the R step's Q, D^{-r} Q and np.linalg.norm's full-size
+    temporary in _cholesky_passes.  Q is released before the certificate.
     Raises BasisNotCertified when a factorization breaks down or the pair
     fails its certificate.
     """
@@ -434,9 +433,10 @@ def _subspace_iteration(m, r, ell):
             if certificate <= 1.0 + _CERTIFICATE_SLACK:
                 return s, V, step
             del Q, V
-            # D^{-r,T} U: D^{-r} on reversed rows
-            Q = _cholesky_qr(apply_inverse_power(U[::-1], r)[::-1])
+            # D^{-r,T} U (D^{-r} on reversed rows), factored once U is gone
+            Q = apply_inverse_power(U[::-1], r)[::-1]
             del U
+            Q = _cholesky_qr(Q)
         except np.linalg.LinAlgError as exc:
             raise BasisNotCertified(f"m={m} r={r} ell={ell}: step {step}: {exc}") from exc
     raise BasisNotCertified(

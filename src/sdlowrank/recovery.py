@@ -395,7 +395,8 @@ class _Anderson:
     gamma that fits g by dG^T gamma in least squares with a Tikhonov term
     of _ANDERSON_RIDGE times the trace of the Gram matrix dG dG^T.  Each
     step forms that Gram afresh from dG, so the pairs are the row's only
-    history.
+    history.  take keeps the rows still running by indexing dG, dF, g
+    and f, as _admm does its other per-row arrays.
 
     Safeguards, per row.  _admm clears the history when the row's penalty
     changes, since that changes F.  A corrected step after which the
@@ -413,14 +414,9 @@ class _Anderson:
         self.g, self.f = np.zeros((B, n)), np.zeros((B, n))
 
     def take(self, keep):
-        """Keep the rows keep, an ascending list, moving them up in place
-        (a copy would hold a second history at the batch's largest), and
-        return self."""
-        for name in ("dG", "dF", "g", "f"):
-            a = getattr(self, name)
-            for i, b in enumerate(keep):
-                a[i] = a[b]
-            setattr(self, name, a[:len(keep)])
+        """Keep the rows keep, an ascending list, and return self."""
+        self.dG, self.dF, self.g, self.f = (
+            self.dG[keep], self.dF[keep], self.g[keep], self.f[keep])
         return self
 
     def clear(self, b, row):
@@ -555,21 +551,20 @@ class _Tube:
         return X
 
     def _secular(self, D, rows):
-        """Newton on the secular equation of D's rows; their new theta."""
-        thetas = [row.theta for row in rows]
+        """Newton on the secular equation of D's rows from each row.theta; the new theta."""
         lo, hi = [0.0] * len(rows), [math.inf] * len(rows)
         running = range(len(rows))
         # phi decreases in theta; [lo, hi] brackets the root and tightens
         # with each evaluation, and hi stays unbounded until phi <= R
         for _ in range(80):
-            den = 1.0 + np.array(thetas)[:, None] * self.s2
+            den = 1.0 + np.array([row.theta for row in rows])[:, None] * self.s2
             W = D / den
             phi2s = _sumsq(W)
             slopes = np.vecdot(W * W / den, self.s2).tolist()
             unfinished = []
             for j in running:
                 row = rows[j]
-                theta, R = thetas[j], row.R
+                theta, R = row.theta, row.R
                 phi2 = phi2s[j] + row.c_perp2
                 phi = math.sqrt(phi2)
                 row.steps += 1
@@ -584,19 +579,19 @@ class _Tube:
                 step = theta - (1.0 / phi - 1.0 / R) / gprime if gprime > 0 else math.inf
                 if abs(phi - R) <= 1e-13 * R:
                     if step < math.inf:
-                        thetas[j] = row.theta = min(step, _THETA_CAP)
+                        row.theta = min(step, _THETA_CAP)
                     continue
                 if not (lo[j] < step < hi[j]):
                     if hi[j] == math.inf:
                         step = 16.0 * lo[j]
                     else:
                         step = math.sqrt(lo[j] * hi[j]) if lo[j] > 0 else 0.5 * hi[j]
-                thetas[j] = row.theta = min(step, _THETA_CAP)
+                row.theta = min(step, _THETA_CAP)
                 unfinished.append(j)
             running = unfinished
             if not running:
                 break
-        return thetas
+        return [row.theta for row in rows]
 
 
 def recover(problem, params=None):

@@ -195,6 +195,28 @@ def test_no_config_is_the_desk_config(monkeypatch, command, runner):
     assert seen[0] == seen[1] == harness.load_config(DESK_CFG) == harness.ExperimentConfig()
 
 
+# sha256 of each file the three sweeps of configs/desk.cfg write at seed
+# 12345; a change that moves these bytes updates them and says why
+DESK_DIGESTS = {
+    "oversampling.csv": "5066e94828495fcaae0ed857d9aa3b8e8c870ed3164b09134d8a483c5a15e7b4",
+    "oversampling_summary.txt":
+        "a5eca4866e3b88a741803b090886bb71402601fc9832dff68e58691e9bd8e680",
+    "noise.csv": "622448e1e4f410d27ad1127e9ccc11621286b0f67deeb11849764c88857b0032",
+    "noise_summary.txt": "32ff85447b6c0aaa25b730ac3584fa1fd34fd9ad0c23a1960b001d5fbbc243a2",
+    "rate_distortion.csv": "d18d955cd257d556188962717a94da8dad65281d723c0b94d674dde593fb8c6c",
+    "rate_distortion_summary.txt":
+        "70d5c19e614167e2816c3ff429da522e3ec2f7f7abdc1b8168bf8aa4aa2d5e05",
+}
+
+
+def test_desk_sweeps_write_their_pinned_bytes(tmp_path):
+    for command in ("sweep-oversampling", "sweep-noise", "rate-distortion"):
+        assert cli.main([command, "--config", DESK_CFG, "--seed", "12345",
+                         "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in DESK_DIGESTS} == DESK_DIGESTS
+
+
 def test_rip_check_cli(tiny_cfg_file, capsys):
     assert cli.main(["rip-check", "--config", tiny_cfg_file, "--trials", "20"]) == 0
     out = capsys.readouterr().out

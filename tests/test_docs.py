@@ -1,7 +1,7 @@
 """The README quick start and the demos run as documented, the README,
 configs/desk.cfg and pyproject.toml match the program they describe, no
-package module imports a name it never reads, and no exported name is read
-only by the tests."""
+package module imports a name it never reads, no exported name is read
+only by the tests, and no definition in the package is read by nothing."""
 
 import argparse
 import ast
@@ -134,4 +134,42 @@ def test_every_exported_name_is_read_outside_the_tests():
         unread += [f"{module}.{name}"
                    for name in getattr(importlib.import_module(module), "__all__", ())
                    if not name.startswith("__") and name not in read]
+    assert unread == []
+
+
+def _strings(path):
+    """The string constants of a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def _definitions(path):
+    """The module-level functions, classes and assigned names of a file,
+    and the methods of its classes; dunder names are read by Python itself."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def test_every_package_definition_is_read_outside_the_tests():
+    # no dead code: each module-level definition and method of the package
+    # is read somewhere in src/, bench/ or demos/, outside its own
+    # definition.  A read is a name or attribute load, matched by name
+    # alone, or a string constant equal to the name (bench/tracing.py
+    # names the functions it wraps as strings)
+    paths = [path for folder in ("src", "bench", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = set().union(*(_names_read(path) | _strings(path) for path in paths))
+    unread = [f"{path.stem}.{name}"
+              for path in sorted((ROOT / "src" / "sdlowrank").glob("*.py"))
+              for name in _definitions(path) if name not in read]
     assert unread == []

@@ -9,6 +9,7 @@ import multiprocessing.connection
 import os
 import pickle
 import signal
+import typing
 import weakref
 from pathlib import Path
 
@@ -363,6 +364,11 @@ def test_records_csv_round_trip(tmp_path):
     back = harness.read_records_csv(path)
     # writer sorts by (r, m, eps, trial_index)
     assert back == sorted(records, key=lambda t: (t.r, t.m, t.eps, t.trial_index))
+    # == alone would pass an int read back as a float: 1 == 1.0
+    declared = typing.get_type_hints(harness.TrialRecord)
+    for rec in back:
+        for name, kind in declared.items():
+            assert type(getattr(rec, name)) in (typing.get_args(kind) or (kind,)), name
 
 
 def test_records_csv_none_fields_round_trip(tmp_path):
